@@ -70,13 +70,9 @@ def _require_prime_plane(plane: ProjectivePlane, min_p: int):
 
 
 def _from_affine_grid(plane, xs, ys, meta) -> PointSet:
-    tbl = plane.frame.point_index_table()
-    idx = tbl[xs, ys]
-    n_bytes = (plane.N + 7) // 8
-    bits = np.zeros(n_bytes * 8, dtype=np.uint8)
-    bits[idx] = 1
-    bitmap = int.from_bytes(np.packbits(bits, bitorder="little").tobytes(), "little")
-    return PointSet(plane, bitmap, meta)
+    mask = np.zeros(plane.N, dtype=bool)
+    mask[plane.frame.point_index_table()[xs, ys]] = True
+    return PointSet(plane, mask, meta)
 
 
 def random_set(plane: ProjectivePlane, density, seed: int) -> PointSet:
@@ -97,12 +93,7 @@ def random_set(plane: ProjectivePlane, density, seed: int) -> PointSet:
         return PointSet.full(plane, meta)
     rng = np.random.Generator(np.random.Philox(key=int(seed)))
     draws = rng.integers(0, den, size=plane.N, dtype=np.int64)
-    keep = (draws < num).astype(np.uint8)
-    n_bytes = (plane.N + 7) // 8
-    bits = np.zeros(n_bytes * 8, dtype=np.uint8)
-    bits[: plane.N] = keep
-    bitmap = int.from_bytes(np.packbits(bits, bitorder="little").tobytes(), "little")
-    return PointSet(plane, bitmap, meta)
+    return PointSet(plane, draws < num, meta)
 
 
 def parabola_region(plane: ProjectivePlane, params: ParabolaParams) -> PointSet:
@@ -161,20 +152,44 @@ def pointset_to_json(pset: PointSet) -> dict:
     return {"q": plane.q, "affine": affine, "projective": projective}
 
 
-def pointset_from_json(plane: ProjectivePlane, doc: dict) -> PointSet:
-    if doc.get("q") != plane.q:
-        raise ConstructionError(f"set file is for q={doc.get('q')}, plane has q={plane.q}")
-    frame = plane.frame
-    indices = [frame.affine_point(x, y) for x, y in doc.get("affine", [])]
-    indices += [plane.index_of(tuple(t)) for t in doc.get("projective", [])]
+def pointset_from_json(plane: ProjectivePlane, doc) -> PointSet:
+    """Parse a set file, rejecting anything but distinct points of this plane."""
+    if not isinstance(doc, dict):
+        raise ConstructionError("set file must be a JSON object")
+    q = plane.q
+    if doc.get("q") != q:
+        raise ConstructionError(f"set file is for q={doc.get('q')}, plane has q={q}")
+    indices = set()
+    for key, length in (("affine", 2), ("projective", 3)):
+        entries = doc.get(key, [])
+        if not isinstance(entries, list):
+            raise ConstructionError(f"set file {key!r} must be a list of points")
+        for entry in entries:
+            if not (isinstance(entry, list) and len(entry) == length
+                    and all(type(c) is int and 0 <= c < q for c in entry)
+                    and (length == 2 or any(entry))):
+                raise ConstructionError(
+                    f"set file {key} entry {entry!r} is not a point of PG(2,{q})")
+            idx = (plane.frame.affine_point(*entry) if length == 2
+                   else plane.index_of(tuple(entry)))
+            if idx in indices:
+                raise ConstructionError(f"set file repeats the point {entry!r}")
+            indices.add(idx)
     return PointSet.from_indices(plane, indices, {"construction": "set-file"})
 
 
 # -- CLI construction specs ----------------------------------------------------
 
+def _fraction(text: str) -> Fraction:
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ConstructionError(f"{text!r} is not a rational number") from exc
+
+
 def rational_to_element(p: int, text: str) -> int:
     """Map a rational like '1/4' (or an integer) to its F_p element."""
-    frac = Fraction(text)
+    frac = _fraction(text)
     den = frac.denominator % p
     if den == 0:
         raise ConstructionError(f"denominator of {text} vanishes mod {p}")
@@ -202,7 +217,7 @@ def build_construction(plane: ProjectivePlane, text: str, seed=None) -> PointSet
     overrides one embedded in the specifier (used by sweep cells)."""
     name, args = parse_construction(text)
     if name == "random":
-        density = Fraction(args.get("density", "1/2"))
+        density = _fraction(args.get("density", "1/2"))
         if seed is None:
             seed = int(args.get("seed", "0"))
         return random_set(plane, density, seed)
@@ -214,5 +229,5 @@ def build_construction(plane: ProjectivePlane, text: str, seed=None) -> PointSet
             rational_to_element(p, args.get("g", "0")))
         return parabola_region(plane, params)
     if name == "family":
-        return parabola_family(plane, FamilyParams(Fraction(args.get("c", "1/2"))))
+        return parabola_family(plane, FamilyParams(_fraction(args.get("c", "1/2"))))
     return ec_region(plane)

@@ -131,9 +131,8 @@ def line_curve_check(plane: ProjectivePlane, m: int, b: int,
             n += 1
     z = cubic_root_count(p, m, b)
     count = curve_count(p, (-m) % p, (-b) % p).count
-    frame = plane.frame
-    line_n = sum(region.contains(frame.affine_point(x, (m * x + b) % p))
-                 for x in range(p))
+    xs = np.arange(p, dtype=np.int64)
+    line_n = int(region.mask[plane.frame.point_index_table()[xs, (m * xs + b) % p]].sum())
     if line_n != n:
         raise CurveError("region membership disagrees with character scan")
     return LineCurveRelation(p=p, m=m, b=b, n_ell=n, roots=z, curve_count=count,

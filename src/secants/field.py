@@ -114,8 +114,46 @@ def _smallest_irreducible(p: int, k: int):
     raise FieldError(f"no irreducible polynomial of degree {k} over GF({p})")
 
 
+def _exp_log_tables(p: int, k: int, modulus):
+    """Exp/log tables of GF(p^k) for the first primitive element in
+    encoding order, found and powered with the polynomial helpers.
+
+    log[0] is the sentinel 2(q-1) and exp is zero from index 2(q-1) on, so
+    exp[log[a] + log[b]] is the product even when a or b is zero."""
+    q = p ** k
+    mod = list(modulus)
+    for g in range(2, q):
+        gd = _decode_digits(g, p, k)
+        powers, x = [1], [1]
+        while len(powers) < q - 1:
+            x = _poly_mod(_poly_mul(x, gd, p), mod, p)
+            e = _encode_digits(x, p)
+            if e == 1:
+                break
+            powers.append(e)
+        if len(powers) == q - 1:
+            break
+    exp = np.zeros(4 * (q - 1) + 1, dtype=np.int64)
+    exp[: 2 * (q - 1)] = powers * 2
+    log = np.empty(q, dtype=np.int64)
+    log[powers] = np.arange(q - 1)
+    log[0] = 2 * (q - 1)
+    return exp, log
+
+
+def _lookup(table: np.ndarray, idx):
+    """table[idx], as a Python int when idx is a scalar."""
+    out = table[idx]
+    return out if isinstance(out, np.ndarray) else int(out)
+
+
 class Field:
     """The finite field GF(q) = GF(p^k) with integer-encoded elements.
+
+    Every arithmetic operation accepts Python ints or integer numpy arrays
+    (broadcast against each other) and returns the same kind.  Addition is
+    digit-wise mod p; for k > 1, multiplication and inversion are lookups
+    in exp/log tables of length O(q), built once from the modulus.
 
     Immutable after construction; every operation is pure, so instances
     can be shared freely across workers.
@@ -133,6 +171,7 @@ class Field:
                 raise FieldError("extension field requires a monic modulus of degree k")
             if not _is_irreducible(list(self.modulus), p):
                 raise FieldError("modulus is reducible over the prime field")
+            self._exp, self._log = _exp_log_tables(p, k, self.modulus)
 
     def __repr__(self):
         if self.k == 1:
@@ -154,53 +193,47 @@ class Field:
     def encode(self, digits) -> int:
         return _encode_digits([d % self.p for d in digits], self.p)
 
-    def elements(self):
-        return range(self.q)
-
     # -- arithmetic ----------------------------------------------------------
 
-    def add(self, a: int, b: int) -> int:
-        if self.k == 1:
-            return (a + b) % self.p
-        return self.encode([x + y for x, y in zip(self.digits(a), self.digits(b))])
+    def _digitwise(self, a, b, sign):
+        """a + sign*b, coefficient by coefficient mod p."""
+        p, out, s = self.p, 0, 1
+        for _ in range(self.k):
+            out = out + ((a // s + sign * (b // s)) % p) * s
+            s *= p
+        return out
 
-    def sub(self, a: int, b: int) -> int:
-        if self.k == 1:
-            return (a - b) % self.p
-        return self.encode([x - y for x, y in zip(self.digits(a), self.digits(b))])
+    def add(self, a, b):
+        return self._digitwise(a, b, 1)
 
-    def neg(self, a: int) -> int:
-        if self.k == 1:
-            return (-a) % self.p
-        return self.encode([-x for x in self.digits(a)])
+    def sub(self, a, b):
+        return self._digitwise(a, b, -1)
 
-    def mul(self, a: int, b: int) -> int:
+    def neg(self, a):
+        return self._digitwise(0, a, -1)
+
+    def mul(self, a, b):
         if self.k == 1:
             return (a * b) % self.p
-        prod = _poly_mul(self.digits(a), self.digits(b), self.p)
-        return self.encode(_poly_mod(prod, list(self.modulus), self.p))
+        return _lookup(self._exp, self._log[a] + self._log[b])
 
     def pow(self, a: int, e: int) -> int:
-        if self.k == 1:
-            return pow(a, e, self.p) if e >= 0 else self.inv(pow(a, -e, self.p))
         if e < 0:
             return self.pow(self.inv(a), -e)
-        r, base = 1, a
-        while e:
-            if e & 1:
-                r = self.mul(r, base)
-            base = self.mul(base, base)
-            e >>= 1
-        return r
+        if self.k == 1 or a == 0:
+            return pow(a, e, self.q)
+        return int(self._exp[self._log[a] * e % (self.q - 1)])
 
-    def inv(self, a: int) -> int:
-        if a == 0:
+    def inv(self, a):
+        if np.any(np.equal(a, 0)):
             raise FieldError("zero has no multiplicative inverse")
-        if self.k == 1:
-            return pow(a, self.p - 2, self.p)
-        return self.pow(a, self.q - 2)
+        if self.k > 1:
+            return _lookup(self._exp, (self.q - 1) - self._log[a])
+        if isinstance(a, np.ndarray):
+            return inverse_table(self.p)[a]
+        return pow(a, self.p - 2, self.p)
 
-    def div(self, a: int, b: int) -> int:
+    def div(self, a, b):
         return self.mul(a, self.inv(b))
 
     # -- prime-field extras ---------------------------------------------------

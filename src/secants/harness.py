@@ -39,7 +39,7 @@ _POP8 = np.array([bin(i).count("1") for i in range(256)], dtype=np.uint8)
 class SearchResult:
     q: int
     best_mode_count: int
-    witness: int             # point-index bitmap of a minimizing set
+    witness: np.ndarray      # boolean point mask of a minimizing set
     subsets_examined: int
     method: str              # "exhaustive" | "local"
 
@@ -98,14 +98,15 @@ def _mode_counts(secants: np.ndarray, q: int) -> np.ndarray:
 def exhaustive_minmax(plane: ProjectivePlane, threads: int = 1) -> SearchResult:
     """Exact minimum over all subsets of the maximal secant-size frequency.
 
-    Only bitmaps with at most N/2 bits set are enumerated (complement
-    duality); the witness is the numerically smallest enumerated bitmap
+    Only bitmaps (bit i = point i) with at most N/2 bits set are enumerated
+    (complement duality); the witness is the numerically smallest bitmap
     attaining the minimum, regardless of chunking or thread count.
     """
     q, N = plane.q, plane.N
     if q > EXHAUSTIVE_MAX_Q:
         raise ValueError("exhaustive limit")
-    line_masks = np.array([plane.line_bitmap(i) for i in range(N)], dtype=np.uint32)
+    line_masks = np.bitwise_or.reduce(
+        np.left_shift(np.uint32(1), plane.line_points_matrix.astype(np.uint32)), axis=1)
     half = N // 2
 
     def chunk_best(lo: int, hi: int):
@@ -135,7 +136,8 @@ def exhaustive_minmax(plane: ProjectivePlane, threads: int = 1) -> SearchResult:
         examined += count
         if (mode, mask) < best:
             best = (mode, mask)
-    return SearchResult(q=q, best_mode_count=best[0], witness=best[1],
+    witness = (best[1] >> np.arange(N)) & 1 == 1
+    return SearchResult(q=q, best_mode_count=best[0], witness=witness,
                         subsets_examined=examined, method="exhaustive")
 
 
@@ -151,7 +153,7 @@ def local_search(plane: ProjectivePlane, iters: int = 200, seed: int = 0,
     ties broken by histogram variance; best over restarts.
 
     A small-plane probe: each step rescans all N flips, so it needs the
-    plane's incidence cache (roughly q <= 149)."""
+    plane's incidence cache (roughly q <= 251)."""
     q, N = plane.q, plane.N
     point_lines = plane.point_lines_matrix
     rng = Random(seed)
@@ -159,17 +161,17 @@ def local_search(plane: ProjectivePlane, iters: int = 200, seed: int = 0,
     examined = 0
 
     for _ in range(max(1, restarts)):
-        bitmap = rng.getrandbits(N) & ((1 << N) - 1)
-        n_ell = [(plane.line_bitmap(i) & bitmap).bit_count() for i in range(N)]
-        hist = [0] * (q + 2)
-        for v in n_ell:
-            hist[v] += 1
+        # the seed's random bitmap, bit i = point i
+        raw = np.frombuffer(rng.getrandbits(N).to_bytes((N + 7) // 8, "little"), np.uint8)
+        mask = np.unpackbits(raw, count=N, bitorder="little").astype(bool)
+        n_ell = mask[plane.line_points_matrix].sum(axis=1).tolist()
+        hist = np.bincount(n_ell, minlength=q + 2).tolist()
         cur = (max(hist), _tie_score(hist, N, q))
 
         for _ in range(iters):
             move = None
             for pt in range(N):
-                sign = -1 if (bitmap >> pt) & 1 else 1
+                sign = -1 if mask[pt] else 1
                 trial = hist[:]
                 for ell in point_lines[pt]:
                     v = n_ell[ell]
@@ -182,17 +184,18 @@ def local_search(plane: ProjectivePlane, iters: int = 200, seed: int = 0,
             if move is None:
                 break
             cur, pt = move
-            sign = -1 if (bitmap >> pt) & 1 else 1
-            bitmap ^= 1 << pt
+            sign = -1 if mask[pt] else 1
+            mask[pt] = not mask[pt]
             for ell in point_lines[pt]:
                 hist[n_ell[ell]] -= 1
                 n_ell[ell] += sign
                 hist[n_ell[ell]] += 1
 
-        cand = (cur[0], cur[1], bitmap)
+        # reversed mask bytes order sets as their bitmaps do numerically
+        cand = (cur[0], cur[1], mask[::-1].tobytes())
         if best is None or cand < best:
-            best = cand
-    return SearchResult(q=q, best_mode_count=best[0], witness=best[2],
+            best, witness = cand, mask
+    return SearchResult(q=q, best_mode_count=best[0], witness=witness,
                         subsets_examined=examined, method="local")
 
 
@@ -225,9 +228,11 @@ def run_sweep(primes, construction: str, seeds, threads: int = 1):
         seeds = range(seeds)
     seeds = list(seeds)
     planes = {q: build_plane(q) for q in primes}
-    for plane in planes.values():       # prime shared caches before dispatch
-        if plane.line_bitmaps is None:
+    for plane in planes.values():       # build shared caches before dispatch
+        if plane.field.k == 1:
             plane.frame.coords_arrays()
+        elif plane.has_incidence_cache:
+            plane.line_points_matrix
     cells = [(q, s) for q in primes for s in seeds]
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:

@@ -69,7 +69,9 @@ class LinearHypergraph:
                 "edges": [list(e) for e in self.edges]}
 
     @classmethod
-    def from_json(cls, doc: dict) -> "LinearHypergraph":
+    def from_json(cls, doc) -> "LinearHypergraph":
+        if not isinstance(doc, dict) or "n" not in doc or "edges" not in doc:
+            raise LegitError("hypergraph file must be a JSON object with n and edges")
         return cls(doc["n"], doc["edges"], doc.get("num_vertices"))
 
     def permuted(self, seed: int) -> "LinearHypergraph":

@@ -3,9 +3,12 @@
 Points and lines are normalized homogeneous triples over GF(q): the first
 nonzero coordinate (scanning x, then y, then z) is scaled to 1, and both
 families are listed in lexicographic order of their encoded triples.  That
-order has a closed form, so planes are cheap to create at any q; the heavy
-incidence caches (per-line point indices and point-index bitmaps) are only
-materialized while they fit in a fixed memory budget.
+order has a closed form, so planes are cheap to create at any q.  The
+points of any batch of lines come from one vectorized closed-form solver;
+the incidence cache (an int32 matrix of per-line point indices) is only
+materialized while it fits in a fixed memory budget.  Points and lines
+share one indexing and x.a = a.x, so the same matrix lists the lines
+through each point.
 
 The affine frame identifies F_q^2 with the points off the line z = 0:
 (x, y) corresponds to (x : y : 1), the line y = dx + b to [d : -1 : b],
@@ -16,11 +19,15 @@ from __future__ import annotations
 
 import numpy as np
 
-from .field import Field, inverse_table, make_field
+from .field import Field, make_field
 
-# Incidence caches (index matrix + bitmaps) are built only when the full
-# N x N incidence fits in this many bytes as bitmaps.
+# The incidence cache is built only when its (N, q+1) int32 index matrix
+# fits in this many bytes.
 INCIDENCE_BUDGET_BYTES = 64 * 1024 * 1024
+
+# Lines are solved in blocks of about this many entries, which bounds the
+# solver's int64 temporaries.
+_SOLVE_BLOCK_ENTRIES = 1 << 20
 
 
 class PlaneError(ValueError):
@@ -36,9 +43,7 @@ class ProjectivePlane:
         self.N = self.q * self.q + self.q + 1
         self._points = None
         self._lines = None
-        self._line_points = None   # numpy (N, q+1) int32, small planes only
-        self._point_lines = None
-        self._bitmaps = None       # list of ints, small planes only
+        self._line_points = None   # numpy (N, q+1) int32, within the budget only
         self._frame = None
 
     def __repr__(self):
@@ -104,96 +109,66 @@ class ProjectivePlane:
         return s == 0
 
     def line_point_indices(self, line_idx: int):
-        """Sorted indices of the q+1 points on a line, computed in O(q)."""
-        if self._line_points is not None:
-            return self._line_points[line_idx].tolist()
-        return self._solve_line(*self.triple(line_idx))
+        """Sorted indices of the q+1 points on a line."""
+        return self._solve_lines([line_idx])[0].tolist()
 
-    def _solve_line(self, a, b, c):
+    def _solve_lines(self, lines) -> np.ndarray:
+        """(len(lines), q+1) int32 matrix: row i holds the sorted indices of
+        the points on line lines[i], from the closed form for [a : b : c]."""
         F, q = self.field, self.q
-        idxs = []
-        if c != 0:
-            cinv = F.inv(c)
-            for y in range(q):
-                z = F.mul(F.neg(F.add(a, F.mul(b, y))), cinv)
-                idxs.append(q + 1 + y * q + z)
-            idxs.append(1 + F.mul(F.neg(b), cinv))
-        elif b != 0:
-            y = F.mul(F.neg(a), F.inv(b))
-            base = q + 1 + y * q
-            idxs.extend(base + z for z in range(q))
-            idxs.append(0)
-        else:
-            idxs.extend(1 + z for z in range(q))
-            idxs.append(0)
-        idxs.sort()
-        return idxs
-
-    def line_bitmap(self, line_idx: int) -> int:
-        if self._bitmaps is not None:
-            return self._bitmaps[line_idx]
-        m = 0
-        for i in self.line_point_indices(line_idx):
-            m |= 1 << i
-        return m
+        lines = np.asarray(lines, dtype=np.int64)
+        t = lines - q - 1
+        a = (t >= 0).astype(np.int64)
+        b = np.where(t >= 0, t // q, lines > 0)
+        c = np.where(t >= 0, t % q, np.where(lines > 0, lines - 1, 1))
+        z = np.arange(q, dtype=np.int64)
+        out = np.empty((lines.size, q + 1), dtype=np.int32)
+        # c != 0: the point (0 : 1 : -b/c), then (1 : y : -(a + by)/c) by y
+        s = np.nonzero(c)[0]
+        nc = F.neg(F.inv(c[s]))
+        out[s, 0] = 1 + F.mul(b[s], nc)
+        out[s, 1:] = q + 1 + z * q + F.mul(
+            F.add(a[s, None], F.mul(b[s, None], z)), nc[:, None])
+        # c == 0: the point (0 : 0 : 1), then (1 : -a/b : z) by z, or (0 : 1 : z)
+        # on the line x = 0, where b == 0 too
+        out[c == 0, 0] = 0
+        s = np.nonzero((c == 0) & (b != 0))[0]
+        out[s, 1:] = q + 1 + F.mul(F.neg(a[s]), F.inv(b[s]))[:, None] * q + z
+        out[(c == 0) & (b == 0), 1:] = 1 + z
+        return out
 
     @property
     def has_incidence_cache(self) -> bool:
-        return self.N * self.N // 8 <= INCIDENCE_BUDGET_BYTES
+        return self.N * (self.q + 1) * 4 <= INCIDENCE_BUDGET_BYTES
 
     @property
     def line_points_matrix(self) -> np.ndarray:
-        """(N, q+1) int32 matrix of point indices per line (small planes)."""
-        self._require_cache()
+        """(N, q+1) int32 matrix of point indices per line (within the budget)."""
+        if not self.has_incidence_cache:
+            raise PlaneError(
+                f"incidence cache for N={self.N} exceeds the memory budget")
         if self._line_points is None:
-            self._build_incidence()
+            self._line_points = np.concatenate(list(self._solved_blocks()))
         return self._line_points
 
     @property
     def point_lines_matrix(self) -> np.ndarray:
-        """(N, q+1) int32 matrix of line indices per point (small planes)."""
-        self._require_cache()
-        if self._point_lines is None:
-            self._build_incidence()
-        return self._point_lines
+        """(N, q+1) int32 matrix of line indices per point (within the
+        budget), each row ascending: by duality, the line-points matrix."""
+        return self.line_points_matrix
 
-    @property
-    def line_bitmaps(self):
-        """Per-line point-index bitmaps, or None above the memory budget."""
-        if not self.has_incidence_cache:
-            return None
-        if self._bitmaps is None:
-            self._build_incidence()
-        return self._bitmaps
+    def line_point_blocks(self):
+        """The rows of the line-points matrix in consecutive blocks of lines:
+        the cached matrix in one block within the budget, solved blocks above."""
+        if self.has_incidence_cache:
+            yield self.line_points_matrix
+        else:
+            yield from self._solved_blocks()
 
-    def _require_cache(self):
-        if not self.has_incidence_cache:
-            raise PlaneError(
-                f"incidence cache for N={self.N} exceeds the memory budget")
-
-    def _build_incidence(self):
-        q, N = self.q, self.N
-        lp = np.empty((N, q + 1), dtype=np.int32)
-        for ell in range(N):
-            lp[ell] = self._solve_line(*self.triple(ell))
-        self._line_points = lp
-        dual = np.empty((N, q + 1), dtype=np.int32)
-        fill = np.zeros(N, dtype=np.int32)
-        for ell in range(N):
-            for pt in lp[ell]:
-                dual[pt, fill[pt]] = ell
-                fill[pt] += 1
-        assert (fill == q + 1).all()
-        self._point_lines = dual
-        nbytes = (N + 7) // 8
-        bitmaps = []
-        row = np.zeros(nbytes * 8, dtype=np.uint8)
-        for ell in range(N):
-            row[:] = 0
-            row[lp[ell]] = 1
-            bitmaps.append(int.from_bytes(
-                np.packbits(row, bitorder="little").tobytes(), "little"))
-        self._bitmaps = bitmaps
+    def _solved_blocks(self):
+        step = max(1, _SOLVE_BLOCK_ENTRIES // (self.q + 1))
+        for lo in range(0, self.N, step):
+            yield self._solve_lines(np.arange(lo, min(lo + step, self.N)))
 
     # -- axioms-level helpers ---------------------------------------------------
 
@@ -288,67 +263,48 @@ class AffineFrame:
         if self._index_table is not None:
             return self._index_table
         F, q = self.plane.field, self.q
-        if F.k == 1:
-            p = F.p
-            inv = inverse_table(p)
-            tbl = np.empty((p, p), dtype=np.int32)
-            y = np.arange(p, dtype=np.int64)
-            tbl[0, 0] = 0
-            tbl[0, 1:] = 1 + inv[y[1:]]
-            for x in range(1, p):
-                xinv = int(inv[x])
-                tbl[x] = q + 1 + ((y * xinv) % p) * q + xinv
-        else:
-            tbl = np.empty((q, q), dtype=np.int32)
-            for x in range(q):
-                for y in range(q):
-                    tbl[x, y] = self.affine_point(x, y)
+        inv = F.inv(np.arange(1, q, dtype=np.int64))[:, None]
+        y = np.arange(q, dtype=np.int64)
+        tbl = np.empty((q, q), dtype=np.int32)
+        tbl[0, 0] = 0
+        tbl[0, 1:] = 1 + inv[:, 0]                    # (0 : 1 : 1/y)
+        tbl[1:] = q + 1 + F.mul(y, inv) * q + inv     # (1 : y/x : 1/x)
         self._index_table = tbl
         return tbl
 
     def line_index_table(self) -> np.ndarray:
         """(q, q) int64 table mapping slope/intercept (d, b) to the index
-        of the line y = dx + b (prime planes)."""
+        of the line y = dx + b."""
         F, q = self.plane.field, self.q
-        if F.k != 1:
-            raise PlaneError("vectorized line table requires a prime field")
-        p = F.p
-        inv = inverse_table(p)
-        b = np.arange(p, dtype=np.int64)
-        tbl = np.empty((p, p), dtype=np.int64)
-        tbl[0] = 1 + (p - b) % p
-        for d in range(1, p):
-            di = int(inv[d])
-            tbl[d] = q + 1 + (p - di) * q + (b * di) % p
+        b = np.arange(q, dtype=np.int64)
+        dinv = F.inv(np.arange(1, q, dtype=np.int64))[:, None]
+        tbl = np.empty((q, q), dtype=np.int64)
+        tbl[0] = 1 + F.neg(b)                                  # [0 : 1 : -b]
+        tbl[1:] = q + 1 + F.neg(dinv) * q + F.mul(b, dinv)     # [1 : -1/d : b/d]
         return tbl
 
     def coords_arrays(self):
-        """Vectorized point classification for prime planes: int32 arrays
-        (ax, ay, slope) of length N; affine points carry slope -1, the
-        infinite point of slope d carries (-1, -1, d), the vertical
-        direction carries slope q."""
+        """Vectorized point classification: int32 arrays (ax, ay, slope) of
+        length N; affine points carry slope -1, the infinite point of slope
+        d carries (-1, -1, d), the vertical direction carries slope q."""
         if self._coords is not None:
             return self._coords
         F, q, N = self.plane.field, self.q, self.plane.N
-        if F.k != 1:
-            raise PlaneError("vectorized coordinates require a prime field")
-        p = F.p
-        inv = inverse_table(p)
         ax = np.full(N, -1, dtype=np.int32)
         ay = np.full(N, -1, dtype=np.int32)
         slope = np.full(N, -1, dtype=np.int32)
         ax[0] = ay[0] = 0
         z = np.arange(1, q, dtype=np.int64)
-        ax[1 + z] = 0
-        ay[1 + z] = inv[z]
+        ax[1 + z] = 0                                  # (0 : 1 : z) is (0, 1/z)
+        ay[1 + z] = F.inv(z)
         slope[1] = q
         t = np.arange(q * q, dtype=np.int64)
-        yy, zz = t // q, t % q
-        idx = q + 1 + t
+        yy, zz = t // q, t % q                         # (1 : y : z) is (1/z, y/z)
         aff = zz != 0
-        ax[idx[aff]] = inv[zz[aff]]
-        ay[idx[aff]] = (yy[aff] * inv[zz[aff]]) % p
-        slope[idx[~aff]] = yy[~aff]
+        zinv = F.inv(zz[aff])
+        ax[q + 1 + t[aff]] = zinv
+        ay[q + 1 + t[aff]] = F.mul(yy[aff], zinv)
+        slope[q + 1 + t[~aff]] = yy[~aff]
         self._coords = (ax, ay, slope)
         return self._coords
 

@@ -1,13 +1,14 @@
 """Secant-size spectra: per-line intersection counts with a point set,
 their histogram, and the exact double-counting identities they satisfy.
 
-Two counting kernels produce the per-line sizes.  Small planes keep
-per-line point bitmaps and use popcounts, one AND per line.  Planes above
-the incidence-cache budget (prime order only) are counted through the
-affine frame instead: every affine line of slope d meets the set where
-y - d*x is its intercept, so one bincount per parallel class recovers all
-counts without any stored incidence.  The two kernels are interchangeable
-and are cross-checked in the test suite.
+A point set is a read-only boolean mask over the point indices, and the
+kind of plane picks the counting kernel.  Prime planes are counted through
+the affine frame: every affine line of slope d meets the set where y - d*x
+is its intercept, so one bincount per parallel class recovers all counts
+without any stored incidence.  Extension planes gather the mask along each
+line's point indices, from the incidence cache within its budget and from
+freshly solved blocks of lines above it.  Both kernels work on prime
+planes and are cross-checked there in the test suite.
 """
 
 from __future__ import annotations
@@ -23,50 +24,51 @@ from .plane import ProjectivePlane
 
 
 class PointSet:
-    """Membership bitmap over the point indices of a plane."""
+    """Read-only boolean membership mask over the point indices of a plane."""
 
-    __slots__ = ("plane", "bitmap", "size", "meta")
+    __slots__ = ("plane", "mask", "size", "meta")
 
-    def __init__(self, plane: ProjectivePlane, bitmap: int, meta=None):
+    def __init__(self, plane: ProjectivePlane, mask, meta=None):
+        mask = np.array(mask, dtype=bool)
+        if mask.shape != (plane.N,):
+            raise ValueError(f"mask of shape {mask.shape} for N={plane.N} points")
+        mask.flags.writeable = False
         self.plane = plane
-        self.bitmap = bitmap
-        self.size = bitmap.bit_count()
+        self.mask = mask
+        self.size = int(np.count_nonzero(mask))
         self.meta = dict(meta or {})
 
     @classmethod
     def empty(cls, plane, meta=None):
-        return cls(plane, 0, meta)
+        return cls(plane, np.zeros(plane.N, dtype=bool), meta)
 
     @classmethod
     def full(cls, plane, meta=None):
-        return cls(plane, (1 << plane.N) - 1, meta)
+        return cls(plane, np.ones(plane.N, dtype=bool), meta)
 
     @classmethod
     def from_indices(cls, plane, indices, meta=None):
-        m = 0
-        for i in indices:
-            if not 0 <= i < plane.N:
-                raise ValueError(f"point index {i} out of range")
-            m |= 1 << int(i)
-        return cls(plane, m, meta)
+        idx = np.fromiter(indices, dtype=np.int64)
+        bad = idx[(idx < 0) | (idx >= plane.N)]
+        if bad.size:                  # a negative index would alias from the end
+            raise ValueError(f"point index {bad[0]} out of range")
+        mask = np.zeros(plane.N, dtype=bool)
+        mask[idx] = True
+        return cls(plane, mask, meta)
 
     def indices(self) -> np.ndarray:
-        n_bytes = (self.plane.N + 7) // 8
-        raw = np.frombuffer(self.bitmap.to_bytes(n_bytes, "little"), dtype=np.uint8)
-        bits = np.unpackbits(raw, bitorder="little", count=self.plane.N)
-        return np.nonzero(bits)[0]
+        return np.flatnonzero(self.mask)
 
     def contains(self, idx: int) -> bool:
-        return bool((self.bitmap >> idx) & 1)
+        return 0 <= idx < self.plane.N and bool(self.mask[idx])
 
     def complement(self) -> "PointSet":
-        mask = (1 << self.plane.N) - 1
         meta = {"construction": "complement", "of": self.meta.get("construction")}
-        return PointSet(self.plane, self.bitmap ^ mask, meta)
+        return PointSet(self.plane, ~self.mask, meta)
 
     def __eq__(self, other):
         return (isinstance(other, PointSet) and self.plane is other.plane
-                and self.bitmap == other.bitmap)
+                and np.array_equal(self.mask, other.mask))
 
     def __len__(self):
         return self.size
@@ -121,13 +123,8 @@ class BoundsReport:
 def compute_spectrum(plane: ProjectivePlane, pset: PointSet) -> SecantSpectrum:
     if pset.plane is not plane:
         raise ValueError("point set belongs to a different plane")
-    if plane.line_bitmaps is not None:
-        n_ell = _spectrum_popcount(plane, pset.bitmap)
-    elif plane.field.k == 1:
-        n_ell = _spectrum_affine(plane, pset)
-    else:
-        n_ell = _spectrum_scan(plane, pset.bitmap)
-    return spectrum_from_counts(plane, pset.size, n_ell)
+    kernel = _spectrum_affine if plane.field.k == 1 else _spectrum_gather
+    return spectrum_from_counts(plane, pset.size, kernel(plane, pset.mask))
 
 
 def spectrum_from_counts(plane, size, n_ell) -> SecantSpectrum:
@@ -140,24 +137,15 @@ def spectrum_from_counts(plane, size, n_ell) -> SecantSpectrum:
         mode_k=mode_k, mode_count=int(hist[mode_k]))
 
 
-def _spectrum_popcount(plane, bitmap: int) -> np.ndarray:
-    out = np.empty(plane.N, dtype=np.int64)
-    for i, line in enumerate(plane.line_bitmaps):
-        out[i] = (line & bitmap).bit_count()
-    return out
+def _spectrum_gather(plane, mask: np.ndarray) -> np.ndarray:
+    return np.concatenate([mask[block].sum(axis=1, dtype=np.int64)
+                           for block in plane.line_point_blocks()])
 
 
-def _spectrum_scan(plane, bitmap: int) -> np.ndarray:
-    out = np.empty(plane.N, dtype=np.int64)
-    for i in range(plane.N):
-        out[i] = (plane.line_bitmap(i) & bitmap).bit_count()
-    return out
-
-
-def _spectrum_affine(plane, pset: PointSet) -> np.ndarray:
+def _spectrum_affine(plane, mask: np.ndarray) -> np.ndarray:
     p, q, N = plane.field.p, plane.q, plane.N
     ax, ay, slope = plane.frame.coords_arrays()
-    idx = pset.indices()
+    idx = np.flatnonzero(mask)
     sl = slope[idx]
     aff = idx[sl == -1]
     xs = ax[aff].astype(np.int64)

@@ -1,16 +1,25 @@
 """Shared brute-force oracles, kept deliberately independent of the
-library's counting kernels: everything here goes through python sets and
-per-line membership tests only."""
+library's counting kernels and line solver: everything here goes through
+python sets and per-point incidence tests only."""
 
 import sys
+from functools import lru_cache
 
 import pytest
+
+
+@lru_cache(maxsize=None)
+def naive_line_points(plane):
+    """Per-line point sets from the incidence test `plane.incident` over all
+    points, independent of the library's line solver."""
+    return [frozenset(pt for pt in range(plane.N) if plane.incident(pt, ell))
+            for ell in range(plane.N)]
 
 
 def naive_secant_counts(plane, member_indices):
     """Per-line |S ∩ line| by set intersection over explicit point lists."""
     S = set(int(i) for i in member_indices)
-    return [len(S & set(plane.line_point_indices(ell))) for ell in range(plane.N)]
+    return [len(S & line) for line in naive_line_points(plane)]
 
 
 def naive_histogram(plane, member_indices):

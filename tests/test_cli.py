@@ -2,6 +2,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from secants.cli import CHECK_FAILED, OK, USAGE_ERROR, main
 
 
@@ -151,6 +153,30 @@ def test_usage_errors():
     assert main(["spectrum"]) == USAGE_ERROR           # missing --q
     assert main(["frobnicate"]) == USAGE_ERROR
     assert main(["sweep", "--primes", "7", "--construction", "bogus"]) == USAGE_ERROR
+
+
+MALFORMED_INPUTS = {
+    "set-out-of-range": ("set-file", {"q": 7, "affine": [[9, 3]]}),
+    "set-negative": ("set-file", {"q": 7, "affine": [[-1, 3]]}),
+    "set-repeated-point": ("set-file", {"q": 7, "affine": [[1, 2], [1, 2]]}),
+    "set-top-level-array": ("set-file", [[1, 2]]),
+    "set-zero-triple": ("set-file", {"q": 7, "projective": [[0, 0, 0]]}),
+    "density-1/0": ("construction", "random:density=1/0"),
+    "hypergraph-top-level-array": ("hypergraph", [[0, 1], [1, 2]]),
+}
+
+
+@pytest.mark.parametrize("name", list(MALFORMED_INPUTS))
+def test_malformed_input_exits_1_with_one_line(tmp_path, capsys, name):
+    kind, value = MALFORMED_INPUTS[name]
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps(value))
+    argv = {"set-file": ["spectrum", "--q", "7", "--set-file", str(path)],
+            "construction": ["spectrum", "--q", "7", "--construction", value],
+            "hypergraph": ["legit", "color", "--in", str(path)]}[kind]
+    assert main([*argv, "--out", str(tmp_path / "out")]) == USAGE_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
 
 
 def test_repeat_invocations_byte_identical(tmp_path):

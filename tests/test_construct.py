@@ -136,10 +136,10 @@ def test_random_set_extremes_and_determinism():
     assert random_set(pl, 1, 3).size == pl.N
     a = random_set(pl, Fraction(1, 2), 9)
     b = random_set(pl, Fraction(1, 2), 9)
-    assert a.bitmap == b.bitmap
+    assert a == b
     assert a.meta == {"construction": "random", "density": "1/2",
                       "generator": "philox4x64", "seed": 9}
-    assert random_set(pl, Fraction(1, 2), 10).bitmap != a.bitmap
+    assert random_set(pl, Fraction(1, 2), 10) != a
     with pytest.raises(ConstructionError):
         random_set(pl, Fraction(3, 2), 0)
 
@@ -172,7 +172,7 @@ def test_set_file_round_trip_with_infinite_points(tmp_path):
     path = tmp_path / "set.json"
     path.write_text(json.dumps(doc))
     S2 = pointset_from_json(pl, json.loads(path.read_text()))
-    assert S2.bitmap == S.bitmap
+    assert S2 == S
     with pytest.raises(ConstructionError, match="q=7"):
         pointset_from_json(build_plane(5), doc)
 
@@ -192,4 +192,31 @@ def test_parse_and_build_construction():
     assert build_construction(pl, "family:c=1/4").meta["a"] == 3
     # explicit seed argument overrides one embedded in the specifier
     r1 = build_construction(pl, "random:density=1/2,seed=1", seed=8)
-    assert r1.bitmap == random_set(pl, Fraction(1, 2), 8).bitmap
+    assert r1 == random_set(pl, Fraction(1, 2), 8)
+
+
+@pytest.mark.parametrize("doc,match", [
+    ([[1, 2]], "JSON object"),
+    ({"q": 7, "affine": [[9, 3]]}, "affine entry"),
+    ({"q": 7, "affine": [[-1, 3]]}, "affine entry"),
+    ({"q": 7, "affine": [[1, 2, 3]]}, "affine entry"),
+    ({"q": 7, "affine": [[1, True]]}, "affine entry"),
+    ({"q": 7, "affine": [1, 2]}, "affine entry"),
+    ({"q": 7, "affine": {"x": 1}}, "list of points"),
+    ({"q": 7, "projective": [[0, 0, 0]]}, "projective entry"),
+    ({"q": 7, "projective": [[1, 7, 0]]}, "projective entry"),
+    ({"q": 7, "projective": [[1, 0]]}, "projective entry"),
+    ({"q": 7, "affine": [[1, 2], [1, 2]]}, "repeats"),
+    ({"q": 7, "affine": [[1, 2]], "projective": [[1, 2, 1]]}, "repeats"),
+    ({"q": 7, "projective": [[1, 2, 0], [2, 4, 0]]}, "repeats"),
+])
+def test_set_file_rejects_malformed_points(doc, match):
+    with pytest.raises(ConstructionError, match=match):
+        pointset_from_json(build_plane(7), doc)
+
+
+@pytest.mark.parametrize("spec", ["random:density=1/0", "random:density=half",
+                                  "family:c=1/0", "parabola:a=1/0"])
+def test_construction_rejects_malformed_rationals(spec):
+    with pytest.raises(ConstructionError, match="rational"):
+        build_construction(build_plane(7), spec)

@@ -1,9 +1,11 @@
 import random
 
+import numpy as np
 import pytest
 
 from secants.field import (Field, FieldError, factor_prime_power, is_prime,
                            legendre, legendre_table, lift, make_field)
+from secants.field import _poly_mod, _poly_mul
 
 
 def test_prime_power_factoring():
@@ -140,3 +142,32 @@ def test_sub_div_pow_consistency():
         assert f.mul(f.div(a, b), b) == a
     assert f.pow(7, 24) == 1
     assert f.pow(7, -1) == f.inv(7)
+
+
+@pytest.mark.parametrize("q", [4, 8, 9, 16, 25, 27, 32, 49, 64, 128])
+def test_tables_match_polynomial_arithmetic(q):
+    f = make_field(q)
+    p, mod = f.p, list(f.modulus)
+    digits = [f.digits(a) for a in range(q)]
+    for a in range(q):
+        da = digits[a]
+        assert f.neg(a) == f.encode([-x for x in da])
+        if a:
+            assert f.encode(_poly_mod(_poly_mul(da, digits[f.inv(a)], p), mod, p)) == 1
+        for b in range(q):
+            db = digits[b]
+            assert f.mul(a, b) == f.encode(_poly_mod(_poly_mul(da, db, p), mod, p))
+            assert f.add(a, b) == f.encode([x + y for x, y in zip(da, db)])
+    # array forms equal the scalar forms, element by element
+    A, B = np.arange(q)[:, None], np.arange(q)[None, :]
+    scalar = np.array([[(f.mul(a, b), f.add(a, b), f.sub(a, b)) for b in range(q)]
+                       for a in range(q)])
+    assert (f.mul(A, B) == scalar[..., 0]).all()
+    assert (f.add(A, B) == scalar[..., 1]).all()
+    assert (f.sub(A, B) == scalar[..., 2]).all()
+    nz = np.arange(1, q)
+    assert f.neg(np.arange(q)).tolist() == [f.neg(a) for a in range(q)]
+    assert f.inv(nz).tolist() == [f.inv(a) for a in range(1, q)]
+    assert isinstance(f.mul(2, 3), int) and isinstance(f.inv(2), int)
+    with pytest.raises(FieldError):
+        f.inv(nz - 1)

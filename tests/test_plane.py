@@ -5,6 +5,8 @@ import pytest
 
 from secants.plane import PlaneError, affine_embed, build_plane
 
+from conftest import naive_line_points
+
 
 @pytest.mark.parametrize("q,n_points,per_line", [(2, 7, 3), (3, 13, 4), (4, 21, 5)])
 def test_build_plane_counts(q, n_points, per_line):
@@ -61,6 +63,14 @@ def test_incidence_matrices_are_mutual_transposes(q):
         inc_T[dual[pt], pt] = True
     assert (inc == inc_T).all()
     assert (inc.sum(axis=0) == q + 1).all() and (inc.sum(axis=1) == q + 1).all()
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 11, 16])
+def test_solver_rows_match_incidence_oracle(q):
+    pl = build_plane(q)
+    expect = [sorted(line) for line in naive_line_points(pl)]
+    assert pl.line_points_matrix.tolist() == expect
+    assert [pl.line_point_indices(ell) for ell in range(pl.N)] == expect
 
 
 def test_line_through_examples(fano):
@@ -130,18 +140,17 @@ def test_frame_tables_match_scalar_maps(q):
     for x in range(q):
         for y in range(q):
             assert tbl[x, y] == fr.affine_point(x, y)
-    if pl.field.k == 1:
-        ltbl = fr.line_index_table()
-        for d in range(q):
-            for b in range(q):
-                assert ltbl[d, b] == fr.affine_line(d, b)
-        ax, ay, slope = fr.coords_arrays()
-        for i in range(pl.N):
-            kind = fr.point_coords(i)
-            if kind[0] == "affine":
-                assert (ax[i], ay[i], slope[i]) == (kind[1], kind[2], -1)
-            else:
-                assert (ax[i], ay[i], slope[i]) == (-1, -1, kind[1])
+    ltbl = fr.line_index_table()
+    for d in range(q):
+        for b in range(q):
+            assert ltbl[d, b] == fr.affine_line(d, b)
+    ax, ay, slope = fr.coords_arrays()
+    for i in range(pl.N):
+        kind = fr.point_coords(i)
+        if kind[0] == "affine":
+            assert (ax[i], ay[i], slope[i]) == (kind[1], kind[2], -1)
+        else:
+            assert (ax[i], ay[i], slope[i]) == (-1, -1, kind[1])
 
 
 def test_point_coords_round_trip():
@@ -159,7 +168,6 @@ def test_point_coords_round_trip():
 
 def test_large_plane_stays_lazy():
     pl = build_plane(499)
-    assert pl.line_bitmaps is None
     assert not pl.has_incidence_cache
     with pytest.raises(PlaneError, match="budget"):
         pl.line_points_matrix

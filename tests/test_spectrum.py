@@ -5,15 +5,18 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from secants import plane as plane_module
 from secants.construct import random_set
 from secants.plane import build_plane
 from secants.spectrum import (PointSet, bounds_report, complement, compute_spectrum,
                               cor_bound_ceiling, max_frequency,
                               verify_counting_identities)
-from secants.spectrum import _spectrum_affine, _spectrum_popcount
+from secants.spectrum import _spectrum_affine, _spectrum_gather
 
-from conftest import assert_spectrum_matches_naive, naive_histogram
+from conftest import assert_spectrum_matches_naive, naive_histogram, naive_secant_counts
 
 
 def fano_triangle(fano):
@@ -71,7 +74,8 @@ def test_complement_involution_and_reversal(fano):
     S = PointSet.from_indices(fano, tri)
     Sc = complement(S)
     assert Sc.size == 4
-    assert complement(Sc).bitmap == S.bitmap
+    assert complement(Sc) == S
+    assert (Sc.mask == ~S.mask).all()
     assert complement(PointSet.empty(fano)).size == fano.N
     hist = compute_spectrum(fano, S).histogram
     hist_c = compute_spectrum(fano, Sc).histogram
@@ -93,13 +97,12 @@ def test_spectrum_matches_naive_oracle(q):
 
 
 @pytest.mark.parametrize("p", [5, 7, 11, 13, 17])
-def test_popcount_and_affine_kernels_agree(p):
+def test_gather_and_affine_kernels_agree(p):
     pl = build_plane(p)
     rng = np.random.default_rng(p)
     for density in (0.2, 0.5, 0.9):
-        members = np.nonzero(rng.random(pl.N) < density)[0]
-        S = PointSet.from_indices(pl, members)
-        assert (_spectrum_popcount(pl, S.bitmap) == _spectrum_affine(pl, S)).all()
+        mask = rng.random(pl.N) < density
+        assert (_spectrum_gather(pl, mask) == _spectrum_affine(pl, mask)).all()
 
 
 def test_affine_kernel_handles_infinite_points():
@@ -107,7 +110,35 @@ def test_affine_kernel_handles_infinite_points():
     fr = pl.frame
     infinite = pl.line_point_indices(fr.infinite_line)
     S = PointSet.from_indices(pl, list(infinite[:4]) + [fr.affine_point(2, 3)])
-    assert (_spectrum_affine(pl, S) == _spectrum_popcount(pl, S.bitmap)).all()
+    assert (_spectrum_affine(pl, S.mask) == _spectrum_gather(pl, S.mask)).all()
+    assert _spectrum_affine(pl, S.mask).tolist() == naive_secant_counts(pl, S.indices())
+
+
+@pytest.mark.parametrize("q", [8, 9])
+def test_gather_kernel_solves_blocks_above_budget(monkeypatch, q):
+    cached = build_plane(q).line_points_matrix
+    monkeypatch.setattr(plane_module, "INCIDENCE_BUDGET_BYTES", 0)
+    monkeypatch.setattr(plane_module, "_SOLVE_BLOCK_ENTRIES", 100)
+    pl = build_plane(q)
+    blocks = list(pl.line_point_blocks())
+    assert len(blocks) > 1 and (np.concatenate(blocks) == cached).all()
+    S = random_set(pl, Fraction(1, 3), q)
+    assert_spectrum_matches_naive(pl, S, compute_spectrum(pl, S))
+
+
+_PROPERTY_PLANES = {q: build_plane(q) for q in (2, 3, 4, 5, 7, 8, 9, 11, 13)}
+
+
+@settings(max_examples=60, deadline=None)
+@given(q=st.sampled_from(sorted(_PROPERTY_PLANES)), data=st.data())
+def test_kernels_match_naive_oracle_property(q, data):
+    pl = _PROPERTY_PLANES[q]
+    mask = np.array(data.draw(st.lists(st.booleans(), min_size=pl.N, max_size=pl.N)))
+    expect = naive_secant_counts(pl, np.flatnonzero(mask))
+    assert _spectrum_gather(pl, mask).tolist() == expect
+    if pl.field.k == 1:
+        assert _spectrum_affine(pl, mask).tolist() == expect
+    assert compute_spectrum(pl, PointSet(pl, mask)).n_ell.tolist() == expect
 
 
 def test_bounds_report_examples():
@@ -147,6 +178,10 @@ def test_pointset_basics(fano):
     assert S.indices().tolist() == [0, 3, 5]
     with pytest.raises(ValueError):
         PointSet.from_indices(fano, [99])
+    with pytest.raises(ValueError, match="out of range"):
+        PointSet.from_indices(fano, [-1])       # would alias to point N-1
+    with pytest.raises(ValueError):
+        S.mask[0] = False                       # masks are read-only
     other = build_plane(3)
     with pytest.raises(ValueError, match="different plane"):
         compute_spectrum(other, S)
