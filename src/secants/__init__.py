@@ -2,11 +2,10 @@
 
 __version__ = "0.1.0"
 
-from .field import Field, FieldError, legendre, lift, make_field
-from .plane import AffineFrame, PlaneError, ProjectivePlane, affine_embed, build_plane
+from .field import Field, FieldError, make_field
+from .plane import AffineFrame, PlaneError, ProjectivePlane, build_plane
 from .spectrum import (BoundsReport, PointSet, SecantSpectrum, bounds_report,
-                       complement, compute_spectrum, cor_bound_ceiling,
-                       max_frequency, verify_counting_identities)
+                       compute_spectrum, cor_bound_ceiling, verify_counting_identities)
 from .construct import (ConstructionError, FamilyParams, ParabolaParams, ec_region,
                         parabola_family, parabola_region, pointset_from_json,
                         pointset_to_json, random_set)

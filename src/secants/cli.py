@@ -22,7 +22,7 @@ from .ecurve import CurveError, curve_count, ec_spectrum_scan
 from .field import FieldError
 from .harness import (EXHAUSTIVE_MAX_Q, exhaustive_minmax, local_search, run_sweep,
                       sweep_to_csv)
-from .legit import (GENERATOR_MODES, LegitError, LinearHypergraph,
+from .legit import (BLUE, GENERATOR_MODES, RED, LegitError, LinearHypergraph,
                     generate_linear_hypergraph, two_phase_coloring, verify_legitimate)
 from .plane import PlaneError, build_plane
 from .spectrum import bounds_report, compute_spectrum, cor_bound_ceiling, \
@@ -188,6 +188,21 @@ def cmd_ec(args) -> int:
     return OK if ok else CHECK_FAILED
 
 
+def _read_coloring(path, num_vertices: int) -> list:
+    """A coloring file: {"colors": [...]} or a bare list with exactly one
+    entry per vertex, each "red", "blue", 0 or 1."""
+    with open(path) as fh:
+        doc = json.load(fh)
+    names = doc.get("colors") if isinstance(doc, dict) else doc
+    if not isinstance(names, list) or len(names) != num_vertices:
+        raise LegitError(f"coloring file must list exactly {num_vertices} colors")
+    codes = {"red": RED, "blue": BLUE}
+    for v, c in enumerate(names):
+        if c not in ("red", "blue") and not (type(c) is int and c in (RED, BLUE)):
+            raise LegitError(f"vertex {v} has color {c!r}; expected red, blue, 0 or 1")
+    return [codes.get(c, c) for c in names]
+
+
 def cmd_legit(args) -> int:
     if args.legit_cmd == "gen":
         hg = generate_linear_hypergraph(args.n, args.seed, args.mode)
@@ -214,12 +229,7 @@ def cmd_legit(args) -> int:
             } for d in coloring.diagnostics],
         })
         return OK if legitimate else CHECK_FAILED
-    with open(args.coloring) as fh:
-        doc = json.load(fh)
-    names = doc["colors"] if isinstance(doc, dict) else doc
-    to_code = {"red": 0, "blue": 1}
-    color = [to_code.get(c, c) for c in names]
-    legitimate, pair = verify_legitimate(hg, color)
+    legitimate, pair = verify_legitimate(hg, _read_coloring(args.coloring, hg.num_vertices))
     _emit_json(args, {"legitimate": legitimate, "violating_pair": pair})
     return OK if legitimate else CHECK_FAILED
 
@@ -325,7 +335,7 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (FieldError, PlaneError, ConstructionError, CurveError, LegitError,
-            ValueError, OSError) as exc:
+            ValueError, OverflowError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
 

@@ -294,11 +294,3 @@ def make_field(q: int) -> Field:
     if k == 1:
         return Field(p, 1)
     return Field(p, k, _smallest_irreducible(p, k))
-
-
-def legendre(field: Field, x: int) -> int:
-    return field.legendre(x)
-
-
-def lift(field: Field, x: int) -> int:
-    return field.lift(x)

@@ -1,9 +1,9 @@
 """Linear hypergraphs with n edges of size n, and a two-phase red/blue
 coloring that makes every edge's color multiplicity list unique.
 
-Phase 1 sweeps the edges in input order, painting each edge's still
-uncolored vertices blue on odd positions and red on even ones; linearity
-caps how much earlier edges can contaminate an edge, so odd edges end up
+Phase 1 gives each vertex the color of the first edge through it in
+input order: blue for odd positions, red for even ones; linearity caps
+how much earlier edges can contaminate an edge, so odd edges end up
 blue-heavy and even edges red-heavy.  Phase 2 walks the edges again and
 retunes each to an exact blue quota (n - floor(i/2) on odd positions, i/2
 on even) by recoloring only private vertices, which leaves every other
@@ -17,6 +17,8 @@ import itertools
 from dataclasses import dataclass, field
 from random import Random
 
+import numpy as np
+
 RED, BLUE = 0, 1
 COLOR_NAMES = {RED: "red", BLUE: "blue"}
 
@@ -28,59 +30,87 @@ class LegitError(ValueError):
 
 
 class LinearHypergraph:
-    """Ordered list of n edges, each n vertices, pairwise sharing at most
-    one vertex.  Edge positions are 1-based in all diagnostics, matching
-    the odd/even role the algorithm assigns them."""
+    """n edges of n vertices each, pairwise sharing at most one vertex,
+    held as one (n, n) int64 array.  Edge positions are 1-based in all
+    diagnostics, matching the odd/even role the algorithm assigns them.
+
+    One vertex index, built at construction from a stable argsort of the
+    flattened edges, serves validation and coloring: `degree[v]` counts
+    the edges through v, `first_edge[v]` is the position of the first of
+    them (0 if none), and `rank[i, j]` counts the edges before edge i
+    through vertex edges[i, j]."""
 
     def __init__(self, n: int, edges, num_vertices: int | None = None):
+        if n < 1 or len(edges) != n:
+            raise LegitError(f"need exactly n={n} edges, got {len(edges)}")
+        for pos, e in enumerate(edges, start=1):
+            if len(e) != n:
+                raise LegitError(f"edge {pos} has size {len(e)}, expected {n}")
+        self.edges = np.array(edges, dtype=np.int64)
+        self.edges.flags.writeable = False
         self.n = n
-        self.edges = [list(e) for e in edges]
-        seen = set()
-        for e in self.edges:
-            seen.update(e)
-        self.num_vertices = num_vertices if num_vertices is not None else (
-            max(seen) + 1 if seen else 0)
-        self.validate()
+        lo, hi = int(self.edges.min()), int(self.edges.max())
+        self.num_vertices = hi + 1 if num_vertices is None else num_vertices
+        if lo < 0 or hi >= self.num_vertices:
+            raise LegitError(f"vertex {lo if lo < 0 else hi} is outside "
+                             f"[0, {self.num_vertices})")
+        rows = np.sort(self.edges, axis=1)
+        repeats = np.flatnonzero((rows[:, 1:] == rows[:, :-1]).any(axis=1))
+        if repeats.size:
+            raise LegitError(f"edge {repeats[0] + 1} repeats a vertex")
 
-    def validate(self):
-        if self.n < 1 or len(self.edges) != self.n:
-            raise LegitError(f"need exactly n={self.n} edges, got {len(self.edges)}")
-        incidence = {}
-        for pos, e in enumerate(self.edges, start=1):
-            if len(set(e)) != len(e):
-                raise LegitError(f"edge {pos} repeats a vertex")
-            if len(e) != self.n:
-                raise LegitError(f"edge {pos} has size {len(e)}, expected {self.n}")
-            for v in e:
-                incidence.setdefault(v, []).append(pos)
-        # linearity: no edge pair may meet at two vertices, so no pair may
-        # repeat across the per-vertex incidence lists
-        met = set()
-        for stack in incidence.values():
-            if len(stack) > 1:
-                for pair in itertools.combinations(stack, 2):
-                    if pair in met:
-                        raise LegitError(
-                            f"edges {pair[0]} and {pair[1]} share more than one vertex")
-                    met.add(pair)
+        flat = self.edges.ravel()
+        order = np.argsort(flat, kind="stable")
+        vertex, edge = flat[order], order // n   # slots grouped by vertex
+        head = np.r_[True, vertex[1:] != vertex[:-1]]
+        slot = np.arange(n * n)
+        rank = slot - np.maximum.accumulate(np.where(head, slot, 0))
+        self.degree = np.bincount(flat, minlength=self.num_vertices)
+        self.first_edge = np.zeros(self.num_vertices, dtype=np.int64)
+        self.first_edge[vertex[head]] = edge[head] + 1
+        self.rank = np.empty((n, n), dtype=np.int64)
+        self.rank.flat[order] = rank
+
+        # linearity: no edge pair may meet in two vertex groups.  Each slot
+        # meets the rank-many slots before it in its group, and a linear
+        # hypergraph has at most C(n, 2) meeting pairs: check before listing.
+        if rank.sum() > n * (n - 1) // 2:
+            raise LegitError(f"{rank.sum()} edge pairs meet at a vertex, more than "
+                             f"C(n, 2): two edges share more than one vertex")
+        pairs = [np.empty(0, dtype=np.int64)]
+        for k in range(1, int(rank.max()) + 1):   # slot and the slot k before it
+            later = np.flatnonzero(rank >= k)
+            pairs.append(edge[later - k] * n + edge[later])
+        pairs = np.sort(np.concatenate(pairs))
+        repeated = pairs[1:][pairs[1:] == pairs[:-1]]
+        if repeated.size:
+            a, b = divmod(int(repeated[0]), n)
+            raise LegitError(f"edges {a + 1} and {b + 1} share more than one vertex")
 
     def to_json(self) -> dict:
         return {"n": self.n, "num_vertices": self.num_vertices,
-                "edges": [list(e) for e in self.edges]}
+                "edges": self.edges.tolist()}
 
     @classmethod
     def from_json(cls, doc) -> "LinearHypergraph":
         if not isinstance(doc, dict) or "n" not in doc or "edges" not in doc:
             raise LegitError("hypergraph file must be a JSON object with n and edges")
-        return cls(doc["n"], doc["edges"], doc.get("num_vertices"))
+        n, edges, num_vertices = doc["n"], doc["edges"], doc.get("num_vertices")
+        if type(n) is not int or n < 1:
+            raise LegitError(f"n must be an integer >= 1, got {n!r}")
+        if type(edges) is not list or not all(
+                type(e) is list and all(type(v) is int for v in e) for e in edges):
+            raise LegitError("edges must be a list of lists of integer vertices")
+        if num_vertices is not None and type(num_vertices) is not int:
+            raise LegitError(f"num_vertices must be an integer, got {num_vertices!r}")
+        return cls(n, edges, num_vertices)
 
     def permuted(self, seed: int) -> "LinearHypergraph":
         """Same edges in a seeded random order (order is an input to the
         coloring, never an internal choice)."""
         order = list(range(self.n))
         Random(seed).shuffle(order)
-        return LinearHypergraph(self.n, [self.edges[i] for i in order],
-                                self.num_vertices)
+        return LinearHypergraph(self.n, self.edges[order], self.num_vertices)
 
 
 @dataclass
@@ -159,72 +189,49 @@ def generate_linear_hypergraph(n: int, seed: int, mode: str = "pairwise") -> Lin
     return LinearHypergraph(n, edges, next_vertex)
 
 
-def _edge_targets(n: int):
-    return [n - pos // 2 if pos % 2 else pos // 2 for pos in range(1, n + 1)]
-
-
 def two_phase_coloring(hg: LinearHypergraph) -> LegitColoring:
     """Color so edge i holds exactly n - floor(i/2) blue vertices when i is
     odd and i/2 when even.  Raises LegitError if phase 2 would need more
     private vertices than exist, which a valid linear instance never does.
+    Vertices on no edge stay red.
     """
-    n = hg.n
-    color = [None] * hg.num_vertices
-    for pos, e in enumerate(hg.edges, start=1):
-        paint = BLUE if pos % 2 else RED
-        for v in e:
-            if color[v] is None:
-                color[v] = paint
+    n, edges = hg.n, hg.edges
+    pos = np.arange(1, n + 1)
+    odd = pos % 2 == 1
+    targets = np.where(odd, n - pos // 2, pos // 2)
+    color = hg.first_edge % 2                # phase 1: the first edge wins
+    phase1 = color[edges].sum(axis=1)
+    recolored = np.where(odd, phase1 - targets, targets - phase1)
+    if (recolored < 0).any():
+        i = int(np.argmax(recolored < 0))
+        raise LegitError(f"odd edge {i + 1} below its blue floor: {phase1[i]}" if odd[i]
+                         else f"even edge {i + 1} above its blue ceiling: {phase1[i]}")
 
-    targets = _edge_targets(n)
-    phase1 = [sum(color[v] == BLUE for v in e) for e in hg.edges]
-    for pos, cnt in enumerate(phase1, start=1):
-        if pos % 2 and cnt < n - pos // 2:
-            raise LegitError(f"odd edge {pos} below its blue floor: {cnt}")
-        if pos % 2 == 0 and cnt > pos // 2:
-            raise LegitError(f"even edge {pos} above its blue ceiling: {cnt}")
+    degree = hg.degree[edges]
+    private = degree == 1
+    rows = np.stack([pos, targets, phase1, recolored, private.sum(axis=1),
+                     np.maximum(hg.rank - 1, 0).sum(axis=1),
+                     n - 1 - (degree - 1).sum(axis=1)], axis=1)
+    diagnostics = [EdgeDiagnostics(*row) for row in rows.tolist()]
 
-    first_edge = {}
-    vertex_edges = {}
-    for pos, e in enumerate(hg.edges, start=1):
-        for v in e:
-            first_edge.setdefault(v, pos)
-            vertex_edges.setdefault(v, []).append(pos)
-
-    diagnostics = []
-    for pos, e in enumerate(hg.edges, start=1):
-        private = [v for v in e if len(vertex_edges[v]) == 1]
-        meets = {}
-        for v in e:
-            for other in vertex_edges[v]:
-                if other != pos:
-                    meets[other] = v
-        captured = sum(1 for j, v in meets.items()
-                       if j < pos and first_edge[v] < j)
-        disjoint = n - 1 - len(meets)
-        cur = phase1[pos - 1]
-        t = cur - targets[pos - 1] if pos % 2 else targets[pos - 1] - cur
-        diagnostics.append(EdgeDiagnostics(
-            position=pos, target=targets[pos - 1], phase1_blue=cur,
-            recolored=t, private=len(private), captured=captured,
-            disjoint=disjoint))
-        if t == 0:
-            continue
-        want = BLUE if pos % 2 else RED    # color the flips must start from
-        pool = sorted(v for v in private if color[v] == want)
-        if t > len(pool):
+    # phase 2: each edge flips only its own private vertices, so the edges
+    # never disturb one another
+    for i in np.flatnonzero(recolored):
+        want = BLUE if odd[i] else RED    # color the flips must start from
+        pool = np.sort(edges[i][private[i] & (color[edges[i]] == want)])
+        d = diagnostics[i]
+        if d.recolored > pool.size:
             raise LegitError(
-                f"edge {pos} needs {t} recolorings but has only {len(pool)} "
-                f"private {COLOR_NAMES[want]} vertices "
-                f"(R={len(private)}, C={captured}, D={disjoint})")
-        for v in pool[:t]:
-            color[v] = RED if want == BLUE else BLUE
+                f"edge {i + 1} needs {d.recolored} recolorings but has only "
+                f"{pool.size} private {COLOR_NAMES[want]} vertices "
+                f"(R={d.private}, C={d.captured}, D={d.disjoint})")
+        color[pool[:d.recolored]] = 1 - want
 
-    blue_counts = [sum(color[v] == BLUE for v in e) for e in hg.edges]
-    if blue_counts != targets:
-        raise LegitError(f"blue quotas missed: {blue_counts} vs {targets}")
-    return LegitColoring(color=color, blue_counts=blue_counts,
-                         targets=targets, diagnostics=diagnostics)
+    blue_counts = color[edges].sum(axis=1).tolist()
+    if blue_counts != targets.tolist():
+        raise LegitError(f"blue quotas missed: {blue_counts} vs {targets.tolist()}")
+    return LegitColoring(color=color.tolist(), blue_counts=blue_counts,
+                         targets=targets.tolist(), diagnostics=diagnostics)
 
 
 def verify_legitimate(hg: LinearHypergraph, coloring, num_colors: int = 2):
@@ -232,7 +239,7 @@ def verify_legitimate(hg: LinearHypergraph, coloring, num_colors: int = 2):
     distinct; otherwise returns the first offending 1-based pair."""
     color = coloring.color if isinstance(coloring, LegitColoring) else list(coloring)
     lists = []
-    for pos, e in enumerate(hg.edges, start=1):
+    for pos, e in enumerate(hg.edges.tolist(), start=1):
         counts = [0] * num_colors
         for v in e:
             c = color[v]

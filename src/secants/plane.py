@@ -313,7 +313,3 @@ def build_plane(field_or_q) -> ProjectivePlane:
     """Canonical PG(2,q) from a Field or a prime-power order."""
     field = field_or_q if isinstance(field_or_q, Field) else make_field(field_or_q)
     return ProjectivePlane(field)
-
-
-def affine_embed(plane: ProjectivePlane) -> AffineFrame:
-    return plane.frame

@@ -213,11 +213,3 @@ def cor_bound_ceiling(q: int) -> int:
     while m * m * d < N * N:
         m += 1
     return m
-
-
-def max_frequency(spec: SecantSpectrum):
-    return spec.mode_k, spec.mode_count
-
-
-def complement(pset: PointSet) -> PointSet:
-    return pset.complement()

@@ -149,6 +149,19 @@ def test_legit_color_permutes_with_seed(tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
 
 
+@pytest.mark.parametrize("doc, colors", [
+    ({"n": 1, "edges": [[0]], "num_vertices": 3}, ["blue", "red", "red"]),
+    ({"n": 1, "edges": [[5]]}, ["red"] * 5 + ["blue"]),
+])
+def test_legit_colors_vertices_on_no_edge_red(tmp_path, doc, colors):
+    hyper = tmp_path / "h.json"
+    hyper.write_text(json.dumps(doc))
+    code, data = run_cli(tmp_path, "legit", "color", "--in", str(hyper), name="c.json")
+    assert code == OK and json.loads(data)["colors"] == colors
+    assert main(["legit", "verify", "--in", str(hyper),
+                 "--coloring", str(tmp_path / "c.json")]) == OK
+
+
 def test_usage_errors():
     assert main(["spectrum"]) == USAGE_ERROR           # missing --q
     assert main(["frobnicate"]) == USAGE_ERROR
@@ -163,7 +176,28 @@ MALFORMED_INPUTS = {
     "set-zero-triple": ("set-file", {"q": 7, "projective": [[0, 0, 0]]}),
     "density-1/0": ("construction", "random:density=1/0"),
     "hypergraph-top-level-array": ("hypergraph", [[0, 1], [1, 2]]),
+    "hypergraph-edges-not-a-list": ("hypergraph", {"n": 2, "edges": 5}),
+    "hypergraph-n-is-a-string": ("hypergraph", {"n": "2", "edges": [[0, 1], [1, 2]]}),
+    "hypergraph-string-vertex": ("hypergraph", {"n": 2, "edges": [[0, "1"], [1, 2]]}),
+    "hypergraph-boolean-vertex": ("hypergraph", {"n": 2, "edges": [[0, True], [1, 2]]}),
+    "hypergraph-vertex-past-num-vertices": ("hypergraph",
+                                            {"n": 1, "edges": [[5]], "num_vertices": 2}),
+    "hypergraph-negative-vertex": ("hypergraph", {"n": 2, "edges": [[-1, 0], [1, 2]]}),
+    "hypergraph-vertex-past-int64": ("hypergraph", {"n": 1, "edges": [[2 ** 70]]}),
+    "hypergraph-too-few-edges": ("hypergraph", {"n": 2, "edges": [[0, 1]]}),
+    "hypergraph-short-edge": ("hypergraph", {"n": 2, "edges": [[0, 1], [2]]}),
+    "hypergraph-repeated-vertex": ("hypergraph", {"n": 2, "edges": [[0, 0], [1, 2]]}),
+    "hypergraph-not-linear": ("hypergraph",
+                              {"n": 3, "edges": [[0, 1, 2], [0, 1, 3], [4, 5, 6]]}),
+    "coloring-without-colors": ("coloring", {"x": 1}),
+    "coloring-too-short": ("coloring", ["red", "blue"]),
+    "coloring-unknown-color": ("coloring", ["red", "green", "blue"]),
+    "coloring-null-entry": ("coloring", ["red", None, "blue"]),
+    "coloring-boolean-entry": ("coloring", [True, 0, 1]),
 }
+
+# the hypergraph that the coloring cases are checked against: 3 vertices
+VALID_HYPERGRAPH = {"n": 2, "edges": [[0, 1], [1, 2]]}
 
 
 @pytest.mark.parametrize("name", list(MALFORMED_INPUTS))
@@ -171,9 +205,12 @@ def test_malformed_input_exits_1_with_one_line(tmp_path, capsys, name):
     kind, value = MALFORMED_INPUTS[name]
     path = tmp_path / "in.json"
     path.write_text(json.dumps(value))
+    hyper = tmp_path / "h.json"
+    hyper.write_text(json.dumps(VALID_HYPERGRAPH))
     argv = {"set-file": ["spectrum", "--q", "7", "--set-file", str(path)],
             "construction": ["spectrum", "--q", "7", "--construction", value],
-            "hypergraph": ["legit", "color", "--in", str(path)]}[kind]
+            "hypergraph": ["legit", "color", "--in", str(path)],
+            "coloring": ["legit", "verify", "--in", str(hyper), "--coloring", str(path)]}[kind]
     assert main([*argv, "--out", str(tmp_path / "out")]) == USAGE_ERROR
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1, err

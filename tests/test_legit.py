@@ -1,10 +1,31 @@
 import itertools
+import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from secants.legit import (BLUE, RED, LegitError, LinearHypergraph,
+from secants.legit import (BLUE, GENERATOR_MODES, RED, LegitError, LinearHypergraph,
                            generate_linear_hypergraph, two_phase_coloring,
                            verify_legitimate)
+
+
+def naive_diagnostics(hg):
+    """(private, captured, disjoint) per edge from plain vertex sets, by
+    the definitions: private vertices lie on no other edge; an edge meets
+    the other edges it shares a vertex with; it captures each earlier
+    edge j it meets at a vertex that an edge before j already held; it
+    is disjoint from the edges it does not meet."""
+    edges = [set(e) for e in hg.edges.tolist()]
+    rows = []
+    for i, e in enumerate(edges):
+        others = [f for j, f in enumerate(edges) if j != i]
+        meets = [j for j, f in enumerate(edges) if j != i and e & f]
+        private = sum(1 for v in e if not any(v in f for f in others))
+        captured = sum(1 for j in meets if j < i and any(
+            v in edges[k] for v in e & edges[j] for k in range(j)))
+        rows.append((private, captured, hg.n - 1 - len(meets)))
+    return rows
 
 
 def test_disjoint_triples_hand_trace():
@@ -64,6 +85,34 @@ def test_input_validation():
         LinearHypergraph(3, [[0, 1, 2], [0, 1, 3], [4, 5, 6]])
     with pytest.raises(LegitError, match="repeats"):
         LinearHypergraph(2, [[0, 0], [1, 2]])
+    with pytest.raises(LegitError, match="edges 2 and 3 share more than one"):
+        LinearHypergraph(3, [[0, 1, 2], [3, 4, 5], [6, 4, 3]])
+    # more vertex-sharing pairs than C(n, 2) is rejected before any pair is listed
+    with pytest.raises(LegitError, match="9 edge pairs meet at a vertex, more than C"):
+        LinearHypergraph(3, [[0, 1, 2], [0, 1, 2], [0, 1, 2]])
+    with pytest.raises(LegitError, match="vertex -1 is outside"):
+        LinearHypergraph(2, [[-1, 0], [1, 2]])
+    with pytest.raises(LegitError, match=r"vertex 5 is outside \[0, 2\)"):
+        LinearHypergraph(1, [[5]], num_vertices=2)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_linearity_check_matches_pairwise_intersections(data):
+    n = data.draw(st.integers(1, 5))
+    top = data.draw(st.integers(n, n * n))
+    edge = st.lists(st.integers(0, top - 1), min_size=n, max_size=n, unique=True)
+    edges = data.draw(st.lists(edge, min_size=n, max_size=n))
+    offending = [(a + 1, b + 1) for a, b in itertools.combinations(range(n), 2)
+                 if len(set(edges[a]) & set(edges[b])) > 1]
+    if not offending:
+        assert LinearHypergraph(n, edges).edges.tolist() == edges
+        return
+    with pytest.raises(LegitError, match="more than one vertex") as err:
+        LinearHypergraph(n, edges)
+    named = re.match(r"edges (\d+) and (\d+) share", str(err.value))
+    if named:       # the pair list names the smallest offending pair
+        assert tuple(map(int, named.groups())) == offending[0]
 
 
 def test_targets_are_pairwise_distinct():
@@ -88,13 +137,13 @@ def test_generator_contract(mode):
                 assert len(set(a) & set(b)) <= 1
             # determinism
             again = generate_linear_hypergraph(n, seed, mode)
-            assert again.edges == hg.edges
+            assert again.edges.tolist() == hg.edges.tolist()
 
 
 def test_generator_modes_differ_and_sunflower_nests():
     a = generate_linear_hypergraph(14, 3, "pairwise")
     b = generate_linear_hypergraph(14, 3, "sunflower")
-    assert a.edges != b.edges
+    assert a.edges.tolist() != b.edges.tolist()
     degree = {}
     for e in b.edges:
         for v in e:
@@ -130,6 +179,26 @@ def test_coloring_invariants_across_instances(mode):
             assert ok, cert
 
 
+@pytest.mark.parametrize("mode", GENERATOR_MODES)
+def test_diagnostics_match_set_oracle(mode):
+    for n in range(1, 31):
+        for seed in range(3):
+            hg = generate_linear_hypergraph(n, seed, mode)
+            for g in (hg, hg.permuted(seed)):
+                got = [(d.private, d.captured, d.disjoint)
+                       for d in two_phase_coloring(g).diagnostics]
+                assert got == naive_diagnostics(g), (n, seed)
+
+
+def test_vertices_on_no_edge_are_red():
+    hg = LinearHypergraph(1, [[5]])
+    col = two_phase_coloring(hg)
+    assert hg.num_vertices == 6 and col.color == [RED] * 5 + [BLUE]
+    assert verify_legitimate(hg, col)[0]
+    col = two_phase_coloring(LinearHypergraph(2, [[0, 1], [1, 3]], num_vertices=5))
+    assert col.color == [BLUE, BLUE, RED, RED, RED]
+
+
 def test_phase2_touches_only_private_vertices():
     for seed in range(10):
         hg = generate_linear_hypergraph(12, seed, "sunflower")
@@ -156,8 +225,8 @@ def test_coloring_determinism_and_permutation():
     c2 = two_phase_coloring(hg)
     assert c1.color == c2.color
     shuffled = hg.permuted(9)
-    assert shuffled.edges != hg.edges
-    assert sorted(map(sorted, shuffled.edges)) == sorted(map(sorted, hg.edges))
+    assert shuffled.edges.tolist() != hg.edges.tolist()
+    assert sorted(map(sorted, shuffled.edges.tolist())) == sorted(map(sorted, hg.edges.tolist()))
     c3 = two_phase_coloring(shuffled)
     assert verify_legitimate(shuffled, c3)[0]
 
@@ -166,4 +235,4 @@ def test_json_round_trip():
     hg = generate_linear_hypergraph(6, 2, "sunflower")
     doc = hg.to_json()
     again = LinearHypergraph.from_json(doc)
-    assert again.edges == hg.edges and again.num_vertices == hg.num_vertices
+    assert again.edges.tolist() == hg.edges.tolist() and again.num_vertices == hg.num_vertices

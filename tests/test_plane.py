@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from secants.plane import PlaneError, affine_embed, build_plane
+from secants.plane import PlaneError, build_plane
 
 from conftest import naive_line_points
 
@@ -94,7 +94,7 @@ def test_line_through_examples(fano):
 
 def test_affine_frame_q5():
     pl = build_plane(5)
-    fr = affine_embed(pl)
+    fr = pl.frame
     affine = {fr.affine_point(x, y) for x in range(5) for y in range(5)}
     assert len(affine) == 25
     infinite = set(pl.line_point_indices(fr.infinite_line))

@@ -11,9 +11,8 @@ from hypothesis import strategies as st
 from secants import plane as plane_module
 from secants.construct import random_set
 from secants.plane import build_plane
-from secants.spectrum import (PointSet, bounds_report, complement, compute_spectrum,
-                              cor_bound_ceiling, max_frequency,
-                              verify_counting_identities)
+from secants.spectrum import (PointSet, bounds_report, compute_spectrum,
+                              cor_bound_ceiling, verify_counting_identities)
 from secants.spectrum import _spectrum_affine, _spectrum_gather
 
 from conftest import assert_spectrum_matches_naive, naive_histogram, naive_secant_counts
@@ -31,7 +30,7 @@ def test_full_line_spectrum(fano):
     spec = compute_spectrum(fano, S)
     # any other line meets this one in exactly one point
     assert spec.histogram.tolist() == [0, 6, 0, 1]
-    assert max_frequency(spec) == (1, 6)
+    assert (spec.mode_k, spec.mode_count) == (1, 6)
     assert spec.mu == Fraction(9, 7)
     rep = verify_counting_identities(spec)
     assert rep.ok
@@ -43,7 +42,7 @@ def test_full_line_spectrum(fano):
 def test_empty_and_full_set(fano):
     spec = compute_spectrum(fano, PointSet.empty(fano))
     assert spec.histogram.tolist() == [7, 0, 0, 0]
-    assert max_frequency(spec) == (0, 7)
+    assert (spec.mode_k, spec.mode_count) == (0, 7)
     assert verify_counting_identities(spec).ok
     spec_full = compute_spectrum(fano, PointSet.full(fano))
     assert spec_full.histogram.tolist() == [0, 0, 0, 7]
@@ -55,7 +54,7 @@ def test_triangle_spectrum(fano):
     spec = compute_spectrum(fano, PointSet.from_indices(fano, tri))
     assert spec.histogram.tolist() == [1, 3, 3, 0]
     # ties resolve to the smallest k
-    assert max_frequency(spec) == (1, 3)
+    assert (spec.mode_k, spec.mode_count) == (1, 3)
 
 
 def test_single_point_variance_identity():
@@ -72,11 +71,11 @@ def test_single_point_variance_identity():
 def test_complement_involution_and_reversal(fano):
     tri = fano_triangle(fano)
     S = PointSet.from_indices(fano, tri)
-    Sc = complement(S)
+    Sc = S.complement()
     assert Sc.size == 4
-    assert complement(Sc) == S
+    assert Sc.complement() == S
     assert (Sc.mask == ~S.mask).all()
-    assert complement(PointSet.empty(fano)).size == fano.N
+    assert PointSet.empty(fano).complement().size == fano.N
     hist = compute_spectrum(fano, S).histogram
     hist_c = compute_spectrum(fano, Sc).histogram
     assert hist_c.tolist() == hist.tolist()[::-1]
