@@ -5,8 +5,11 @@ The walk tracks prefix sums of the Legendre symbol along consecutive
 integers; the moving sum does the same over a window of fixed length.
 For the region under y = alpha*x^2 + beta*x + gamma, the profile of a
 parallel class maps each intercept b to the secant size of y = dx + b.
-Counting is always direct (each member point is binned by its intercept),
-so the verified laws below are genuine checks, not restatements:
+All classes are counted at once by the finite Radon transform of the
+region's membership grid, and the slope-1 profile is also counted
+directly (the points of each line tested against the parabola).  The two
+must agree, and the direct profile is the reference that L3-L5 compare
+against, so the verified laws below are genuine checks, not restatements:
 
   L1  step law: pr_d(b+1) - pr_d(b) = chi((beta-d)^2 + 4*alpha*(b-gamma)),
       including the wrap at b = p-1 (this is the form that holds exactly
@@ -33,6 +36,7 @@ import numpy as np
 from .construct import ConstructionError, ParabolaParams
 from .field import is_prime, legendre_table
 from .plane import ProjectivePlane
+from .spectrum import affine_class_blocks
 
 
 @dataclass
@@ -182,23 +186,25 @@ def profile_range_check(plane: ProjectivePlane, params: ParabolaParams, d: int =
 
 
 def _all_profiles(p: int, f: np.ndarray) -> np.ndarray:
-    """(p, p) matrix P with P[d, b] = direct secant count of y = dx + b."""
-    y = np.arange(p, dtype=np.int64)
-    member = y[None, :] > f[:, None]
-    xs, ys = np.nonzero(member)
-    P = np.empty((p, p), dtype=np.int64)
-    for d in range(p):
-        P[d] = np.bincount((ys - d * xs) % p, minlength=p)
-    return P
+    """(p, p) matrix P with P[d, b] = secant count of y = dx + b, by the
+    finite Radon transform of the region's membership grid."""
+    member = np.arange(p)[None, :] > f[:, None]
+    return np.concatenate([counts for _, counts in affine_class_blocks(member)])
 
 
 def verify_projection_laws(plane: ProjectivePlane, params: ParabolaParams) -> LawReport:
     """Check laws L1-L4 exactly for every slope d != 0 and intercept, plus
-    the L5 range window, all against directly counted profiles."""
+    the L5 range window.  The profiles come from the finite Radon
+    transform; its slope-1 row must equal the directly counted profile,
+    which is the reference for L3-L5."""
     p, params, f = _profile_setup(plane, params)
     alpha, beta, gamma = params.alpha, params.beta, params.gamma
     chi = legendre_table(p)
     P = _all_profiles(p, f)
+    ref = projection_profile(plane, params, 1).pr
+    if not np.array_equal(P[1], ref):
+        raise ArithmeticError(f"transformed slope-1 profile at p={p} disagrees "
+                              f"with the direct count")
     report = LawReport(p=p, params=params)
     report.step_law = "pr_d(b+1) - pr_d(b) = chi((beta-d)^2 + 4*alpha*(b-gamma))"
     report.d_free_variant = "-chi((beta-1)^2 + 4*alpha*(b+1-gamma))"
@@ -232,30 +238,23 @@ def verify_projection_laws(plane: ProjectivePlane, params: ParabolaParams) -> La
             break
 
     # L3: every class is a cyclic shift of the slope-1 class
-    rolls = np.empty((p, p), dtype=np.int64)
-    for s in range(p):
-        rolls[s] = np.roll(P[1], -s)
-    report.l3_ok = True
-    shifts = []
-    for d in range(1, p):
-        match = np.nonzero((rolls == P[d][None, :]).all(axis=1))[0]
-        if len(match) == 0:
-            report.l3_ok = False
-            shifts.append(None)
-        else:
-            shifts.append(int(match[0]))
-    report.l3_shifts = shifts
+    # (the smallest s with P[d] = roll(ref, -s), or None)
+    first_shift = {}
+    for s, row in enumerate(ref[(b_arr[:, None] + b_arr[None, :]) % p]):
+        first_shift.setdefault(row.tobytes(), s)
+    report.l3_shifts = [first_shift.get(P[d].tobytes()) for d in range(1, p)]
+    report.l3_ok = None not in report.l3_shifts
 
     # L4: class-wise frequencies aggregate to (p-1) * histogram of pr_1
     hist_all = np.bincount(P[1:].ravel(), minlength=p + 2)
-    hist_one = np.bincount(P[1], minlength=p + 2)
+    hist_one = np.bincount(ref, minlength=p + 2)
     l4 = hist_all == (p - 1) * hist_one
     report.l4_ok = bool(l4.all())
     if not report.l4_ok:
         report.l4_first_fail = int(np.nonzero(~l4)[0][0])
 
     # L5: range window on the slope-1 profile
-    report.range_d1 = int(P[1].max() - P[1].min())
+    report.range_d1 = int(ref.max() - ref.min())
     report.range_lo = math.sqrt(p) / (2 * math.pi)
     report.range_hi = math.sqrt(p) * math.log(p)
     report.l5_ok = report.range_lo <= report.range_d1 <= report.range_hi

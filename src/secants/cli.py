@@ -1,7 +1,7 @@
 """Command-line interface.
 
 Exit codes: 0 all requested checks passed, 1 usage error, 2 at least one
-exact identity / law / relation check failed.
+exact identity / law / relation check failed, 3 internal error.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from .plane import PlaneError, build_plane
 from .spectrum import bounds_report, compute_spectrum, cor_bound_ceiling, \
     verify_counting_identities
 
-OK, USAGE_ERROR, CHECK_FAILED = 0, 1, 2
+OK, USAGE_ERROR, CHECK_FAILED, INTERNAL_ERROR = 0, 1, 2, 3
 
 
 class _Parser(argparse.ArgumentParser):
@@ -338,6 +338,10 @@ def main(argv=None) -> int:
             ValueError, OverflowError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
+    except Exception as exc:     # a fault of the program, not of its input
+        msg = " ".join(str(exc).split())
+        print(f"error: internal: {type(exc).__name__}: {msg}", file=sys.stderr)
+        return INTERNAL_ERROR
 
 
 if __name__ == "__main__":

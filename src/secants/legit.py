@@ -54,6 +54,9 @@ class LinearHypergraph:
         if lo < 0 or hi >= self.num_vertices:
             raise LegitError(f"vertex {lo if lo < 0 else hi} is outside "
                              f"[0, {self.num_vertices})")
+        if self.num_vertices > n * n:
+            raise LegitError(f"{self.num_vertices} vertices exceed n^2 = {n * n}, "
+                             "the most that n edges of size n can cover")
         rows = np.sort(self.edges, axis=1)
         repeats = np.flatnonzero((rows[:, 1:] == rows[:, :-1]).any(axis=1))
         if repeats.size:

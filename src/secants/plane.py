@@ -198,11 +198,16 @@ class ProjectivePlane:
 
 
 class AffineFrame:
-    """Coordinate maps between AG(2,q) and the plane's point/line indices."""
+    """Coordinate maps between AG(2,q) and the plane's point/line indices.
+
+    The frame keeps the plane's field and size, not the plane: the plane
+    caches its frame, and a reference back would make a cycle that holds
+    the frame's tables until the cyclic garbage collector runs."""
 
     def __init__(self, plane: ProjectivePlane):
-        self.plane = plane
+        self.field = plane.field
         self.q = plane.q
+        self.N = plane.N
         self._coords = None
         self._index_table = None
 
@@ -220,7 +225,7 @@ class AffineFrame:
         return self.q + 1 + d * self.q
 
     def affine_point(self, x: int, y: int) -> int:
-        F, q = self.plane.field, self.q
+        F, q = self.field, self.q
         if x != 0:
             xinv = F.inv(x)
             return q + 1 + F.mul(y, xinv) * q + xinv
@@ -230,7 +235,7 @@ class AffineFrame:
 
     def affine_line(self, d: int, b: int) -> int:
         """Index of the line y = dx + b."""
-        F, q = self.plane.field, self.q
+        F, q = self.field, self.q
         if d != 0:
             dinv = F.inv(d)
             return q + 1 + F.neg(dinv) * q + F.mul(b, dinv)
@@ -238,12 +243,12 @@ class AffineFrame:
 
     def vertical_line(self, c: int) -> int:
         """Index of the line x = c."""
-        return self.q + 1 + self.plane.field.neg(c)
+        return self.q + 1 + self.field.neg(c)
 
     def point_coords(self, idx: int):
         """('affine', x, y) or ('infinite', d) with d = q meaning the
         vertical direction."""
-        F, q = self.plane.field, self.q
+        F, q = self.field, self.q
         if idx == 0:
             return ("affine", 0, 0)
         if idx <= q:
@@ -262,7 +267,7 @@ class AffineFrame:
         """(q, q) int32 table mapping affine (x, y) to point index."""
         if self._index_table is not None:
             return self._index_table
-        F, q = self.plane.field, self.q
+        F, q = self.field, self.q
         inv = F.inv(np.arange(1, q, dtype=np.int64))[:, None]
         y = np.arange(q, dtype=np.int64)
         tbl = np.empty((q, q), dtype=np.int32)
@@ -272,15 +277,17 @@ class AffineFrame:
         self._index_table = tbl
         return tbl
 
-    def line_index_table(self) -> np.ndarray:
-        """(q, q) int64 table mapping slope/intercept (d, b) to the index
-        of the line y = dx + b."""
-        F, q = self.plane.field, self.q
+    def line_index_table(self, slopes=None) -> np.ndarray:
+        """(len(slopes), q) int64 table mapping row i and intercept b to the
+        index of the line y = slopes[i]*x + b; all q slopes by default."""
+        F, q = self.field, self.q
+        d = np.arange(q, dtype=np.int64) if slopes is None else np.asarray(slopes)
         b = np.arange(q, dtype=np.int64)
-        dinv = F.inv(np.arange(1, q, dtype=np.int64))[:, None]
-        tbl = np.empty((q, q), dtype=np.int64)
-        tbl[0] = 1 + F.neg(b)                                  # [0 : 1 : -b]
-        tbl[1:] = q + 1 + F.neg(dinv) * q + F.mul(b, dinv)     # [1 : -1/d : b/d]
+        flat = d == 0
+        dinv = F.inv(d[~flat])[:, None]
+        tbl = np.empty((d.size, q), dtype=np.int64)
+        tbl[flat] = 1 + F.neg(b)                                  # [0 : 1 : -b]
+        tbl[~flat] = q + 1 + F.neg(dinv) * q + F.mul(b, dinv)     # [1 : -1/d : b/d]
         return tbl
 
     def coords_arrays(self):
@@ -289,7 +296,7 @@ class AffineFrame:
         d carries (-1, -1, d), the vertical direction carries slope q."""
         if self._coords is not None:
             return self._coords
-        F, q, N = self.plane.field, self.q, self.plane.N
+        F, q, N = self.field, self.q, self.N
         ax = np.full(N, -1, dtype=np.int32)
         ay = np.full(N, -1, dtype=np.int32)
         slope = np.full(N, -1, dtype=np.int32)

@@ -3,12 +3,14 @@ their histogram, and the exact double-counting identities they satisfy.
 
 A point set is a read-only boolean mask over the point indices, and the
 kind of plane picks the counting kernel.  Prime planes are counted through
-the affine frame: every affine line of slope d meets the set where y - d*x
-is its intercept, so one bincount per parallel class recovers all counts
-without any stored incidence.  Extension planes gather the mask along each
-line's point indices, from the incidence cache within its budget and from
-freshly solved blocks of lines above it.  Both kernels work on prime
-planes and are cross-checked there in the test suite.
+the affine frame with the finite Radon transform: the counts along the
+parallel class of slope d are the inverse DFT of one slice of the 2-D DFT
+of the p x p membership grid (the Fourier slice theorem), so all classes
+cost O(p^2 log p) and no incidence is stored.  The transform is rounded to
+integers under an explicit tolerance guard.  Extension planes gather the
+mask along each line's point indices, from the incidence cache within its
+budget and from freshly solved blocks of lines above it.  Both kernels
+work on prime planes and are cross-checked there in the test suite.
 """
 
 from __future__ import annotations
@@ -19,7 +21,6 @@ from fractions import Fraction
 
 import numpy as np
 
-from .field import inverse_table
 from .plane import ProjectivePlane
 
 
@@ -144,33 +145,59 @@ def _spectrum_gather(plane, mask: np.ndarray) -> np.ndarray:
 
 def _spectrum_affine(plane, mask: np.ndarray) -> np.ndarray:
     p, q, N = plane.field.p, plane.q, plane.N
-    ax, ay, slope = plane.frame.coords_arrays()
+    frame = plane.frame
+    ax, ay, slope = frame.coords_arrays()
     idx = np.flatnonzero(mask)
     sl = slope[idx]
     aff = idx[sl == -1]
-    xs = ax[aff].astype(np.int64)
-    ys = ay[aff].astype(np.int64)
     dir_in = np.zeros(q + 1, dtype=np.int64)
-    dirs = sl[sl >= 0]
-    dir_in[dirs] = 1
+    dir_in[sl[sl >= 0]] = 1
 
     n_ell = np.zeros(N, dtype=np.int64)
     n_ell[0] = int(dir_in.sum())
-    b = np.arange(p, dtype=np.int64)
-    # horizontal class y = b: line index 1 + enc(-b)
-    ycnt = np.bincount(ys, minlength=p)
-    n_ell[1 + (p - b) % p] = ycnt + dir_in[0]
-    # vertical class x = c: line index q+1 + enc(-c)
-    xcnt = np.bincount(xs, minlength=p)
-    n_ell[q + 1 + (p - b) % p] = xcnt + dir_in[q]
-    # slope-d classes: y = dx + b normalizes to [1, -1/d, b/d]
-    inv = inverse_table(p)
-    for d in range(1, p):
-        cnt = np.bincount((ys - d * xs) % p, minlength=p)
-        di = int(inv[d])
-        rows = q + 1 + (p - di) * q + (b * di) % p
-        n_ell[rows] = cnt + dir_in[d]
+    vertical = np.bincount(ax[aff], minlength=p) + dir_in[q]   # lines x = c
+    n_ell[frame.vertical_line(np.arange(p))] = vertical
+    grid = np.zeros((p, p), dtype=bool)
+    grid[ax[aff], ay[aff]] = True
+    for lo, counts in affine_class_blocks(grid):
+        d = np.arange(lo, lo + len(counts))
+        n_ell[frame.line_index_table(d)] = counts + dir_in[d, None]
     return n_ell
+
+
+# The finite Radon transform inverts this many counts at a time (slopes
+# times intercepts), which bounds its temporaries at large p.
+_RADON_BLOCK_ENTRIES = 1 << 16
+
+# Largest distance from an integer that a transformed count may have.
+# Measured rounding errors stay below 3e-12 up to p = 1999, so a value
+# anywhere near this bound is a numerical fault, never a rounding choice.
+_RADON_TOLERANCE = 1e-3
+
+
+def affine_class_blocks(grid: np.ndarray):
+    """Counts of a p x p membership grid along every non-vertical parallel
+    class of AG(2,p), by the finite Radon transform.
+
+    Yields (lo, C) for consecutive blocks of slopes, where C[i, b] counts
+    the x with grid[x, (d*x + b) mod p] set, for the slope d = lo + i.
+    With F the 2-D DFT of the grid, the DFT of the slope-d counts over b
+    is F[-k*d mod p, k], so each class is one inverse real FFT of a slice.
+    Raises ArithmeticError when a transformed count is more than
+    _RADON_TOLERANCE from an integer."""
+    p = grid.shape[0]
+    F = np.fft.rfft2(grid)
+    k = np.arange(F.shape[1], dtype=np.int64)
+    step = max(1, _RADON_BLOCK_ENTRIES // p)
+    for lo in range(0, p, step):
+        d = np.arange(lo, min(lo + step, p), dtype=np.int64)
+        x = np.fft.irfft(F[(-d[:, None] * k) % p, k], n=p, axis=1)
+        counts = np.rint(x)
+        err = float(np.abs(x - counts).max())
+        if err > _RADON_TOLERANCE:
+            raise ArithmeticError(
+                f"finite Radon transform at p={p} is {err:.3g} off an integer count")
+        yield lo, counts.astype(np.int64)
 
 
 def verify_counting_identities(spec: SecantSpectrum) -> IdentityReport:

@@ -145,8 +145,10 @@ def test_criterion_03_exhaustive_oracle():
 
 
 def test_criterion_04_random_construction_scaling():
+    t0 = time.monotonic()
     rows = run_sweep(list(SCALING_PRIMES), "random:density=1/2",
                      seeds=list(SCALING_SEEDS))
+    elapsed = time.monotonic() - t0
     ratios = [r.ratio for r in rows]
     in_window = all(0.55 <= x <= 1.00 for x in ratios)
     mean_499 = sum(r.ratio for r in rows if r.q == 499) / len(SCALING_SEEDS)
@@ -157,7 +159,7 @@ def test_criterion_04_random_construction_scaling():
     report(4, ok, f"50 sweep cells (seeds {SCALING_SEEDS[0]}..{SCALING_SEEDS[-1]}), "
                   f"ratios in [{min(ratios):.3f}, {max(ratios):.3f}] within "
                   f"[0.55, 1.00]; mean@499 = {mean_499:.4f} within 10% of "
-                  f"sqrt(2/pi) = {target:.4f}")
+                  f"sqrt(2/pi) = {target:.4f}; {elapsed:.1f}s")
 
 
 def test_criterion_05_projection_laws():

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from secants import charwalk
 from secants.charwalk import (occupancy_scaling, level_stats, phi_sum,
                               profile_range_check, projection_profile, psi_walk,
                               verify_projection_laws)
@@ -92,6 +93,31 @@ def test_profile_matches_membership_count(p):
                          for x in range(p))
             assert prof.pr[b] == direct
         assert int(prof.pr.sum()) == S.size
+
+
+@pytest.mark.parametrize("p", [p for p in PRIMES if p <= 31])
+def test_all_profiles_match_direct_profiles(p):
+    pl = build_plane(p)
+    for params in (ParabolaParams(1, 0, 0), ParabolaParams(2, 3, 1)):
+        _, params, f = charwalk._profile_setup(pl, params)
+        P = charwalk._all_profiles(p, f)
+        b = np.arange(p)
+        assert P[0].tolist() == (b[:, None] > f[None, :]).sum(axis=1).tolist()
+        for d in range(1, p):
+            assert P[d].tolist() == projection_profile(pl, params, d).pr.tolist(), d
+
+
+def test_laws_reject_a_transform_that_disagrees_with_the_direct_count(monkeypatch):
+    all_profiles = charwalk._all_profiles
+
+    def off_by_one(p, f):
+        P = all_profiles(p, f)
+        P[1, 0] += 1
+        return P
+
+    monkeypatch.setattr(charwalk, "_all_profiles", off_by_one)
+    with pytest.raises(ArithmeticError, match="slope-1 profile"):
+        verify_projection_laws(build_plane(13), ParabolaParams(1, 0, 0))
 
 
 @pytest.mark.parametrize("p", PRIMES)

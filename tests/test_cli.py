@@ -2,9 +2,11 @@ import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
-from secants.cli import CHECK_FAILED, OK, USAGE_ERROR, main
+from secants import cli
+from secants.cli import CHECK_FAILED, INTERNAL_ERROR, OK, USAGE_ERROR, main
 
 
 def run_cli(tmp_path, *argv, name="out.txt"):
@@ -150,8 +152,8 @@ def test_legit_color_permutes_with_seed(tmp_path):
 
 
 @pytest.mark.parametrize("doc, colors", [
-    ({"n": 1, "edges": [[0]], "num_vertices": 3}, ["blue", "red", "red"]),
-    ({"n": 1, "edges": [[5]]}, ["red"] * 5 + ["blue"]),
+    ({"n": 2, "edges": [[0, 1], [0, 2]], "num_vertices": 4}, ["blue", "blue", "red", "red"]),
+    ({"n": 2, "edges": [[0, 1], [1, 3]]}, ["blue", "blue", "red", "red"]),
 ])
 def test_legit_colors_vertices_on_no_edge_red(tmp_path, doc, colors):
     hyper = tmp_path / "h.json"
@@ -184,6 +186,9 @@ MALFORMED_INPUTS = {
                                             {"n": 1, "edges": [[5]], "num_vertices": 2}),
     "hypergraph-negative-vertex": ("hypergraph", {"n": 2, "edges": [[-1, 0], [1, 2]]}),
     "hypergraph-vertex-past-int64": ("hypergraph", {"n": 1, "edges": [[2 ** 70]]}),
+    "hypergraph-huge-vertex-id": ("hypergraph", {"n": 1, "edges": [[10000000000000]]}),
+    "hypergraph-huge-num-vertices": ("hypergraph", {"n": 2, "edges": [[0, 1], [1, 2]],
+                                                    "num_vertices": 10000000000000}),
     "hypergraph-too-few-edges": ("hypergraph", {"n": 2, "edges": [[0, 1]]}),
     "hypergraph-short-edge": ("hypergraph", {"n": 2, "edges": [[0, 1], [2]]}),
     "hypergraph-repeated-vertex": ("hypergraph", {"n": 2, "edges": [[0, 0], [1, 2]]}),
@@ -214,6 +219,26 @@ def test_malformed_input_exits_1_with_one_line(tmp_path, capsys, name):
     assert main([*argv, "--out", str(tmp_path / "out")]) == USAGE_ERROR
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+def test_internal_error_exits_3_with_one_line(tmp_path, capsys, monkeypatch):
+    def broken(args):
+        raise RuntimeError("kernel fault\non two lines")
+
+    monkeypatch.setattr(cli, "cmd_spectrum", broken)
+    argv = ["spectrum", "--q", "7", "--construction", "ecregion"]
+    assert main([*argv, "--out", str(tmp_path / "out")]) == INTERNAL_ERROR
+    err = capsys.readouterr().err
+    assert err == "error: internal: RuntimeError: kernel fault on two lines\n"
+
+
+def test_radon_rounding_guard_exits_3(tmp_path, capsys, monkeypatch):
+    irfft = np.fft.irfft
+    monkeypatch.setattr(np.fft, "irfft", lambda *a, **k: irfft(*a, **k) + 0.25)
+    argv = ["spectrum", "--q", "7", "--construction", "random:density=1/2"]
+    assert main([*argv, "--out", str(tmp_path / "out")]) == INTERNAL_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith("error: internal: ArithmeticError: ") and err.count("\n") == 1
 
 
 def test_repeat_invocations_byte_identical(tmp_path):

@@ -191,12 +191,12 @@ def test_diagnostics_match_set_oracle(mode):
 
 
 def test_vertices_on_no_edge_are_red():
-    hg = LinearHypergraph(1, [[5]])
+    hg = LinearHypergraph(2, [[0, 1], [1, 3]])
     col = two_phase_coloring(hg)
-    assert hg.num_vertices == 6 and col.color == [RED] * 5 + [BLUE]
+    assert hg.num_vertices == 4 and col.color == [BLUE, BLUE, RED, RED]
     assert verify_legitimate(hg, col)[0]
-    col = two_phase_coloring(LinearHypergraph(2, [[0, 1], [1, 3]], num_vertices=5))
-    assert col.color == [BLUE, BLUE, RED, RED, RED]
+    col = two_phase_coloring(LinearHypergraph(2, [[0, 1], [0, 2]], num_vertices=4))
+    assert col.color == [BLUE, BLUE, RED, RED]
 
 
 def test_phase2_touches_only_private_vertices():

@@ -144,6 +144,7 @@ def test_frame_tables_match_scalar_maps(q):
     for d in range(q):
         for b in range(q):
             assert ltbl[d, b] == fr.affine_line(d, b)
+    assert (fr.line_index_table([q - 1, 0, 1]) == ltbl[[q - 1, 0, 1]]).all()
     ax, ay, slope = fr.coords_arrays()
     for i in range(pl.N):
         kind = fr.point_coords(i)

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from secants import plane as plane_module
+from secants import spectrum as spectrum_module
 from secants.construct import random_set
 from secants.plane import build_plane
 from secants.spectrum import (PointSet, bounds_report, compute_spectrum,
@@ -138,6 +139,56 @@ def test_kernels_match_naive_oracle_property(q, data):
     if pl.field.k == 1:
         assert _spectrum_affine(pl, mask).tolist() == expect
     assert compute_spectrum(pl, PointSet(pl, mask)).n_ell.tolist() == expect
+
+
+_PRIME_PLANES = {q: _PROPERTY_PLANES[q] for q in (2, 3, 5, 7, 11, 13)}
+
+
+@settings(max_examples=60, deadline=None)
+@given(q=st.sampled_from(sorted(_PRIME_PLANES)), block=st.integers(1, 200),
+       data=st.data())
+def test_radon_kernel_matches_gather_and_naive_property(q, block, data):
+    # any block size, down to one slope per block, gives the same counts
+    pl = _PRIME_PLANES[q]
+    mask = np.array(data.draw(st.lists(st.booleans(), min_size=pl.N, max_size=pl.N)))
+    expect = naive_secant_counts(pl, np.flatnonzero(mask))
+    saved = spectrum_module._RADON_BLOCK_ENTRIES
+    spectrum_module._RADON_BLOCK_ENTRIES = block
+    try:
+        radon = _spectrum_affine(pl, mask)
+    finally:
+        spectrum_module._RADON_BLOCK_ENTRIES = saved
+    assert radon.tolist() == _spectrum_gather(pl, mask).tolist() == expect
+
+
+@pytest.mark.parametrize("offset, raises", [(0.25, True), (1e-4, False)])
+def test_radon_rounding_guard(monkeypatch, offset, raises):
+    pl = build_plane(11)
+    mask = np.random.default_rng(11).random(pl.N) < 0.5
+    expect = _spectrum_gather(pl, mask)
+    irfft = np.fft.irfft
+    monkeypatch.setattr(np.fft, "irfft", lambda *a, **k: irfft(*a, **k) + offset)
+    if raises:
+        with pytest.raises(ArithmeticError, match="off an integer"):
+            compute_spectrum(pl, PointSet(pl, mask))
+    else:
+        assert (_spectrum_affine(pl, mask) == expect).all()
+
+
+def test_radon_kernel_at_p997_against_direct_bincounts():
+    # the largest prime of the benchmark workloads, where the transform's
+    # rounding error is largest
+    p = 997
+    pl = build_plane(p)
+    fr = pl.frame
+    grid = np.random.default_rng(997).random((p, p)) < 0.5
+    xs, ys = np.nonzero(grid)
+    mask = np.zeros(pl.N, dtype=bool)
+    mask[fr.point_index_table()[xs, ys]] = True
+    n_ell = _spectrum_affine(pl, mask)
+    for d in (0, 1, 2, 498, 996):
+        expect = np.bincount((ys - d * xs) % p, minlength=p)
+        assert (n_ell[fr.line_index_table([d])[0]] == expect).all(), d
 
 
 def test_bounds_report_examples():
