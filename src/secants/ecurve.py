@@ -1,14 +1,16 @@
-"""Weierstrass curves over F_p counted by exhaustive character sums, and
+"""Weierstrass curves over F_p counted by direct character sums, and
 the correspondence between secants of the cubic-square region and curve
 point counts.
 
-Counting is the naive O(p) sum 1 + sum_x (1 + chi(x^3 + a*x + b)); at desk
-scale this is fast, trivially auditable against direct (x, y) enumeration,
-and independent of the region construction it is checked against.  For a
+A single curve is counted by the O(p) sum 1 + sum_x (1 + chi(x^3 + a*x + b)),
+trivially auditable against direct (x, y) enumeration.  The region scan
+takes the same direct sums for every line at once, grouped by value: one
+histogram of x^3 - m*x per slope m, multiplied by the circulant table of
+chi(v - b).  The curve counts never pass through a transform, so they stay
+independent of the region's secant sizes they are checked against.  For a
 non-vertical line v = m*x + b that avoids the singular locus, the region's
 secant size n and the root count Z of X^3 - m*X - b tie the curve
-Y^2 = X^3 - m*X - b to the line via  |E| = 2n + 1 - Z.
-"""
+Y^2 = X^3 - m*X - b to the line via  |E| = 2n + 1 - Z."""
 
 from __future__ import annotations
 
@@ -124,14 +126,10 @@ def line_curve_check(plane: ProjectivePlane, m: int, b: int,
         return LineCurveRelation(p=p, m=m, b=b, skipped="singular")
     if region is None:
         region = ec_region(plane)
-    chi = legendre_table(p)
-    n = 0
-    for x in range(p):
-        if chi[(x * x * x - (m * x + b)) % p] >= 0:
-            n += 1
+    xs = np.arange(p, dtype=np.int64)
+    n = int((legendre_table(p)[(xs * xs * xs - m * xs - b) % p] >= 0).sum())
     z = cubic_root_count(p, m, b)
     count = curve_count(p, (-m) % p, (-b) % p).count
-    xs = np.arange(p, dtype=np.int64)
     line_n = int(region.mask[plane.frame.point_index_table()[xs, (m * xs + b) % p]].sum())
     if line_n != n:
         raise CurveError("region membership disagrees with character scan")
@@ -150,14 +148,16 @@ def ec_spectrum_scan(plane: ProjectivePlane) -> EcScanReport:
     chi = legendre_table(p).astype(np.int64)
     m = np.arange(p, dtype=np.int64)
     b = np.arange(p, dtype=np.int64)
+    x = np.arange(p, dtype=np.int64)
 
-    # curve counts for all (m, b): p + 1 + sum_x chi(x^3 - m*x - b)
-    counts = np.full((p, p), p + 1, dtype=np.int64)
-    roots = np.zeros((p, p), dtype=np.int64)
-    for x in range(p):
-        col = (x * x * x - m * x) % p          # value at b = 0, per slope
-        counts += chi[(col[:, None] - b[None, :]) % p]
-        np.add.at(roots, (m, col), 1)          # b with x^3 - m*x - b = 0
+    # roots[m, v] = #{x : x^3 - m*x = v}, so roots[m, b] is the root count Z
+    # of x^3 - m*x - b, and the curve count p + 1 + sum_x chi(x^3 - m*x - b)
+    # is the same direct sum grouped by value: p + 1 + sum_v roots[m, v] *
+    # chi(v - b), with the values v running over the rows of the circulant
+    vals = (x ** 3 - m[:, None] * x) % p                        # [m, x]
+    roots = np.bincount((m[:, None] * p + vals).ravel(),
+                        minlength=p * p).reshape(p, p)
+    counts = p + 1 + roots @ chi[(x[:, None] - b) % p]          # [v, b]
 
     # secant sizes of the lines v = m*x + b, read off the spectrum
     n_mat = spec.n_ell[plane.frame.line_index_table()]

@@ -230,7 +230,7 @@ def run_sweep(primes, construction: str, seeds, threads: int = 1):
     planes = {q: build_plane(q) for q in primes}
     for plane in planes.values():       # build shared caches before dispatch
         if plane.field.k == 1:
-            plane.frame.coords_arrays()
+            plane.frame.point_index_table()
         elif plane.has_incidence_cache:
             plane.line_points_matrix
     cells = [(q, s) for q in primes for s in seeds]

@@ -208,7 +208,6 @@ class AffineFrame:
         self.field = plane.field
         self.q = plane.q
         self.N = plane.N
-        self._coords = None
         self._index_table = None
 
     @property
@@ -220,8 +219,9 @@ class AffineFrame:
         # (0 : 1 : 0), the common point of all vertical lines
         return 1
 
-    def direction_point(self, d: int) -> int:
-        """Index of (1 : d : 0), the infinite point of the slope-d class."""
+    def direction_point(self, d):
+        """Index of (1 : d : 0), the infinite point of the slope-d class;
+        elementwise on an array of slopes."""
         return self.q + 1 + d * self.q
 
     def affine_point(self, x: int, y: int) -> int:
@@ -289,31 +289,6 @@ class AffineFrame:
         tbl[flat] = 1 + F.neg(b)                                  # [0 : 1 : -b]
         tbl[~flat] = q + 1 + F.neg(dinv) * q + F.mul(b, dinv)     # [1 : -1/d : b/d]
         return tbl
-
-    def coords_arrays(self):
-        """Vectorized point classification: int32 arrays (ax, ay, slope) of
-        length N; affine points carry slope -1, the infinite point of slope
-        d carries (-1, -1, d), the vertical direction carries slope q."""
-        if self._coords is not None:
-            return self._coords
-        F, q, N = self.field, self.q, self.N
-        ax = np.full(N, -1, dtype=np.int32)
-        ay = np.full(N, -1, dtype=np.int32)
-        slope = np.full(N, -1, dtype=np.int32)
-        ax[0] = ay[0] = 0
-        z = np.arange(1, q, dtype=np.int64)
-        ax[1 + z] = 0                                  # (0 : 1 : z) is (0, 1/z)
-        ay[1 + z] = F.inv(z)
-        slope[1] = q
-        t = np.arange(q * q, dtype=np.int64)
-        yy, zz = t // q, t % q                         # (1 : y : z) is (1/z, y/z)
-        aff = zz != 0
-        zinv = F.inv(zz[aff])
-        ax[q + 1 + t[aff]] = zinv
-        ay[q + 1 + t[aff]] = F.mul(yy[aff], zinv)
-        slope[q + 1 + t[~aff]] = yy[~aff]
-        self._coords = (ax, ay, slope)
-        return self._coords
 
 
 def build_plane(field_or_q) -> ProjectivePlane:

@@ -144,21 +144,15 @@ def _spectrum_gather(plane, mask: np.ndarray) -> np.ndarray:
 
 
 def _spectrum_affine(plane, mask: np.ndarray) -> np.ndarray:
-    p, q, N = plane.field.p, plane.q, plane.N
+    p, N = plane.field.p, plane.N
     frame = plane.frame
-    ax, ay, slope = frame.coords_arrays()
-    idx = np.flatnonzero(mask)
-    sl = slope[idx]
-    aff = idx[sl == -1]
-    dir_in = np.zeros(q + 1, dtype=np.int64)
-    dir_in[sl[sl >= 0]] = 1
+    grid = mask[frame.point_index_table()]                      # grid[x, y]
+    dir_in = mask[frame.direction_point(np.arange(p))]
+    vert_in = int(mask[frame.vertical_direction])
 
     n_ell = np.zeros(N, dtype=np.int64)
-    n_ell[0] = int(dir_in.sum())
-    vertical = np.bincount(ax[aff], minlength=p) + dir_in[q]   # lines x = c
-    n_ell[frame.vertical_line(np.arange(p))] = vertical
-    grid = np.zeros((p, p), dtype=bool)
-    grid[ax[aff], ay[aff]] = True
+    n_ell[frame.infinite_line] = int(dir_in.sum()) + vert_in
+    n_ell[frame.vertical_line(np.arange(p))] = grid.sum(1) + vert_in  # x = c
     for lo, counts in affine_class_blocks(grid):
         d = np.arange(lo, lo + len(counts))
         n_ell[frame.line_index_table(d)] = counts + dir_in[d, None]

@@ -85,7 +85,7 @@ def test_line_curve_check_region_reuse():
         assert r.curve_count == 2 * r.n_ell + 1 - r.roots
 
 
-@pytest.mark.parametrize("p", [5, 7, 11, 13, 19, 29])
+@pytest.mark.parametrize("p", [5, 7, 11, 13, 19, 29, 401])
 def test_scan_relation_and_identities(p):
     rep = ec_spectrum_scan(build_plane(p))
     assert rep.set_size == p * (p + 1) // 2

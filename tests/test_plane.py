@@ -145,13 +145,6 @@ def test_frame_tables_match_scalar_maps(q):
         for b in range(q):
             assert ltbl[d, b] == fr.affine_line(d, b)
     assert (fr.line_index_table([q - 1, 0, 1]) == ltbl[[q - 1, 0, 1]]).all()
-    ax, ay, slope = fr.coords_arrays()
-    for i in range(pl.N):
-        kind = fr.point_coords(i)
-        if kind[0] == "affine":
-            assert (ax[i], ay[i], slope[i]) == (kind[1], kind[2], -1)
-        else:
-            assert (ax[i], ay[i], slope[i]) == (-1, -1, kind[1])
 
 
 def test_point_coords_round_trip():
@@ -165,6 +158,9 @@ def test_point_coords_round_trip():
             assert i == fr.vertical_direction
         else:
             assert i == fr.direction_point(kind[1])
+    slopes = np.arange(pl.q)
+    assert fr.direction_point(slopes).tolist() == [fr.direction_point(d)
+                                                   for d in range(pl.q)]
 
 
 def test_large_plane_stays_lazy():
