@@ -122,20 +122,16 @@ def cmd_exhaustive(args) -> int:
     if args.q > EXHAUSTIVE_MAX_Q:
         print("exhaustive limit", file=sys.stderr)
         return USAGE_ERROR
-    res = exhaustive_minmax(plane, threads=args.threads)
-    _emit_json(args, {
-        "q": res.q, "best_mode_count": res.best_mode_count,
-        "witness_points": [int(i) for i in res.witness_set(plane).indices()],
-        "subsets_examined": res.subsets_examined, "method": res.method,
-        "cor_ceiling": cor_bound_ceiling(res.q),
-    })
-    return OK if res.best_mode_count >= cor_bound_ceiling(res.q) else CHECK_FAILED
+    return _emit_search(args, plane, exhaustive_minmax(plane, threads=args.threads))
 
 
 def cmd_search(args) -> int:
     plane = build_plane(args.q)
-    res = local_search(plane, iters=args.iters, seed=args.seed,
-                       restarts=args.restarts)
+    return _emit_search(args, plane, local_search(plane, iters=args.iters, seed=args.seed,
+                                                  restarts=args.restarts))
+
+
+def _emit_search(args, plane, res) -> int:
     _emit_json(args, {
         "q": res.q, "best_mode_count": res.best_mode_count,
         "witness_points": [int(i) for i in res.witness_set(plane).indices()],

@@ -27,6 +27,9 @@ from .spectrum import (PointSet, bounds_report, compute_spectrum,
 EXHAUSTIVE_MAX_Q = 4
 _CHUNK_BITS = 16
 
+# The local search scores flips in blocks of about this many (point, count) entries.
+_FLIP_BLOCK_ENTRIES = 1 << 16
+
 SWEEP_SCHEMA = "secants-sweep-v1"
 SWEEP_COLUMNS = ("q", "construction", "seed", "set_size", "mode_k", "mode_count",
                  "cor_bound", "prop_bound", "thm_lower", "thm_lower_clamped",
@@ -141,21 +144,19 @@ def exhaustive_minmax(plane: ProjectivePlane, threads: int = 1) -> SearchResult:
                         subsets_examined=examined, method="exhaustive")
 
 
-def _tie_score(hist, N, q) -> int:
-    """Cleared-denominator variance of the histogram counts (flatter is
-    smaller); integer-exact so ties break identically everywhere."""
-    return (q + 2) * sum(c * c for c in hist) - N * N
-
-
 def local_search(plane: ProjectivePlane, iters: int = 200, seed: int = 0,
                  restarts: int = 5) -> SearchResult:
     """Seeded hill descent on single-point flips minimizing the mode count,
     ties broken by histogram variance; best over restarts.
 
-    A small-plane probe: each step rescans all N flips, so it needs the
-    plane's incidence cache (roughly q <= 251)."""
-    q, N = plane.q, plane.N
+    A step scores all N flips at once.  With C[pt, k] the number of lines
+    through pt that meet the set in k points, flipping pt gives the
+    histogram hist - C[pt] + C[pt] shifted by the flip's sign.  C is built
+    in blocks of points of about _FLIP_BLOCK_ENTRIES entries, so the search
+    runs wherever the plane's incidence cache fits (roughly q <= 251)."""
+    q, N, W = plane.q, plane.N, plane.q + 2
     point_lines = plane.point_lines_matrix
+    rows = max(1, _FLIP_BLOCK_ENTRIES // W)
     rng = Random(seed)
     best = None
     examined = 0
@@ -164,32 +165,33 @@ def local_search(plane: ProjectivePlane, iters: int = 200, seed: int = 0,
         # the seed's random bitmap, bit i = point i
         raw = np.frombuffer(rng.getrandbits(N).to_bytes((N + 7) // 8, "little"), np.uint8)
         mask = np.unpackbits(raw, count=N, bitorder="little").astype(bool)
-        n_ell = mask[plane.line_points_matrix].sum(axis=1).tolist()
-        hist = np.bincount(n_ell, minlength=q + 2).tolist()
-        cur = (max(hist), _tie_score(hist, N, q))
+        n_ell = mask[plane.line_points_matrix].sum(axis=1)
+        hist = np.bincount(n_ell, minlength=W)
+        # exact integer score: mode, then cleared-denominator variance
+        cur = (int(hist.max()), W * int(hist @ hist) - N * N)
 
         for _ in range(iters):
-            move = None
-            for pt in range(N):
-                sign = -1 if mask[pt] else 1
-                trial = hist[:]
-                for ell in point_lines[pt]:
-                    v = n_ell[ell]
-                    trial[v] -= 1
-                    trial[v + sign] += 1
-                score = (max(trial), _tie_score(trial, N, q))
-                examined += 1
-                if score < cur and (move is None or score < move[0]):
-                    move = (score, pt)
-            if move is None:
+            examined += N
+            move = ((N + 1, 0),)                # worse than any score
+            for lo in range(0, N, rows):
+                lines = point_lines[lo:lo + rows]
+                B = len(lines)
+                # C[:, k + 1]: the empty columns 0 and W + 1 absorb the shift
+                keys = np.arange(B)[:, None] * (W + 2) + 1 + n_ell[lines]
+                C = np.bincount(keys.ravel(), minlength=B * (W + 2)).reshape(B, W + 2)
+                trial = hist - C[:, 1:-1]
+                trial += np.where(mask[lo:lo + B, None], C[:, 2:], C[:, :-2])
+                mode = trial.max(axis=1)
+                low = np.flatnonzero(mode == mode.min())
+                ties = W * (trial[low] ** 2).sum(axis=1) - N * N
+                i = low[ties.argmin()]
+                if (mode[i], ties.min()) < move[0]:    # first point of a tie wins
+                    move = ((int(mode[i]), int(ties.min())), lo + int(i), trial[i])
+            if not move[0] < cur:
                 break
-            cur, pt = move
-            sign = -1 if mask[pt] else 1
+            cur, pt, hist = move
+            n_ell[point_lines[pt]] += -1 if mask[pt] else 1
             mask[pt] = not mask[pt]
-            for ell in point_lines[pt]:
-                hist[n_ell[ell]] -= 1
-                n_ell[ell] += sign
-                hist[n_ell[ell]] += 1
 
         # reversed mask bytes order sets as their bitmaps do numerically
         cand = (cur[0], cur[1], mask[::-1].tobytes())

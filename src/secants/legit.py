@@ -241,18 +241,20 @@ def verify_legitimate(hg: LinearHypergraph, coloring, num_colors: int = 2):
     """True iff the per-edge color multiplicity lists are pairwise
     distinct; otherwise returns the first offending 1-based pair."""
     color = coloring.color if isinstance(coloring, LegitColoring) else list(coloring)
-    lists = []
-    for pos, e in enumerate(hg.edges.tolist(), start=1):
-        counts = [0] * num_colors
-        for v in e:
-            c = color[v]
-            if c is None or not 0 <= c < num_colors:
-                raise LegitError(f"vertex {v} of edge {pos} is uncolored")
-            counts[c] += 1
-        lists.append(tuple(counts))
-    seen = {}
-    for pos, sig in enumerate(lists, start=1):
-        if sig in seen:
-            return False, (seen[sig], pos)
-        seen[sig] = pos
-    return True, None
+    slots = np.array(color, dtype=float)[hg.edges]      # None reads as NaN
+    ok = (slots >= 0) & (slots < num_colors) & (slots == np.trunc(slots))
+    bad = np.flatnonzero(~ok)
+    if bad.size:
+        pos, j = divmod(int(bad[0]), hg.n)
+        raise LegitError(f"vertex {hg.edges[pos, j]} of edge {pos + 1} is uncolored")
+    keys = np.arange(hg.n)[:, None] * num_colors + slots.astype(np.int64)
+    counts = np.bincount(keys.ravel(), minlength=hg.n * num_colors).reshape(hg.n, -1)
+    order = np.lexsort(counts.T)         # stable: equal lists keep edge order
+    rows = counts[order]
+    repeat = np.r_[False, (rows[1:] == rows[:-1]).all(axis=1)]
+    if not repeat.any():
+        return True, None
+    # the earliest edge of each run of equal lists, and the first repeat
+    earliest = order[np.maximum.accumulate(np.where(repeat, 0, np.arange(hg.n)))]
+    i = np.flatnonzero(repeat)[order[repeat].argmin()]
+    return False, (int(earliest[i]) + 1, int(order[i]) + 1)

@@ -1,9 +1,12 @@
 """Shared brute-force oracles, kept deliberately independent of the
 library's counting kernels and line solver: everything here goes through
-python sets and per-point incidence tests only."""
+python sets and per-point incidence tests only.  The local-search loop is
+the one exception: it reads the plane's incidence cache, which test_plane
+checks against the incidence test."""
 
 import sys
 from functools import lru_cache
+from random import Random
 
 import pytest
 
@@ -33,6 +36,59 @@ def naive_histogram(plane, member_indices):
 def assert_spectrum_matches_naive(plane, pset, spec):
     expect = naive_secant_counts(plane, pset.indices())
     assert spec.n_ell.tolist() == expect
+
+
+def naive_local_search(plane, iters, seed, restarts):
+    """The local search as a per-flip Python loop: every step copies the
+    histogram and moves each line through the flipped point by hand.  It
+    takes its incidence from the plane's cache (checked against
+    `naive_line_points` in test_plane) and returns (best_mode_count,
+    witness point list, subsets_examined)."""
+    q, N = plane.q, plane.N
+    point_lines = plane.point_lines_matrix.tolist()
+    line_points = plane.line_points_matrix.tolist()
+
+    def score(hist):
+        return max(hist), (q + 2) * sum(c * c for c in hist) - N * N
+
+    rng = Random(seed)
+    best = None
+    examined = 0
+    for _ in range(max(1, restarts)):
+        bits = rng.getrandbits(N)
+        mask = [(bits >> i) & 1 for i in range(N)]
+        n_ell = [sum(mask[pt] for pt in line) for line in line_points]
+        hist = [0] * (q + 2)
+        for n in n_ell:
+            hist[n] += 1
+        cur = score(hist)
+        for _ in range(iters):
+            move = None
+            for pt in range(N):
+                sign = -1 if mask[pt] else 1
+                trial = hist[:]
+                for ell in point_lines[pt]:
+                    trial[n_ell[ell]] -= 1
+                    trial[n_ell[ell] + sign] += 1
+                s = score(trial)
+                examined += 1
+                if s < cur and (move is None or s < move[0]):
+                    move = (s, pt)
+            if move is None:
+                break
+            cur, pt = move
+            sign = -1 if mask[pt] else 1
+            mask[pt] ^= 1
+            for ell in point_lines[pt]:
+                hist[n_ell[ell]] -= 1
+                n_ell[ell] += sign
+                hist[n_ell[ell]] += 1
+        # restarts tie on the smaller bitmap (bit i = point i)
+        bitmap = sum(1 << i for i in range(N) if mask[i])
+        if best is None or (*cur, bitmap) < best:
+            best = (*cur, bitmap)
+    witness = [i for i in range(N) if (best[2] >> i) & 1]
+    return best[0], witness, examined
 
 
 @pytest.fixture(scope="session")

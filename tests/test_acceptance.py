@@ -294,6 +294,7 @@ def test_criterion_10_cli_determinism(tmp_path):
         ("projection", "--p", "29", "--alpha", "1/4", "--beta", "1",
          "--gamma", "1"),
         ("ec", "scan", "--p", "13"),
+        ("search", "--q", "7", "--iters", "50", "--restarts", "3", "--seed", "1"),
     ]
     stable = True
     for i, args in enumerate(cases):

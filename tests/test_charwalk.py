@@ -95,6 +95,25 @@ def test_profile_matches_membership_count(p):
         assert int(prof.pr.sum()) == S.size
 
 
+def matrix_profile(p, f, d):
+    """The profile as a (p, p) count: row b holds (d*x + b) mod p for
+    every x, compared with f(x)."""
+    x = np.arange(p)
+    y = (d * x[None, :] + x[:, None]) % p
+    return (y > f[None, :]).sum(axis=1)
+
+
+@pytest.mark.parametrize("p", PRIMES + [61])
+def test_profile_matches_matrix_count_for_every_slope(p):
+    pl = build_plane(p)
+    for params in (ParabolaParams(1, 0, 0), ParabolaParams(2, 3, 1),
+                   ParabolaParams(p - 1, 1, p - 1)):
+        _, params, f = charwalk._profile_setup(pl, params)
+        for d in range(1, p):
+            prof = projection_profile(pl, params, d)
+            assert prof.pr.tolist() == matrix_profile(p, f, d).tolist(), (params, d)
+
+
 @pytest.mark.parametrize("p", [p for p in PRIMES if p <= 31])
 def test_all_profiles_match_direct_profiles(p):
     pl = build_plane(p)

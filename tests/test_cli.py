@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -81,6 +82,25 @@ def test_exhaustive_and_search_commands(tmp_path):
                          "--restarts", "5", "--seed", "1")
     assert code == OK
     assert json.loads(data)["best_mode_count"] == 3
+
+
+# sha256 of `search --out` bytes, recorded before the flip scoring was
+# vectorized: the benchmark's two search jobs and the README example.
+SEARCH_GOLDENS = [
+    (("--q", "23", "--iters", "25", "--restarts", "1", "--seed", "0"),
+     "71d44023476f3fe224c0fdea1b8ff96a2bd1a70f0fb7c1db7e0ee6ebc7696636"),
+    (("--q", "31", "--iters", "25", "--restarts", "1", "--seed", "0"),
+     "6eab95aae9bfcf6b5dadc5828783d2c838573d72b186c9d815ddb46d2753f158"),
+    (("--q", "7", "--iters", "500", "--restarts", "10", "--seed", "3"),
+     "d2dc352527e4a05274b22a430db692159603c06c57615d63fd5c32a0ffc2f7a8"),
+]
+
+
+@pytest.mark.parametrize("args, digest", SEARCH_GOLDENS)
+def test_search_output_golden(tmp_path, args, digest):
+    code, data = run_cli(tmp_path, "search", *args)
+    assert code == OK
+    assert hashlib.sha256(data).hexdigest() == digest
 
 
 def test_charwalk_outputs(tmp_path):

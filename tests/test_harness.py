@@ -1,11 +1,16 @@
-import pytest
+from functools import lru_cache
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from secants import harness as harness_module
 from secants.harness import (SWEEP_SCHEMA, exhaustive_minmax, local_search,
                              run_sweep, sweep_to_csv)
 from secants.plane import build_plane
 from secants.spectrum import compute_spectrum, cor_bound_ceiling
 
-from conftest import naive_histogram, naive_line_points
+from conftest import naive_histogram, naive_line_points, naive_local_search
 
 
 def brute_minmax(plane):
@@ -90,6 +95,53 @@ def test_local_search_determinism():
         (b.best_mode_count, b.witness.tolist(), b.subsets_examined)
     c = local_search(pl, iters=100, seed=6, restarts=4)
     assert c.best_mode_count >= cor_bound_ceiling(3)
+
+
+def _result_triple(res):
+    return res.best_mode_count, res.witness.nonzero()[0].tolist(), res.subsets_examined
+
+
+@lru_cache(maxsize=None)
+def _search_plane(q):
+    return build_plane(q)
+
+
+# (q, seed, iters, restarts): small planes run to a local minimum, larger
+# ones stop after a few steps, so the loop oracle stays cheap.
+_ORACLE_CASES = [
+    *[(q, seed, 60, 3) for q in (2, 3, 4, 5, 7, 8, 9) for seed in (0, 1, 2)],
+    *[(q, seed, 12, 2) for q in (13, 16) for seed in (0, 4)],
+    (4, 7, 0, 3), (5, 3, 1, 1), (7, 9, 300, 6),
+    *[(q, seed, 8, 2) for q in (23, 25, 27, 31) for seed in (0, 1)],
+    (23, 0, 25, 1), (31, 0, 25, 1),      # the benchmark's search jobs
+]
+
+
+@pytest.mark.parametrize("q, seed, iters, restarts", _ORACLE_CASES)
+def test_local_search_matches_loop_oracle(q, seed, iters, restarts):
+    pl = _search_plane(q)
+    res = local_search(pl, iters=iters, seed=seed, restarts=restarts)
+    assert _result_triple(res) == naive_local_search(pl, iters, seed, restarts)
+
+
+@settings(max_examples=40, deadline=None)
+@given(q=st.sampled_from((2, 3, 4, 5, 7)), seed=st.integers(0, 2 ** 32),
+       iters=st.integers(0, 40), restarts=st.integers(0, 4))
+def test_local_search_matches_loop_oracle_property(q, seed, iters, restarts):
+    pl = _search_plane(q)
+    res = local_search(pl, iters=iters, seed=seed, restarts=restarts)
+    assert _result_triple(res) == naive_local_search(pl, iters, seed, restarts)
+
+
+@pytest.mark.parametrize("q, seed", [(7, 3), (13, 1), (23, 0)])
+def test_local_search_point_blocks_do_not_change_results(monkeypatch, q, seed):
+    pl = _search_plane(q)
+    expect = naive_local_search(pl, 6, seed, 2)
+    # one point per block, a few points per block, and a ragged last block
+    for entries in (1, 3 * (q + 2), 7 * (q + 2) + 5):
+        monkeypatch.setattr(harness_module, "_FLIP_BLOCK_ENTRIES", entries)
+        res = local_search(pl, iters=6, seed=seed, restarts=2)
+        assert _result_triple(res) == expect, entries
 
 
 def test_sweep_rows_and_determinism():

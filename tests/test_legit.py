@@ -1,5 +1,6 @@
 import itertools
 import re
+from random import Random
 
 import pytest
 from hypothesis import given, settings
@@ -26,6 +27,54 @@ def naive_diagnostics(hg):
             v in edges[k] for v in e & edges[j] for k in range(j)))
         rows.append((private, captured, hg.n - 1 - len(meets)))
     return rows
+
+
+def naive_verify_legitimate(hg, color, num_colors=2):
+    """The verifier as a per-slot loop: one multiplicity list per edge,
+    then the first list already seen."""
+    lists = []
+    for pos, e in enumerate(hg.edges.tolist(), start=1):
+        counts = [0] * num_colors
+        for v in e:
+            c = color[v]
+            if c is None or not 0 <= c < num_colors:
+                raise LegitError(f"vertex {v} of edge {pos} is uncolored")
+            counts[c] += 1
+        lists.append(tuple(counts))
+    seen = {}
+    for pos, sig in enumerate(lists, start=1):
+        if sig in seen:
+            return False, (seen[sig], pos)
+        seen[sig] = pos
+    return True, None
+
+
+def _verdict(verify, *args):
+    try:
+        return verify(*args)
+    except LegitError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("mode", GENERATOR_MODES)
+def test_verify_matches_loop_oracle_on_generated_instances(mode):
+    # criterion 8's instances, with the two-phase coloring (legitimate),
+    # seeded random colorings (mostly not) and one slot left uncolored
+    for n in range(1, 61):
+        for seed in (0, 1):
+            hg = generate_linear_hypergraph(n, seed, mode)
+            rng = Random(seed * 61 + n)
+            colorings = [(two_phase_coloring(hg).color, 2)]
+            for num_colors in (2, 3):
+                colorings.append(([rng.randrange(num_colors)
+                                   for _ in range(hg.num_vertices)], num_colors))
+            holed = list(colorings[1][0])
+            holed[int(hg.edges[rng.randrange(n), rng.randrange(n)])] = \
+                rng.choice([None, -1, 2])
+            colorings.append((holed, 2))
+            for color, num_colors in colorings:
+                assert _verdict(verify_legitimate, hg, color, num_colors) == \
+                    _verdict(naive_verify_legitimate, hg, color, num_colors), (n, seed)
 
 
 def test_disjoint_triples_hand_trace():
