@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .construct import ConstructionError, ParabolaParams
-from .field import is_prime, legendre_table
+from .field import Field, is_prime, legendre_table
 from .plane import ProjectivePlane
 from .spectrum import affine_class_blocks
 
@@ -190,7 +190,8 @@ def _all_profiles(p: int, f: np.ndarray) -> np.ndarray:
     """(p, p) matrix P with P[d, b] = secant count of y = dx + b, by the
     finite Radon transform of the region's membership grid."""
     member = np.arange(p)[None, :] > f[:, None]
-    return np.concatenate([counts for _, counts in affine_class_blocks(member)])
+    blocks = affine_class_blocks(member, Field(p, 1))
+    return np.concatenate([counts for _, counts in blocks])
 
 
 def verify_projection_laws(plane: ProjectivePlane, params: ParabolaParams) -> LawReport:

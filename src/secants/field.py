@@ -14,11 +14,6 @@ from functools import lru_cache
 
 import numpy as np
 
-# Legendre values are looked up in a residue table for moduli below this,
-# computed by Euler's criterion above it.
-_CHI_TABLE_LIMIT = 1 << 16
-
-
 class FieldError(ValueError):
     """Invalid field construction or an operation outside its domain."""
 
@@ -83,18 +78,15 @@ def _is_irreducible(poly, p):
     k = len(poly) - 1
     for d in range(1, k // 2 + 1):
         for enc in range(p ** d):
-            div = _decode_digits(enc, p, d) + [1]
+            div = _decode_digits(enc, p, d).tolist() + [1]
             if all(c == 0 for c in _poly_mod(poly, div, p)):
                 return False
     return True
 
 
-def _decode_digits(e: int, p: int, k: int):
-    digits = []
-    for _ in range(k):
-        e, r = divmod(e, p)
-        digits.append(r)
-    return digits
+def _decode_digits(e, p: int, k: int) -> np.ndarray:
+    """Base-p digits of each encoding in e, lowest first, on a new last axis."""
+    return (np.asarray(e)[..., None] // p ** np.arange(k)) % p
 
 
 def _encode_digits(digits, p: int) -> int:
@@ -123,7 +115,7 @@ def _exp_log_tables(p: int, k: int, modulus):
     q = p ** k
     mod = list(modulus)
     for g in range(2, q):
-        gd = _decode_digits(g, p, k)
+        gd = _decode_digits(g, p, k).tolist()
         powers, x = [1], [1]
         while len(powers) < q - 1:
             x = _poly_mod(_poly_mul(x, gd, p), mod, p)
@@ -164,7 +156,6 @@ class Field:
         self.k = k
         self.q = p ** k
         self.modulus = tuple(modulus) if modulus is not None else None
-        self._chi = None
         if k > 1:
             if (self.modulus is None or len(self.modulus) != k + 1
                     or self.modulus[-1] != 1):
@@ -184,14 +175,6 @@ class Field:
 
     def __hash__(self):
         return hash((self.p, self.k, self.modulus))
-
-    # -- element codec -------------------------------------------------------
-
-    def digits(self, a: int):
-        return _decode_digits(a, self.p, self.k)
-
-    def encode(self, digits) -> int:
-        return _encode_digits([d % self.p for d in digits], self.p)
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -217,13 +200,6 @@ class Field:
             return (a * b) % self.p
         return _lookup(self._exp, self._log[a] + self._log[b])
 
-    def pow(self, a: int, e: int) -> int:
-        if e < 0:
-            return self.pow(self.inv(a), -e)
-        if self.k == 1 or a == 0:
-            return pow(a, e, self.q)
-        return int(self._exp[self._log[a] * e % (self.q - 1)])
-
     def inv(self, a):
         if np.any(np.equal(a, 0)):
             raise FieldError("zero has no multiplicative inverse")
@@ -232,35 +208,6 @@ class Field:
         if isinstance(a, np.ndarray):
             return inverse_table(self.p)[a]
         return pow(a, self.p - 2, self.p)
-
-    def div(self, a, b):
-        return self.mul(a, self.inv(b))
-
-    # -- prime-field extras ---------------------------------------------------
-
-    def lift(self, a: int) -> int:
-        """Integer representative in [0, p-1]; defines the strict order used
-        by the region constructions."""
-        if self.k != 1:
-            raise FieldError("order defined only on prime fields")
-        if not 0 <= a < self.p:
-            raise FieldError(f"element {a} out of range for GF({self.p})")
-        return a
-
-    def legendre(self, a: int) -> int:
-        """Quadratic character of a: +1 on nonzero squares, -1 on
-        non-squares, 0 at zero."""
-        if self.k != 1 or self.p == 2:
-            raise FieldError("Legendre requires odd prime field")
-        a %= self.p
-        if self.p < _CHI_TABLE_LIMIT:
-            if self._chi is None:
-                self._chi = legendre_table(self.p)
-            return int(self._chi[a])
-        if a == 0:
-            return 0
-        e = pow(a, (self.p - 1) // 2, self.p)
-        return 1 if e == 1 else -1
 
 
 @lru_cache(maxsize=128)

@@ -230,11 +230,8 @@ def run_sweep(primes, construction: str, seeds, threads: int = 1):
         seeds = range(seeds)
     seeds = list(seeds)
     planes = {q: build_plane(q) for q in primes}
-    for plane in planes.values():       # build shared caches before dispatch
-        if plane.field.k == 1:
-            plane.frame.point_index_table()
-        elif plane.has_incidence_cache:
-            plane.line_points_matrix
+    for plane in planes.values():       # build shared tables before dispatch
+        plane.frame.point_index_table()
     cells = [(q, s) for q in primes for s in seeds]
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:

@@ -4,11 +4,12 @@ Points and lines are normalized homogeneous triples over GF(q): the first
 nonzero coordinate (scanning x, then y, then z) is scaled to 1, and both
 families are listed in lexicographic order of their encoded triples.  That
 order has a closed form, so planes are cheap to create at any q.  The
-points of any batch of lines come from one vectorized closed-form solver;
-the incidence cache (an int32 matrix of per-line point indices) is only
-materialized while it fits in a fixed memory budget.  Points and lines
-share one indexing and x.a = a.x, so the same matrix lists the lines
-through each point.
+points of any batch of lines come from one vectorized closed-form solver.
+The incidence cache, an int32 matrix of per-line point indices, is
+materialized while it fits in a fixed memory budget; the searches and the
+test oracles read it, and spectra are counted without it.  Points and
+lines share one indexing and x.a = a.x, so the same matrix lists the
+lines through each point.
 
 The affine frame identifies F_q^2 with the points off the line z = 0:
 (x, y) corresponds to (x : y : 1), the line y = dx + b to [d : -1 : b],
@@ -148,7 +149,11 @@ class ProjectivePlane:
             raise PlaneError(
                 f"incidence cache for N={self.N} exceeds the memory budget")
         if self._line_points is None:
-            self._line_points = np.concatenate(list(self._solved_blocks()))
+            N, step = self.N, max(1, _SOLVE_BLOCK_ENTRIES // (self.q + 1))
+            out = np.empty((N, self.q + 1), dtype=np.int32)
+            for lo in range(0, N, step):
+                out[lo:lo + step] = self._solve_lines(np.arange(lo, min(lo + step, N)))
+            self._line_points = out
         return self._line_points
 
     @property
@@ -156,19 +161,6 @@ class ProjectivePlane:
         """(N, q+1) int32 matrix of line indices per point (within the
         budget), each row ascending: by duality, the line-points matrix."""
         return self.line_points_matrix
-
-    def line_point_blocks(self):
-        """The rows of the line-points matrix in consecutive blocks of lines:
-        the cached matrix in one block within the budget, solved blocks above."""
-        if self.has_incidence_cache:
-            yield self.line_points_matrix
-        else:
-            yield from self._solved_blocks()
-
-    def _solved_blocks(self):
-        step = max(1, _SOLVE_BLOCK_ENTRIES // (self.q + 1))
-        for lo in range(0, self.N, step):
-            yield self._solve_lines(np.arange(lo, min(lo + step, self.N)))
 
     # -- axioms-level helpers ---------------------------------------------------
 
@@ -183,10 +175,6 @@ class ProjectivePlane:
         b = F.sub(F.mul(z1, x2), F.mul(x1, z2))
         c = F.sub(F.mul(x1, y2), F.mul(y1, x2))
         return self.index_of((a, b, c))
-
-    def lines_meet(self, l_idx: int, m_idx: int) -> int:
-        """The unique common point of two distinct lines (duality)."""
-        return self.line_through(l_idx, m_idx)
 
     # -- affine frame -----------------------------------------------------------
 

@@ -1,17 +1,14 @@
 """Secant-size spectra: per-line intersection counts with a point set,
 their histogram, and the exact double-counting identities they satisfy.
 
-A point set is a read-only boolean mask over the point indices, and the
-kind of plane picks the counting kernel.  Prime planes are counted through
-the affine frame with the finite Radon transform: the counts along the
-parallel class of slope d are the inverse DFT of one slice of the 2-D DFT
-of the p x p membership grid (the Fourier slice theorem), so all classes
-cost O(p^2 log p) and no incidence is stored.  The transform is rounded to
-integers under an explicit tolerance guard.  Extension planes gather the
-mask along each line's point indices, from the incidence cache within its
-budget and from freshly solved blocks of lines above it.  Both kernels
-work on prime planes and are cross-checked there in the test suite.
-"""
+A point set is a read-only boolean mask over the point indices.  Every
+plane is counted the same way, through the affine frame with the finite
+Radon transform: the counts along the parallel class of slope d are the
+inverse DFT of one slice of the DFT of the q x q membership grid (the
+Fourier slice theorem over GF(q), whose additive characters are the
+characters of its base-p digit vectors), so all classes cost
+O(q^2 log q) and no incidence is stored.  The transform is rounded to
+integers under an explicit tolerance guard."""
 
 from __future__ import annotations
 
@@ -21,6 +18,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from .field import _decode_digits
 from .plane import ProjectivePlane
 
 
@@ -124,8 +122,7 @@ class BoundsReport:
 def compute_spectrum(plane: ProjectivePlane, pset: PointSet) -> SecantSpectrum:
     if pset.plane is not plane:
         raise ValueError("point set belongs to a different plane")
-    kernel = _spectrum_affine if plane.field.k == 1 else _spectrum_gather
-    return spectrum_from_counts(plane, pset.size, kernel(plane, pset.mask))
+    return spectrum_from_counts(plane, pset.size, _spectrum_affine(plane, pset.mask))
 
 
 def spectrum_from_counts(plane, size, n_ell) -> SecantSpectrum:
@@ -138,29 +135,24 @@ def spectrum_from_counts(plane, size, n_ell) -> SecantSpectrum:
         mode_k=mode_k, mode_count=int(hist[mode_k]))
 
 
-def _spectrum_gather(plane, mask: np.ndarray) -> np.ndarray:
-    return np.concatenate([mask[block].sum(axis=1, dtype=np.int64)
-                           for block in plane.line_point_blocks()])
-
-
 def _spectrum_affine(plane, mask: np.ndarray) -> np.ndarray:
-    p, N = plane.field.p, plane.N
+    q, N = plane.q, plane.N
     frame = plane.frame
     grid = mask[frame.point_index_table()]                      # grid[x, y]
-    dir_in = mask[frame.direction_point(np.arange(p))]
+    dir_in = mask[frame.direction_point(np.arange(q))]
     vert_in = int(mask[frame.vertical_direction])
 
     n_ell = np.zeros(N, dtype=np.int64)
     n_ell[frame.infinite_line] = int(dir_in.sum()) + vert_in
-    n_ell[frame.vertical_line(np.arange(p))] = grid.sum(1) + vert_in  # x = c
-    for lo, counts in affine_class_blocks(grid):
+    n_ell[frame.vertical_line(np.arange(q))] = grid.sum(1) + vert_in  # x = c
+    for lo, counts in affine_class_blocks(grid, plane.field):
         d = np.arange(lo, lo + len(counts))
         n_ell[frame.line_index_table(d)] = counts + dir_in[d, None]
     return n_ell
 
 
 # The finite Radon transform inverts this many counts at a time (slopes
-# times intercepts), which bounds its temporaries at large p.
+# times intercepts), which bounds its temporaries at large q.
 _RADON_BLOCK_ENTRIES = 1 << 16
 
 # Largest distance from an integer that a transformed count may have.
@@ -169,28 +161,42 @@ _RADON_BLOCK_ENTRIES = 1 << 16
 _RADON_TOLERANCE = 1e-3
 
 
-def affine_class_blocks(grid: np.ndarray):
-    """Counts of a p x p membership grid along every non-vertical parallel
-    class of AG(2,p), by the finite Radon transform.
+def affine_class_blocks(grid: np.ndarray, field):
+    """Counts of a q x q membership grid along every non-vertical parallel
+    class of AG(2,q), by the finite Radon transform over GF(q) = GF(p^k).
 
     Yields (lo, C) for consecutive blocks of slopes, where C[i, b] counts
-    the x with grid[x, (d*x + b) mod p] set, for the slope d = lo + i.
-    With F the 2-D DFT of the grid, the DFT of the slope-d counts over b
-    is F[-k*d mod p, k], so each class is one inverse real FFT of a slice.
+    the x with grid[x, d*x + b] set (field arithmetic), for the slope
+    d = lo + i.  Reshaped to (p,)*2k, the grid has the digits of x, then
+    of y, as axes, highest digit first.  With F its DFT over those axes,
+    the DFT of the slope-d counts at the dual digit vector v is
+    F[-M_d^T v, v], where M_d is multiplication by d on digit vectors
+    (column j holds the digits of d*p^j), so each class is one inverse FFT
+    of a slice over the k intercept axes.  The real FFT halves the last
+    axis, the lowest digit of y, and the slice reads that axis directly.
+    At k = 1 this is F[-d*v mod p, v] of the 2-D DFT.
     Raises ArithmeticError when a transformed count is more than
     _RADON_TOLERANCE from an integer."""
-    p = grid.shape[0]
-    F = np.fft.rfft2(grid)
-    k = np.arange(F.shape[1], dtype=np.int64)
-    step = max(1, _RADON_BLOCK_ENTRIES // p)
-    for lo in range(0, p, step):
-        d = np.arange(lo, min(lo + step, p), dtype=np.int64)
-        x = np.fft.irfft(F[(-d[:, None] * k) % p, k], n=p, axis=1)
+    p, k, q = field.p, field.k, field.q
+    F = np.fft.rfftn(grid.reshape((p,) * 2 * k))
+    half = F.shape[-1]
+    F = F.reshape(q, -1)                  # rows: encoded u; columns: v
+    col = np.arange(F.shape[1])
+    # digits of each column's v, lowest (the halved axis) first
+    v = np.column_stack([col % half, _decode_digits(col // half, p, k - 1)])
+    powers = p ** np.arange(k)
+    step = max(1, _RADON_BLOCK_ENTRIES // q)
+    for lo in range(0, q, step):
+        d = np.arange(lo, min(lo + step, q), dtype=np.int64)
+        MT = _decode_digits(field.mul(d[:, None], powers), p, k)    # MT[i] = M_d^T
+        u = ((-(MT @ v.T) % p) * powers[:, None]).sum(axis=1)
+        x = np.fft.irfftn(F[u, col].reshape(d.size, *(p,) * (k - 1), half),
+                          s=(p,) * k, axes=range(1, k + 1)).reshape(d.size, q)
         counts = np.rint(x)
         err = float(np.abs(x - counts).max())
         if err > _RADON_TOLERANCE:
             raise ArithmeticError(
-                f"finite Radon transform at p={p} is {err:.3g} off an integer count")
+                f"finite Radon transform at q={q} is {err:.3g} off an integer count")
         yield lo, counts.astype(np.int64)
 
 

@@ -1,13 +1,15 @@
 """Shared brute-force oracles, kept deliberately independent of the
-library's counting kernels and line solver: everything here goes through
-python sets and per-point incidence tests only.  The local-search loop is
-the one exception: it reads the plane's incidence cache, which test_plane
-checks against the incidence test."""
+library's counting kernel and line solver: everything here goes through
+python sets and per-point incidence tests only.  The gather check and the
+local-search loop are the exceptions: they read the plane's incidence
+cache, which test_plane checks against the incidence test, and never the
+Radon transform."""
 
 import sys
 from functools import lru_cache
 from random import Random
 
+import numpy as np
 import pytest
 
 
@@ -23,6 +25,12 @@ def naive_secant_counts(plane, member_indices):
     """Per-line |S ∩ line| by set intersection over explicit point lists."""
     S = set(int(i) for i in member_indices)
     return [len(S & line) for line in naive_line_points(plane)]
+
+
+def gather_secant_counts(plane, mask):
+    """Per-line |S ∩ line| gathered from the incidence cache, O(q^3): a
+    cross-check of the transform for planes too large for the set oracle."""
+    return mask[plane.line_points_matrix].sum(axis=1, dtype=np.int64)
 
 
 def naive_histogram(plane, member_indices):

@@ -41,6 +41,16 @@ def test_spectrum_json_schema(tmp_path):
     assert doc["mode_count"] >= doc["bounds"]["cor"]
 
 
+def test_spectrum_extension_plane_above_incidence_budget(tmp_path):
+    code, data = run_cli(tmp_path, "spectrum", "--q", "512",
+                         "--construction", "random:density=1/2", "--seed", "0")
+    assert code == OK
+    doc = json.loads(data)
+    assert doc["q"] == 512 and doc["N"] == 512 * 512 + 512 + 1
+    assert doc["checks"] == {"eq1": True, "eq2": True, "var": True}
+    assert sum(e["count"] for e in doc["histogram"]) == doc["N"]
+
+
 def test_spectrum_csv_and_set_file_round_trip(tmp_path):
     setfile = tmp_path / "set.json"
     code, _ = run_cli(tmp_path, "spectrum", "--q", "7",
@@ -253,8 +263,8 @@ def test_internal_error_exits_3_with_one_line(tmp_path, capsys, monkeypatch):
 
 
 def test_radon_rounding_guard_exits_3(tmp_path, capsys, monkeypatch):
-    irfft = np.fft.irfft
-    monkeypatch.setattr(np.fft, "irfft", lambda *a, **k: irfft(*a, **k) + 0.25)
+    irfftn = np.fft.irfftn
+    monkeypatch.setattr(np.fft, "irfftn", lambda *a, **k: irfftn(*a, **k) + 0.25)
     argv = ["spectrum", "--q", "7", "--construction", "random:density=1/2"]
     assert main([*argv, "--out", str(tmp_path / "out")]) == INTERNAL_ERROR
     err = capsys.readouterr().err
@@ -271,6 +281,14 @@ def test_repeat_invocations_byte_identical(tmp_path):
         _, first = run_cli(tmp_path, *args, name=f"1{name}")
         _, second = run_cli(tmp_path, *args, name=f"2{name}")
         assert first == second, args
+
+
+def test_cli_import_leaves_fft_unloaded():
+    # numpy loads numpy.fft on first use; the CLI's start-up must not pay for it
+    code = "import sys, secants.cli; print('numpy.fft' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_console_entry_point():

@@ -44,10 +44,11 @@ def test_plane_axioms_exhaustive(q):
         joining = [ell for ell, r in enumerate(rows) if P in r and Q in r]
         assert len(joining) == 1
         assert pl.line_through(P, Q) == joining[0]
-    # dually: two lines meet in exactly one point
+    # dually: two lines meet in exactly one point, and by x.a = a.x the
+    # line through two points, read as a point, is the meet of two lines
     for L, M in itertools.combinations(range(pl.N), 2):
         assert len(rows[L] & rows[M]) == 1
-        assert pl.lines_meet(L, M) in rows[L] & rows[M]
+        assert pl.line_through(L, M) in rows[L] & rows[M]
 
 
 @pytest.mark.parametrize("q", [3, 5, 8, 9])

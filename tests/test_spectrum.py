@@ -14,9 +14,10 @@ from secants.construct import random_set
 from secants.plane import build_plane
 from secants.spectrum import (PointSet, bounds_report, compute_spectrum,
                               cor_bound_ceiling, verify_counting_identities)
-from secants.spectrum import _spectrum_affine, _spectrum_gather
+from secants.spectrum import _spectrum_affine
 
-from conftest import assert_spectrum_matches_naive, naive_histogram, naive_secant_counts
+from conftest import (assert_spectrum_matches_naive, gather_secant_counts,
+                      naive_histogram, naive_secant_counts)
 
 
 def fano_triangle(fano):
@@ -102,7 +103,7 @@ def test_gather_and_affine_kernels_agree(p):
     rng = np.random.default_rng(p)
     for density in (0.2, 0.5, 0.9):
         mask = rng.random(pl.N) < density
-        assert (_spectrum_gather(pl, mask) == _spectrum_affine(pl, mask)).all()
+        assert (gather_secant_counts(pl, mask) == _spectrum_affine(pl, mask)).all()
 
 
 def test_affine_kernel_handles_infinite_points():
@@ -110,23 +111,33 @@ def test_affine_kernel_handles_infinite_points():
     fr = pl.frame
     infinite = pl.line_point_indices(fr.infinite_line)
     S = PointSet.from_indices(pl, list(infinite[:4]) + [fr.affine_point(2, 3)])
-    assert (_spectrum_affine(pl, S.mask) == _spectrum_gather(pl, S.mask)).all()
+    assert (_spectrum_affine(pl, S.mask) == gather_secant_counts(pl, S.mask)).all()
     assert _spectrum_affine(pl, S.mask).tolist() == naive_secant_counts(pl, S.indices())
 
 
 @pytest.mark.parametrize("q", [8, 9])
-def test_gather_kernel_solves_blocks_above_budget(monkeypatch, q):
+def test_incidence_cache_fills_solved_blocks_in_place(monkeypatch, q):
     cached = build_plane(q).line_points_matrix
-    monkeypatch.setattr(plane_module, "INCIDENCE_BUDGET_BYTES", 0)
     monkeypatch.setattr(plane_module, "_SOLVE_BLOCK_ENTRIES", 100)
     pl = build_plane(q)
-    blocks = list(pl.line_point_blocks())
-    assert len(blocks) > 1 and (np.concatenate(blocks) == cached).all()
+    step = 100 // (q + 1)
+    blocks = [pl._solve_lines(np.arange(lo, min(lo + step, pl.N)))
+              for lo in range(0, pl.N, step)]
+    assert len(blocks) > 1
+    assert (pl.line_points_matrix == np.concatenate(blocks)).all()
+    assert (pl.line_points_matrix == cached).all()
+
+
+@pytest.mark.parametrize("q", [8, 9])
+def test_spectrum_needs_no_incidence_cache(monkeypatch, q):
+    monkeypatch.setattr(plane_module, "INCIDENCE_BUDGET_BYTES", 0)
+    pl = build_plane(q)
     S = random_set(pl, Fraction(1, 3), q)
     assert_spectrum_matches_naive(pl, S, compute_spectrum(pl, S))
 
 
-_PROPERTY_PLANES = {q: build_plane(q) for q in (2, 3, 4, 5, 7, 8, 9, 11, 13)}
+_PROPERTY_PLANES = {q: build_plane(q)
+                    for q in (2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 25, 27)}
 
 
 @settings(max_examples=60, deadline=None)
@@ -135,21 +146,17 @@ def test_kernels_match_naive_oracle_property(q, data):
     pl = _PROPERTY_PLANES[q]
     mask = np.array(data.draw(st.lists(st.booleans(), min_size=pl.N, max_size=pl.N)))
     expect = naive_secant_counts(pl, np.flatnonzero(mask))
-    assert _spectrum_gather(pl, mask).tolist() == expect
-    if pl.field.k == 1:
-        assert _spectrum_affine(pl, mask).tolist() == expect
+    assert gather_secant_counts(pl, mask).tolist() == expect
+    assert _spectrum_affine(pl, mask).tolist() == expect
     assert compute_spectrum(pl, PointSet(pl, mask)).n_ell.tolist() == expect
 
 
-_PRIME_PLANES = {q: _PROPERTY_PLANES[q] for q in (2, 3, 5, 7, 11, 13)}
-
-
 @settings(max_examples=60, deadline=None)
-@given(q=st.sampled_from(sorted(_PRIME_PLANES)), block=st.integers(1, 200),
+@given(q=st.sampled_from(sorted(_PROPERTY_PLANES)), block=st.integers(1, 200),
        data=st.data())
 def test_radon_kernel_matches_gather_and_naive_property(q, block, data):
     # any block size, down to one slope per block, gives the same counts
-    pl = _PRIME_PLANES[q]
+    pl = _PROPERTY_PLANES[q]
     mask = np.array(data.draw(st.lists(st.booleans(), min_size=pl.N, max_size=pl.N)))
     expect = naive_secant_counts(pl, np.flatnonzero(mask))
     saved = spectrum_module._RADON_BLOCK_ENTRIES
@@ -158,16 +165,30 @@ def test_radon_kernel_matches_gather_and_naive_property(q, block, data):
         radon = _spectrum_affine(pl, mask)
     finally:
         spectrum_module._RADON_BLOCK_ENTRIES = saved
-    assert radon.tolist() == _spectrum_gather(pl, mask).tolist() == expect
+    assert radon.tolist() == gather_secant_counts(pl, mask).tolist() == expect
 
 
-@pytest.mark.parametrize("offset, raises", [(0.25, True), (1e-4, False)])
-def test_radon_rounding_guard(monkeypatch, offset, raises):
-    pl = build_plane(11)
-    mask = np.random.default_rng(11).random(pl.N) < 0.5
-    expect = _spectrum_gather(pl, mask)
-    irfft = np.fft.irfft
-    monkeypatch.setattr(np.fft, "irfft", lambda *a, **k: irfft(*a, **k) + offset)
+@pytest.mark.parametrize("q", [32, 49, 64, 81, 121, 125, 128])
+def test_radon_kernel_matches_gather_on_extension_planes(q):
+    pl = build_plane(q)
+    rng = np.random.default_rng(q)
+    for density in (0.1, 0.5, 0.9):
+        mask = rng.random(pl.N) < density
+        assert (_spectrum_affine(pl, mask) == gather_secant_counts(pl, mask)).all()
+
+
+@pytest.mark.parametrize("q, offset, raises", [
+    pytest.param(11, 0.25, True, id="0.25-True"),
+    pytest.param(11, 1e-4, False, id="0.0001-False"),
+    pytest.param(9, 0.25, True, id="q9-0.25-True"),
+    pytest.param(9, 1e-4, False, id="q9-0.0001-False"),
+])
+def test_radon_rounding_guard(monkeypatch, q, offset, raises):
+    pl = build_plane(q)
+    mask = np.random.default_rng(q).random(pl.N) < 0.5
+    expect = gather_secant_counts(pl, mask)
+    irfftn = np.fft.irfftn
+    monkeypatch.setattr(np.fft, "irfftn", lambda *a, **k: irfftn(*a, **k) + offset)
     if raises:
         with pytest.raises(ArithmeticError, match="off an integer"):
             compute_spectrum(pl, PointSet(pl, mask))
