@@ -153,28 +153,39 @@ def pointset_to_json(pset: PointSet) -> dict:
 
 
 def pointset_from_json(plane: ProjectivePlane, doc) -> PointSet:
-    """Parse a set file, rejecting anything but distinct points of this plane."""
+    """Parse a set file, rejecting anything but distinct points of this
+    plane.  An error names the first bad or repeated entry in document
+    order: the affine entries, then the projective ones."""
     if not isinstance(doc, dict):
         raise ConstructionError("set file must be a JSON object")
     q = plane.q
     if doc.get("q") != q:
         raise ConstructionError(f"set file is for q={doc.get('q')}, plane has q={q}")
-    indices = set()
+    entries, error = [], None           # the entries before the first bad one
     for key, length in (("affine", 2), ("projective", 3)):
-        entries = doc.get(key, [])
-        if not isinstance(entries, list):
-            raise ConstructionError(f"set file {key!r} must be a list of points")
-        for entry in entries:
+        listed = doc.get(key, [])
+        if not isinstance(listed, list):
+            error = f"set file {key!r} must be a list of points"
+            break
+        for entry in listed:
             if not (isinstance(entry, list) and len(entry) == length
                     and all(type(c) is int and 0 <= c < q for c in entry)
                     and (length == 2 or any(entry))):
-                raise ConstructionError(
-                    f"set file {key} entry {entry!r} is not a point of PG(2,{q})")
-            idx = (plane.frame.affine_point(*entry) if length == 2
-                   else plane.index_of(tuple(entry)))
-            if idx in indices:
-                raise ConstructionError(f"set file repeats the point {entry!r}")
-            indices.add(idx)
+                error = f"set file {key} entry {entry!r} is not a point of PG(2,{q})"
+                break
+            entries.append(entry)
+        if error:
+            break
+    xy = np.array([e for e in entries if len(e) == 2], dtype=np.int64).reshape(-1, 2)
+    indices = np.concatenate([
+        plane.frame.point_index_table()[xy[:, 0], xy[:, 1]],
+        np.array([plane.index_of(tuple(e)) for e in entries[len(xy):]], dtype=np.int64)])
+    repeat = np.ones(indices.size, dtype=bool)         # not a point's first entry
+    repeat[np.unique(indices, return_index=True)[1]] = False
+    if repeat.any():
+        raise ConstructionError(f"set file repeats the point {entries[repeat.argmax()]!r}")
+    if error:
+        raise ConstructionError(error)
     return PointSet.from_indices(plane, indices, {"construction": "set-file"})
 
 

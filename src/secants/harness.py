@@ -35,9 +35,6 @@ SWEEP_COLUMNS = ("q", "construction", "seed", "set_size", "mode_k", "mode_count"
                  "cor_bound", "prop_bound", "thm_lower", "thm_lower_clamped",
                  "ratio", "eq1", "eq2", "var_ok", "cor_ok", "error")
 
-_POP8 = np.array([bin(i).count("1") for i in range(256)], dtype=np.uint8)
-
-
 @dataclass
 class SearchResult:
     q: int
@@ -82,14 +79,6 @@ class SweepRow:
                 str(int(self.cor_ok)), self.error)
 
 
-def _popcount_u32(arr: np.ndarray) -> np.ndarray:
-    out = _POP8[arr & 0xFF].astype(np.uint8)
-    out += _POP8[(arr >> 8) & 0xFF]
-    out += _POP8[(arr >> 16) & 0xFF]
-    out += _POP8[(arr >> 24) & 0xFF]
-    return out
-
-
 def _mode_counts(secants: np.ndarray, q: int) -> np.ndarray:
     """Row-wise histogram maximum of an (M, N) matrix of secant sizes."""
     best = np.zeros(secants.shape[0], dtype=np.int32)
@@ -114,10 +103,10 @@ def exhaustive_minmax(plane: ProjectivePlane, threads: int = 1) -> SearchResult:
 
     def chunk_best(lo: int, hi: int):
         masks = np.arange(lo, hi, dtype=np.uint32)
-        masks = masks[_popcount_u32(masks) <= half]
+        masks = masks[np.bitwise_count(masks) <= half]
         if masks.size == 0:
             return None
-        secants = _popcount_u32(masks[:, None] & line_masks[None, :])
+        secants = np.bitwise_count(masks[:, None] & line_masks[None, :])
         modes = _mode_counts(secants, q)
         i = int(modes.argmin())          # first occurrence = smallest bitmap
         return int(modes[i]), int(masks[i]), masks.size
@@ -155,7 +144,9 @@ def local_search(plane: ProjectivePlane, iters: int = 200, seed: int = 0,
     in blocks of points of about _FLIP_BLOCK_ENTRIES entries, so the search
     runs wherever the plane's incidence cache fits (roughly q <= 251)."""
     q, N, W = plane.q, plane.N, plane.q + 2
-    point_lines = plane.point_lines_matrix
+    # row i lists the points of line i and, since point i and line i are
+    # the same triple and incidence is symmetric, the lines through point i
+    incidence = plane.line_points_matrix
     rows = max(1, _FLIP_BLOCK_ENTRIES // W)
     rng = Random(seed)
     best = None
@@ -165,7 +156,7 @@ def local_search(plane: ProjectivePlane, iters: int = 200, seed: int = 0,
         # the seed's random bitmap, bit i = point i
         raw = np.frombuffer(rng.getrandbits(N).to_bytes((N + 7) // 8, "little"), np.uint8)
         mask = np.unpackbits(raw, count=N, bitorder="little").astype(bool)
-        n_ell = mask[plane.line_points_matrix].sum(axis=1)
+        n_ell = mask[incidence].sum(axis=1)
         hist = np.bincount(n_ell, minlength=W)
         # exact integer score: mode, then cleared-denominator variance
         cur = (int(hist.max()), W * int(hist @ hist) - N * N)
@@ -174,7 +165,7 @@ def local_search(plane: ProjectivePlane, iters: int = 200, seed: int = 0,
             examined += N
             move = ((N + 1, 0),)                # worse than any score
             for lo in range(0, N, rows):
-                lines = point_lines[lo:lo + rows]
+                lines = incidence[lo:lo + rows]
                 B = len(lines)
                 # C[:, k + 1]: the empty columns 0 and W + 1 absorb the shift
                 keys = np.arange(B)[:, None] * (W + 2) + 1 + n_ell[lines]
@@ -190,7 +181,7 @@ def local_search(plane: ProjectivePlane, iters: int = 200, seed: int = 0,
             if not move[0] < cur:
                 break
             cur, pt, hist = move
-            n_ell[point_lines[pt]] += -1 if mask[pt] else 1
+            n_ell[incidence[pt]] += -1 if mask[pt] else 1
             mask[pt] = not mask[pt]
 
         # reversed mask bytes order sets as their bitmaps do numerically

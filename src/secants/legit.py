@@ -4,23 +4,23 @@ coloring that makes every edge's color multiplicity list unique.
 Phase 1 gives each vertex the color of the first edge through it in
 input order: blue for odd positions, red for even ones; linearity caps
 how much earlier edges can contaminate an edge, so odd edges end up
-blue-heavy and even edges red-heavy.  Phase 2 walks the edges again and
-retunes each to an exact blue quota (n - floor(i/2) on odd positions, i/2
-on even) by recoloring only private vertices, which leaves every other
-edge untouched.  The quotas are pairwise distinct, so the final counts
-distinguish all edges.
+blue-heavy and even edges red-heavy.  Phase 2 retunes every edge to an
+exact blue quota (n - floor(i/2) on odd positions, i/2 on even) by
+recoloring only its private vertices; these lie on no other edge, so it is
+one masked array step, not a walk over the edges.  The quotas are
+pairwise distinct, so the final counts distinguish all edges.  The
+generator, the coloring and the verifier all work on numpy arrays.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from random import Random
 
 import numpy as np
 
 RED, BLUE = 0, 1
-COLOR_NAMES = {RED: "red", BLUE: "blue"}
+COLOR_NAMES = np.array(["red", "blue"], dtype=object)   # by RED, BLUE; shares the strs
 
 GENERATOR_MODES = ("pairwise", "sunflower", "mixed")
 
@@ -84,8 +84,7 @@ class LinearHypergraph:
         for k in range(1, int(rank.max()) + 1):   # slot and the slot k before it
             later = np.flatnonzero(rank >= k)
             pairs.append(edge[later - k] * n + edge[later])
-        pairs = np.sort(np.concatenate(pairs))
-        repeated = pairs[1:][pairs[1:] == pairs[:-1]]
+        repeated = np.flatnonzero(np.bincount(np.concatenate(pairs), minlength=n * n) > 1)
         if repeated.size:
             a, b = divmod(int(repeated[0]), n)
             raise LegitError(f"edges {a + 1} and {b + 1} share more than one vertex")
@@ -133,13 +132,13 @@ class EdgeDiagnostics:
 
 @dataclass
 class LegitColoring:
-    color: list              # vertex -> RED/BLUE
+    color: np.ndarray        # int64, vertex -> RED/BLUE
     blue_counts: list        # per edge position
     targets: list
     diagnostics: list = field(default_factory=list)
 
     def color_names(self):
-        return [COLOR_NAMES[c] for c in self.color]
+        return COLOR_NAMES[self.color].tolist()
 
 
 def generate_linear_hypergraph(n: int, seed: int, mode: str = "pairwise") -> LinearHypergraph:
@@ -151,45 +150,46 @@ def generate_linear_hypergraph(n: int, seed: int, mode: str = "pairwise") -> Lin
     mixed: sunflower cores with sparser 1/4-probability pair links,
     leaving more disjoint pairs.  Conflicting requests are dropped,
     never resolved by breaking linearity.
+
+    Link vertices are numbered as made (planted groups, then chosen pairs
+    in lexicographic order); each joins an edge to partners no other one
+    does, so an edge has at most n - 1 and always room for padding.
     """
     if n < 1:
         raise LegitError("n must be positive")
     if mode not in GENERATOR_MODES:
         raise LegitError(f"unknown mode {mode!r}")
     rng = Random(f"{mode}/{n}/{seed}")
-    edges = [[] for _ in range(n)]
-    linked = set()
-    next_vertex = 0
-
-    def link(group):
-        nonlocal next_vertex
-        v = next_vertex
-        next_vertex += 1
-        for e in group:
-            edges[e].append(v)
-        linked.update(itertools.combinations(sorted(group), 2))
+    linked = np.zeros((n, n), dtype=bool)     # edge pairs that already meet
+    groups = []
 
     if mode in ("sunflower", "mixed") and n >= 3:
         for _ in range(max(1, n // 3)):
             k = rng.randint(3, min(n, 5))
-            group = rng.sample(range(n), k)
-            ok = all(len(edges[e]) < n for e in group) and not any(
-                pair in linked for pair in itertools.combinations(sorted(group), 2))
-            if ok:
-                link(group)
+            g = np.array(rng.sample(range(n), k))
+            if not linked[g[:, None], g].any():
+                linked[g[:, None], g] = True
+                linked[g, g] = False             # a later group may reuse an edge
+                groups.append(g)
 
     p_link = 0.25 if mode == "mixed" else 0.5
-    for i, j in itertools.combinations(range(n), 2):
-        if (i, j) in linked or len(edges[i]) >= n or len(edges[j]) >= n:
-            continue
-        if rng.random() < p_link:
-            link((i, j))
+    i, j = np.nonzero(np.triu(~linked, 1))    # unlinked pairs, lexicographic
+    # one draw per pair, in order (random() < 1 never hits the sentinel)
+    chosen = np.fromiter(iter(rng.random, 1.0), float, count=i.size) < p_link
+    i, j = i[chosen], j[chosen]
 
-    for e in edges:
-        while len(e) < n:
-            e.append(next_vertex)
-            next_vertex += 1
-    return LinearHypergraph(n, edges, next_vertex)
+    # (edge, vertex) memberships, link vertices numbered as made; padding
+    # vertices follow in row-major order, so every row comes out sorted
+    pair_vertex = len(groups) + np.arange(i.size)
+    edge = np.concatenate([*groups, i, j])
+    vertex = np.concatenate([np.repeat(np.arange(len(groups)), [g.size for g in groups]),
+                             pair_vertex, pair_vertex])
+    links, pad = len(groups) + i.size, n - np.bincount(edge, minlength=n)
+    edge = np.concatenate([edge, np.repeat(np.arange(n), pad)])
+    vertex = np.concatenate([vertex, links + np.arange(pad.sum())])
+    edges = vertex[np.lexsort((vertex, edge))].reshape(n, n)
+    del edge, vertex, i, j          # freed before the index build: lower peak memory
+    return LinearHypergraph(n, edges, links + int(pad.sum()))
 
 
 def two_phase_coloring(hg: LinearHypergraph) -> LegitColoring:
@@ -217,31 +217,33 @@ def two_phase_coloring(hg: LinearHypergraph) -> LegitColoring:
                      n - 1 - (degree - 1).sum(axis=1)], axis=1)
     diagnostics = [EdgeDiagnostics(*row) for row in rows.tolist()]
 
-    # phase 2: each edge flips only its own private vertices, so the edges
-    # never disturb one another
-    for i in np.flatnonzero(recolored):
-        want = BLUE if odd[i] else RED    # color the flips must start from
-        pool = np.sort(edges[i][private[i] & (color[edges[i]] == want)])
-        d = diagnostics[i]
-        if d.recolored > pool.size:
-            raise LegitError(
-                f"edge {i + 1} needs {d.recolored} recolorings but has only "
-                f"{pool.size} private {COLOR_NAMES[want]} vertices "
-                f"(R={d.private}, C={d.captured}, D={d.disjoint})")
-        color[pool[:d.recolored]] = 1 - want
+    # phase 2: every edge at once flips its smallest private vertices of
+    # the color it must shed
+    want = np.where(odd, BLUE, RED)
+    pool = private & (color[edges] == want[:, None])
+    size = pool.sum(axis=1)
+    short = np.flatnonzero(size < recolored)
+    if short.size:
+        i, d = short[0], diagnostics[short[0]]
+        raise LegitError(
+            f"edge {i + 1} needs {d.recolored} recolorings but has only "
+            f"{size[i]} private {COLOR_NAMES[want[i]]} vertices "
+            f"(R={d.private}, C={d.captured}, D={d.disjoint})")
+    flips = np.sort(np.where(pool, edges, hg.num_vertices), axis=1)
+    color[flips[np.arange(n) < recolored[:, None]]] = np.repeat(1 - want, recolored)
 
     blue_counts = color[edges].sum(axis=1).tolist()
     if blue_counts != targets.tolist():
         raise LegitError(f"blue quotas missed: {blue_counts} vs {targets.tolist()}")
-    return LegitColoring(color=color.tolist(), blue_counts=blue_counts,
+    return LegitColoring(color=color, blue_counts=blue_counts,
                          targets=targets.tolist(), diagnostics=diagnostics)
 
 
 def verify_legitimate(hg: LinearHypergraph, coloring, num_colors: int = 2):
     """True iff the per-edge color multiplicity lists are pairwise
     distinct; otherwise returns the first offending 1-based pair."""
-    color = coloring.color if isinstance(coloring, LegitColoring) else list(coloring)
-    slots = np.array(color, dtype=float)[hg.edges]      # None reads as NaN
+    color = coloring.color if isinstance(coloring, LegitColoring) else coloring
+    slots = np.asarray(color, dtype=float)[hg.edges]    # None reads as NaN
     ok = (slots >= 0) & (slots < num_colors) & (slots == np.trunc(slots))
     bad = np.flatnonzero(~ok)
     if bad.size:

@@ -144,7 +144,8 @@ class ProjectivePlane:
 
     @property
     def line_points_matrix(self) -> np.ndarray:
-        """(N, q+1) int32 matrix of point indices per line (within the budget)."""
+        """(N, q+1) int32 matrix of point indices per line, rows ascending
+        (within the budget); by duality row i also lists the lines through point i."""
         if not self.has_incidence_cache:
             raise PlaneError(
                 f"incidence cache for N={self.N} exceeds the memory budget")
@@ -155,12 +156,6 @@ class ProjectivePlane:
                 out[lo:lo + step] = self._solve_lines(np.arange(lo, min(lo + step, N)))
             self._line_points = out
         return self._line_points
-
-    @property
-    def point_lines_matrix(self) -> np.ndarray:
-        """(N, q+1) int32 matrix of line indices per point (within the
-        budget), each row ascending: by duality, the line-points matrix."""
-        return self.line_points_matrix
 
     # -- axioms-level helpers ---------------------------------------------------
 

@@ -50,11 +50,12 @@ def naive_local_search(plane, iters, seed, restarts):
     """The local search as a per-flip Python loop: every step copies the
     histogram and moves each line through the flipped point by hand.  It
     takes its incidence from the plane's cache (checked against
-    `naive_line_points` in test_plane) and returns (best_mode_count,
-    witness point list, subsets_examined)."""
+    `naive_line_points` in test_plane, and checked symmetric there, so the
+    same rows list the lines through each point) and returns
+    (best_mode_count, witness point list, subsets_examined)."""
     q, N = plane.q, plane.N
-    point_lines = plane.point_lines_matrix.tolist()
     line_points = plane.line_points_matrix.tolist()
+    point_lines = line_points
 
     def score(hist):
         return max(hist), (q + 2) * sum(c * c for c in hist) - N * N

@@ -113,6 +113,31 @@ def test_search_output_golden(tmp_path, args, digest):
     assert hashlib.sha256(data).hexdigest() == digest
 
 
+# sha256 of `legit gen --n 240 --seed 0 --mode M --out` and of `legit color`
+# on that file, recorded before the generator and phase 2 became array
+# steps: the benchmark's largest hypergraph jobs.
+LEGIT_GOLDENS = [
+    ("pairwise", "7458e862956a2565d22e2881f9120137a164826adb2c93cc9a11ab229f75d265",
+     "8bc2caba14ef7f1654ed18eaf48c00c5d80c74b55a2d5dafb75aac30955c25fa"),
+    ("sunflower", "c91ce95954b3e6d5937fa0d552dc7677c340bda5af26ce94b6d388e3249c32b2",
+     "1bdc4211ea4bd659a17db173c37fe5f304b3308bba9d4755863fe7c385106257"),
+    ("mixed", "ee97f1cae0a5b45e687be833d9b0239e927d6877b8782c31ba81ab03c427585b",
+     "f0b7fac4121c840e35650da6a658a944d4d0883b7b9e203cefca3ea569c5402e"),
+]
+
+
+@pytest.mark.parametrize("mode, gen_digest, color_digest", LEGIT_GOLDENS)
+def test_legit_output_golden(tmp_path, mode, gen_digest, color_digest):
+    code, data = run_cli(tmp_path, "legit", "gen", "--n", "240", "--seed", "0",
+                         "--mode", mode, name="h.json")
+    assert code == OK
+    assert hashlib.sha256(data).hexdigest() == gen_digest
+    code, data = run_cli(tmp_path, "legit", "color", "--in", str(tmp_path / "h.json"),
+                         name="c.json")
+    assert code == OK
+    assert hashlib.sha256(data).hexdigest() == color_digest
+
+
 def test_charwalk_outputs(tmp_path):
     code, data = run_cli(tmp_path, "charwalk", "--p", "7", "--a", "0")
     assert code == OK

@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from secants.construct import (ConstructionError, FamilyParams, ParabolaParams,
                                build_construction, ec_region, parabola_family,
@@ -213,6 +215,47 @@ def test_parse_and_build_construction():
 def test_set_file_rejects_malformed_points(doc, match):
     with pytest.raises(ConstructionError, match=match):
         pointset_from_json(build_plane(7), doc)
+
+
+def loop_pointset_from_json(plane, doc):
+    """The set-file reader as one scalar map per entry, in document order:
+    the sorted point indices, or the first error's message."""
+    q, seen = plane.q, set()
+    for key, length in (("affine", 2), ("projective", 3)):
+        entries = doc.get(key, [])
+        if not isinstance(entries, list):
+            return f"set file {key!r} must be a list of points"
+        for entry in entries:
+            if not (isinstance(entry, list) and len(entry) == length
+                    and all(type(c) is int and 0 <= c < q for c in entry)
+                    and (length == 2 or any(entry))):
+                return f"set file {key} entry {entry!r} is not a point of PG(2,{q})"
+            idx = (plane.frame.affine_point(*entry) if length == 2
+                   else plane.index_of(tuple(entry)))
+            if idx in seen:
+                return f"set file repeats the point {entry!r}"
+            seen.add(idx)
+    return sorted(seen)
+
+
+@pytest.mark.parametrize("q", [4, 7, 9])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_set_file_reader_matches_scalar_loop(q, data):
+    # mostly valid points with repeats, now and then one bad entry
+    coord = st.integers(0, q - 1)
+    bad = st.sampled_from([[q, 0], [0, -1], [1, True], [1, 2, 3], 5, [0, 0, 0], [1, q, 0]])
+    affine = st.lists(st.one_of(st.lists(coord, min_size=2, max_size=2), bad), max_size=12)
+    projective = st.lists(st.one_of(st.lists(coord, min_size=3, max_size=3), bad),
+                          max_size=6)
+    doc = {"q": q, "affine": data.draw(affine),
+           "projective": data.draw(st.one_of(projective, st.just({"x": 1})))}
+    expect = loop_pointset_from_json(build_plane(q), doc)
+    try:
+        got = pointset_from_json(build_plane(q), doc).indices().tolist()
+    except ConstructionError as exc:
+        got = str(exc)
+    assert got == expect
 
 
 @pytest.mark.parametrize("spec", ["random:density=1/0", "random:density=half",

