@@ -176,10 +176,9 @@ def projection_profile(plane: ProjectivePlane, params: ParabolaParams, d: int) -
     return ProjectionProfile(p=p, params=params, d=d, pr=turns.reshape(2, p).sum(axis=0))
 
 
-def profile_range_check(plane: ProjectivePlane, params: ParabolaParams, d: int = 1):
+def profile_range_check(prof: ProjectionProfile):
     """Length of the attained-value interval of one profile against the
     sqrt(p)/(2*pi) .. sqrt(p)*ln(p) window; returns (range, lo, hi, ok)."""
-    prof = projection_profile(plane, params, d)
     span = int(prof.pr.max() - prof.pr.min())
     lo = math.sqrt(prof.p) / (2 * math.pi)
     hi = math.sqrt(prof.p) * math.log(prof.p)
@@ -203,7 +202,8 @@ def verify_projection_laws(plane: ProjectivePlane, params: ParabolaParams) -> La
     alpha, beta, gamma = params.alpha, params.beta, params.gamma
     chi = legendre_table(p)
     P = _all_profiles(p, f)
-    ref = projection_profile(plane, params, 1).pr
+    ref_profile = projection_profile(plane, params, 1)
+    ref = ref_profile.pr
     if not np.array_equal(P[1], ref):
         raise ArithmeticError(f"transformed slope-1 profile at p={p} disagrees "
                               f"with the direct count")
@@ -257,14 +257,14 @@ def verify_projection_laws(plane: ProjectivePlane, params: ParabolaParams) -> La
 
     # L5: range window on the slope-1 profile
     report.range_d1, report.range_lo, report.range_hi, report.l5_ok = \
-        profile_range_check(plane, params)
+        profile_range_check(ref_profile)
     return report
 
 
-def occupancy_scaling(p: int, a: int = 0) -> dict:
-    """Walk occupancy statistics scaled against sqrt(p) * log-power
-    envelopes (exploratory output, nothing asserted)."""
-    stats = level_stats(psi_walk(p, a))
+def occupancy_scaling(stats: LevelStats, a: int = 0) -> dict:
+    """Occupancy statistics of the walk from a, scaled against sqrt(p) *
+    log-power envelopes (exploratory output, nothing asserted)."""
+    p = stats.p
     sq = math.sqrt(p)
     ln = math.log(p)
     return {

@@ -12,6 +12,8 @@ import io
 import json
 import sys
 
+import numpy as np
+
 from . import __version__
 from .charwalk import (occupancy_scaling, level_stats, projection_profile, psi_walk,
                        verify_projection_laws)
@@ -67,10 +69,9 @@ def _csv_text(header, rows) -> str:
 # -- subcommands -----------------------------------------------------------------
 
 def cmd_plane(args) -> int:
-    plane = build_plane(args.q)
-    triples = plane.points if args.dump == "points" else plane.lines
-    rows = [(i, *t) for i, t in enumerate(triples)]
-    _emit(args, _csv_text(("idx", "x", "y", "z"), rows))
+    plane = build_plane(args.q)     # points and lines share one indexing
+    rows = np.column_stack([np.arange(plane.N), plane.triples()])
+    _emit(args, _csv_text(("idx", "x", "y", "z"), rows.tolist()))
     return OK
 
 
@@ -145,7 +146,7 @@ def cmd_charwalk(args) -> int:
     walk = psi_walk(args.p, args.a)
     if args.levels:
         stats = level_stats(walk)
-        payload = occupancy_scaling(args.p, args.a)
+        payload = occupancy_scaling(stats, args.a)
         payload["counts"] = {str(k): v for k, v in stats.counts.items()}
         payload["range_within_sqrt_log"] = stats.range_within_sqrt_log
         payload["zeros_within_sqrt_log2"] = stats.zeros_within_sqrt_log2
@@ -329,6 +330,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else USAGE_ERROR
     try:
+        if args.threads < 1:
+            raise ValueError(f"--threads must be at least 1, got {args.threads}")
         return args.func(args)
     except (FieldError, PlaneError, ConstructionError, CurveError, LegitError,
             ValueError, OverflowError, OSError) as exc:

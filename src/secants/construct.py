@@ -139,17 +139,14 @@ def ec_region(plane: ProjectivePlane) -> PointSet:
 # -- set-file round trip -------------------------------------------------------
 
 def pointset_to_json(pset: PointSet) -> dict:
-    """JSON document {q, affine: [[x,y],...], projective: [[x,y,z],...]}."""
+    """JSON document {q, affine: [[x,y],...], projective: [[x,y,z],...]}:
+    (x/z, y/z) for each member with z != 0, its triple otherwise, both in
+    index order."""
     plane = pset.plane
-    frame = plane.frame
-    affine, projective = [], []
-    for i in map(int, pset.indices()):
-        kind = frame.point_coords(i)
-        if kind[0] == "affine":
-            affine.append([kind[1], kind[2]])
-        else:
-            projective.append(list(plane.triple(i)))
-    return {"q": plane.q, "affine": affine, "projective": projective}
+    t = plane.triples(pset.indices())
+    fin = t[:, 2] != 0
+    affine = plane.field.mul(t[fin, :2], plane.field.inv(t[fin, 2:]))
+    return {"q": plane.q, "affine": affine.tolist(), "projective": t[~fin].tolist()}
 
 
 def pointset_from_json(plane: ProjectivePlane, doc) -> PointSet:
@@ -179,7 +176,7 @@ def pointset_from_json(plane: ProjectivePlane, doc) -> PointSet:
     xy = np.array([e for e in entries if len(e) == 2], dtype=np.int64).reshape(-1, 2)
     indices = np.concatenate([
         plane.frame.point_index_table()[xy[:, 0], xy[:, 1]],
-        np.array([plane.index_of(tuple(e)) for e in entries[len(xy):]], dtype=np.int64)])
+        plane.index_of(np.array(entries[len(xy):], dtype=np.int64).reshape(-1, 3))])
     repeat = np.ones(indices.size, dtype=bool)         # not a point's first entry
     repeat[np.unique(indices, return_index=True)[1]] = False
     if repeat.any():

@@ -79,6 +79,16 @@ class SweepRow:
                 str(int(self.cor_ok)), self.error)
 
 
+def _ordered_map(fn, items, threads: int) -> list:
+    """fn over items on `threads` worker threads, results in input order.
+    One thread means the calling thread: a worker thread gets its own
+    malloc arena, which adds about 10 MB to the peak RSS of a q=499 sweep."""
+    if threads == 1:
+        return [fn(item) for item in items]
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        return list(pool.map(fn, items))
+
+
 def _mode_counts(secants: np.ndarray, q: int) -> np.ndarray:
     """Row-wise histogram maximum of an (M, N) matrix of secant sizes."""
     best = np.zeros(secants.shape[0], dtype=np.int32)
@@ -113,11 +123,7 @@ def exhaustive_minmax(plane: ProjectivePlane, threads: int = 1) -> SearchResult:
 
     step = 1 << _CHUNK_BITS
     ranges = [(lo, min(lo + step, 1 << N)) for lo in range(0, 1 << N, step)]
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(lambda r: chunk_best(*r), ranges))
-    else:
-        results = [chunk_best(*r) for r in ranges]
+    results = _ordered_map(lambda r: chunk_best(*r), ranges, threads)
 
     best = (N + 1, 0)
     examined = 0
@@ -224,13 +230,8 @@ def run_sweep(primes, construction: str, seeds, threads: int = 1):
     for plane in planes.values():       # build shared tables before dispatch
         plane.frame.point_index_table()
     cells = [(q, s) for q in primes for s in seeds]
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(
-                lambda c: _sweep_cell(planes[c[0]], construction, c[1]), cells))
-    else:
-        rows = [_sweep_cell(planes[q], construction, s) for q, s in cells]
-    return rows
+    return _ordered_map(lambda c: _sweep_cell(planes[c[0]], construction, c[1]),
+                        cells, threads)
 
 
 def sweep_to_csv(rows) -> str:

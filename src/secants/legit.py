@@ -57,15 +57,14 @@ class LinearHypergraph:
         if self.num_vertices > n * n:
             raise LegitError(f"{self.num_vertices} vertices exceed n^2 = {n * n}, "
                              "the most that n edges of size n can cover")
-        rows = np.sort(self.edges, axis=1)
-        repeats = np.flatnonzero((rows[:, 1:] == rows[:, :-1]).any(axis=1))
-        if repeats.size:
-            raise LegitError(f"edge {repeats[0] + 1} repeats a vertex")
-
         flat = self.edges.ravel()
         order = np.argsort(flat, kind="stable")
         vertex, edge = flat[order], order // n   # slots grouped by vertex
         head = np.r_[True, vertex[1:] != vertex[:-1]]
+        # a group lists its edges in order, so a repeat is two adjacent slots
+        repeats = edge[1:][~head[1:] & (edge[1:] == edge[:-1])]
+        if repeats.size:
+            raise LegitError(f"edge {repeats.min() + 1} repeats a vertex")
         slot = np.arange(n * n)
         rank = slot - np.maximum.accumulate(np.where(head, slot, 0))
         self.degree = np.bincount(flat, minlength=self.num_vertices)

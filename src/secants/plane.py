@@ -3,13 +3,14 @@
 Points and lines are normalized homogeneous triples over GF(q): the first
 nonzero coordinate (scanning x, then y, then z) is scaled to 1, and both
 families are listed in lexicographic order of their encoded triples.  That
-order has a closed form, so planes are cheap to create at any q.  The
-points of any batch of lines come from one vectorized closed-form solver.
-The incidence cache, an int32 matrix of per-line point indices, is
-materialized while it fits in a fixed memory budget; the searches and the
-test oracles read it, and spectra are counted without it.  Points and
-lines share one indexing and x.a = a.x, so the same matrix lists the
-lines through each point.
+order has a closed form, so planes are cheap to create at any q, and one
+array decode (`triples`) and one array encode (`index_of`) map between
+indices and triples.  The points of any batch of lines come from one
+vectorized closed-form solver.  The incidence cache, an int32 matrix of
+per-line point indices, is materialized while it fits in a fixed memory
+budget; the searches and the test oracles read it, and spectra are
+counted without it.  Points and lines share one indexing and x.a = a.x,
+so the same matrix lists the lines through each point.
 
 The affine frame identifies F_q^2 with the points off the line z = 0:
 (x, y) corresponds to (x : y : 1), the line y = dx + b to [d : -1 : b],
@@ -42,72 +43,53 @@ class ProjectivePlane:
         self.field = field
         self.q = field.q
         self.N = self.q * self.q + self.q + 1
-        self._points = None
-        self._lines = None
         self._line_points = None   # numpy (N, q+1) int32, within the budget only
         self._frame = None
 
     def __repr__(self):
         return f"PG(2,{self.q})"
 
-    # -- normalized triple enumeration (lexicographic closed form) -----------
+    # -- the one codec between indices and normalized triples -----------------
 
-    @property
-    def points(self):
-        if self._points is None:
-            self._points = self._enumerate_triples()
-        return self._points
-
-    @property
-    def lines(self):
-        if self._lines is None:
-            self._lines = self._enumerate_triples()
-        return self._lines
-
-    def _enumerate_triples(self):
+    def triples(self, idx=None) -> np.ndarray:
+        """(..., 3) int64 normalized triples of the points (or lines) with
+        these indices, all N by default: index 0 is (0 : 0 : 1), 1 + z is
+        (0 : 1 : z) and q + 1 + yq + z is (1 : y : z)."""
         q = self.q
-        out = [(0, 0, 1)]
-        out.extend((0, 1, z) for z in range(q))
-        out.extend((1, y, z) for y in range(q) for z in range(q))
+        idx = np.arange(self.N) if idx is None else np.asarray(idx, dtype=np.int64)
+        if np.any((idx < 0) | (idx >= self.N)):
+            raise PlaneError(f"index outside [0, {self.N})")
+        t = idx - q - 1
+        out = np.empty(idx.shape + (3,), dtype=np.int64)
+        out[..., 0] = t >= 0
+        out[..., 1] = np.where(t >= 0, t // q, idx > 0)
+        out[..., 2] = np.where(t >= 0, t % q, np.where(idx > 0, idx - 1, 1))
         return out
 
-    def triple(self, idx: int):
-        """Normalized triple of the point (or line) with this index."""
-        q = self.q
-        if idx == 0:
-            return (0, 0, 1)
-        if idx <= q:
-            return (0, 1, idx - 1)
-        t = idx - q - 1
-        return (1, t // q, t % q)
-
-    def normalize(self, triple):
-        F = self.field
-        x, y, z = triple
-        for lead in (x, y, z):
-            if lead != 0:
-                s = F.inv(lead)
-                return (F.mul(x, s), F.mul(y, s), F.mul(z, s))
-        raise PlaneError("zero triple has no projective class")
-
-    def index_of(self, triple) -> int:
-        """Index of a (not necessarily normalized) nonzero triple."""
-        q = self.q
-        x, y, z = self.normalize(triple)
-        if x == 1:
-            return q + 1 + y * q + z
-        if y == 1:
-            return 1 + z
-        return 0
+    def index_of(self, triples) -> np.ndarray:
+        """Indices of (..., 3) nonzero triples over GF(q), not necessarily
+        normalized: each row is scaled by the inverse of its first nonzero
+        entry."""
+        F, q = self.field, self.q
+        t = np.asarray(triples, dtype=np.int64)
+        if np.any((t < 0) | (t >= q)):
+            raise PlaneError(f"triple entry outside GF({q})")
+        x, y, z = np.moveaxis(t, -1, 0)
+        lead = np.where(x != 0, x, np.where(y != 0, y, z))
+        if np.any(lead == 0):
+            raise PlaneError("zero triple has no projective class")
+        s = F.inv(lead)
+        x, y, z = F.mul(x, s), F.mul(y, s), F.mul(z, s)
+        return np.where(x == 1, q + 1 + y * q + z, np.where(y == 1, 1 + z, 0))
 
     # -- incidence ------------------------------------------------------------
 
-    def incident(self, point_idx: int, line_idx: int) -> bool:
+    def incident(self, point_idx, line_idx):
+        """Whether each point lies on each line; the index arrays broadcast."""
         F = self.field
-        x, y, z = self.triple(point_idx)
-        a, b, c = self.triple(line_idx)
-        s = F.add(F.add(F.mul(a, x), F.mul(b, y)), F.mul(c, z))
-        return s == 0
+        x, y, z = np.moveaxis(self.triples(point_idx), -1, 0)
+        a, b, c = np.moveaxis(self.triples(line_idx), -1, 0)
+        return F.add(F.add(F.mul(a, x), F.mul(b, y)), F.mul(c, z)) == 0
 
     def line_point_indices(self, line_idx: int):
         """Sorted indices of the q+1 points on a line."""
@@ -117,13 +99,9 @@ class ProjectivePlane:
         """(len(lines), q+1) int32 matrix: row i holds the sorted indices of
         the points on line lines[i], from the closed form for [a : b : c]."""
         F, q = self.field, self.q
-        lines = np.asarray(lines, dtype=np.int64)
-        t = lines - q - 1
-        a = (t >= 0).astype(np.int64)
-        b = np.where(t >= 0, t // q, lines > 0)
-        c = np.where(t >= 0, t % q, np.where(lines > 0, lines - 1, 1))
+        a, b, c = self.triples(lines).T
         z = np.arange(q, dtype=np.int64)
-        out = np.empty((lines.size, q + 1), dtype=np.int32)
+        out = np.empty((a.size, q + 1), dtype=np.int32)
         # c != 0: the point (0 : 1 : -b/c), then (1 : y : -(a + by)/c) by y
         s = np.nonzero(c)[0]
         nc = F.neg(F.inv(c[s]))
@@ -164,12 +142,9 @@ class ProjectivePlane:
         if p_idx == q_idx:
             raise PlaneError("identical points")
         F = self.field
-        x1, y1, z1 = self.triple(p_idx)
-        x2, y2, z2 = self.triple(q_idx)
-        a = F.sub(F.mul(y1, z2), F.mul(z1, y2))
-        b = F.sub(F.mul(z1, x2), F.mul(x1, z2))
-        c = F.sub(F.mul(x1, y2), F.mul(y1, x2))
-        return self.index_of((a, b, c))
+        P, Q = self.triples([p_idx, q_idx])
+        cross = F.sub(F.mul(P[[1, 2, 0]], Q[[2, 0, 1]]), F.mul(P[[2, 0, 1]], Q[[1, 2, 0]]))
+        return int(self.index_of(cross))
 
     # -- affine frame -----------------------------------------------------------
 
@@ -227,24 +202,6 @@ class AffineFrame:
     def vertical_line(self, c: int) -> int:
         """Index of the line x = c."""
         return self.q + 1 + self.field.neg(c)
-
-    def point_coords(self, idx: int):
-        """('affine', x, y) or ('infinite', d) with d = q meaning the
-        vertical direction."""
-        F, q = self.field, self.q
-        if idx == 0:
-            return ("affine", 0, 0)
-        if idx <= q:
-            z = idx - 1
-            if z == 0:
-                return ("infinite", q)
-            return ("affine", 0, F.inv(z))
-        t = idx - q - 1
-        y, z = divmod(t, q)
-        if z == 0:
-            return ("infinite", y)
-        zinv = F.inv(z)
-        return ("affine", zinv, F.mul(y, zinv))
 
     def point_index_table(self) -> np.ndarray:
         """(q, q) int32 table mapping affine (x, y) to point index."""

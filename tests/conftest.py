@@ -1,10 +1,12 @@
 """Shared brute-force oracles, kept deliberately independent of the
 library's counting kernel and line solver: everything here goes through
-python sets and per-point incidence tests only.  The gather check and the
-local-search loop are the exceptions: they read the plane's incidence
-cache, which test_plane checks against the incidence test, and never the
-Radon transform."""
+python sets, one batched incidence test and an itertools enumeration of
+the normalized triples only.  The gather check and the local-search loop
+are the exceptions: they read the plane's incidence cache, which
+test_plane checks against the incidence test, and never the Radon
+transform."""
 
+import itertools
 import sys
 from functools import lru_cache
 from random import Random
@@ -14,11 +16,29 @@ import pytest
 
 
 @lru_cache(maxsize=None)
+def normalized_triples(q):
+    """The nonzero triples over range(q) whose first nonzero entry is 1, in
+    lexicographic order: entry i is the triple of point (and line) i."""
+    return [t for t in itertools.product(range(q), repeat=3)
+            if next((c for c in t if c), 0) == 1]
+
+
+@lru_cache(maxsize=None)
+def projective_classes(plane):
+    """Every nonzero triple over GF(q), mapped to the index of its class
+    through all scalar multiples of the normalized triples."""
+    F = plane.field
+    return {tuple(F.mul(s, c) for c in t): i
+            for i, t in enumerate(normalized_triples(plane.q)) for s in range(1, plane.q)}
+
+
+@lru_cache(maxsize=None)
 def naive_line_points(plane):
-    """Per-line point sets from the incidence test `plane.incident` over all
-    points, independent of the library's line solver."""
-    return [frozenset(pt for pt in range(plane.N) if plane.incident(pt, ell))
-            for ell in range(plane.N)]
+    """Per-line point sets from one incidence test `plane.incident` of every
+    line against every point, independent of the library's line solver."""
+    idx = np.arange(plane.N)
+    return [frozenset(np.flatnonzero(row).tolist())
+            for row in plane.incident(idx, idx[:, None])]
 
 
 def naive_secant_counts(plane, member_indices):

@@ -8,7 +8,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from secants.charwalk import profile_range_check, verify_projection_laws
+from secants.charwalk import (profile_range_check, projection_profile,
+                              verify_projection_laws)
 from secants.cli import main as cli_main
 from secants.construct import (FamilyParams, ParabolaParams, ec_region,
                                parabola_family, parabola_region, random_set)
@@ -175,7 +176,7 @@ def test_criterion_05_projection_laws():
     for p in primes_in(5, 1999):
         plane = build_plane(p)
         span, lo, hi, ok = profile_range_check(
-            plane, parabola_params(plane, LAW_TRIPLES[1]), d=1)
+            projection_profile(plane, parabola_params(plane, LAW_TRIPLES[1]), 1))
         if not ok:
             range_fail.append((p, span, lo, hi))
     elapsed = time.monotonic() - t0

@@ -69,7 +69,7 @@ def test_projection_profile_example_p5():
     assert delta.tolist() == [1, 0, 1, -1, -1]
     chi = legendre_table(5)
     assert delta.tolist() == [int(chi[(b - 1) % 5]) for b in range(5)]
-    span, lo, hi, ok = profile_range_check(pl, ParabolaParams(4, 1, 1), 1)
+    span, lo, hi, ok = profile_range_check(prof)
     assert (span, ok) == (2, True)
     assert lo == pytest.approx(math.sqrt(5) / (2 * math.pi))
 
@@ -212,7 +212,7 @@ def test_d_free_variant_is_reported_not_asserted():
 
 
 def test_occupancy_scaling_shape():
-    out = occupancy_scaling(101)
+    out = occupancy_scaling(level_stats(psi_walk(101, 0)))
     assert out["zero_count"] >= 1
     assert out["envelope_log2"] == pytest.approx(math.log(101) ** 2)
     assert out["zero_over_sqrt"] == out["zero_count"] / math.sqrt(101)

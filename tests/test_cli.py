@@ -138,6 +138,40 @@ def test_legit_output_golden(tmp_path, mode, gen_digest, color_digest):
     assert hashlib.sha256(data).hexdigest() == color_digest
 
 
+# sha256 of `plane --q Q --dump points|lines` (the same bytes, since points
+# and lines share one indexing) and of the `spectrum --emit-set` file of
+# `random:density=1/2 --seed 0`, recorded before the index/triple codec
+# became one pair of array maps.
+PLANE_DUMP_GOLDENS = [
+    (2, "22622399e0217ed98edd7b2b3aa34d1d9e38ff3ae9ccff1bf18c5cbc0726c9ba"),
+    (9, "615b92e4973bbc0655e36e71b912fe6e3371b21b07d53ea8fe7e5e3898d84a7f"),
+    (49, "aef991fa0df1595db71731171ad07755a0e580fc2fea1a3e5df536ec596491f2"),
+    (149, "7fc470dd03a7a56b931a1446a93082f9641691c6268392eee204995a76b1ac2a"),
+]
+EMIT_SET_GOLDENS = [
+    (9, "131e3b1250d465ab14e1e8b00c96ff8a9e7dfa868af04c849cbbd714197c6a81"),
+    (49, "70e71eb56e1f32da76c65f7a27966a408c84b7b8c1cdc67cf720eef4aca09c53"),
+    (101, "fb1e11df34cd113c09178a4b5cf675cca5028b9f6dd5ffb58e49fe3c5680909c"),
+]
+
+
+@pytest.mark.parametrize("dump", ["points", "lines"])
+@pytest.mark.parametrize("q, digest", PLANE_DUMP_GOLDENS)
+def test_plane_dump_golden(tmp_path, q, digest, dump):
+    code, data = run_cli(tmp_path, "plane", "--q", str(q), "--dump", dump)
+    assert code == OK
+    assert hashlib.sha256(data).hexdigest() == digest
+
+
+@pytest.mark.parametrize("q, digest", EMIT_SET_GOLDENS)
+def test_emit_set_golden(tmp_path, q, digest):
+    setfile = tmp_path / "set.json"
+    code, _ = run_cli(tmp_path, "spectrum", "--q", str(q), "--construction",
+                      "random:density=1/2", "--seed", "0", "--emit-set", str(setfile))
+    assert code == OK
+    assert hashlib.sha256(setfile.read_bytes()).hexdigest() == digest
+
+
 def test_charwalk_outputs(tmp_path):
     code, data = run_cli(tmp_path, "charwalk", "--p", "7", "--a", "0")
     assert code == OK
@@ -274,6 +308,19 @@ def test_malformed_input_exits_1_with_one_line(tmp_path, capsys, name):
     assert main([*argv, "--out", str(tmp_path / "out")]) == USAGE_ERROR
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("threads", ["0", "-2"])
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--primes", "7", "--construction", "random:density=1/2", "--seeds", "2"],
+    ["exhaustive", "--q", "2"],
+])
+def test_threads_below_one_exits_1_with_one_line(tmp_path, capsys, argv, threads):
+    out = tmp_path / "out"
+    assert main([*argv, "--threads", threads, "--out", str(out)]) == USAGE_ERROR
+    err = capsys.readouterr().err
+    assert err == f"error: --threads must be at least 1, got {threads}\n"
+    assert not out.exists()
 
 
 def test_internal_error_exits_3_with_one_line(tmp_path, capsys, monkeypatch):

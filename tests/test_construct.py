@@ -13,7 +13,9 @@ from secants.construct import (ConstructionError, FamilyParams, ParabolaParams,
                                pointset_from_json, pointset_to_json, random_set)
 from secants.field import legendre_table
 from secants.plane import build_plane
-from secants.spectrum import compute_spectrum
+from secants.spectrum import PointSet, compute_spectrum
+
+from conftest import normalized_triples, projective_classes
 
 
 def brute_parabola_members(p, alpha, beta, gamma):
@@ -231,7 +233,7 @@ def loop_pointset_from_json(plane, doc):
                     and (length == 2 or any(entry))):
                 return f"set file {key} entry {entry!r} is not a point of PG(2,{q})"
             idx = (plane.frame.affine_point(*entry) if length == 2
-                   else plane.index_of(tuple(entry)))
+                   else projective_classes(plane)[tuple(entry)])
             if idx in seen:
                 return f"set file repeats the point {entry!r}"
             seen.add(idx)
@@ -256,6 +258,36 @@ def test_set_file_reader_matches_scalar_loop(q, data):
     except ConstructionError as exc:
         got = str(exc)
     assert got == expect
+
+
+def loop_pointset_to_json(plane, indices):
+    """The set-file writer as one scalar decode per member point, in index
+    order, from the itertools enumeration of the normalized triples."""
+    F, affine, projective = plane.field, [], []
+    for i in indices:
+        x, y, z = normalized_triples(plane.q)[i]
+        if z:
+            zinv = F.inv(z)
+            affine.append([F.mul(x, zinv), F.mul(y, zinv)])
+        else:
+            projective.append([x, y, z])
+    return {"q": plane.q, "affine": affine, "projective": projective}
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 16, 25, 27])
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_set_file_writer_matches_scalar_loop(q, data):
+    # any points, and always some of the q + 1 on the infinite line z = 0
+    pl = build_plane(q)
+    infinite = [i for i, t in enumerate(normalized_triples(q)) if t[2] == 0]
+    picked = (data.draw(st.lists(st.integers(0, pl.N - 1), max_size=40))
+              + data.draw(st.lists(st.sampled_from(infinite), min_size=1, max_size=4)))
+    S = PointSet.from_indices(pl, picked)
+    doc = pointset_to_json(S)
+    expect = loop_pointset_to_json(pl, sorted(set(picked)))
+    assert json.dumps(doc, sort_keys=True) == json.dumps(expect, sort_keys=True)
+    assert pointset_from_json(pl, doc) == S
 
 
 @pytest.mark.parametrize("spec", ["random:density=1/0", "random:density=half",

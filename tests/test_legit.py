@@ -220,6 +220,11 @@ def test_input_validation():
         LinearHypergraph(3, [[0, 1, 2], [0, 1, 3], [4, 5, 6]])
     with pytest.raises(LegitError, match="repeats"):
         LinearHypergraph(2, [[0, 0], [1, 2]])
+    # the smallest repeating edge is named, ahead of the linearity check
+    with pytest.raises(LegitError, match="edge 2 repeats a vertex"):
+        LinearHypergraph(3, [[0, 1, 2], [7, 5, 7], [3, 3, 4]])
+    with pytest.raises(LegitError, match="edge 1 repeats a vertex"):
+        LinearHypergraph(3, [[0, 1, 1], [0, 1, 3], [4, 5, 6]])
     with pytest.raises(LegitError, match="edges 2 and 3 share more than one"):
         LinearHypergraph(3, [[0, 1, 2], [3, 4, 5], [6, 4, 3]])
     # more vertex-sharing pairs than C(n, 2) is rejected before any pair is listed

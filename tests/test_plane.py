@@ -5,34 +5,41 @@ import pytest
 
 from secants.plane import PlaneError, build_plane
 
-from conftest import naive_line_points
+from conftest import naive_line_points, normalized_triples
 
 
 @pytest.mark.parametrize("q,n_points,per_line", [(2, 7, 3), (3, 13, 4), (4, 21, 5)])
 def test_build_plane_counts(q, n_points, per_line):
     pl = build_plane(q)
     assert pl.N == n_points
-    assert len(pl.points) == n_points and len(pl.lines) == n_points
+    assert pl.triples().shape == (n_points, 3)
     for ell in range(pl.N):
         assert len(pl.line_point_indices(ell)) == per_line
 
 
 def test_points_normalized_and_sorted():
-    for q in (3, 4, 5, 9):
+    for q in (2, 3, 4, 5, 8, 9):
         pl = build_plane(q)
-        pts = pl.points
-        assert pts == sorted(pts)
-        for t in pts:
-            lead = next(c for c in t if c != 0)
-            assert lead == 1
-        # round trip through index_of, including unnormalized input
-        F = pl.field
-        for i, t in enumerate(pts):
-            assert pl.index_of(t) == i
-            s = 2 % q if q > 2 else 1
-            if s > 1:
-                scaled = tuple(F.mul(s, c) for c in t)
-                assert pl.index_of(scaled) == i
+        expect = normalized_triples(q)
+        assert pl.triples().tolist() == [list(t) for t in expect]
+        assert pl.triples(np.arange(pl.N).reshape(-1, 1)).shape == (pl.N, 1, 3)
+        # index_of inverts the enumeration from every nonzero multiple
+        F, idx = pl.field, np.arange(pl.N)
+        for s in range(1, q):
+            assert (pl.index_of(F.mul(s, np.array(expect))) == idx).all()
+        assert pl.index_of(expect[-1]) == pl.N - 1
+
+
+def test_codec_rejects_what_is_not_a_point():
+    pl = build_plane(7)
+    with pytest.raises(PlaneError, match="zero triple"):
+        pl.index_of([[1, 2, 3], [0, 0, 0]])
+    for bad in ([1, 7, 0], [-1, 0, 1]):
+        with pytest.raises(PlaneError, match="outside GF"):
+            pl.index_of(bad)
+    for bad in (-1, pl.N, [0, pl.N]):
+        with pytest.raises(PlaneError, match="outside"):
+            pl.triples(bad)
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
@@ -79,13 +86,13 @@ def test_line_through_examples(fano):
     i001 = fano.index_of((0, 0, 1))
     i010 = fano.index_of((0, 1, 0))
     i100 = fano.index_of((1, 0, 0))
-    assert fano.triple(fano.line_through(i001, i010)) == (1, 0, 0)
-    assert fano.triple(fano.line_through(i100, i010)) == (0, 0, 1)
+    assert fano.triples(fano.line_through(i001, i010)).tolist() == [1, 0, 0]
+    assert fano.triples(fano.line_through(i100, i010)).tolist() == [0, 0, 1]
     with pytest.raises(PlaneError, match="identical"):
         fano.line_through(3, 3)
     pl3 = build_plane(3)
     P, Q = pl3.index_of((1, 1, 1)), pl3.index_of((1, 2, 1))
-    L = pl3.triple(pl3.line_through(P, Q))
+    L = pl3.triples(pl3.line_through(P, Q)).tolist()
     F = pl3.field
     for pt in ((1, 1, 1), (1, 2, 1)):
         acc = 0
@@ -150,16 +157,18 @@ def test_frame_tables_match_scalar_maps(q):
 
 
 def test_point_coords_round_trip():
+    # the decoded triple (x : y : z) of each point is the affine (x/z, y/z),
+    # a slope direction (1 : d : 0) or the vertical direction (0 : 1 : 0)
     pl = build_plane(9)
-    fr = pl.frame
-    for i in range(pl.N):
-        kind = fr.point_coords(i)
-        if kind[0] == "affine":
-            assert fr.affine_point(kind[1], kind[2]) == i
-        elif kind[1] == pl.q:
-            assert i == fr.vertical_direction
+    F, fr = pl.field, pl.frame
+    for i, (x, y, z) in enumerate(pl.triples().tolist()):
+        if z:
+            zinv = F.inv(z)
+            assert fr.affine_point(F.mul(x, zinv), F.mul(y, zinv)) == i
+        elif x:
+            assert i == fr.direction_point(y)
         else:
-            assert i == fr.direction_point(kind[1])
+            assert i == fr.vertical_direction
     slopes = np.arange(pl.q)
     assert fr.direction_point(slopes).tolist() == [fr.direction_point(d)
                                                    for d in range(pl.q)]
@@ -173,5 +182,5 @@ def test_large_plane_stays_lazy():
     # on-demand line solving still works
     pts = pl.line_point_indices(12345)
     assert len(pts) == 500
-    for pt in pts[:5]:
-        assert pl.incident(pt, 12345)
+    assert pl.incident(pts, 12345).all()
+    assert pl.incident(np.arange(pl.N), 12345).sum() == 500
