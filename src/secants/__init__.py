@@ -3,7 +3,7 @@
 __version__ = "0.1.0"
 
 from .field import Field, FieldError, make_field
-from .plane import AffineFrame, PlaneError, ProjectivePlane, build_plane
+from .plane import PlaneError, ProjectivePlane, build_plane
 from .spectrum import (BoundsReport, PointSet, SecantSpectrum, bounds_report,
                        compute_spectrum, cor_bound_ceiling, verify_counting_identities)
 from .construct import (ConstructionError, FamilyParams, ParabolaParams, ec_region,

@@ -22,8 +22,7 @@ from .construct import (ConstructionError, ParabolaParams, rational_to_element,
                         pointset_to_json)
 from .ecurve import CurveError, curve_count, ec_spectrum_scan
 from .field import FieldError
-from .harness import (EXHAUSTIVE_MAX_Q, exhaustive_minmax, local_search, run_sweep,
-                      sweep_to_csv)
+from .harness import exhaustive_minmax, local_search, run_sweep, sweep_to_csv
 from .legit import (BLUE, GENERATOR_MODES, RED, LegitError, LinearHypergraph,
                     generate_linear_hypergraph, two_phase_coloring, verify_legitimate)
 from .plane import PlaneError, build_plane
@@ -120,9 +119,6 @@ def cmd_sweep(args) -> int:
 
 def cmd_exhaustive(args) -> int:
     plane = build_plane(args.q)
-    if args.q > EXHAUSTIVE_MAX_Q:
-        print("exhaustive limit", file=sys.stderr)
-        return USAGE_ERROR
     return _emit_search(args, plane, exhaustive_minmax(plane, threads=args.threads))
 
 
@@ -330,8 +326,10 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else USAGE_ERROR
     try:
-        if args.threads < 1:
-            raise ValueError(f"--threads must be at least 1, got {args.threads}")
+        for flag, least in (("threads", 1), ("iters", 0), ("restarts", 1), ("seeds", 1)):
+            value = getattr(args, flag, least)
+            if value < least:
+                raise ValueError(f"--{flag} must be at least {least}, got {value}")
         return args.func(args)
     except (FieldError, PlaneError, ConstructionError, CurveError, LegitError,
             ValueError, OverflowError, OSError) as exc:

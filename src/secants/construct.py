@@ -71,7 +71,7 @@ def _require_prime_plane(plane: ProjectivePlane, min_p: int):
 
 def _from_affine_grid(plane, xs, ys, meta) -> PointSet:
     mask = np.zeros(plane.N, dtype=bool)
-    mask[plane.frame.point_index_table()[xs, ys]] = True
+    mask[plane.affine_points()[xs, ys]] = True
     return PointSet(plane, mask, meta)
 
 
@@ -175,7 +175,7 @@ def pointset_from_json(plane: ProjectivePlane, doc) -> PointSet:
             break
     xy = np.array([e for e in entries if len(e) == 2], dtype=np.int64).reshape(-1, 2)
     indices = np.concatenate([
-        plane.frame.point_index_table()[xy[:, 0], xy[:, 1]],
+        plane.affine_points()[xy[:, 0], xy[:, 1]],
         plane.index_of(np.array(entries[len(xy):], dtype=np.int64).reshape(-1, 3))])
     repeat = np.ones(indices.size, dtype=bool)         # not a point's first entry
     repeat[np.unique(indices, return_index=True)[1]] = False
@@ -204,31 +204,39 @@ def rational_to_element(p: int, text: str) -> int:
     return (frac.numerator % p) * pow(den, p - 2, p) % p
 
 
+# the arguments each construction takes; the seed comes from the caller
+CONSTRUCTION_ARGS = {"random": ("density",), "parabola": ("a", "b", "g"),
+                     "family": ("c",), "ecregion": ()}
+
+
 def parse_construction(text: str):
-    """Parse 'random:density=1/2,seed=3' style construction specifiers."""
+    """Parse 'parabola:a=1/4,b=1,g=1' style construction specifiers: each
+    argument the construction takes at most once, and nothing else."""
     name, _, arg_str = text.partition(":")
     name = name.strip()
-    args = {}
-    if arg_str:
-        for part in arg_str.split(","):
-            key, _, val = part.partition("=")
-            if not val:
-                raise ConstructionError(f"malformed construction argument {part!r}")
-            args[key.strip()] = val.strip()
-    if name not in {"random", "parabola", "family", "ecregion"}:
+    if name not in CONSTRUCTION_ARGS:
         raise ConstructionError(f"unknown construction {name!r}")
+    args = {}
+    for part in arg_str.split(",") if arg_str else ():
+        key, _, val = part.partition("=")
+        key, val = key.strip(), val.strip()
+        if not val:
+            raise ConstructionError(f"malformed construction argument {part!r}")
+        if key not in CONSTRUCTION_ARGS[name]:
+            hint = "; the seed comes from --seed" if key == "seed" else ""
+            raise ConstructionError(
+                f"construction {name!r} takes no argument {key!r}{hint}")
+        if key in args:
+            raise ConstructionError(f"construction argument {key!r} given twice")
+        args[key] = val
     return name, args
 
 
-def build_construction(plane: ProjectivePlane, text: str, seed=None) -> PointSet:
-    """Instantiate a construction specifier on a plane.  A seed given here
-    overrides one embedded in the specifier (used by sweep cells)."""
+def build_construction(plane: ProjectivePlane, text: str, seed: int = 0) -> PointSet:
+    """Instantiate a construction specifier on a plane (random sets at `seed`)."""
     name, args = parse_construction(text)
     if name == "random":
-        density = _fraction(args.get("density", "1/2"))
-        if seed is None:
-            seed = int(args.get("seed", "0"))
-        return random_set(plane, density, seed)
+        return random_set(plane, _fraction(args.get("density", "1/2")), seed)
     p = plane.field.p
     if name == "parabola":
         params = ParabolaParams(

@@ -130,7 +130,7 @@ def line_curve_check(plane: ProjectivePlane, m: int, b: int,
     n = int((legendre_table(p)[(xs * xs * xs - m * xs - b) % p] >= 0).sum())
     z = cubic_root_count(p, m, b)
     count = curve_count(p, (-m) % p, (-b) % p).count
-    line_n = int(region.mask[plane.frame.point_index_table()[xs, (m * xs + b) % p]].sum())
+    line_n = int(region.mask[plane.affine_points()[xs, (m * xs + b) % p]].sum())
     if line_n != n:
         raise CurveError("region membership disagrees with character scan")
     return LineCurveRelation(p=p, m=m, b=b, n_ell=n, roots=z, curve_count=count,
@@ -160,7 +160,7 @@ def ec_spectrum_scan(plane: ProjectivePlane) -> EcScanReport:
     counts = p + 1 + roots @ chi[(x[:, None] - b) % p]          # [v, b]
 
     # secant sizes of the lines v = m*x + b, read off the spectrum
-    n_mat = spec.n_ell[plane.frame.line_index_table()]
+    n_mat = spec.n_ell[plane.affine_lines()]
 
     singular = (27 * b[None, :] ** 2 - 4 * m[:, None] ** 3) % p == 0
     holds = counts == 2 * n_mat + 1 - roots

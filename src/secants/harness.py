@@ -106,7 +106,8 @@ def exhaustive_minmax(plane: ProjectivePlane, threads: int = 1) -> SearchResult:
     """
     q, N = plane.q, plane.N
     if q > EXHAUSTIVE_MAX_Q:
-        raise ValueError("exhaustive limit")
+        raise ValueError(f"exhaustive limit: q={q} is above the largest "
+                         f"exhaustively searched order {EXHAUSTIVE_MAX_Q}")
     line_masks = np.bitwise_or.reduce(
         np.left_shift(np.uint32(1), plane.line_points_matrix.astype(np.uint32)), axis=1)
     half = N // 2
@@ -228,7 +229,7 @@ def run_sweep(primes, construction: str, seeds, threads: int = 1):
     seeds = list(seeds)
     planes = {q: build_plane(q) for q in primes}
     for plane in planes.values():       # build shared tables before dispatch
-        plane.frame.point_index_table()
+        plane.affine_points()
     cells = [(q, s) for q in primes for s in seeds]
     return _ordered_map(lambda c: _sweep_cell(planes[c[0]], construction, c[1]),
                         cells, threads)

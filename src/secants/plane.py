@@ -12,9 +12,11 @@ budget; the searches and the test oracles read it, and spectra are
 counted without it.  Points and lines share one indexing and x.a = a.x,
 so the same matrix lists the lines through each point.
 
-The affine frame identifies F_q^2 with the points off the line z = 0:
+The affine chart identifies F_q^2 with the points off the line z = 0:
 (x, y) corresponds to (x : y : 1), the line y = dx + b to [d : -1 : b],
-and the vertical x = c to [1 : 0 : -c].
+and the vertical x = c to [1 : 0 : -c].  The first two have closed-form
+tables (`affine_points`, `affine_lines`); every other chart object is
+encoded with `index_of`.
 """
 
 from __future__ import annotations
@@ -43,8 +45,8 @@ class ProjectivePlane:
         self.field = field
         self.q = field.q
         self.N = self.q * self.q + self.q + 1
-        self._line_points = None   # numpy (N, q+1) int32, within the budget only
-        self._frame = None
+        self._line_points = None     # numpy (N, q+1) int32, within the budget only
+        self._affine_points = None   # numpy (q, q) int32, built on first use
 
     def __repr__(self):
         return f"PG(2,{self.q})"
@@ -146,80 +148,24 @@ class ProjectivePlane:
         cross = F.sub(F.mul(P[[1, 2, 0]], Q[[2, 0, 1]]), F.mul(P[[2, 0, 1]], Q[[1, 2, 0]]))
         return int(self.index_of(cross))
 
-    # -- affine frame -----------------------------------------------------------
+    # -- the affine chart -------------------------------------------------------
 
-    @property
-    def frame(self) -> "AffineFrame":
-        if self._frame is None:
-            self._frame = AffineFrame(self)
-        return self._frame
+    def affine_points(self) -> np.ndarray:
+        """(q, q) int32 table, cached: [x, y] is the index of (x : y : 1)."""
+        if self._affine_points is None:
+            F, q = self.field, self.q
+            inv = F.inv(np.arange(1, q, dtype=np.int64))[:, None]
+            y = np.arange(q, dtype=np.int64)
+            tbl = np.empty((q, q), dtype=np.int32)
+            tbl[0, 0] = 0
+            tbl[0, 1:] = 1 + inv[:, 0]                    # (0 : 1 : 1/y)
+            tbl[1:] = q + 1 + F.mul(y, inv) * q + inv     # (1 : y/x : 1/x)
+            self._affine_points = tbl
+        return self._affine_points
 
-
-class AffineFrame:
-    """Coordinate maps between AG(2,q) and the plane's point/line indices.
-
-    The frame keeps the plane's field and size, not the plane: the plane
-    caches its frame, and a reference back would make a cycle that holds
-    the frame's tables until the cyclic garbage collector runs."""
-
-    def __init__(self, plane: ProjectivePlane):
-        self.field = plane.field
-        self.q = plane.q
-        self.N = plane.N
-        self._index_table = None
-
-    @property
-    def infinite_line(self) -> int:
-        return 0
-
-    @property
-    def vertical_direction(self) -> int:
-        # (0 : 1 : 0), the common point of all vertical lines
-        return 1
-
-    def direction_point(self, d):
-        """Index of (1 : d : 0), the infinite point of the slope-d class;
-        elementwise on an array of slopes."""
-        return self.q + 1 + d * self.q
-
-    def affine_point(self, x: int, y: int) -> int:
-        F, q = self.field, self.q
-        if x != 0:
-            xinv = F.inv(x)
-            return q + 1 + F.mul(y, xinv) * q + xinv
-        if y != 0:
-            return 1 + F.inv(y)
-        return 0
-
-    def affine_line(self, d: int, b: int) -> int:
-        """Index of the line y = dx + b."""
-        F, q = self.field, self.q
-        if d != 0:
-            dinv = F.inv(d)
-            return q + 1 + F.neg(dinv) * q + F.mul(b, dinv)
-        return 1 + F.neg(b)
-
-    def vertical_line(self, c: int) -> int:
-        """Index of the line x = c."""
-        return self.q + 1 + self.field.neg(c)
-
-    def point_index_table(self) -> np.ndarray:
-        """(q, q) int32 table mapping affine (x, y) to point index."""
-        if self._index_table is not None:
-            return self._index_table
-        F, q = self.field, self.q
-        inv = F.inv(np.arange(1, q, dtype=np.int64))[:, None]
-        y = np.arange(q, dtype=np.int64)
-        tbl = np.empty((q, q), dtype=np.int32)
-        tbl[0, 0] = 0
-        tbl[0, 1:] = 1 + inv[:, 0]                    # (0 : 1 : 1/y)
-        tbl[1:] = q + 1 + F.mul(y, inv) * q + inv     # (1 : y/x : 1/x)
-        self._index_table = tbl
-        return tbl
-
-    def line_index_table(self, slopes=None) -> np.ndarray:
-        """(len(slopes), q) int64 table mapping row i and intercept b to the
-        index of the line y = slopes[i]*x + b; all q slopes by default."""
+    def affine_lines(self, slopes=None) -> np.ndarray:
+        """(len(slopes), q) int64 table: [i, b] is the index of the line
+        y = d*x + b, [d : -1 : b], for d = slopes[i]; all q slopes by default."""
         F, q = self.field, self.q
         d = np.arange(q, dtype=np.int64) if slopes is None else np.asarray(slopes)
         b = np.arange(q, dtype=np.int64)

@@ -2,7 +2,7 @@
 their histogram, and the exact double-counting identities they satisfy.
 
 A point set is a read-only boolean mask over the point indices.  Every
-plane is counted the same way, through the affine frame with the finite
+plane is counted the same way, through the affine chart with the finite
 Radon transform: the counts along the parallel class of slope d are the
 inverse DFT of one slice of the DFT of the q x q membership grid (the
 Fourier slice theorem over GF(q), whose additive characters are the
@@ -136,18 +136,21 @@ def spectrum_from_counts(plane, size, n_ell) -> SecantSpectrum:
 
 
 def _spectrum_affine(plane, mask: np.ndarray) -> np.ndarray:
-    q, N = plane.q, plane.N
-    frame = plane.frame
-    grid = mask[frame.point_index_table()]                      # grid[x, y]
-    dir_in = mask[frame.direction_point(np.arange(q))]
-    vert_in = int(mask[frame.vertical_direction])
+    F, q, N = plane.field, plane.q, plane.N
+    c = np.arange(q, dtype=np.int64)
+    one, zero = np.ones_like(c), np.zeros_like(c)
+    directions = plane.index_of(np.column_stack([one, c, zero]))        # (1 : d : 0)
+    verticals = plane.index_of(np.column_stack([one, zero, F.neg(c)]))  # x = c
+    grid = mask[plane.affine_points()]                          # grid[x, y]
+    dir_in = mask[directions]
+    vert_in = int(mask[plane.index_of([0, 1, 0])])
 
     n_ell = np.zeros(N, dtype=np.int64)
-    n_ell[frame.infinite_line] = int(dir_in.sum()) + vert_in
-    n_ell[frame.vertical_line(np.arange(q))] = grid.sum(1) + vert_in  # x = c
-    for lo, counts in affine_class_blocks(grid, plane.field):
+    n_ell[plane.index_of([0, 0, 1])] = int(dir_in.sum()) + vert_in     # z = 0
+    n_ell[verticals] = grid.sum(1) + vert_in
+    for lo, counts in affine_class_blocks(grid, F):
         d = np.arange(lo, lo + len(counts))
-        n_ell[frame.line_index_table(d)] = counts + dir_in[d, None]
+        n_ell[plane.affine_lines(d)] = counts + dir_in[d, None]
     return n_ell
 
 

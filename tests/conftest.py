@@ -32,6 +32,13 @@ def projective_classes(plane):
             for i, t in enumerate(normalized_triples(plane.q)) for s in range(1, plane.q)}
 
 
+def class_of(plane, *triple):
+    """Index of the class of a nonzero triple over GF(q), looked up in
+    `projective_classes`, never through the library's codec or tables:
+    (x, y, 1) is the affine point (x, y), [d, -1, b] the line y = dx + b."""
+    return projective_classes(plane)[triple]
+
+
 @lru_cache(maxsize=None)
 def naive_line_points(plane):
     """Per-line point sets from one incidence test `plane.incident` of every

@@ -202,12 +202,12 @@ def test_criterion_06_family_counting():
             expect = np.full((p, p), a, dtype=np.int64)
             for t in range(a):
                 expect += chi[(u - 4 * t) % p]
-            got = spec.n_ell[plane.frame.line_index_table()]
+            got = spec.n_ell[plane.affine_lines()]
             failures += int((got != expect).sum())
             checked_lines += p * p
             for cc in range(p):
                 checked_lines += 1
-                if spec.n_ell[plane.frame.vertical_line(cc)] != a:
+                if spec.n_ell[plane.index_of([1, 0, -cc % p])] != a:
                     failures += 1
     report(6, failures == 0,
            f"family-of-parabolas counting exact on {checked_lines} lines "

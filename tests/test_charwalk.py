@@ -12,6 +12,8 @@ from secants.field import is_prime, legendre_table
 from secants.plane import build_plane
 from secants.spectrum import compute_spectrum
 
+from conftest import class_of
+
 PRIMES = [p for p in range(5, 60) if is_prime(p)]
 
 
@@ -85,11 +87,10 @@ def test_profile_matches_membership_count(p):
     pl = build_plane(p)
     params = ParabolaParams(2, 3, 1)
     S = parabola_region(pl, params)
-    fr = pl.frame
     for d in (1, 2, p - 1):
         prof = projection_profile(pl, params, d)
         for b in range(p):
-            direct = sum(S.contains(fr.affine_point(x, (d * x + b) % p))
+            direct = sum(S.contains(class_of(pl, x, (d * x + b) % p, 1))
                          for x in range(p))
             assert prof.pr[b] == direct
         assert int(prof.pr.sum()) == S.size
@@ -173,9 +174,8 @@ def test_l4_against_full_spectrum():
         params = ParabolaParams(pow(4, p - 2, p), 1, 1)
         S = parabola_region(pl, params)
         spec = compute_spectrum(pl, S)
-        fr = pl.frame
-        skip = {fr.infinite_line} | {fr.vertical_line(c) for c in range(p)} \
-            | {fr.affine_line(0, b) for b in range(p)}
+        skip = {class_of(pl, 0, 0, 1)} | {class_of(pl, 1, 0, -c % p) for c in range(p)} \
+            | {class_of(pl, 0, p - 1, b) for b in range(p)}
         hist = [0] * (p + 2)
         for ell in range(pl.N):
             if ell not in skip:

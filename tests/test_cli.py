@@ -163,6 +163,41 @@ def test_plane_dump_golden(tmp_path, q, digest, dump):
     assert hashlib.sha256(data).hexdigest() == digest
 
 
+# sha256 of `spectrum --out`, recorded before the affine chart moved onto
+# the plane: random sets, the cubic-square region, and a set file with
+# points on x = 0 and on the infinite line z = 0.
+SPECTRUM_GOLDENS = [
+    (("--q", "2", "--construction", "random:density=1/2", "--seed", "0"),
+     "7c477eba84d53b0bfdc84dd0593f439d754ae448bbbbca8727d56023e0f5faa0"),
+    (("--q", "4", "--construction", "random:density=1/2", "--seed", "0"),
+     "f0a324b3e896c89c821709f8a4680a691641f450076f394a6c56d336279ccb52"),
+    (("--q", "9", "--construction", "random:density=1/2", "--seed", "0"),
+     "24660d0f4937cf9e988c12caa778f904526c68a94a6ba53561e5d43dabbc6468"),
+    (("--q", "32", "--construction", "random:density=1/2", "--seed", "0"),
+     "60e3f047ab1670b7ef82f4fa5753d047fd4d47bc007e5d0adfc86cc06d4e53d3"),
+    (("--q", "49", "--construction", "random:density=1/2", "--seed", "0"),
+     "b37b1aa21c4e2719eb6e670231fd89d5dbf2ca97286f7b91805689c4798bcafa"),
+    (("--q", "256", "--construction", "random:density=1/2", "--seed", "0"),
+     "12ea54993c40e6c1728c7cc0fabba4b3236499364c750d754a61c7a6e5c47414"),
+    (("--q", "101", "--construction", "ecregion"),
+     "515fa68c9c03176fa94acf8ab8193e178c586d22e981dd6eefd15d610ea50b76"),
+    (("--q", "7", "--set-file", "SET7"),
+     "a81540e851bc9df5881f77289c38b7455874430763a6dcc051e1bc0d83775e70"),
+]
+SET7 = {"q": 7, "affine": [[0, 0], [0, 3], [1, 2], [3, 4], [6, 6], [2, 5]],
+        "projective": [[1, 0, 0], [1, 3, 0], [1, 6, 0], [0, 1, 0]]}
+
+
+@pytest.mark.parametrize("args, digest", SPECTRUM_GOLDENS)
+def test_spectrum_output_golden(tmp_path, args, digest):
+    setfile = tmp_path / "set7.json"
+    setfile.write_text(json.dumps(SET7))
+    code, data = run_cli(tmp_path, "spectrum",
+                         *[str(setfile) if a == "SET7" else a for a in args])
+    assert code == OK
+    assert hashlib.sha256(data).hexdigest() == digest
+
+
 @pytest.mark.parametrize("q, digest", EMIT_SET_GOLDENS)
 def test_emit_set_golden(tmp_path, q, digest):
     setfile = tmp_path / "set.json"
@@ -266,6 +301,10 @@ MALFORMED_INPUTS = {
     "set-top-level-array": ("set-file", [[1, 2]]),
     "set-zero-triple": ("set-file", {"q": 7, "projective": [[0, 0, 0]]}),
     "density-1/0": ("construction", "random:density=1/0"),
+    "construction-seed-argument": ("construction", "random:density=1/2,seed=3"),
+    "construction-unknown-argument": ("construction", "random:densty=1/8"),
+    "construction-argument-of-another": ("construction", "ecregion:foo=1"),
+    "construction-repeated-argument": ("construction", "parabola:a=1,a=2"),
     "hypergraph-top-level-array": ("hypergraph", [[0, 1], [1, 2]]),
     "hypergraph-edges-not-a-list": ("hypergraph", {"n": 2, "edges": 5}),
     "hypergraph-n-is-a-string": ("hypergraph", {"n": "2", "edges": [[0, 1], [1, 2]]}),
@@ -320,6 +359,39 @@ def test_threads_below_one_exits_1_with_one_line(tmp_path, capsys, argv, threads
     assert main([*argv, "--threads", threads, "--out", str(out)]) == USAGE_ERROR
     err = capsys.readouterr().err
     assert err == f"error: --threads must be at least 1, got {threads}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, flag, value, least", [
+    (["search", "--q", "3"], "iters", "-3", 0),
+    (["search", "--q", "3"], "restarts", "0", 1),
+    (["search", "--q", "3"], "restarts", "-4", 1),
+    (["sweep", "--primes", "7", "--construction", "random:density=1/2"], "seeds", "-2", 1),
+    (["sweep", "--primes", "7", "--construction", "random:density=1/2"], "seeds", "0", 1),
+])
+def test_counts_below_least_exit_1_with_one_line(tmp_path, capsys, argv, flag, value,
+                                                 least):
+    out = tmp_path / "out"
+    assert main([*argv, f"--{flag}", value, "--out", str(out)]) == USAGE_ERROR
+    err = capsys.readouterr().err
+    assert err == f"error: --{flag} must be at least {least}, got {value}\n"
+    assert not out.exists()
+
+
+def test_least_counts_still_run(tmp_path):
+    code, data = run_cli(tmp_path, "search", "--q", "2", "--iters", "0", "--restarts", "1")
+    assert code == OK and json.loads(data)["subsets_examined"] == 0
+    code, data = run_cli(tmp_path, "sweep", "--primes", "7", "--construction",
+                         "random:density=1/2", "--seeds", "1", name="s.csv")
+    assert code == OK and len(data.decode().splitlines()) == 3
+
+
+def test_exhaustive_above_limit_exits_1_with_one_line(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["exhaustive", "--q", "5", "--out", str(out)]) == USAGE_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith("error: exhaustive limit") and err.count("\n") == 1, err
+    assert "q=5" in err and "4" in err
     assert not out.exists()
 
 

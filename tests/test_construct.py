@@ -15,7 +15,7 @@ from secants.field import legendre_table
 from secants.plane import build_plane
 from secants.spectrum import PointSet, compute_spectrum
 
-from conftest import normalized_triples, projective_classes
+from conftest import class_of, normalized_triples, projective_classes
 
 
 def brute_parabola_members(p, alpha, beta, gamma):
@@ -33,25 +33,23 @@ def test_parabola_region_p5():
     S = parabola_region(pl, ParabolaParams(1, 0, 0))
     expect = brute_parabola_members(5, 1, 0, 0)
     assert S.size == len(expect) == 10
-    fr = pl.frame
     for x in range(5):
         for y in range(5):
-            assert S.contains(fr.affine_point(x, y)) == ((x, y) in expect)
-    assert S.contains(fr.affine_point(1, 2))
-    assert not S.contains(fr.affine_point(2, 1))
+            assert S.contains(class_of(pl, x, y, 1)) == ((x, y) in expect)
+    assert S.contains(class_of(pl, 1, 2, 1))
+    assert not S.contains(class_of(pl, 2, 1, 1))
 
 
 def test_parabola_region_p7_row_counts():
     pl = build_plane(7)
     S = parabola_region(pl, ParabolaParams(1, 0, 0))
     assert S.size == 28
-    fr = pl.frame
-    rows = [sum(S.contains(fr.affine_point(x, y)) for y in range(7)) for x in range(7)]
+    rows = [sum(S.contains(class_of(pl, x, y, 1)) for y in range(7)) for x in range(7)]
     assert rows == [6, 5, 2, 4, 4, 2, 5]
     # included y values form the lift interval (f(x), p-1]
     for x in range(7):
         fx = (x * x) % 7
-        ys = {y for y in range(7) if S.contains(fr.affine_point(x, y))}
+        ys = {y for y in range(7) if S.contains(class_of(pl, x, y, 1))}
         assert ys == set(range(fx + 1, 7))
         assert len(ys) == 7 - 1 - fx
 
@@ -59,7 +57,7 @@ def test_parabola_region_p7_row_counts():
 def test_parabola_region_never_contains_infinite_points():
     pl = build_plane(11)
     S = parabola_region(pl, ParabolaParams(3, 1, 4))
-    infinite = set(pl.line_point_indices(pl.frame.infinite_line))
+    infinite = set(pl.line_point_indices(class_of(pl, 0, 0, 1)))
     assert all(not S.contains(i) for i in infinite)
 
 
@@ -81,7 +79,7 @@ def test_family_examples():
     assert params.height(7) == 2
     S = parabola_family(pl7, params)
     assert S.size == 14
-    assert S.contains(pl7.frame.affine_point(3, 3))   # (3, 3^2+1) mod 7
+    assert S.contains(class_of(pl7, 3, 3, 1))   # (3, 3^2+1) mod 7
     assert parabola_family(build_plane(11), FamilyParams(Fraction(1, 2))).size == 55
 
 
@@ -89,10 +87,9 @@ def test_family_members_are_the_shifted_parabolas():
     pl = build_plane(13)
     a = FamilyParams(Fraction(1, 4)).height(13)
     S = parabola_family(pl, FamilyParams(Fraction(1, 4)))
-    fr = pl.frame
     expect = {(x, (x * x + t) % 13) for x in range(13) for t in range(a)}
     got = {(x, y) for x in range(13) for y in range(13)
-           if S.contains(fr.affine_point(x, y))}
+           if S.contains(class_of(pl, x, y, 1))}
     assert got == expect
 
 
@@ -102,7 +99,7 @@ def test_family_vertical_sections():
     a = params.height(11)
     spec = compute_spectrum(pl, parabola_family(pl, params))
     for c in range(11):
-        assert spec.n_ell[pl.frame.vertical_line(c)] == a
+        assert spec.n_ell[class_of(pl, 1, 0, pl.field.neg(c))] == a
 
 
 def test_family_param_validation():
@@ -120,10 +117,9 @@ def test_ec_region_row_counts(p):
     S = ec_region(pl)
     assert S.size == p * (p + 1) // 2
     chi = legendre_table(p)
-    fr = pl.frame
-    assert S.contains(fr.affine_point(0, 0))
+    assert S.contains(class_of(pl, 0, 0, 1))
     for x in range(p):
-        row = [v for v in range(p) if S.contains(fr.affine_point(x, v))]
+        row = [v for v in range(p) if S.contains(class_of(pl, x, v, 1))]
         assert len(row) == (p + 1) // 2
         for v in row:
             assert chi[(x ** 3 - v) % p] >= 0
@@ -131,7 +127,7 @@ def test_ec_region_row_counts(p):
 
 def test_ec_region_example_point():
     S = ec_region(build_plane(5))
-    assert S.contains(S.plane.frame.affine_point(1, 2))   # 1 - 2 = 4 = 2²
+    assert S.contains(class_of(S.plane, 1, 2, 1))   # 1 - 2 = 4 = 2²
 
 
 def test_random_set_extremes_and_determinism():
@@ -182,8 +178,8 @@ def test_set_file_round_trip_with_infinite_points(tmp_path):
 
 
 def test_parse_and_build_construction():
-    assert parse_construction("random:density=1/2,seed=3") == (
-        "random", {"density": "1/2", "seed": "3"})
+    assert parse_construction("random:density=1/2") == ("random", {"density": "1/2"})
+    assert parse_construction("parabola:g=2, a=1/4") == ("parabola", {"g": "2", "a": "1/4"})
     assert parse_construction("ecregion") == ("ecregion", {})
     with pytest.raises(ConstructionError):
         parse_construction("nonesuch")
@@ -194,9 +190,26 @@ def test_parse_and_build_construction():
     inv4 = pow(4, 11, 13)
     assert P.meta["alpha"] == inv4
     assert build_construction(pl, "family:c=1/4").meta["a"] == 3
-    # explicit seed argument overrides one embedded in the specifier
-    r1 = build_construction(pl, "random:density=1/2,seed=1", seed=8)
+    # the seed comes from the caller only, by default 0
+    r1 = build_construction(pl, "random:density=1/2", seed=8)
     assert r1 == random_set(pl, Fraction(1, 2), 8)
+    assert build_construction(pl, "random:density=1/2") == random_set(pl, Fraction(1, 2), 0)
+
+
+@pytest.mark.parametrize("spec, match", [
+    ("random:density=1/2,seed=3", "--seed"),
+    ("random:seed=1", "--seed"),
+    ("random:densty=1/8", "no argument 'densty'"),
+    ("ecregion:foo=1", "no argument 'foo'"),
+    ("family:c=1/2,a=1", "no argument 'a'"),
+    ("parabola:c=1/2", "no argument 'c'"),
+    ("random:density=1/2,density=1/3", "'density' given twice"),
+    ("parabola:a=1,b=2,a=3", "'a' given twice"),
+    ("random:density=1/2,", "malformed"),
+])
+def test_parse_construction_rejects_other_arguments(spec, match):
+    with pytest.raises(ConstructionError, match=match):
+        parse_construction(spec)
 
 
 @pytest.mark.parametrize("doc,match", [
@@ -232,8 +245,7 @@ def loop_pointset_from_json(plane, doc):
                     and all(type(c) is int and 0 <= c < q for c in entry)
                     and (length == 2 or any(entry))):
                 return f"set file {key} entry {entry!r} is not a point of PG(2,{q})"
-            idx = (plane.frame.affine_point(*entry) if length == 2
-                   else projective_classes(plane)[tuple(entry)])
+            idx = projective_classes(plane)[(*entry, 1) if length == 2 else tuple(entry)]
             if idx in seen:
                 return f"set file repeats the point {entry!r}"
             seen.add(idx)

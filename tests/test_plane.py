@@ -5,7 +5,7 @@ import pytest
 
 from secants.plane import PlaneError, build_plane
 
-from conftest import naive_line_points, normalized_triples
+from conftest import class_of, naive_line_points, normalized_triples
 
 
 @pytest.mark.parametrize("q,n_points,per_line", [(2, 7, 3), (3, 13, 4), (4, 21, 5)])
@@ -103,75 +103,90 @@ def test_line_through_examples(fano):
 
 def test_affine_frame_q5():
     pl = build_plane(5)
-    fr = pl.frame
-    affine = {fr.affine_point(x, y) for x in range(5) for y in range(5)}
+    neg1 = pl.field.neg(1)
+    affine = {class_of(pl, x, y, 1) for x in range(5) for y in range(5)}
     assert len(affine) == 25
-    infinite = set(pl.line_point_indices(fr.infinite_line))
+    infinite = set(pl.line_point_indices(class_of(pl, 0, 0, 1)))
     assert len(infinite) == 6 and not (affine & infinite)
     # y = x contains the diagonal plus one infinite point
-    on = set(pl.line_point_indices(fr.affine_line(1, 0)))
-    diag = {fr.affine_point(x, x) for x in range(5)}
-    assert diag < on and (on - diag) == {fr.direction_point(1)}
-    # every affine point (x, dx+b) sits on affine_line(d, b)
+    on = set(pl.line_point_indices(class_of(pl, 1, neg1, 0)))
+    diag = {class_of(pl, x, x, 1) for x in range(5)}
+    assert diag < on and (on - diag) == {class_of(pl, 1, 1, 0)}
+    # every affine point (x, dx+b) sits on the line [d : -1 : b]
     for d in range(5):
         for b in range(5):
-            row = set(pl.line_point_indices(fr.affine_line(d, b)))
+            row = set(pl.line_point_indices(class_of(pl, d, neg1, b)))
             for x in range(5):
-                assert fr.affine_point(x, (d * x + b) % 5) in row
+                assert class_of(pl, x, (d * x + b) % 5, 1) in row
 
 
 def test_affine_frame_q7_vertical():
     pl = build_plane(7)
-    fr = pl.frame
-    v2 = set(pl.line_point_indices(fr.vertical_line(2)))
-    assert {fr.affine_point(2, y) for y in range(7)} | {fr.vertical_direction} == v2
+    v2 = set(pl.line_point_indices(class_of(pl, 1, 0, pl.field.neg(2))))
+    assert {class_of(pl, 2, y, 1) for y in range(7)} | {class_of(pl, 0, 1, 0)} == v2
 
 
 def test_parallel_classes_partition_affine_points():
     pl = build_plane(5)
-    fr = pl.frame
+    neg1 = pl.field.neg(1)
     for d in range(5):
         seen = set()
         for b1, b2 in itertools.combinations(range(5), 2):
-            s1 = set(pl.line_point_indices(fr.affine_line(d, b1)))
-            s2 = set(pl.line_point_indices(fr.affine_line(d, b2)))
-            assert s1 & s2 == {fr.direction_point(d)}
+            s1 = set(pl.line_point_indices(class_of(pl, d, neg1, b1)))
+            s2 = set(pl.line_point_indices(class_of(pl, d, neg1, b2)))
+            assert s1 & s2 == {class_of(pl, 1, d, 0)}
         for b in range(5):
-            seen |= set(pl.line_point_indices(fr.affine_line(d, b)))
+            seen |= set(pl.line_point_indices(class_of(pl, d, neg1, b)))
         assert len(seen) == 26  # 25 affine + the class direction
 
 
-@pytest.mark.parametrize("q", [5, 7, 9, 11])
-def test_frame_tables_match_scalar_maps(q):
+CHART_ORDERS = [2, 3, 4, 5, 7, 8, 9, 11, 16, 25, 27]
+
+
+@pytest.mark.parametrize("q", CHART_ORDERS)
+def test_chart_tables_match_index_of(q):
+    # [x, y] is (x : y : 1) and [d, b] is [d : -1 : b], encoded by index_of
     pl = build_plane(q)
-    fr = pl.frame
-    tbl = fr.point_index_table()
-    for x in range(q):
-        for y in range(q):
-            assert tbl[x, y] == fr.affine_point(x, y)
-    ltbl = fr.line_index_table()
-    for d in range(q):
-        for b in range(q):
-            assert ltbl[d, b] == fr.affine_line(d, b)
-    assert (fr.line_index_table([q - 1, 0, 1]) == ltbl[[q - 1, 0, 1]]).all()
+    x, y = np.meshgrid(np.arange(q), np.arange(q), indexing="ij")
+    one = np.ones_like(x)
+    tbl = pl.affine_points()
+    assert tbl.dtype == np.int32 and tbl is pl.affine_points()
+    assert (tbl == pl.index_of(np.stack([x, y, one], -1))).all()
+    ltbl = pl.affine_lines()
+    assert ltbl.dtype == np.int64
+    assert (ltbl == pl.index_of(np.stack([x, pl.field.neg(one), y], -1))).all()
+    assert (pl.affine_lines([q - 1, 0, 1]) == ltbl[[q - 1, 0, 1]]).all()
+
+
+@pytest.mark.parametrize("q", CHART_ORDERS)
+def test_chart_tables_are_incident(q):
+    # for every slope d and intercept b, the q points (x, d*x + b) of the
+    # point table lie on the line table's entry [d, b]
+    pl = build_plane(q)
+    F, tbl, ltbl = pl.field, pl.affine_points(), pl.affine_lines()
+    x = np.arange(q)
+    d, b = np.arange(q)[:, None, None], np.arange(q)[None, :, None]
+    points = tbl[x, F.add(F.mul(d, x), b)]                   # [d, b, x]
+    assert pl.incident(points, ltbl[:, :, None]).all()
 
 
 def test_point_coords_round_trip():
     # the decoded triple (x : y : z) of each point is the affine (x/z, y/z),
     # a slope direction (1 : d : 0) or the vertical direction (0 : 1 : 0)
     pl = build_plane(9)
-    F, fr = pl.field, pl.frame
+    F = pl.field
     for i, (x, y, z) in enumerate(pl.triples().tolist()):
         if z:
             zinv = F.inv(z)
-            assert fr.affine_point(F.mul(x, zinv), F.mul(y, zinv)) == i
+            assert class_of(pl, F.mul(x, zinv), F.mul(y, zinv), 1) == i
         elif x:
-            assert i == fr.direction_point(y)
+            assert i == class_of(pl, 1, y, 0)
         else:
-            assert i == fr.vertical_direction
+            assert i == class_of(pl, 0, 1, 0)
     slopes = np.arange(pl.q)
-    assert fr.direction_point(slopes).tolist() == [fr.direction_point(d)
-                                                   for d in range(pl.q)]
+    directions = np.column_stack([np.ones_like(slopes), slopes, np.zeros_like(slopes)])
+    assert pl.index_of(directions).tolist() == [class_of(pl, 1, d, 0)
+                                                for d in range(pl.q)]
 
 
 def test_large_plane_stays_lazy():

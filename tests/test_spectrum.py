@@ -16,7 +16,7 @@ from secants.spectrum import (PointSet, bounds_report, compute_spectrum,
                               cor_bound_ceiling, verify_counting_identities)
 from secants.spectrum import _spectrum_affine
 
-from conftest import (assert_spectrum_matches_naive, gather_secant_counts,
+from conftest import (assert_spectrum_matches_naive, class_of, gather_secant_counts,
                       naive_histogram, naive_secant_counts)
 
 
@@ -108,9 +108,8 @@ def test_gather_and_affine_kernels_agree(p):
 
 def test_affine_kernel_handles_infinite_points():
     pl = build_plane(7)
-    fr = pl.frame
-    infinite = pl.line_point_indices(fr.infinite_line)
-    S = PointSet.from_indices(pl, list(infinite[:4]) + [fr.affine_point(2, 3)])
+    infinite = pl.line_point_indices(class_of(pl, 0, 0, 1))
+    S = PointSet.from_indices(pl, list(infinite[:4]) + [class_of(pl, 2, 3, 1)])
     assert (_spectrum_affine(pl, S.mask) == gather_secant_counts(pl, S.mask)).all()
     assert _spectrum_affine(pl, S.mask).tolist() == naive_secant_counts(pl, S.indices())
 
@@ -201,15 +200,14 @@ def test_radon_kernel_at_p997_against_direct_bincounts():
     # rounding error is largest
     p = 997
     pl = build_plane(p)
-    fr = pl.frame
     grid = np.random.default_rng(997).random((p, p)) < 0.5
     xs, ys = np.nonzero(grid)
     mask = np.zeros(pl.N, dtype=bool)
-    mask[fr.point_index_table()[xs, ys]] = True
+    mask[pl.affine_points()[xs, ys]] = True
     n_ell = _spectrum_affine(pl, mask)
     for d in (0, 1, 2, 498, 996):
         expect = np.bincount((ys - d * xs) % p, minlength=p)
-        assert (n_ell[fr.line_index_table([d])[0]] == expect).all(), d
+        assert (n_ell[pl.affine_lines([d])[0]] == expect).all(), d
 
 
 def test_bounds_report_examples():
