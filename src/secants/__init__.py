@@ -10,9 +10,8 @@ from .construct import (ConstructionError, FamilyParams, ParabolaParams, ec_regi
                         parabola_family, parabola_region, pointset_from_json,
                         pointset_to_json, random_set)
 from .charwalk import (LawReport, LevelStats, ProjectionProfile, Walk, level_stats,
-                       phi_sum, projection_profile, psi_walk, verify_projection_laws)
-from .ecurve import (Curve, CurveError, LineCurveRelation, cubic_root_count,
-                     curve_count, ec_spectrum_scan, line_curve_check)
+                       projection_profile, psi_walk, verify_projection_laws)
+from .ecurve import Curve, CurveError, curve_count, ec_spectrum_scan
 from .legit import (LegitColoring, LegitError, LinearHypergraph,
                     generate_linear_hypergraph, two_phase_coloring, verify_legitimate)
 from .harness import (SearchResult, SweepRow, exhaustive_minmax, local_search,

@@ -2,7 +2,7 @@
 region.
 
 The walk tracks prefix sums of the Legendre symbol along consecutive
-integers; the moving sum does the same over a window of fixed length.
+integers.
 For the region under y = alpha*x^2 + beta*x + gamma, the profile of a
 parallel class maps each intercept b to the secant size of y = dx + b.
 All classes are counted at once by the finite Radon transform of the
@@ -126,15 +126,6 @@ def psi_walk(p: int, a: int) -> Walk:
     chi = legendre_table(p)
     steps = chi[(a + np.arange(p, dtype=np.int64)) % p]
     return Walk(p=p, a=a % p, values=np.cumsum(steps, dtype=np.int64).tolist())
-
-
-def phi_sum(p: int, u: int, a: int) -> int:
-    """Moving character sum chi(u) + chi(u-1) + ... + chi(u-a+1)."""
-    _require_odd_prime(p)
-    if not 0 <= a <= p:
-        raise ValueError(f"window length {a} out of range [0, {p}]")
-    chi = legendre_table(p)
-    return int(chi[(u - np.arange(a, dtype=np.int64)) % p].sum())
 
 
 def level_stats(walk: Walk) -> LevelStats:

@@ -33,16 +33,23 @@ OK, USAGE_ERROR, CHECK_FAILED, INTERNAL_ERROR = 0, 1, 2, 3
 
 
 class _Parser(argparse.ArgumentParser):
+    """No abbreviated flags: `sweep --seed 5` must not run as `--seeds 5`."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, allow_abbrev=False, **kwargs)
+
     def error(self, message):
         self.print_usage(sys.stderr)
+        print(f"error: {message}", file=sys.stderr)
         raise SystemExit(USAGE_ERROR)
 
 
-def _common_flags(parser):
-    parser.add_argument("--seed", type=int, default=0)
+def _common_flags(parser, seed: bool = False):
+    """--threads and --out on every subcommand; --seed where it is read."""
+    if seed:
+        parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--threads", type=int, default=1)
     parser.add_argument("--out", metavar="PATH", default=None)
-    parser.add_argument("--format", choices=("csv", "json"), default=None)
 
 
 def _emit(args, text: str):
@@ -111,6 +118,8 @@ def cmd_spectrum(args) -> int:
 
 def cmd_sweep(args) -> int:
     primes = [int(tok) for tok in args.primes.split(",") if tok]
+    if not primes:
+        raise ValueError("--primes lists no prime")
     parse_construction(args.construction)
     rows = run_sweep(primes, args.construction, args.seeds, threads=args.threads)
     _emit(args, sweep_to_csv(rows))
@@ -244,7 +253,8 @@ def build_parser() -> _Parser:
     p.add_argument("--construction")
     p.add_argument("--emit-set", dest="emit_set", metavar="PATH",
                    help="also write the constructed set as a set-file")
-    _common_flags(p)
+    p.add_argument("--format", choices=("csv", "json"), default="json")
+    _common_flags(p, seed=True)
     p.set_defaults(func=cmd_spectrum)
 
     p = sub.add_parser("sweep", help="construction sweep over a prime list")
@@ -263,7 +273,7 @@ def build_parser() -> _Parser:
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--iters", type=int, default=200)
     p.add_argument("--restarts", type=int, default=5)
-    _common_flags(p)
+    _common_flags(p, seed=True)
     p.set_defaults(func=cmd_search)
 
     p = sub.add_parser("charwalk", help="character prefix-sum walk")
@@ -304,7 +314,7 @@ def build_parser() -> _Parser:
     pg = lg_sub.add_parser("gen")
     pg.add_argument("--n", type=int, required=True)
     pg.add_argument("--mode", choices=GENERATOR_MODES, default="pairwise")
-    _common_flags(pg)
+    _common_flags(pg, seed=True)
     pg.set_defaults(func=cmd_legit)
     pc = lg_sub.add_parser("color")
     pc.add_argument("--in", dest="infile", required=True)
@@ -330,6 +340,9 @@ def main(argv=None) -> int:
             value = getattr(args, flag, least)
             if value < least:
                 raise ValueError(f"--{flag} must be at least {least}, got {value}")
+        seed = getattr(args, "seed", 0)
+        if not 0 <= seed < 2 ** 128:
+            raise ValueError(f"--seed must be in [0, 2**128), got {seed}")
         return args.func(args)
     except (FieldError, PlaneError, ConstructionError, CurveError, LegitError,
             ValueError, OverflowError, OSError) as exc:

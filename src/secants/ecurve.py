@@ -22,7 +22,7 @@ import numpy as np
 from .construct import ec_region
 from .field import is_prime, legendre_table
 from .plane import ProjectivePlane
-from .spectrum import PointSet, SecantSpectrum, compute_spectrum, cor_bound_ceiling
+from .spectrum import SecantSpectrum, compute_spectrum, cor_bound_ceiling
 
 
 class CurveError(ValueError):
@@ -42,18 +42,6 @@ class Curve:
     @property
     def hasse_ok(self) -> bool:
         return self.trace * self.trace <= 4 * self.p
-
-
-@dataclass
-class LineCurveRelation:
-    p: int
-    m: int
-    b: int
-    n_ell: int = 0
-    roots: int = 0          # distinct roots of X^3 - mX - b
-    curve_count: int = 0
-    holds: bool = False
-    skipped: str | None = None   # "singular" when -4m^3 + 27b^2 = 0
 
 
 @dataclass
@@ -108,35 +96,6 @@ def curve_count(p: int, a: int, b: int) -> Curve:
     return Curve(p=p, a=a, b=b, count=total, trace=p + 1 - total)
 
 
-def cubic_root_count(p: int, m: int, b: int) -> int:
-    """Number of distinct x in F_p with x^3 - m*x - b = 0, by scan."""
-    _require_prime(p)
-    x = np.arange(p, dtype=np.int64)
-    return int(((x * x * x - m * x - b) % p == 0).sum())
-
-
-def line_curve_check(plane: ProjectivePlane, m: int, b: int,
-                     region: PointSet | None = None) -> LineCurveRelation:
-    """Check |E(Y^2 = X^3 - mX - b)| = 2*n + 1 - Z on the line v = mx + b."""
-    p = plane.field.p
-    _require_prime(p)
-    m %= p
-    b %= p
-    if (-4 * m ** 3 + 27 * b * b) % p == 0:
-        return LineCurveRelation(p=p, m=m, b=b, skipped="singular")
-    if region is None:
-        region = ec_region(plane)
-    xs = np.arange(p, dtype=np.int64)
-    n = int((legendre_table(p)[(xs * xs * xs - m * xs - b) % p] >= 0).sum())
-    z = cubic_root_count(p, m, b)
-    count = curve_count(p, (-m) % p, (-b) % p).count
-    line_n = int(region.mask[plane.affine_points()[xs, (m * xs + b) % p]].sum())
-    if line_n != n:
-        raise CurveError("region membership disagrees with character scan")
-    return LineCurveRelation(p=p, m=m, b=b, n_ell=n, roots=z, curve_count=count,
-                             holds=count == 2 * n + 1 - z)
-
-
 def ec_spectrum_scan(plane: ProjectivePlane) -> EcScanReport:
     """Full secant spectrum of the cubic-square region, with the
     line-curve relation verified on every non-vertical nonsingular line."""
@@ -175,16 +134,3 @@ def ec_spectrum_scan(plane: ProjectivePlane) -> EcScanReport:
         mode_ratio=spec.mode_count / ratio_scale,
         cor_ceiling=cor_bound_ceiling(p))
 
-
-def curve_count_bruteforce(p: int, a: int, b: int) -> int:
-    """Independent oracle: enumerate all (x, y) pairs plus infinity."""
-    _require_prime(p)
-    if (4 * a ** 3 + 27 * b * b) % p == 0:
-        raise CurveError("singular curve")
-    total = 1
-    for x in range(p):
-        rhs = (x * x * x + a * x + b) % p
-        for y in range(p):
-            if (y * y) % p == rhs:
-                total += 1
-    return total

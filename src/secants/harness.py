@@ -25,6 +25,9 @@ from .spectrum import (PointSet, bounds_report, compute_spectrum,
                        cor_bound_ceiling, verify_counting_identities)
 
 EXHAUSTIVE_MAX_Q = 4
+# The local search holds the plane's (N, q+1) int32 incidence; 251 is the
+# largest order whose matrix stays within 64 MiB (q = 256 needs 67.6 MB).
+LOCAL_SEARCH_MAX_Q = 251
 _CHUNK_BITS = 16
 
 # The local search scores flips in blocks of about this many (point, count) entries.
@@ -89,14 +92,6 @@ def _ordered_map(fn, items, threads: int) -> list:
         return list(pool.map(fn, items))
 
 
-def _mode_counts(secants: np.ndarray, q: int) -> np.ndarray:
-    """Row-wise histogram maximum of an (M, N) matrix of secant sizes."""
-    best = np.zeros(secants.shape[0], dtype=np.int32)
-    for k in range(q + 2):
-        np.maximum(best, (secants == k).sum(axis=1, dtype=np.int32), out=best)
-    return best
-
-
 def exhaustive_minmax(plane: ProjectivePlane, threads: int = 1) -> SearchResult:
     """Exact minimum over all subsets of the maximal secant-size frequency.
 
@@ -109,7 +104,7 @@ def exhaustive_minmax(plane: ProjectivePlane, threads: int = 1) -> SearchResult:
         raise ValueError(f"exhaustive limit: q={q} is above the largest "
                          f"exhaustively searched order {EXHAUSTIVE_MAX_Q}")
     line_masks = np.bitwise_or.reduce(
-        np.left_shift(np.uint32(1), plane.line_points_matrix.astype(np.uint32)), axis=1)
+        np.left_shift(np.uint32(1), plane.line_points().astype(np.uint32)), axis=1)
     half = N // 2
 
     def chunk_best(lo: int, hi: int):
@@ -118,7 +113,10 @@ def exhaustive_minmax(plane: ProjectivePlane, threads: int = 1) -> SearchResult:
         if masks.size == 0:
             return None
         secants = np.bitwise_count(masks[:, None] & line_masks[None, :])
-        modes = _mode_counts(secants, q)
+        # row-wise histogram maximum of the secant sizes
+        modes = np.zeros(masks.size, dtype=np.int32)
+        for k in range(q + 2):
+            np.maximum(modes, (secants == k).sum(axis=1, dtype=np.int32), out=modes)
         i = int(modes.argmin())          # first occurrence = smallest bitmap
         return int(modes[i]), int(masks[i]), masks.size
 
@@ -148,12 +146,15 @@ def local_search(plane: ProjectivePlane, iters: int = 200, seed: int = 0,
     A step scores all N flips at once.  With C[pt, k] the number of lines
     through pt that meet the set in k points, flipping pt gives the
     histogram hist - C[pt] + C[pt] shifted by the flip's sign.  C is built
-    in blocks of points of about _FLIP_BLOCK_ENTRIES entries, so the search
-    runs wherever the plane's incidence cache fits (roughly q <= 251)."""
+    in blocks of points of about _FLIP_BLOCK_ENTRIES entries.  The search
+    solves the plane's incidence once, so it runs up to LOCAL_SEARCH_MAX_Q."""
     q, N, W = plane.q, plane.N, plane.q + 2
+    if q > LOCAL_SEARCH_MAX_Q:
+        raise ValueError(f"search limit: q={q} is above the largest locally "
+                         f"searched order {LOCAL_SEARCH_MAX_Q}")
     # row i lists the points of line i and, since point i and line i are
     # the same triple and incidence is symmetric, the lines through point i
-    incidence = plane.line_points_matrix
+    incidence = plane.line_points()
     rows = max(1, _FLIP_BLOCK_ENTRIES // W)
     rng = Random(seed)
     best = None

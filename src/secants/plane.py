@@ -6,11 +6,10 @@ families are listed in lexicographic order of their encoded triples.  That
 order has a closed form, so planes are cheap to create at any q, and one
 array decode (`triples`) and one array encode (`index_of`) map between
 indices and triples.  The points of any batch of lines come from one
-vectorized closed-form solver.  The incidence cache, an int32 matrix of
-per-line point indices, is materialized while it fits in a fixed memory
-budget; the searches and the test oracles read it, and spectra are
-counted without it.  Points and lines share one indexing and x.a = a.x,
-so the same matrix lists the lines through each point.
+vectorized closed-form solver (`line_points`), which caches nothing: the
+two searches each solve all N lines once, and spectra are counted without
+any incidence.  Points and lines share one indexing and x.a = a.x, so the
+solver's rows also list the lines through each point.
 
 The affine chart identifies F_q^2 with the points off the line z = 0:
 (x, y) corresponds to (x : y : 1), the line y = dx + b to [d : -1 : b],
@@ -24,10 +23,6 @@ from __future__ import annotations
 import numpy as np
 
 from .field import Field, make_field
-
-# The incidence cache is built only when its (N, q+1) int32 index matrix
-# fits in this many bytes.
-INCIDENCE_BUDGET_BYTES = 64 * 1024 * 1024
 
 # Lines are solved in blocks of about this many entries, which bounds the
 # solver's int64 temporaries.
@@ -45,7 +40,6 @@ class ProjectivePlane:
         self.field = field
         self.q = field.q
         self.N = self.q * self.q + self.q + 1
-        self._line_points = None     # numpy (N, q+1) int32, within the budget only
         self._affine_points = None   # numpy (q, q) int32, built on first use
 
     def __repr__(self):
@@ -84,69 +78,36 @@ class ProjectivePlane:
         x, y, z = F.mul(x, s), F.mul(y, s), F.mul(z, s)
         return np.where(x == 1, q + 1 + y * q + z, np.where(y == 1, 1 + z, 0))
 
-    # -- incidence ------------------------------------------------------------
+    # -- the line solver ------------------------------------------------------
 
-    def incident(self, point_idx, line_idx):
-        """Whether each point lies on each line; the index arrays broadcast."""
-        F = self.field
-        x, y, z = np.moveaxis(self.triples(point_idx), -1, 0)
-        a, b, c = np.moveaxis(self.triples(line_idx), -1, 0)
-        return F.add(F.add(F.mul(a, x), F.mul(b, y)), F.mul(c, z)) == 0
-
-    def line_point_indices(self, line_idx: int):
-        """Sorted indices of the q+1 points on a line."""
-        return self._solve_lines([line_idx])[0].tolist()
-
-    def _solve_lines(self, lines) -> np.ndarray:
-        """(len(lines), q+1) int32 matrix: row i holds the sorted indices of
-        the points on line lines[i], from the closed form for [a : b : c]."""
+    def line_points(self, lines=None) -> np.ndarray:
+        """(len(lines), q+1) int32 array: row i holds the sorted indices of
+        the points on line lines[i], all N lines by default.  Points and
+        lines share one indexing and x.a = a.x, so row i also lists the
+        lines through point i.  Nothing is cached; the rows are solved in
+        blocks of about _SOLVE_BLOCK_ENTRIES entries from the closed form
+        for [a : b : c]."""
         F, q = self.field, self.q
-        a, b, c = self.triples(lines).T
+        lines = np.arange(self.N) if lines is None else np.asarray(lines, dtype=np.int64)
+        out = np.empty((lines.size, q + 1), dtype=np.int32)
         z = np.arange(q, dtype=np.int64)
-        out = np.empty((a.size, q + 1), dtype=np.int32)
-        # c != 0: the point (0 : 1 : -b/c), then (1 : y : -(a + by)/c) by y
-        s = np.nonzero(c)[0]
-        nc = F.neg(F.inv(c[s]))
-        out[s, 0] = 1 + F.mul(b[s], nc)
-        out[s, 1:] = q + 1 + z * q + F.mul(
-            F.add(a[s, None], F.mul(b[s, None], z)), nc[:, None])
-        # c == 0: the point (0 : 0 : 1), then (1 : -a/b : z) by z, or (0 : 1 : z)
-        # on the line x = 0, where b == 0 too
-        out[c == 0, 0] = 0
-        s = np.nonzero((c == 0) & (b != 0))[0]
-        out[s, 1:] = q + 1 + F.mul(F.neg(a[s]), F.inv(b[s]))[:, None] * q + z
-        out[(c == 0) & (b == 0), 1:] = 1 + z
+        step = max(1, _SOLVE_BLOCK_ENTRIES // (q + 1))
+        for lo in range(0, lines.size, step):
+            a, b, c = self.triples(lines[lo:lo + step]).T
+            block = out[lo:lo + step]
+            # c != 0: the point (0 : 1 : -b/c), then (1 : y : -(a + by)/c) by y
+            s = np.nonzero(c)[0]
+            nc = F.neg(F.inv(c[s]))
+            block[s, 0] = 1 + F.mul(b[s], nc)
+            block[s, 1:] = q + 1 + z * q + F.mul(
+                F.add(a[s, None], F.mul(b[s, None], z)), nc[:, None])
+            # c == 0: the point (0 : 0 : 1), then (1 : -a/b : z) by z, or
+            # (0 : 1 : z) on the line x = 0, where b == 0 too
+            block[c == 0, 0] = 0
+            s = np.nonzero((c == 0) & (b != 0))[0]
+            block[s, 1:] = q + 1 + F.mul(F.neg(a[s]), F.inv(b[s]))[:, None] * q + z
+            block[(c == 0) & (b == 0), 1:] = 1 + z
         return out
-
-    @property
-    def has_incidence_cache(self) -> bool:
-        return self.N * (self.q + 1) * 4 <= INCIDENCE_BUDGET_BYTES
-
-    @property
-    def line_points_matrix(self) -> np.ndarray:
-        """(N, q+1) int32 matrix of point indices per line, rows ascending
-        (within the budget); by duality row i also lists the lines through point i."""
-        if not self.has_incidence_cache:
-            raise PlaneError(
-                f"incidence cache for N={self.N} exceeds the memory budget")
-        if self._line_points is None:
-            N, step = self.N, max(1, _SOLVE_BLOCK_ENTRIES // (self.q + 1))
-            out = np.empty((N, self.q + 1), dtype=np.int32)
-            for lo in range(0, N, step):
-                out[lo:lo + step] = self._solve_lines(np.arange(lo, min(lo + step, N)))
-            self._line_points = out
-        return self._line_points
-
-    # -- axioms-level helpers ---------------------------------------------------
-
-    def line_through(self, p_idx: int, q_idx: int) -> int:
-        """The unique line through two distinct points (cross product)."""
-        if p_idx == q_idx:
-            raise PlaneError("identical points")
-        F = self.field
-        P, Q = self.triples([p_idx, q_idx])
-        cross = F.sub(F.mul(P[[1, 2, 0]], Q[[2, 0, 1]]), F.mul(P[[2, 0, 1]], Q[[1, 2, 0]]))
-        return int(self.index_of(cross))
 
     # -- the affine chart -------------------------------------------------------
 

@@ -58,9 +58,6 @@ class PointSet:
     def indices(self) -> np.ndarray:
         return np.flatnonzero(self.mask)
 
-    def contains(self, idx: int) -> bool:
-        return 0 <= idx < self.plane.N and bool(self.mask[idx])
-
     def complement(self) -> "PointSet":
         meta = {"construction": "complement", "of": self.meta.get("construction")}
         return PointSet(self.plane, ~self.mask, meta)
@@ -122,11 +119,8 @@ class BoundsReport:
 def compute_spectrum(plane: ProjectivePlane, pset: PointSet) -> SecantSpectrum:
     if pset.plane is not plane:
         raise ValueError("point set belongs to a different plane")
-    return spectrum_from_counts(plane, pset.size, _spectrum_affine(plane, pset.mask))
-
-
-def spectrum_from_counts(plane, size, n_ell) -> SecantSpectrum:
-    q, N = plane.q, plane.N
+    q, N, size = plane.q, plane.N, pset.size
+    n_ell = _spectrum_affine(plane, pset.mask)
     hist = np.bincount(n_ell, minlength=q + 2)
     mode_k = int(hist.argmax())          # argmax returns the smallest maximizer
     return SecantSpectrum(

@@ -1,18 +1,24 @@
-"""Shared brute-force oracles, kept deliberately independent of the
-library's counting kernel and line solver: everything here goes through
-python sets, one batched incidence test and an itertools enumeration of
-the normalized triples only.  The gather check and the local-search loop
-are the exceptions: they read the plane's incidence cache, which
-test_plane checks against the incidence test, and never the Radon
+"""Shared brute-force oracles and the test-only helpers, kept deliberately
+independent of the library's counting kernel and line solver: everything
+here goes through python sets, the incidence test `incident` (the field's
+arithmetic on decoded triples), Euler's criterion and an itertools
+enumeration of the normalized triples only.  The gather check and the
+local-search loop are the exceptions: they read the plane's line solver,
+which test_plane checks against `incident`, and never the Radon
 transform."""
 
 import itertools
 import sys
+from dataclasses import dataclass
 from functools import lru_cache
 from random import Random
 
 import numpy as np
 import pytest
+
+from secants.construct import ec_region
+from secants.ecurve import CurveError
+from secants.plane import PlaneError
 
 
 @lru_cache(maxsize=None)
@@ -39,13 +45,38 @@ def class_of(plane, *triple):
     return projective_classes(plane)[triple]
 
 
+def incident(plane, point_idx, line_idx):
+    """Whether each point lies on each line, a.x + b.y + c.z = 0 over the
+    field on the decoded triples; the index arrays broadcast."""
+    F = plane.field
+    x, y, z = np.moveaxis(plane.triples(point_idx), -1, 0)
+    a, b, c = np.moveaxis(plane.triples(line_idx), -1, 0)
+    return F.add(F.add(F.mul(a, x), F.mul(b, y)), F.mul(c, z)) == 0
+
+
+def line_through(plane, p_idx, q_idx):
+    """The unique line through two distinct points, as the cross product of
+    their triples, looked up with `class_of`."""
+    if p_idx == q_idx:
+        raise PlaneError("identical points")
+    F = plane.field
+    P, Q = (normalized_triples(plane.q)[i] for i in (p_idx, q_idx))
+    return class_of(plane, *(F.sub(F.mul(P[i], Q[j]), F.mul(P[j], Q[i]))
+                             for i, j in ((1, 2), (2, 0), (0, 1))))
+
+
+def contains(pset, idx):
+    """Whether a point set holds the point with this index."""
+    return 0 <= idx < pset.plane.N and bool(pset.mask[idx])
+
+
 @lru_cache(maxsize=None)
 def naive_line_points(plane):
-    """Per-line point sets from one incidence test `plane.incident` of every
-    line against every point, independent of the library's line solver."""
+    """Per-line point sets from one `incident` test of every line against
+    every point, independent of the library's line solver."""
     idx = np.arange(plane.N)
     return [frozenset(np.flatnonzero(row).tolist())
-            for row in plane.incident(idx, idx[:, None])]
+            for row in incident(plane, idx, idx[:, None])]
 
 
 def naive_secant_counts(plane, member_indices):
@@ -55,9 +86,9 @@ def naive_secant_counts(plane, member_indices):
 
 
 def gather_secant_counts(plane, mask):
-    """Per-line |S ∩ line| gathered from the incidence cache, O(q^3): a
+    """Per-line |S ∩ line| gathered from the solved incidence, O(q^3): a
     cross-check of the transform for planes too large for the set oracle."""
-    return mask[plane.line_points_matrix].sum(axis=1, dtype=np.int64)
+    return mask[plane.line_points()].sum(axis=1, dtype=np.int64)
 
 
 def naive_histogram(plane, member_indices):
@@ -76,12 +107,12 @@ def assert_spectrum_matches_naive(plane, pset, spec):
 def naive_local_search(plane, iters, seed, restarts):
     """The local search as a per-flip Python loop: every step copies the
     histogram and moves each line through the flipped point by hand.  It
-    takes its incidence from the plane's cache (checked against
+    takes its incidence from the plane's line solver (checked against
     `naive_line_points` in test_plane, and checked symmetric there, so the
     same rows list the lines through each point) and returns
     (best_mode_count, witness point list, subsets_examined)."""
     q, N = plane.q, plane.N
-    line_points = plane.line_points_matrix.tolist()
+    line_points = plane.line_points().tolist()
     point_lines = line_points
 
     def score(hist):
@@ -125,6 +156,72 @@ def naive_local_search(plane, iters, seed, restarts):
             best = (*cur, bitmap)
     witness = [i for i in range(N) if (best[2] >> i) & 1]
     return best[0], witness, examined
+
+
+def chi(p, v):
+    """The quadratic character of v mod an odd prime p, by Euler's criterion."""
+    v %= p
+    return 0 if v == 0 else (1 if pow(v, (p - 1) // 2, p) == 1 else -1)
+
+
+def phi_sum(p, u, a):
+    """Moving character sum chi(u) + chi(u-1) + ... + chi(u-a+1)."""
+    if not 0 <= a <= p:
+        raise ValueError(f"window length {a} out of range [0, {p}]")
+    return sum(chi(p, u - t) for t in range(a))
+
+
+def cubic_root_count(p, m, b):
+    """Number of distinct x in F_p with x^3 - m*x - b = 0, by scan."""
+    return sum((x * x * x - m * x - b) % p == 0 for x in range(p))
+
+
+def curve_count_bruteforce(p, a, b):
+    """Point count of Y^2 = X^3 + aX + b over F_p: enumerate all (x, y)
+    pairs plus infinity."""
+    if (4 * a ** 3 + 27 * b * b) % p == 0:
+        raise CurveError("singular curve")
+    total = 1
+    for x in range(p):
+        rhs = (x * x * x + a * x + b) % p
+        for y in range(p):
+            if (y * y) % p == rhs:
+                total += 1
+    return total
+
+
+@dataclass
+class LineCurveRelation:
+    p: int
+    m: int
+    b: int
+    n_ell: int = 0
+    roots: int = 0          # distinct roots of X^3 - mX - b
+    curve_count: int = 0
+    holds: bool = False
+    skipped: str | None = None   # "singular" when -4m^3 + 27b^2 = 0
+
+
+def line_curve_check(plane, m, b, region=None):
+    """Check |E(Y^2 = X^3 - mX - b)| = 2*n + 1 - Z on the line v = mx + b
+    of the cubic-square region, one line at a time: n by the character of
+    x^3 - m*x - b, checked against the region's membership; the count by
+    enumeration."""
+    p = plane.field.p
+    m %= p
+    b %= p
+    if (-4 * m ** 3 + 27 * b * b) % p == 0:
+        return LineCurveRelation(p=p, m=m, b=b, skipped="singular")
+    if region is None:
+        region = ec_region(plane)
+    n = sum(chi(p, x * x * x - m * x - b) >= 0 for x in range(p))
+    line_n = sum(contains(region, class_of(plane, x, (m * x + b) % p, 1))
+                 for x in range(p))
+    assert line_n == n, "region membership disagrees with character scan"
+    z = cubic_root_count(p, m, b)
+    count = curve_count_bruteforce(p, (-m) % p, (-b) % p)
+    return LineCurveRelation(p=p, m=m, b=b, n_ell=n, roots=z, curve_count=count,
+                             holds=count == 2 * n + 1 - z)
 
 
 @pytest.fixture(scope="session")

@@ -13,7 +13,7 @@ from secants.charwalk import (profile_range_check, projection_profile,
 from secants.cli import main as cli_main
 from secants.construct import (FamilyParams, ParabolaParams, ec_region,
                                parabola_family, parabola_region, random_set)
-from secants.ecurve import curve_count, curve_count_bruteforce, ec_spectrum_scan
+from secants.ecurve import curve_count, ec_spectrum_scan
 from secants.field import is_prime, legendre_table
 from secants.harness import exhaustive_minmax, local_search, run_sweep
 from secants.legit import (generate_linear_hypergraph, two_phase_coloring,
@@ -21,6 +21,8 @@ from secants.legit import (generate_linear_hypergraph, two_phase_coloring,
 from secants.plane import build_plane
 from secants.spectrum import (PointSet, compute_spectrum, cor_bound_ceiling,
                               verify_counting_identities)
+
+from conftest import curve_count_bruteforce
 
 IDENTITY_ORDERS = (2, 3, 4, 5, 7, 8, 9, 11, 13)
 SETS_PER_ORDER = 200

@@ -4,15 +4,14 @@ import numpy as np
 import pytest
 
 from secants import charwalk
-from secants.charwalk import (occupancy_scaling, level_stats, phi_sum,
-                              profile_range_check, projection_profile, psi_walk,
-                              verify_projection_laws)
+from secants.charwalk import (occupancy_scaling, level_stats, profile_range_check,
+                              projection_profile, psi_walk, verify_projection_laws)
 from secants.construct import ParabolaParams, parabola_region
 from secants.field import is_prime, legendre_table
 from secants.plane import build_plane
 from secants.spectrum import compute_spectrum
 
-from conftest import class_of
+from conftest import class_of, contains, phi_sum
 
 PRIMES = [p for p in range(5, 60) if is_prime(p)]
 
@@ -90,7 +89,7 @@ def test_profile_matches_membership_count(p):
     for d in (1, 2, p - 1):
         prof = projection_profile(pl, params, d)
         for b in range(p):
-            direct = sum(S.contains(class_of(pl, x, (d * x + b) % p, 1))
+            direct = sum(contains(S, class_of(pl, x, (d * x + b) % p, 1))
                          for x in range(p))
             assert prof.pr[b] == direct
         assert int(prof.pr.sum()) == S.size

@@ -294,6 +294,63 @@ def test_usage_errors():
     assert main(["sweep", "--primes", "7", "--construction", "bogus"]) == USAGE_ERROR
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["plane", "--q", "7", "--bogus"], "unrecognized arguments: --bogus"),
+    (["spectrum"], "the following arguments are required: --q"),
+    (["plane", "--q", "7", "--dump", "edges"], "argument --dump: invalid choice: 'edges'"),
+])
+def test_usage_errors_end_with_their_reason(capsys, argv, message):
+    assert main(argv) == USAGE_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith("usage: ") and err.endswith("\n")
+    *usage, last = err.splitlines()
+    assert last.startswith(f"error: {message}"), err
+    assert not any(line.startswith("error:") for line in usage)
+
+
+@pytest.mark.parametrize("argv", [
+    ["exhaustive", "--q", "2", "--format", "csv"],
+    ["search", "--q", "3", "--format", "json"],
+    ["sweep", "--primes", "7", "--construction", "random:density=1/2", "--seed", "5"],
+    ["exhaustive", "--q", "2", "--seed", "1"],
+    ["charwalk", "--p", "7", "--seed", "1"],
+    ["legit", "gen", "--n", "4", "--format", "csv"],
+])
+def test_flags_only_where_read(tmp_path, capsys, argv):
+    out = tmp_path / "out"
+    assert main([*argv, "--out", str(out)]) == USAGE_ERROR
+    assert capsys.readouterr().err.splitlines()[-1].startswith(
+        "error: unrecognized arguments: --")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("seed", ["-1", str(2 ** 128)])
+@pytest.mark.parametrize("argv", [
+    ["spectrum", "--q", "7", "--construction", "random:density=1/2"],
+    ["search", "--q", "3"],
+    ["legit", "gen", "--n", "4"],
+])
+def test_seed_outside_range_exits_1_with_one_line(tmp_path, capsys, argv, seed):
+    out = tmp_path / "out"
+    assert main([*argv, "--seed", seed, "--out", str(out)]) == USAGE_ERROR
+    assert capsys.readouterr().err == f"error: --seed must be in [0, 2**128), got {seed}\n"
+    assert not out.exists()
+
+
+def test_largest_seed_runs(tmp_path):
+    code, data = run_cli(tmp_path, "spectrum", "--q", "7", "--construction",
+                         "random:density=1/2", "--seed", str(2 ** 128 - 1))
+    assert code == OK and json.loads(data)["meta"]["seed"] == 2 ** 128 - 1
+
+
+def test_empty_prime_list_exits_1_with_one_line(tmp_path, capsys):
+    out = tmp_path / "out"
+    argv = ["sweep", "--primes", ",,", "--construction", "ecregion", "--seeds", "1"]
+    assert main([*argv, "--out", str(out)]) == USAGE_ERROR
+    assert capsys.readouterr().err == "error: --primes lists no prime\n"
+    assert not out.exists()
+
+
 MALFORMED_INPUTS = {
     "set-out-of-range": ("set-file", {"q": 7, "affine": [[9, 3]]}),
     "set-negative": ("set-file", {"q": 7, "affine": [[-1, 3]]}),
@@ -392,6 +449,15 @@ def test_exhaustive_above_limit_exits_1_with_one_line(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: exhaustive limit") and err.count("\n") == 1, err
     assert "q=5" in err and "4" in err
+    assert not out.exists()
+
+
+def test_search_above_limit_exits_1_with_one_line(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["search", "--q", "256", "--out", str(out)]) == USAGE_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith("error: search limit") and err.count("\n") == 1, err
+    assert "q=256" in err and "251" in err
     assert not out.exists()
 
 

@@ -3,11 +3,11 @@ import math
 import pytest
 
 from secants.construct import ec_region
-from secants.ecurve import (CurveError, cubic_root_count, curve_count,
-                            curve_count_bruteforce, ec_spectrum_scan,
-                            line_curve_check)
+from secants.ecurve import CurveError, curve_count, ec_spectrum_scan
 from secants.plane import build_plane
 from secants.spectrum import verify_counting_identities
+
+from conftest import cubic_root_count, curve_count_bruteforce, line_curve_check
 
 
 def test_curve_count_examples():

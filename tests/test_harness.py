@@ -77,6 +77,13 @@ def test_exhaustive_rejects_large_q():
         exhaustive_minmax(build_plane(5))
 
 
+def test_local_search_rejects_q_above_its_limit():
+    assert harness_module.LOCAL_SEARCH_MAX_Q == 251
+    local_search(build_plane(251), iters=0, restarts=1)
+    with pytest.raises(ValueError, match="search limit: q=256"):
+        local_search(build_plane(256), iters=0, restarts=1)
+
+
 def test_local_search_reaches_exhaustive_minimum():
     for q, golden in ((2, 3), (3, 6), (4, 7)):
         pl = build_plane(q)

@@ -16,19 +16,20 @@ from secants.spectrum import (PointSet, bounds_report, compute_spectrum,
                               cor_bound_ceiling, verify_counting_identities)
 from secants.spectrum import _spectrum_affine
 
-from conftest import (assert_spectrum_matches_naive, class_of, gather_secant_counts,
-                      naive_histogram, naive_secant_counts)
+from conftest import (assert_spectrum_matches_naive, class_of, contains,
+                      gather_secant_counts, naive_histogram, naive_secant_counts)
 
 
 def fano_triangle(fano):
+    rows = fano.line_points().tolist()
     for comb in itertools.combinations(range(7), 3):
-        if all(len(set(comb) & set(fano.line_point_indices(l))) < 3 for l in range(7)):
+        if all(len(set(comb) & set(row)) < 3 for row in rows):
             return comb
     raise AssertionError("no triangle found")
 
 
 def test_full_line_spectrum(fano):
-    S = PointSet.from_indices(fano, fano.line_point_indices(0))
+    S = PointSet.from_indices(fano, fano.line_points([0])[0])
     spec = compute_spectrum(fano, S)
     # any other line meets this one in exactly one point
     assert spec.histogram.tolist() == [0, 6, 0, 1]
@@ -108,28 +109,34 @@ def test_gather_and_affine_kernels_agree(p):
 
 def test_affine_kernel_handles_infinite_points():
     pl = build_plane(7)
-    infinite = pl.line_point_indices(class_of(pl, 0, 0, 1))
-    S = PointSet.from_indices(pl, list(infinite[:4]) + [class_of(pl, 2, 3, 1)])
+    infinite = pl.line_points([class_of(pl, 0, 0, 1)])[0].tolist()
+    S = PointSet.from_indices(pl, infinite[:4] + [class_of(pl, 2, 3, 1)])
     assert (_spectrum_affine(pl, S.mask) == gather_secant_counts(pl, S.mask)).all()
     assert _spectrum_affine(pl, S.mask).tolist() == naive_secant_counts(pl, S.indices())
 
 
 @pytest.mark.parametrize("q", [8, 9])
-def test_incidence_cache_fills_solved_blocks_in_place(monkeypatch, q):
-    cached = build_plane(q).line_points_matrix
+def test_line_points_fills_solved_blocks_in_place(monkeypatch, q):
+    whole = build_plane(q).line_points()
     monkeypatch.setattr(plane_module, "_SOLVE_BLOCK_ENTRIES", 100)
     pl = build_plane(q)
     step = 100 // (q + 1)
-    blocks = [pl._solve_lines(np.arange(lo, min(lo + step, pl.N)))
+    blocks = [pl.line_points(np.arange(lo, min(lo + step, pl.N)))
               for lo in range(0, pl.N, step)]
     assert len(blocks) > 1
-    assert (pl.line_points_matrix == np.concatenate(blocks)).all()
-    assert (pl.line_points_matrix == cached).all()
+    assert (pl.line_points() == np.concatenate(blocks)).all()
+    assert (pl.line_points() == whole).all()
+    # any batch of lines, in any order, solves to the same rows
+    order = np.random.default_rng(q).permutation(pl.N)
+    assert (pl.line_points(order) == whole[order]).all()
 
 
 @pytest.mark.parametrize("q", [8, 9])
 def test_spectrum_needs_no_incidence_cache(monkeypatch, q):
-    monkeypatch.setattr(plane_module, "INCIDENCE_BUDGET_BYTES", 0)
+    def unsolvable(self, lines=None):
+        raise AssertionError("the spectrum solved lines")
+
+    monkeypatch.setattr(plane_module.ProjectivePlane, "line_points", unsolvable)
     pl = build_plane(q)
     S = random_set(pl, Fraction(1, 3), q)
     assert_spectrum_matches_naive(pl, S, compute_spectrum(pl, S))
@@ -243,7 +250,7 @@ def test_cor_bound_ceiling_matches_float_ceiling():
 
 def test_pointset_basics(fano):
     S = PointSet.from_indices(fano, [0, 3, 5])
-    assert len(S) == 3 and S.contains(3) and not S.contains(1)
+    assert len(S) == 3 and contains(S, 3) and not contains(S, 1)
     assert S.indices().tolist() == [0, 3, 5]
     with pytest.raises(ValueError):
         PointSet.from_indices(fano, [99])
