@@ -2,6 +2,7 @@ import hashlib
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -306,6 +307,19 @@ def test_usage_errors_end_with_their_reason(capsys, argv, message):
     *usage, last = err.splitlines()
     assert last.startswith(f"error: {message}"), err
     assert not any(line.startswith("error:") for line in usage)
+
+
+# stdout, stderr and exit code of `--help` at every level, `--version` and
+# the usage errors, recorded before the parser was built per subcommand
+USAGE_GOLDENS = json.loads((Path(__file__).parent / "cli_usage_goldens.json").read_text())
+
+
+@pytest.mark.parametrize("case", USAGE_GOLDENS,
+                         ids=lambda case: " ".join(case["argv"]) or "(no arguments)")
+def test_usage_text_golden(capsys, monkeypatch, case):
+    monkeypatch.setenv("COLUMNS", "80")      # argparse wraps help to the terminal
+    assert main(list(case["argv"])) == case["code"]
+    assert capsys.readouterr() == (case["stdout"], case["stderr"])
 
 
 @pytest.mark.parametrize("argv", [
