@@ -124,7 +124,7 @@ def _require_odd_prime(p: int):
 def psi_walk(p: int, a: int) -> Walk:
     _require_odd_prime(p)
     chi = legendre_table(p)
-    steps = chi[(a + np.arange(p, dtype=np.int64)) % p]
+    steps = chi[(a % p + np.arange(p, dtype=np.int64)) % p]   # any int a, no int64 wrap
     return Walk(p=p, a=a % p, values=np.cumsum(steps, dtype=np.int64).tolist())
 
 

@@ -11,6 +11,7 @@ import csv
 import io
 import json
 import sys
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -21,7 +22,7 @@ from .construct import (ConstructionError, ParabolaParams, rational_to_element,
                         build_construction, parse_construction, pointset_from_json,
                         pointset_to_json)
 from .ecurve import CurveError, curve_count, ec_spectrum_scan
-from .field import FieldError
+from .field import FieldError, factor_prime_power
 from .harness import exhaustive_minmax, local_search, run_sweep, sweep_to_csv
 from .legit import (BLUE, GENERATOR_MODES, RED, LegitError, LinearHypergraph,
                     generate_linear_hypergraph, two_phase_coloring, verify_legitimate)
@@ -44,6 +45,17 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(USAGE_ERROR)
 
 
+class _Command(_Parser):
+    """A subcommand's parser: an argument it does not know is reported with
+    this subcommand's usage, not the top-level one."""
+
+    def parse_known_args(self, args=None, namespace=None):
+        namespace, extras = super().parse_known_args(args, namespace)
+        if extras:
+            self.error(f"unrecognized arguments: {' '.join(extras)}")
+        return namespace, extras
+
+
 def _common_flags(parser, seed: bool = False):
     """--threads and --out on every subcommand; --seed where it is read."""
     if seed:
@@ -61,7 +73,44 @@ def _emit(args, text: str):
 
 
 def _emit_json(args, obj) -> None:
-    _emit(args, json.dumps(obj, sort_keys=True, indent=2) + "\n")
+    _emit(args, _json_text(obj) + "\n")
+
+
+def _json_text(obj, pad: str = "\n") -> str:
+    """The text of json.dumps(obj, sort_keys=True, indent=2), without the
+    pure-Python encoder that json runs whenever indent is set: a list of
+    ints or of strs is one join, and only dicts and other lists recurse.
+    pad is the line break and indentation that obj's own line starts with."""
+    if type(obj) is int:
+        return int.__repr__(obj)
+    if isinstance(obj, str):
+        return encode_basestring_ascii(obj)
+    inner = pad + "  "
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        items = (f"{_json_key(k)}: {_json_text(v, inner)}" for k, v in sorted(obj.items()))
+        return "{" + inner + ("," + inner).join(items) + pad + "}"
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        kinds = set(map(type, obj))
+        items = (map(int.__repr__, obj) if kinds == {int} else
+                 map(encode_basestring_ascii, obj) if kinds == {str} else
+                 (_json_text(v, inner) for v in obj))
+        return "[" + inner + ("," + inner).join(items) + pad + "]"
+    return json.dumps(obj)     # floats, bools, None; raises on what json rejects
+
+
+def _json_key(key) -> str:
+    """A dict key as json writes it: str, or the quoted text of an int,
+    float, bool or None."""
+    if isinstance(key, str):
+        return encode_basestring_ascii(key)
+    if key is None or isinstance(key, (int, float)):
+        return '"' + json.dumps(key) + '"'
+    raise TypeError(f"keys must be str, int, float, bool or None, "
+                    f"not {type(key).__name__}")
 
 
 def _csv_text(header, rows) -> str:
@@ -72,17 +121,41 @@ def _csv_text(header, rows) -> str:
     return buf.getvalue()
 
 
+def _plane(args, flag: str = "q"):
+    """The plane whose order the flag gives, which must be a prime power."""
+    q = getattr(args, flag)
+    if factor_prime_power(q) is None:
+        raise ValueError(f"--{flag} must be a prime power, got {q}")
+    return build_plane(q)
+
+
+def _orders(text: str) -> list:
+    """The comma-separated prime powers of sweep's --primes."""
+    orders = []
+    for tok in filter(None, text.split(",")):
+        try:
+            q = int(tok)
+        except ValueError:
+            raise ValueError(f"--primes must list integers, got {tok!r}") from None
+        if factor_prime_power(q) is None:
+            raise ValueError(f"--primes must list prime powers, got {q}")
+        orders.append(q)
+    if not orders:
+        raise ValueError("--primes lists no prime")
+    return orders
+
+
 # -- subcommands -----------------------------------------------------------------
 
 def cmd_plane(args) -> int:
-    plane = build_plane(args.q)     # points and lines share one indexing
+    plane = _plane(args)     # points and lines share one indexing
     rows = np.column_stack([np.arange(plane.N), plane.triples()])
     _emit(args, _csv_text(("idx", "x", "y", "z"), rows.tolist()))
     return OK
 
 
 def cmd_spectrum(args) -> int:
-    plane = build_plane(args.q)
+    plane = _plane(args)
     if args.set_file:
         with open(args.set_file) as fh:
             pset = pointset_from_json(plane, json.load(fh))
@@ -117,9 +190,7 @@ def cmd_spectrum(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    primes = [int(tok) for tok in args.primes.split(",") if tok]
-    if not primes:
-        raise ValueError("--primes lists no prime")
+    primes = _orders(args.primes)
     parse_construction(args.construction)
     rows = run_sweep(primes, args.construction, args.seeds, threads=args.threads)
     _emit(args, sweep_to_csv(rows))
@@ -127,12 +198,12 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_exhaustive(args) -> int:
-    plane = build_plane(args.q)
+    plane = _plane(args)
     return _emit_search(args, plane, exhaustive_minmax(plane, threads=args.threads))
 
 
 def cmd_search(args) -> int:
-    plane = build_plane(args.q)
+    plane = _plane(args)
     return _emit_search(args, plane, local_search(plane, iters=args.iters, seed=args.seed,
                                                   restarts=args.restarts))
 
@@ -162,7 +233,7 @@ def cmd_charwalk(args) -> int:
 
 
 def cmd_projection(args) -> int:
-    plane = build_plane(args.p)
+    plane = _plane(args, "p")
     params = ParabolaParams(
         rational_to_element(args.p, args.alpha),
         rational_to_element(args.p, args.beta),
@@ -183,14 +254,14 @@ def cmd_ec(args) -> int:
                           "count": curve.count, "trace": curve.trace,
                           "hasse_ok": curve.hasse_ok})
         return OK if curve.hasse_ok else CHECK_FAILED
-    report = ec_spectrum_scan(build_plane(args.p))
+    report = ec_spectrum_scan(_plane(args, "p"))
     _emit_json(args, report.as_dict())
     ok = (report.relation_violations == 0
           and report.spectrum.mode_count >= report.cor_ceiling)
     return OK if ok else CHECK_FAILED
 
 
-def _read_coloring(path, num_vertices: int) -> list:
+def _read_coloring(path, num_vertices: int) -> np.ndarray:
     """A coloring file: {"colors": [...]} or a bare list with exactly one
     entry per vertex, each "red", "blue", 0 or 1."""
     with open(path) as fh:
@@ -198,11 +269,17 @@ def _read_coloring(path, num_vertices: int) -> list:
     names = doc.get("colors") if isinstance(doc, dict) else doc
     if not isinstance(names, list) or len(names) != num_vertices:
         raise LegitError(f"coloring file must list exactly {num_vertices} colors")
+    if set(map(type, names)) == {str}:      # names only, typed in one pass in C
+        colors = np.array(names)
+        blue = colors == "blue"
+        if (blue | (colors == "red")).all():
+            return np.where(blue, BLUE, RED)
+    # codes, or a bad entry to name (a JSON true is not the code 1)
     codes = {"red": RED, "blue": BLUE}
     for v, c in enumerate(names):
         if c not in ("red", "blue") and not (type(c) is int and c in (RED, BLUE)):
             raise LegitError(f"vertex {v} has color {c!r}; expected red, blue, 0 or 1")
-    return [codes.get(c, c) for c in names]
+    return np.array([codes.get(c, c) for c in names], dtype=np.int64)
 
 
 def cmd_legit(args) -> int:
@@ -236,18 +313,16 @@ def cmd_legit(args) -> int:
     return OK if legitimate else CHECK_FAILED
 
 
-def build_parser() -> _Parser:
-    parser = _Parser(prog="secants", description=__doc__)
-    parser.add_argument("--version", action="version", version=__version__)
-    sub = parser.add_subparsers(dest="command", required=True)
+# -- parser --------------------------------------------------------------------
 
-    p = sub.add_parser("plane", help="dump the normalized point or line triples")
+def _plane_args(p):
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--dump", choices=("points", "lines"), default="points")
     _common_flags(p)
     p.set_defaults(func=cmd_plane)
 
-    p = sub.add_parser("spectrum", help="secant spectrum of a set")
+
+def _spectrum_args(p):
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--set-file", dest="set_file")
     p.add_argument("--construction")
@@ -257,26 +332,30 @@ def build_parser() -> _Parser:
     _common_flags(p, seed=True)
     p.set_defaults(func=cmd_spectrum)
 
-    p = sub.add_parser("sweep", help="construction sweep over a prime list")
+
+def _sweep_args(p):
     p.add_argument("--primes", required=True, help="comma-separated primes")
     p.add_argument("--construction", required=True)
     p.add_argument("--seeds", type=int, default=10, help="seeds 0..N-1 per prime")
     _common_flags(p)
     p.set_defaults(func=cmd_sweep)
 
-    p = sub.add_parser("exhaustive", help="exact min-max search (q <= 4)")
+
+def _exhaustive_args(p):
     p.add_argument("--q", type=int, required=True)
     _common_flags(p)
     p.set_defaults(func=cmd_exhaustive)
 
-    p = sub.add_parser("search", help="hill-descent probe of the min-max value")
+
+def _search_args(p):
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--iters", type=int, default=200)
     p.add_argument("--restarts", type=int, default=5)
     _common_flags(p, seed=True)
     p.set_defaults(func=cmd_search)
 
-    p = sub.add_parser("charwalk", help="character prefix-sum walk")
+
+def _charwalk_args(p):
     p.add_argument("--p", type=int, required=True)
     p.add_argument("--a", type=int, default=0)
     p.add_argument("--levels", action="store_true",
@@ -284,8 +363,8 @@ def build_parser() -> _Parser:
     _common_flags(p)
     p.set_defaults(func=cmd_charwalk)
 
-    p = sub.add_parser("projection", help="parallel-class profiles of the "
-                                          "under-parabola region")
+
+def _projection_args(p):
     p.add_argument("--p", type=int, required=True)
     p.add_argument("--alpha", default="1")
     p.add_argument("--beta", default="0")
@@ -296,41 +375,89 @@ def build_parser() -> _Parser:
     _common_flags(p)
     p.set_defaults(func=cmd_projection)
 
-    p = sub.add_parser("ec", help="elliptic curve point counts and region scan")
-    ec_sub = p.add_subparsers(dest="ec_cmd", required=True)
-    pc = ec_sub.add_parser("count")
-    pc.add_argument("--p", type=int, required=True)
-    pc.add_argument("--a", type=int, required=True)
-    pc.add_argument("--b", type=int, required=True)
-    _common_flags(pc)
-    pc.set_defaults(func=cmd_ec)
-    ps = ec_sub.add_parser("scan")
-    ps.add_argument("--p", type=int, required=True)
-    _common_flags(ps)
-    ps.set_defaults(func=cmd_ec)
 
-    p = sub.add_parser("legit", help="linear hypergraphs and two-phase coloring")
-    lg_sub = p.add_subparsers(dest="legit_cmd", required=True)
-    pg = lg_sub.add_parser("gen")
-    pg.add_argument("--n", type=int, required=True)
-    pg.add_argument("--mode", choices=GENERATOR_MODES, default="pairwise")
-    _common_flags(pg, seed=True)
-    pg.set_defaults(func=cmd_legit)
-    pc = lg_sub.add_parser("color")
-    pc.add_argument("--in", dest="infile", required=True)
-    pc.add_argument("--permute-seed", dest="permute_seed", type=int, default=None)
-    _common_flags(pc)
-    pc.set_defaults(func=cmd_legit)
-    pv = lg_sub.add_parser("verify")
-    pv.add_argument("--in", dest="infile", required=True)
-    pv.add_argument("--coloring", required=True)
-    _common_flags(pv)
-    pv.set_defaults(func=cmd_legit)
+def _ec_count_args(p):
+    p.add_argument("--p", type=int, required=True)
+    p.add_argument("--a", type=int, required=True)
+    p.add_argument("--b", type=int, required=True)
+    _common_flags(p)
+    p.set_defaults(func=cmd_ec)
+
+
+def _ec_scan_args(p):
+    p.add_argument("--p", type=int, required=True)
+    _common_flags(p)
+    p.set_defaults(func=cmd_ec)
+
+
+def _legit_gen_args(p):
+    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--mode", choices=GENERATOR_MODES, default="pairwise")
+    _common_flags(p, seed=True)
+    p.set_defaults(func=cmd_legit)
+
+
+def _legit_color_args(p):
+    p.add_argument("--in", dest="infile", required=True)
+    p.add_argument("--permute-seed", dest="permute_seed", type=int, default=None)
+    _common_flags(p)
+    p.set_defaults(func=cmd_legit)
+
+
+def _legit_verify_args(p):
+    p.add_argument("--in", dest="infile", required=True)
+    p.add_argument("--coloring", required=True)
+    _common_flags(p)
+    p.set_defaults(func=cmd_legit)
+
+
+# name -> (help, the function that adds its arguments, or the table of its
+# own subcommands); `secants --help` lists them in this order
+_COMMANDS = {
+    "plane": ("dump the normalized point or line triples", _plane_args),
+    "spectrum": ("secant spectrum of a set", _spectrum_args),
+    "sweep": ("construction sweep over a prime list", _sweep_args),
+    "exhaustive": ("exact min-max search (q <= 4)", _exhaustive_args),
+    "search": ("hill-descent probe of the min-max value", _search_args),
+    "charwalk": ("character prefix-sum walk", _charwalk_args),
+    "projection": ("parallel-class profiles of the under-parabola region",
+                   _projection_args),
+    "ec": ("elliptic curve point counts and region scan",
+           {"count": (None, _ec_count_args), "scan": (None, _ec_scan_args)}),
+    "legit": ("linear hypergraphs and two-phase coloring",
+              {"gen": (None, _legit_gen_args), "color": (None, _legit_color_args),
+               "verify": (None, _legit_verify_args)}),
+}
+
+
+def _add_commands(parser, dest: str, commands: dict, argv) -> None:
+    """Every command's name and help go on parser, so its help and its
+    invalid-choice error list them all; only the command that argv[0] names
+    gets its arguments, and all of them do when argv names none."""
+    sub = parser.add_subparsers(dest=dest, required=True, parser_class=_Command)
+    chosen = argv[0] if argv and argv[0] in commands else None
+    for name, (help_text, arguments) in commands.items():
+        p = sub.add_parser(name, **({} if help_text is None else {"help": help_text}))
+        if chosen not in (None, name):
+            continue
+        if isinstance(arguments, dict):
+            _add_commands(p, f"{name}_cmd", arguments, argv[1:] if chosen else ())
+        else:
+            arguments(p)
+
+
+def build_parser(argv=()) -> _Parser:
+    """The parser for argv: the full tree of subcommands by name, with the
+    arguments of the one that argv chooses (of all when it chooses none)."""
+    parser = _Parser(prog="secants", description=__doc__)
+    parser.add_argument("--version", action="version", version=__version__)
+    _add_commands(parser, "command", _COMMANDS, argv)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = build_parser(argv)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 
 import numpy as np
 
@@ -149,6 +150,28 @@ def pointset_to_json(pset: PointSet) -> dict:
     return {"q": plane.q, "affine": affine.tolist(), "projective": t[~fin].tolist()}
 
 
+def _point_block(listed, length: int, q: int):
+    """listed as an (m, length) int64 array when every entry is a list of
+    `length` integers in [0, q), not all zero; else None.  The types are
+    checked in one pass in C (a JSON true is a bool, not an int) and the
+    values on the array."""
+    if type(listed) is not list:
+        return None
+    if not listed:
+        return np.empty((0, length), dtype=np.int64)
+    if (set(map(type, listed)) != {list} or set(map(len, listed)) != {length}
+            or set(map(type, chain.from_iterable(listed))) != {int}):
+        return None
+    try:
+        block = np.fromiter(chain.from_iterable(listed), dtype=np.int64,
+                            count=length * len(listed)).reshape(-1, length)
+    except OverflowError:           # past int64, so not a coordinate either
+        return None
+    if not ((block >= 0) & (block < q)).all() or not (length == 2 or block.any(axis=1).all()):
+        return None
+    return block
+
+
 def pointset_from_json(plane: ProjectivePlane, doc) -> PointSet:
     """Parse a set file, rejecting anything but distinct points of this
     plane.  An error names the first bad or repeated entry in document
@@ -158,29 +181,35 @@ def pointset_from_json(plane: ProjectivePlane, doc) -> PointSet:
     q = plane.q
     if doc.get("q") != q:
         raise ConstructionError(f"set file is for q={doc.get('q')}, plane has q={q}")
-    entries, error = [], None           # the entries before the first bad one
-    for key, length in (("affine", 2), ("projective", 3)):
-        listed = doc.get(key, [])
-        if not isinstance(listed, list):
-            error = f"set file {key!r} must be a list of points"
-            break
-        for entry in listed:
-            if not (isinstance(entry, list) and len(entry) == length
-                    and all(type(c) is int and 0 <= c < q for c in entry)
-                    and (length == 2 or any(entry))):
-                error = f"set file {key} entry {entry!r} is not a point of PG(2,{q})"
+    xy, xyz = (_point_block(doc.get(key, []), length, q)
+               for key, length in (("affine", 2), ("projective", 3)))
+    error = None
+    if xy is None or xyz is None:    # one entry by one, to name the first bad one
+        entries = []                 # the entries before the first bad one
+        for key, length in (("affine", 2), ("projective", 3)):
+            listed = doc.get(key, [])
+            if not isinstance(listed, list):
+                error = f"set file {key!r} must be a list of points"
                 break
-            entries.append(entry)
-        if error:
-            break
-    xy = np.array([e for e in entries if len(e) == 2], dtype=np.int64).reshape(-1, 2)
-    indices = np.concatenate([
-        plane.affine_points()[xy[:, 0], xy[:, 1]],
-        plane.index_of(np.array(entries[len(xy):], dtype=np.int64).reshape(-1, 3))])
+            for entry in listed:
+                if not (isinstance(entry, list) and len(entry) == length
+                        and all(type(c) is int and 0 <= c < q for c in entry)
+                        and (length == 2 or any(entry))):
+                    error = f"set file {key} entry {entry!r} is not a point of PG(2,{q})"
+                    break
+                entries.append(entry)
+            if error:
+                break
+        xy = np.array([e for e in entries if len(e) == 2], dtype=np.int64).reshape(-1, 2)
+        xyz = np.array(entries[len(xy):], dtype=np.int64).reshape(-1, 3)
+    indices = np.concatenate([plane.affine_points()[xy[:, 0], xy[:, 1]],
+                              plane.index_of(xyz)])
     repeat = np.ones(indices.size, dtype=bool)         # not a point's first entry
     repeat[np.unique(indices, return_index=True)[1]] = False
     if repeat.any():
-        raise ConstructionError(f"set file repeats the point {entries[repeat.argmax()]!r}")
+        i = int(repeat.argmax())
+        entry = xy[i] if i < len(xy) else xyz[i - len(xy)]
+        raise ConstructionError(f"set file repeats the point {entry.tolist()!r}")
     if error:
         raise ConstructionError(error)
     return PointSet.from_indices(plane, indices, {"construction": "set-file"})

@@ -15,6 +15,7 @@ generator, the coloring and the verifier all work on numpy arrays.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 from random import Random
 
 import numpy as np
@@ -99,8 +100,10 @@ class LinearHypergraph:
         n, edges, num_vertices = doc["n"], doc["edges"], doc.get("num_vertices")
         if type(n) is not int or n < 1:
             raise LegitError(f"n must be an integer >= 1, got {n!r}")
-        if type(edges) is not list or not all(
-                type(e) is list and all(type(v) is int for v in e) for e in edges):
+        # the types in one pass in C (a JSON true is a bool, not an int); the
+        # vertex array that the constructor builds checks the values
+        if type(edges) is not list or not (set(map(type, edges)) <= {list} and
+                                           set(map(type, chain.from_iterable(edges))) <= {int}):
             raise LegitError("edges must be a list of lists of integer vertices")
         if num_vertices is not None and type(num_vertices) is not int:
             raise LegitError(f"num_vertices must be an integer, got {num_vertices!r}")

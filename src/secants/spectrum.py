@@ -47,7 +47,7 @@ class PointSet:
 
     @classmethod
     def from_indices(cls, plane, indices, meta=None):
-        idx = np.fromiter(indices, dtype=np.int64)
+        idx = np.asarray(indices, dtype=np.int64)
         bad = idx[(idx < 0) | (idx >= plane.N)]
         if bad.size:                  # a negative index would alias from the end
             raise ValueError(f"point index {bad[0]} out of range")

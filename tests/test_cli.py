@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import subprocess
@@ -6,6 +7,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from secants import cli
 from secants.cli import CHECK_FAILED, INTERNAL_ERROR, OK, USAGE_ERROR, main
@@ -322,6 +325,47 @@ def test_usage_text_golden(capsys, monkeypatch, case):
     assert capsys.readouterr() == (case["stdout"], case["stderr"])
 
 
+@pytest.mark.parametrize("argv, usage, extra", [
+    (["plane", "--q", "7", "--bogus"], "usage: secants plane [-h] --q Q", "--bogus"),
+    (["legit", "gen", "--n", "4", "--format", "csv"], "usage: secants legit gen [-h] --n N",
+     "--format csv"),
+    (["legit", "--bogus", "gen", "--n", "4"], "usage: secants legit [-h]", "--bogus"),
+    (["--bogus", "plane", "--q", "7"], "usage: secants [-h] [--version]", "--bogus"),
+])
+def test_unknown_flag_gets_the_usage_of_its_command(capsys, argv, usage, extra):
+    assert main(argv) == USAGE_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith(usage), err
+    assert err.splitlines()[-1] == f"error: unrecognized arguments: {extra}"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["sweep", "--primes", "7,x", "--construction", "ecregion"],
+     "--primes must list integers, got 'x'"),
+    (["sweep", "--primes", "7,0", "--construction", "ecregion"],
+     "--primes must list prime powers, got 0"),
+    (["plane", "--q", "1"], "--q must be a prime power, got 1"),
+    (["search", "--q", "6"], "--q must be a prime power, got 6"),
+    (["projection", "--p", "-5"], "--p must be a prime power, got -5"),
+    (["ec", "scan", "--p", "0"], "--p must be a prime power, got 0"),
+])
+def test_bad_order_exits_1_naming_flag_and_value(tmp_path, capsys, argv, message):
+    out = tmp_path / "out"
+    assert main([*argv, "--out", str(out)]) == USAGE_ERROR
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("a", [-10 ** 23, 2 ** 63 - 1, 10 ** 30 + 5])
+def test_charwalk_start_is_any_integer(tmp_path, a):
+    # --a is a residue mod p: past int64 it is reduced, not refused, and
+    # near 2**63 it no longer wraps in the int64 step index
+    code, data = run_cli(tmp_path, "charwalk", "--p", "7", "--a", str(a))
+    assert code == OK
+    assert data == run_cli(tmp_path, "charwalk", "--p", "7", "--a", str(a % 7),
+                           name="reduced.csv")[1]
+
+
 @pytest.mark.parametrize("argv", [
     ["exhaustive", "--q", "2", "--format", "csv"],
     ["search", "--q", "3", "--format", "json"],
@@ -371,6 +415,9 @@ MALFORMED_INPUTS = {
     "set-repeated-point": ("set-file", {"q": 7, "affine": [[1, 2], [1, 2]]}),
     "set-top-level-array": ("set-file", [[1, 2]]),
     "set-zero-triple": ("set-file", {"q": 7, "projective": [[0, 0, 0]]}),
+    "set-boolean-coordinate": ("set-file", {"q": 7, "affine": [[1, 2], [1, True]]}),
+    "set-boolean-triple": ("set-file", {"q": 7, "projective": [[1, 2, 1], [False, 0, 1]]}),
+    "set-coordinate-past-int64": ("set-file", {"q": 7, "affine": [[2 ** 64, 1]]}),
     "density-1/0": ("construction", "random:density=1/0"),
     "construction-seed-argument": ("construction", "random:density=1/2,seed=3"),
     "construction-unknown-argument": ("construction", "random:densty=1/8"),
@@ -398,6 +445,56 @@ MALFORMED_INPUTS = {
     "coloring-unknown-color": ("coloring", ["red", "green", "blue"]),
     "coloring-null-entry": ("coloring", ["red", None, "blue"]),
     "coloring-boolean-entry": ("coloring", [True, 0, 1]),
+    "coloring-booleans-only": ("coloring", [True, False, True]),
+    "coloring-code-out-of-range": ("coloring", [0, 1, 2]),
+    "coloring-code-past-int64": ("coloring", [0, 1, 2 ** 64]),
+    "coloring-name-among-codes": ("coloring", [0, "1", 1]),
+    "hypergraph-float-vertex": ("hypergraph", {"n": 2, "edges": [[0, 1.0], [1, 2]]}),
+    "hypergraph-boolean-edge": ("hypergraph", {"n": 2, "edges": [[0, 1], True]}),
+}
+
+# each case's one error line, recorded before the set-file, hypergraph and
+# coloring readers checked their documents as arrays
+MALFORMED_MESSAGES = {
+    'set-out-of-range': 'set file affine entry [9, 3] is not a point of PG(2,7)',
+    'set-negative': 'set file affine entry [-1, 3] is not a point of PG(2,7)',
+    'set-repeated-point': 'set file repeats the point [1, 2]',
+    'set-top-level-array': 'set file must be a JSON object',
+    'set-zero-triple': 'set file projective entry [0, 0, 0] is not a point of PG(2,7)',
+    'set-boolean-coordinate': 'set file affine entry [1, True] is not a point of PG(2,7)',
+    'set-boolean-triple': 'set file projective entry [False, 0, 1] is not a point of PG(2,7)',
+    'set-coordinate-past-int64':
+        'set file affine entry [18446744073709551616, 1] is not a point of PG(2,7)',
+    'density-1/0': "'1/0' is not a rational number",
+    'construction-seed-argument': "construction 'random' takes no argument 'seed'; the seed comes from --seed",
+    'construction-unknown-argument': "construction 'random' takes no argument 'densty'",
+    'construction-argument-of-another': "construction 'ecregion' takes no argument 'foo'",
+    'construction-repeated-argument': "construction argument 'a' given twice",
+    'hypergraph-top-level-array': 'hypergraph file must be a JSON object with n and edges',
+    'hypergraph-edges-not-a-list': 'edges must be a list of lists of integer vertices',
+    'hypergraph-n-is-a-string': "n must be an integer >= 1, got '2'",
+    'hypergraph-string-vertex': 'edges must be a list of lists of integer vertices',
+    'hypergraph-boolean-vertex': 'edges must be a list of lists of integer vertices',
+    'hypergraph-vertex-past-num-vertices': 'vertex 5 is outside [0, 2)',
+    'hypergraph-negative-vertex': 'vertex -1 is outside [0, 3)',
+    'hypergraph-vertex-past-int64': 'Python int too large to convert to C long',
+    'hypergraph-huge-vertex-id': '10000000000001 vertices exceed n^2 = 1, the most that n edges of size n can cover',
+    'hypergraph-huge-num-vertices': '10000000000000 vertices exceed n^2 = 4, the most that n edges of size n can cover',
+    'hypergraph-too-few-edges': 'need exactly n=2 edges, got 1',
+    'hypergraph-short-edge': 'edge 2 has size 1, expected 2',
+    'hypergraph-repeated-vertex': 'edge 1 repeats a vertex',
+    'hypergraph-not-linear': 'edges 1 and 2 share more than one vertex',
+    'coloring-without-colors': 'coloring file must list exactly 3 colors',
+    'coloring-too-short': 'coloring file must list exactly 3 colors',
+    'coloring-unknown-color': "vertex 1 has color 'green'; expected red, blue, 0 or 1",
+    'coloring-null-entry': 'vertex 1 has color None; expected red, blue, 0 or 1',
+    'coloring-boolean-entry': 'vertex 0 has color True; expected red, blue, 0 or 1',
+    'coloring-booleans-only': 'vertex 0 has color True; expected red, blue, 0 or 1',
+    'coloring-code-out-of-range': 'vertex 2 has color 2; expected red, blue, 0 or 1',
+    'coloring-code-past-int64': 'vertex 2 has color 18446744073709551616; expected red, blue, 0 or 1',
+    'coloring-name-among-codes': "vertex 1 has color '1'; expected red, blue, 0 or 1",
+    'hypergraph-float-vertex': 'edges must be a list of lists of integer vertices',
+    'hypergraph-boolean-edge': 'edges must be a list of lists of integer vertices',
 }
 
 # the hypergraph that the coloring cases are checked against: 3 vertices
@@ -416,8 +513,20 @@ def test_malformed_input_exits_1_with_one_line(tmp_path, capsys, name):
             "hypergraph": ["legit", "color", "--in", str(path)],
             "coloring": ["legit", "verify", "--in", str(hyper), "--coloring", str(path)]}[kind]
     assert main([*argv, "--out", str(tmp_path / "out")]) == USAGE_ERROR
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert capsys.readouterr().err == f"error: {MALFORMED_MESSAGES[name]}\n"
+
+
+@pytest.mark.parametrize("colors", [
+    ["blue", "blue", "red"], [1, 1, 0], ["blue", 1, "red"], {"colors": [1, "blue", 0]},
+])
+def test_coloring_names_codes_and_mixes_read_alike(tmp_path, colors):
+    hyper, path = tmp_path / "h.json", tmp_path / "c.json"
+    hyper.write_text(json.dumps(VALID_HYPERGRAPH))
+    path.write_text(json.dumps(colors))
+    code, data = run_cli(tmp_path, "legit", "verify", "--in", str(hyper),
+                         "--coloring", str(path))
+    assert code == OK
+    assert data == b'{\n  "legitimate": true,\n  "violating_pair": null\n}\n'
 
 
 @pytest.mark.parametrize("threads", ["0", "-2"])
@@ -493,6 +602,63 @@ def test_radon_rounding_guard_exits_3(tmp_path, capsys, monkeypatch):
     assert main([*argv, "--out", str(tmp_path / "out")]) == INTERNAL_ERROR
     err = capsys.readouterr().err
     assert err.startswith("error: internal: ArithmeticError: ") and err.count("\n") == 1
+
+
+# -- the JSON writer -------------------------------------------------------------
+
+FLOATS = st.one_of(st.floats(), st.sampled_from(
+    [float("nan"), float("inf"), -float("inf"), -0.0, 1e300, -2.5e-300, 5e-324]))
+SCALARS = st.one_of(st.none(), st.booleans(), st.integers(), FLOATS, st.text())
+# keys of one kind per dict, since json cannot sort str keys among numbers
+KEYS = (st.text(), st.one_of(st.integers(), st.booleans()), st.floats(allow_nan=False),
+        st.none())
+DOCS = st.recursive(SCALARS, lambda inner: st.one_of(
+    st.lists(inner), st.lists(inner).map(tuple), st.lists(st.integers()),
+    st.lists(st.text()), *(st.dictionaries(key, inner) for key in KEYS)), max_leaves=25)
+
+
+@settings(max_examples=200, deadline=None)
+@given(doc=DOCS)
+def test_json_writer_matches_json_dumps(doc):
+    assert cli._json_text(doc) == json.dumps(doc, sort_keys=True, indent=2)
+
+
+@pytest.mark.parametrize("doc", [np.int64(3), [1, np.int64(3)], {"a": [np.int64(1)]},
+                                 {np.int64(1): 2}, {(1,): 2}, {1: 2, "a": 3}])
+def test_json_writer_rejects_what_json_rejects(doc):
+    with pytest.raises(TypeError) as expect:
+        json.dumps(doc, sort_keys=True, indent=2)
+    with pytest.raises(TypeError) as got:
+        cli._json_text(doc)
+    assert str(got.value) == str(expect.value)
+
+
+def test_failed_verify_writes_the_violating_pair(tmp_path):
+    hyper, coloring = tmp_path / "h.json", tmp_path / "c.json"
+    assert main(["legit", "gen", "--n", "6", "--seed", "2", "--mode", "sunflower",
+                 "--out", str(hyper)]) == OK
+    coloring.write_text(json.dumps(["blue"] * json.loads(hyper.read_text())["num_vertices"]))
+    code, data = run_cli(tmp_path, "legit", "verify", "--in", str(hyper),
+                         "--coloring", str(coloring))
+    assert code == CHECK_FAILED
+    assert data == b'{\n  "legitimate": false,\n  "violating_pair": [\n    1,\n    2\n  ]\n}\n'
+
+
+def test_failed_projection_report_golden(tmp_path, monkeypatch):
+    # sha256 of the report with l1_first_fail, a tuple, set: recorded when
+    # the output was json.dumps(sort_keys=True, indent=2)
+    laws = cli.verify_projection_laws
+
+    def failing(plane, params):
+        return dataclasses.replace(laws(plane, params), l1_ok=False, l1_first_fail=(3, 5),
+                                   l2_first_fail=2, l4_first_fail=7)
+
+    monkeypatch.setattr(cli, "verify_projection_laws", failing)
+    code, data = run_cli(tmp_path, "projection", "--p", "13", "--alpha", "2",
+                         "--beta", "3", "--gamma", "1")
+    assert code == CHECK_FAILED and json.loads(data)["l1_first_fail"] == [3, 5]
+    assert hashlib.sha256(data).hexdigest() == \
+        "159455f5de5771398bf52749c8a2cce4093f20bb5fcd9e6c2e7c9931bc4c5b96"
 
 
 def test_repeat_invocations_byte_identical(tmp_path):

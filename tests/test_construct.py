@@ -258,7 +258,8 @@ def loop_pointset_from_json(plane, doc):
 def test_set_file_reader_matches_scalar_loop(q, data):
     # mostly valid points with repeats, now and then one bad entry
     coord = st.integers(0, q - 1)
-    bad = st.sampled_from([[q, 0], [0, -1], [1, True], [1, 2, 3], 5, [0, 0, 0], [1, q, 0]])
+    bad = st.sampled_from([[q, 0], [0, -1], [1, True], [1, 2, 3], 5, [0, 0, 0], [1, q, 0],
+                           [2 ** 64, 0], [1.0, 2], [False, 0, 1]])
     affine = st.lists(st.one_of(st.lists(coord, min_size=2, max_size=2), bad), max_size=12)
     projective = st.lists(st.one_of(st.lists(coord, min_size=3, max_size=3), bad),
                           max_size=6)
