@@ -33,8 +33,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .construct import ConstructionError, ParabolaParams
-from .field import Field, is_prime, legendre_table
+from .construct import ParabolaParams, under_parabola
+from .field import legendre_table
 from .plane import ProjectivePlane
 from .spectrum import affine_class_blocks
 
@@ -116,14 +116,8 @@ class LawReport:
         }
 
 
-def _require_odd_prime(p: int):
-    if p == 2 or not is_prime(p):
-        raise ValueError(f"{p} is not an odd prime")
-
-
 def psi_walk(p: int, a: int) -> Walk:
-    _require_odd_prime(p)
-    chi = legendre_table(p)
+    chi = legendre_table(p)             # rejects p that is not an odd prime
     steps = chi[(a % p + np.arange(p, dtype=np.int64)) % p]   # any int a, no int64 wrap
     return Walk(p=p, a=a % p, values=np.cumsum(steps, dtype=np.int64).tolist())
 
@@ -142,29 +136,24 @@ def level_stats(walk: Walk) -> LevelStats:
         zeros_within_sqrt_log2=zeros <= sq * ln * ln)
 
 
-def _profile_setup(plane: ProjectivePlane, params: ParabolaParams):
-    F = plane.field
-    if F.k != 1 or F.p <= 3:
-        raise ConstructionError("projection profiles require a prime plane with p > 3")
-    p = F.p
-    params = params.reduced(p)
-    x = np.arange(p, dtype=np.int64)
-    f = (params.alpha * x * x + params.beta * x + params.gamma) % p
-    return p, params, f
-
-
 def projection_profile(plane: ProjectivePlane, params: ParabolaParams, d: int) -> ProjectionProfile:
-    """Profile of the slope-d class by direct counting over x: the b with
-    (d*x + b) mod p > f(x) are p-1-f(x) cyclic steps from (f(x)+1-d*x) mod p,
-    summed by one difference array over two turns of the circle."""
-    p, params, f = _profile_setup(plane, params)
-    d %= p
+    """Profile of the slope-d class by direct counting over x."""
+    params, f, _ = under_parabola(plane, params)
+    d %= f.size
     if d == 0:
         raise ValueError("horizontal slope excluded")
+    return ProjectionProfile(p=f.size, params=params, d=d, pr=_direct_profile(f, d))
+
+
+def _direct_profile(f: np.ndarray, d: int) -> np.ndarray:
+    """pr[b] for the slope d: the b with (d*x + b) mod p > f(x) are
+    p-1-f(x) cyclic steps from (f(x)+1-d*x) mod p, summed by one difference
+    array over two turns of the circle."""
+    p = f.size
     start = (f + 1 - d * np.arange(p, dtype=np.int64)) % p
     turns = np.cumsum(np.bincount(start, minlength=2 * p)
                       - np.bincount(start + p - 1 - f, minlength=2 * p))
-    return ProjectionProfile(p=p, params=params, d=d, pr=turns.reshape(2, p).sum(axis=0))
+    return turns.reshape(2, p).sum(axis=0)
 
 
 def profile_range_check(prof: ProjectionProfile):
@@ -176,12 +165,10 @@ def profile_range_check(prof: ProjectionProfile):
     return span, lo, hi, lo <= span <= hi
 
 
-def _all_profiles(p: int, f: np.ndarray) -> np.ndarray:
+def _all_profiles(plane: ProjectivePlane, grid: np.ndarray) -> np.ndarray:
     """(p, p) matrix P with P[d, b] = secant count of y = dx + b, by the
     finite Radon transform of the region's membership grid."""
-    member = np.arange(p)[None, :] > f[:, None]
-    blocks = affine_class_blocks(member, Field(p, 1))
-    return np.concatenate([counts for _, counts in blocks])
+    return np.concatenate([counts for _, counts in affine_class_blocks(grid, plane.field)])
 
 
 def verify_projection_laws(plane: ProjectivePlane, params: ParabolaParams) -> LawReport:
@@ -189,12 +176,12 @@ def verify_projection_laws(plane: ProjectivePlane, params: ParabolaParams) -> La
     the L5 range window.  The profiles come from the finite Radon
     transform; its slope-1 row must equal the directly counted profile,
     which is the reference for L3-L5."""
-    p, params, f = _profile_setup(plane, params)
+    params, f, grid = under_parabola(plane, params)
+    p = f.size
     alpha, beta, gamma = params.alpha, params.beta, params.gamma
     chi = legendre_table(p)
-    P = _all_profiles(p, f)
-    ref_profile = projection_profile(plane, params, 1)
-    ref = ref_profile.pr
+    P = _all_profiles(plane, grid)
+    ref = _direct_profile(f, 1)
     if not np.array_equal(P[1], ref):
         raise ArithmeticError(f"transformed slope-1 profile at p={p} disagrees "
                               f"with the direct count")
@@ -248,7 +235,7 @@ def verify_projection_laws(plane: ProjectivePlane, params: ParabolaParams) -> La
 
     # L5: range window on the slope-1 profile
     report.range_d1, report.range_lo, report.range_hi, report.l5_ok = \
-        profile_range_check(ref_profile)
+        profile_range_check(ProjectionProfile(p=p, params=params, d=1, pr=ref))
     return report
 
 

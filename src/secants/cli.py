@@ -18,15 +18,14 @@ import numpy as np
 from . import __version__
 from .charwalk import (occupancy_scaling, level_stats, projection_profile, psi_walk,
                        verify_projection_laws)
-from .construct import (ConstructionError, ParabolaParams, rational_to_element,
-                        build_construction, parse_construction, pointset_from_json,
-                        pointset_to_json)
-from .ecurve import CurveError, curve_count, ec_spectrum_scan
-from .field import FieldError, factor_prime_power
+from .construct import (ParabolaParams, rational_to_element, build_construction,
+                        parse_construction, pointset_from_json, pointset_to_json)
+from .ecurve import curve_count, ec_spectrum_scan
+from .field import factor_prime_power
 from .harness import exhaustive_minmax, local_search, run_sweep, sweep_to_csv
 from .legit import (BLUE, GENERATOR_MODES, RED, LegitError, LinearHypergraph,
                     generate_linear_hypergraph, two_phase_coloring, verify_legitimate)
-from .plane import PlaneError, build_plane
+from .plane import build_plane
 from .spectrum import bounds_report, compute_spectrum, cor_bound_ceiling, \
     verify_counting_identities
 
@@ -471,8 +470,7 @@ def main(argv=None) -> int:
         if not 0 <= seed < 2 ** 128:
             raise ValueError(f"--seed must be in [0, 2**128), got {seed}")
         return args.func(args)
-    except (FieldError, PlaneError, ConstructionError, CurveError, LegitError,
-            ValueError, OverflowError, OSError) as exc:
+    except (ValueError, OverflowError, OSError) as exc:  # library errors are ValueErrors
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
     except Exception as exc:     # a fault of the program, not of its input

@@ -20,7 +20,7 @@ from itertools import chain
 
 import numpy as np
 
-from .field import is_prime, legendre_table
+from .field import legendre_table
 from .plane import ProjectivePlane
 from .spectrum import PointSet
 
@@ -63,10 +63,12 @@ class FamilyParams:
         return a
 
 
-def _require_prime_plane(plane: ProjectivePlane, min_p: int):
+def require_prime_plane(plane: ProjectivePlane, min_p: int) -> int:
+    """The order p of a prime plane PG(2,p) with p > min_p (the field has
+    already checked that its characteristic is prime)."""
     F = plane.field
-    if F.k != 1 or not is_prime(F.p) or F.p <= min_p:
-        raise ConstructionError(f"construction requires a prime plane with p > {min_p}")
+    if F.k != 1 or F.p <= min_p:
+        raise ConstructionError(f"requires a prime plane with p > {min_p}, got q={F.q}")
     return F.p
 
 
@@ -88,24 +90,27 @@ def random_set(plane: ProjectivePlane, density, seed: int) -> PointSet:
     num, den = density.numerator, density.denominator
     meta = {"construction": "random", "density": f"{num}/{den}",
             "generator": "philox4x64", "seed": int(seed)}
-    if num == 0:
-        return PointSet.empty(plane, meta)
-    if num == den:
-        return PointSet.full(plane, meta)
     rng = np.random.Generator(np.random.Philox(key=int(seed)))
     draws = rng.integers(0, den, size=plane.N, dtype=np.int64)
     return PointSet(plane, draws < num, meta)
 
 
-def parabola_region(plane: ProjectivePlane, params: ParabolaParams) -> PointSet:
-    """Affine points strictly under the parabola in the integer-lift order:
-    S = {(x, y) : lift(alpha*x^2 + beta*x + gamma) < lift(y)}."""
-    p = _require_prime_plane(plane, 3)
+def under_parabola(plane: ProjectivePlane, params: ParabolaParams):
+    """(params mod p, f, grid) of the region under the parabola on the prime
+    plane PG(2,p), p > 3: f[x] = alpha*x^2 + beta*x + gamma and
+    grid[x, y] = lift(f[x]) < lift(y)."""
+    p = require_prime_plane(plane, 3)
     params = params.reduced(p)
     x = np.arange(p, dtype=np.int64)
     f = (params.alpha * x * x + params.beta * x + params.gamma) % p
-    mask = np.arange(p, dtype=np.int64)[None, :] > f[:, None]
-    xs, ys = np.nonzero(mask)
+    return params, f, x[None, :] > f[:, None]
+
+
+def parabola_region(plane: ProjectivePlane, params: ParabolaParams) -> PointSet:
+    """Affine points strictly under the parabola in the integer-lift order:
+    S = {(x, y) : lift(alpha*x^2 + beta*x + gamma) < lift(y)}."""
+    params, _, grid = under_parabola(plane, params)
+    xs, ys = np.nonzero(grid)
     meta = {"construction": "parabola",
             "alpha": params.alpha, "beta": params.beta, "gamma": params.gamma}
     return _from_affine_grid(plane, xs, ys, meta)
@@ -114,7 +119,7 @@ def parabola_region(plane: ProjectivePlane, params: ParabolaParams) -> PointSet:
 def parabola_family(plane: ProjectivePlane, params: FamilyParams) -> PointSet:
     """Union of the first a vertical shifts of y = x^2:
     S = {(x, x^2 + t) : x in F_p, 0 <= t < a}, of size p*a."""
-    p = _require_prime_plane(plane, 2)
+    p = require_prime_plane(plane, 2)
     a = params.height(p)
     x = np.arange(p, dtype=np.int64)
     t = np.arange(a, dtype=np.int64)
@@ -127,7 +132,7 @@ def parabola_family(plane: ProjectivePlane, params: FamilyParams) -> PointSet:
 def ec_region(plane: ProjectivePlane) -> PointSet:
     """Affine points (x, v) for which x^3 - v is a square (zero included);
     each row x contributes exactly (p+1)/2 points."""
-    p = _require_prime_plane(plane, 3)
+    p = require_prime_plane(plane, 3)
     chi = legendre_table(p)
     x = np.arange(p, dtype=np.int64)
     v = np.arange(p, dtype=np.int64)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .construct import ec_region
+from .construct import ec_region, require_prime_plane
 from .field import is_prime, legendre_table
 from .plane import ProjectivePlane
 from .spectrum import SecantSpectrum, compute_spectrum, cor_bound_ceiling
@@ -78,14 +78,10 @@ class EcScanReport:
         }
 
 
-def _require_prime(p: int):
-    if not is_prime(p) or p <= 3:
-        raise CurveError(f"requires a prime p > 3, got {p}")
-
-
 def curve_count(p: int, a: int, b: int) -> Curve:
     """Point count over F_p including the point at infinity."""
-    _require_prime(p)
+    if not is_prime(p) or p <= 3:
+        raise CurveError(f"requires a prime p > 3, got {p}")
     a %= p
     b %= p
     if (4 * a * a * a + 27 * b * b) % p == 0:
@@ -99,8 +95,7 @@ def curve_count(p: int, a: int, b: int) -> Curve:
 def ec_spectrum_scan(plane: ProjectivePlane) -> EcScanReport:
     """Full secant spectrum of the cubic-square region, with the
     line-curve relation verified on every non-vertical nonsingular line."""
-    p = plane.field.p
-    _require_prime(p)
+    p = require_prime_plane(plane, 3)
     region = ec_region(plane)
     spec = compute_spectrum(plane, region)
 

@@ -146,12 +146,16 @@ class Field:
     (broadcast against each other) and returns the same kind.  Addition is
     digit-wise mod p; for k > 1, multiplication and inversion are lookups
     in exp/log tables of length O(q), built once from the modulus.
+    The constructor rejects a p that is not prime, so the characteristic
+    of every field, and of every plane built on one, is prime.
 
     Immutable after construction; every operation is pure, so instances
     can be shared freely across workers.
     """
 
     def __init__(self, p: int, k: int, modulus=None):
+        if not is_prime(p):
+            raise FieldError(f"characteristic {p} is not a prime")
         self.p = p
         self.k = k
         self.q = p ** k
@@ -214,7 +218,7 @@ class Field:
 def legendre_table(p: int) -> np.ndarray:
     """int8 array of length p with the quadratic character of each residue."""
     if p == 2 or not is_prime(p):
-        raise FieldError("Legendre requires odd prime field")
+        raise FieldError(f"{p} is not an odd prime")
     chi = np.full(p, -1, dtype=np.int8)
     chi[0] = 0
     sq = (np.arange(1, p, dtype=np.int64) ** 2) % p

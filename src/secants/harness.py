@@ -215,7 +215,7 @@ def _sweep_cell(plane: ProjectivePlane, construction: str, seed: int) -> SweepRo
             ratio=spec.mode_count / q ** 1.5,
             eq1=ident.eq1, eq2=ident.eq2, var_ok=ident.var_ok,
             cor_ok=spec.mode_count >= cor_bound_ceiling(q))
-    except Exception as exc:            # recorded per row, sweep continues
+    except ValueError as exc:           # an input error: recorded per row, sweep continues
         return SweepRow(q=q, construction=construction, seed=seed, set_size=0,
                         mode_k=0, mode_count=0, cor_bound=0.0, prop_bound=0.0,
                         thm_lower=0.0, ratio=0.0, eq1=False, eq2=False,

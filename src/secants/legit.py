@@ -47,10 +47,14 @@ class LinearHypergraph:
         for pos, e in enumerate(edges, start=1):
             if len(e) != n:
                 raise LegitError(f"edge {pos} has size {len(e)}, expected {n}")
-        self.edges = np.array(edges, dtype=np.int64)
-        self.edges.flags.writeable = False
+        try:
+            self.edges = np.array(edges, dtype=np.int64)
+            lo, hi = int(self.edges.min()), int(self.edges.max())
+        except OverflowError:
+            # a vertex past int64, found on Python ints; as n^2 < 2^63, one of
+            # the two range checks below then raises, naming it in full
+            lo, hi = min(chain.from_iterable(edges)), max(chain.from_iterable(edges))
         self.n = n
-        lo, hi = int(self.edges.min()), int(self.edges.max())
         self.num_vertices = hi + 1 if num_vertices is None else num_vertices
         if lo < 0 or hi >= self.num_vertices:
             raise LegitError(f"vertex {lo if lo < 0 else hi} is outside "
@@ -58,6 +62,7 @@ class LinearHypergraph:
         if self.num_vertices > n * n:
             raise LegitError(f"{self.num_vertices} vertices exceed n^2 = {n * n}, "
                              "the most that n edges of size n can cover")
+        self.edges.flags.writeable = False
         flat = self.edges.ravel()
         order = np.argsort(flat, kind="stable")
         vertex, edge = flat[order], order // n   # slots grouped by vertex

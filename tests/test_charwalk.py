@@ -6,7 +6,7 @@ import pytest
 from secants import charwalk
 from secants.charwalk import (occupancy_scaling, level_stats, profile_range_check,
                               projection_profile, psi_walk, verify_projection_laws)
-from secants.construct import ParabolaParams, parabola_region
+from secants.construct import ParabolaParams, parabola_region, under_parabola
 from secants.field import is_prime, legendre_table
 from secants.plane import build_plane
 from secants.spectrum import compute_spectrum
@@ -108,7 +108,7 @@ def test_profile_matches_matrix_count_for_every_slope(p):
     pl = build_plane(p)
     for params in (ParabolaParams(1, 0, 0), ParabolaParams(2, 3, 1),
                    ParabolaParams(p - 1, 1, p - 1)):
-        _, params, f = charwalk._profile_setup(pl, params)
+        params, f, _ = under_parabola(pl, params)
         for d in range(1, p):
             prof = projection_profile(pl, params, d)
             assert prof.pr.tolist() == matrix_profile(p, f, d).tolist(), (params, d)
@@ -118,19 +118,32 @@ def test_profile_matches_matrix_count_for_every_slope(p):
 def test_all_profiles_match_direct_profiles(p):
     pl = build_plane(p)
     for params in (ParabolaParams(1, 0, 0), ParabolaParams(2, 3, 1)):
-        _, params, f = charwalk._profile_setup(pl, params)
-        P = charwalk._all_profiles(p, f)
+        params, f, grid = under_parabola(pl, params)
+        P = charwalk._all_profiles(pl, grid)
         b = np.arange(p)
         assert P[0].tolist() == (b[:, None] > f[None, :]).sum(axis=1).tolist()
         for d in range(1, p):
             assert P[d].tolist() == projection_profile(pl, params, d).pr.tolist(), d
 
 
+@pytest.mark.parametrize("p", [5, 7, 13, 31, 61])
+def test_law_profiles_are_the_spectrum_of_the_region(p):
+    # the profiles the laws check are the secant sizes that the spectrum
+    # path counts for the parabola region's affine lines
+    pl = build_plane(p)
+    for params in (ParabolaParams(1, 0, 0), ParabolaParams(2, 3, 1),
+                   ParabolaParams(p - 1, 1, p - 1)):
+        _, _, grid = under_parabola(pl, params)
+        spec = compute_spectrum(pl, parabola_region(pl, params))
+        assert np.array_equal(charwalk._all_profiles(pl, grid),
+                              spec.n_ell[pl.affine_lines()]), params
+
+
 def test_laws_reject_a_transform_that_disagrees_with_the_direct_count(monkeypatch):
     all_profiles = charwalk._all_profiles
 
-    def off_by_one(p, f):
-        P = all_profiles(p, f)
+    def off_by_one(plane, grid):
+        P = all_profiles(plane, grid)
         P[1, 0] += 1
         return P
 

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from secants import cli
+from secants import cli, spectrum
 from secants.cli import CHECK_FAILED, INTERNAL_ERROR, OK, USAGE_ERROR, main
 
 
@@ -432,6 +432,11 @@ MALFORMED_INPUTS = {
                                             {"n": 1, "edges": [[5]], "num_vertices": 2}),
     "hypergraph-negative-vertex": ("hypergraph", {"n": 2, "edges": [[-1, 0], [1, 2]]}),
     "hypergraph-vertex-past-int64": ("hypergraph", {"n": 1, "edges": [[2 ** 70]]}),
+    "hypergraph-vertex-past-int64-and-num-vertices": ("hypergraph", {
+        "n": 1, "edges": [[2 ** 70]], "num_vertices": 1}),
+    "hypergraph-negative-vertex-past-int64": ("hypergraph", {
+        "n": 2, "edges": [[-2 ** 70, 0], [1, 2]]}),
+    "hypergraph-extra-edge-past-int64": ("hypergraph", {"n": 1, "edges": [[0], [2 ** 70]]}),
     "hypergraph-huge-vertex-id": ("hypergraph", {"n": 1, "edges": [[10000000000000]]}),
     "hypergraph-huge-num-vertices": ("hypergraph", {"n": 2, "edges": [[0, 1], [1, 2]],
                                                     "num_vertices": 10000000000000}),
@@ -454,7 +459,8 @@ MALFORMED_INPUTS = {
 }
 
 # each case's one error line, recorded before the set-file, hypergraph and
-# coloring readers checked their documents as arrays
+# coloring readers checked their documents as arrays; a vertex past int64 is
+# named since the hypergraph finds its extreme vertices on Python ints then
 MALFORMED_MESSAGES = {
     'set-out-of-range': 'set file affine entry [9, 3] is not a point of PG(2,7)',
     'set-negative': 'set file affine entry [-1, 3] is not a point of PG(2,7)',
@@ -477,7 +483,10 @@ MALFORMED_MESSAGES = {
     'hypergraph-boolean-vertex': 'edges must be a list of lists of integer vertices',
     'hypergraph-vertex-past-num-vertices': 'vertex 5 is outside [0, 2)',
     'hypergraph-negative-vertex': 'vertex -1 is outside [0, 3)',
-    'hypergraph-vertex-past-int64': 'Python int too large to convert to C long',
+    'hypergraph-vertex-past-int64': '1180591620717411303425 vertices exceed n^2 = 1, the most that n edges of size n can cover',
+    'hypergraph-vertex-past-int64-and-num-vertices': 'vertex 1180591620717411303424 is outside [0, 1)',
+    'hypergraph-negative-vertex-past-int64': 'vertex -1180591620717411303424 is outside [0, 3)',
+    'hypergraph-extra-edge-past-int64': 'need exactly n=1 edges, got 2',
     'hypergraph-huge-vertex-id': '10000000000001 vertices exceed n^2 = 1, the most that n edges of size n can cover',
     'hypergraph-huge-num-vertices': '10000000000000 vertices exceed n^2 = 4, the most that n edges of size n can cover',
     'hypergraph-too-few-edges': 'need exactly n=2 edges, got 1',
@@ -593,6 +602,41 @@ def test_internal_error_exits_3_with_one_line(tmp_path, capsys, monkeypatch):
     assert main([*argv, "--out", str(tmp_path / "out")]) == INTERNAL_ERROR
     err = capsys.readouterr().err
     assert err == "error: internal: RuntimeError: kernel fault on two lines\n"
+
+
+def test_sweep_cell_fault_exits_3_without_output(tmp_path, capsys, monkeypatch):
+    # a cell records only input errors; a fault of the program ends the sweep
+    monkeypatch.setattr(spectrum, "_RADON_TOLERANCE", -1)
+    out = tmp_path / "out"
+    argv = ["sweep", "--primes", "7", "--construction", "random", "--seeds", "1"]
+    assert main([*argv, "--out", str(out)]) == INTERNAL_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith("error: internal: ArithmeticError: finite Radon transform at q=7")
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, min_p, q", [
+    ("ec scan --p 9", 3, 9),
+    ("ec scan --p 25", 3, 25),
+    ("projection --p 9", 3, 9),
+    ("projection --p 3", 3, 3),
+    ("spectrum --q 9 --construction ecregion", 3, 9),
+    ("spectrum --q 9 --construction parabola", 3, 9),
+    ("spectrum --q 9 --construction family", 2, 9),
+])
+def test_prime_plane_guard_names_the_order(tmp_path, capsys, command, min_p, q):
+    out = tmp_path / "out"
+    assert main([*command.split(), "--out", str(out)]) == USAGE_ERROR
+    assert capsys.readouterr().err == (f"error: requires a prime plane with "
+                                       f"p > {min_p}, got q={q}\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("p", [9, 2])
+def test_charwalk_needs_an_odd_prime(tmp_path, capsys, p):
+    assert main(["charwalk", "--p", str(p), "--out", str(tmp_path / "out")]) == USAGE_ERROR
+    assert capsys.readouterr().err == f"error: {p} is not an odd prime\n"
 
 
 def test_radon_rounding_guard_exits_3(tmp_path, capsys, monkeypatch):

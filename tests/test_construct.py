@@ -144,6 +144,17 @@ def test_random_set_extremes_and_determinism():
         random_set(pl, Fraction(3, 2), 0)
 
 
+@pytest.mark.parametrize("q", [7, 32, 101])
+def test_random_set_extreme_densities_are_empty_and_full(q):
+    pl = build_plane(q)
+    for density, whole, text in (("0", PointSet.empty, "0/1"), ("0/3", PointSet.empty, "0/1"),
+                                 ("1", PointSet.full, "1/1"), ("3/3", PointSet.full, "1/1")):
+        S = random_set(pl, Fraction(density), 5)
+        assert S == whole(pl)
+        assert S.meta == {"construction": "random", "density": text,
+                          "generator": "philox4x64", "seed": 5}
+
+
 def test_random_set_binomial_window_at_scale():
     # |S| ~ Bin(N, 1/2): seed 1 must land within 4 standard deviations of
     # N/2 (re-seed and record here if a future generator change drifts)

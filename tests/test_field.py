@@ -3,7 +3,7 @@ import random
 import numpy as np
 import pytest
 
-from secants.field import (FieldError, factor_prime_power, is_prime,
+from secants.field import (Field, FieldError, factor_prime_power, is_prime,
                            legendre_table, make_field)
 from secants.field import _decode_digits, _encode_digits, _poly_mod, _poly_mul
 
@@ -63,10 +63,16 @@ def test_legendre_examples():
 
 
 def test_legendre_domain_errors():
-    with pytest.raises(FieldError, match="odd prime"):
+    with pytest.raises(FieldError, match="^9 is not an odd prime$"):
         legendre_table(9)
-    with pytest.raises(FieldError, match="odd prime"):
+    with pytest.raises(FieldError, match="^2 is not an odd prime$"):
         legendre_table(2)
+
+
+@pytest.mark.parametrize("p", [1, 4, 6, 9])
+def test_field_characteristic_must_be_prime(p):
+    with pytest.raises(FieldError, match=f"^characteristic {p} is not a prime$"):
+        Field(p, 1)
 
 
 def test_legendre_multiplicative_and_zero_sum():
