@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .construct import ParabolaParams, under_parabola
+from .construct import ParabolaParams, under_grid, under_parabola
 from .field import legendre_table
 from .plane import ProjectivePlane
 from .spectrum import affine_class_blocks
@@ -138,7 +138,7 @@ def level_stats(walk: Walk) -> LevelStats:
 
 def projection_profile(plane: ProjectivePlane, params: ParabolaParams, d: int) -> ProjectionProfile:
     """Profile of the slope-d class by direct counting over x."""
-    params, f, _ = under_parabola(plane, params)
+    params, f = under_parabola(plane, params)
     d %= f.size
     if d == 0:
         raise ValueError("horizontal slope excluded")
@@ -165,10 +165,11 @@ def profile_range_check(prof: ProjectionProfile):
     return span, lo, hi, lo <= span <= hi
 
 
-def _all_profiles(plane: ProjectivePlane, grid: np.ndarray) -> np.ndarray:
+def _all_profiles(plane: ProjectivePlane, f: np.ndarray) -> np.ndarray:
     """(p, p) matrix P with P[d, b] = secant count of y = dx + b, by the
-    finite Radon transform of the region's membership grid."""
-    return np.concatenate([counts for _, counts in affine_class_blocks(grid, plane.field)])
+    finite Radon transform of the membership grid of the region under f."""
+    return np.concatenate([counts for _, counts in
+                           affine_class_blocks(under_grid(f), plane.field)])
 
 
 def verify_projection_laws(plane: ProjectivePlane, params: ParabolaParams) -> LawReport:
@@ -176,11 +177,11 @@ def verify_projection_laws(plane: ProjectivePlane, params: ParabolaParams) -> La
     the L5 range window.  The profiles come from the finite Radon
     transform; its slope-1 row must equal the directly counted profile,
     which is the reference for L3-L5."""
-    params, f, grid = under_parabola(plane, params)
+    params, f = under_parabola(plane, params)
     p = f.size
     alpha, beta, gamma = params.alpha, params.beta, params.gamma
     chi = legendre_table(p)
-    P = _all_profiles(plane, grid)
+    P = _all_profiles(plane, f)
     ref = _direct_profile(f, 1)
     if not np.array_equal(P[1], ref):
         raise ArithmeticError(f"transformed slope-1 profile at p={p} disagrees "

@@ -96,21 +96,24 @@ def random_set(plane: ProjectivePlane, density, seed: int) -> PointSet:
 
 
 def under_parabola(plane: ProjectivePlane, params: ParabolaParams):
-    """(params mod p, f, grid) of the region under the parabola on the prime
-    plane PG(2,p), p > 3: f[x] = alpha*x^2 + beta*x + gamma and
-    grid[x, y] = lift(f[x]) < lift(y)."""
+    """(params mod p, f) of the parabola on the prime plane PG(2,p), p > 3:
+    f[x] = alpha*x^2 + beta*x + gamma, in O(p)."""
     p = require_prime_plane(plane, 3)
     params = params.reduced(p)
     x = np.arange(p, dtype=np.int64)
-    f = (params.alpha * x * x + params.beta * x + params.gamma) % p
-    return params, f, x[None, :] > f[:, None]
+    return params, (params.alpha * x * x + params.beta * x + params.gamma) % p
+
+
+def under_grid(f: np.ndarray) -> np.ndarray:
+    """The region under f as a (p, p) grid: [x, y] = lift(f[x]) < lift(y)."""
+    return np.arange(f.size)[None, :] > f[:, None]
 
 
 def parabola_region(plane: ProjectivePlane, params: ParabolaParams) -> PointSet:
     """Affine points strictly under the parabola in the integer-lift order:
     S = {(x, y) : lift(alpha*x^2 + beta*x + gamma) < lift(y)}."""
-    params, _, grid = under_parabola(plane, params)
-    xs, ys = np.nonzero(grid)
+    params, f = under_parabola(plane, params)
+    xs, ys = np.nonzero(under_grid(f))
     meta = {"construction": "parabola",
             "alpha": params.alpha, "beta": params.beta, "gamma": params.gamma}
     return _from_affine_grid(plane, xs, ys, meta)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -108,18 +109,32 @@ def test_profile_matches_matrix_count_for_every_slope(p):
     pl = build_plane(p)
     for params in (ParabolaParams(1, 0, 0), ParabolaParams(2, 3, 1),
                    ParabolaParams(p - 1, 1, p - 1)):
-        params, f, _ = under_parabola(pl, params)
+        params, f = under_parabola(pl, params)
         for d in range(1, p):
             prof = projection_profile(pl, params, d)
             assert prof.pr.tolist() == matrix_profile(p, f, d).tolist(), (params, d)
+
+
+def test_profile_is_counted_in_linear_memory():
+    # one slope's profile needs f and a few length-2p arrays, never the
+    # (p, p) membership grid
+    p = 4001
+    pl = build_plane(p)
+    tracemalloc.start()
+    try:
+        projection_profile(pl, ParabolaParams(1, 2, 3), 5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < p * p // 16, peak         # the grid alone is p * p bytes
 
 
 @pytest.mark.parametrize("p", [p for p in PRIMES if p <= 31])
 def test_all_profiles_match_direct_profiles(p):
     pl = build_plane(p)
     for params in (ParabolaParams(1, 0, 0), ParabolaParams(2, 3, 1)):
-        params, f, grid = under_parabola(pl, params)
-        P = charwalk._all_profiles(pl, grid)
+        params, f = under_parabola(pl, params)
+        P = charwalk._all_profiles(pl, f)
         b = np.arange(p)
         assert P[0].tolist() == (b[:, None] > f[None, :]).sum(axis=1).tolist()
         for d in range(1, p):
@@ -133,17 +148,17 @@ def test_law_profiles_are_the_spectrum_of_the_region(p):
     pl = build_plane(p)
     for params in (ParabolaParams(1, 0, 0), ParabolaParams(2, 3, 1),
                    ParabolaParams(p - 1, 1, p - 1)):
-        _, _, grid = under_parabola(pl, params)
+        _, f = under_parabola(pl, params)
         spec = compute_spectrum(pl, parabola_region(pl, params))
-        assert np.array_equal(charwalk._all_profiles(pl, grid),
+        assert np.array_equal(charwalk._all_profiles(pl, f),
                               spec.n_ell[pl.affine_lines()]), params
 
 
 def test_laws_reject_a_transform_that_disagrees_with_the_direct_count(monkeypatch):
     all_profiles = charwalk._all_profiles
 
-    def off_by_one(plane, grid):
-        P = all_profiles(plane, grid)
+    def off_by_one(plane, f):
+        P = all_profiles(plane, f)
         P[1, 0] += 1
         return P
 
