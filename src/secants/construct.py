@@ -88,6 +88,8 @@ def random_set(plane: ProjectivePlane, density, seed: int) -> PointSet:
     if not 0 <= density <= 1:
         raise ConstructionError("density must lie in [0, 1]")
     num, den = density.numerator, density.denominator
+    if den > 2 ** 63:               # the draws are int64 integers below den
+        raise ConstructionError(f"density {num}/{den} has a denominator past 2^63")
     meta = {"construction": "random", "density": f"{num}/{den}",
             "generator": "philox4x64", "seed": int(seed)}
     rng = np.random.Generator(np.random.Philox(key=int(seed)))
@@ -97,23 +99,19 @@ def random_set(plane: ProjectivePlane, density, seed: int) -> PointSet:
 
 def under_parabola(plane: ProjectivePlane, params: ParabolaParams):
     """(params mod p, f) of the parabola on the prime plane PG(2,p), p > 3:
-    f[x] = alpha*x^2 + beta*x + gamma, in O(p)."""
+    f[x] = alpha*x^2 + beta*x + gamma, in O(p).  Horner's rule with a
+    reduction after each product keeps every int64 term below p^2."""
     p = require_prime_plane(plane, 3)
     params = params.reduced(p)
     x = np.arange(p, dtype=np.int64)
-    return params, (params.alpha * x * x + params.beta * x + params.gamma) % p
-
-
-def under_grid(f: np.ndarray) -> np.ndarray:
-    """The region under f as a (p, p) grid: [x, y] = lift(f[x]) < lift(y)."""
-    return np.arange(f.size)[None, :] > f[:, None]
+    return params, ((params.alpha * x + params.beta) % p * x + params.gamma) % p
 
 
 def parabola_region(plane: ProjectivePlane, params: ParabolaParams) -> PointSet:
     """Affine points strictly under the parabola in the integer-lift order:
     S = {(x, y) : lift(alpha*x^2 + beta*x + gamma) < lift(y)}."""
     params, f = under_parabola(plane, params)
-    xs, ys = np.nonzero(under_grid(f))
+    xs, ys = np.nonzero(np.arange(f.size)[None, :] > f[:, None])
     meta = {"construction": "parabola",
             "alpha": params.alpha, "beta": params.beta, "gamma": params.gamma}
     return _from_affine_grid(plane, xs, ys, meta)

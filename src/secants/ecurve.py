@@ -88,7 +88,7 @@ def curve_count(p: int, a: int, b: int) -> Curve:
         raise CurveError("singular curve")
     chi = legendre_table(p)
     x = np.arange(p, dtype=np.int64)
-    total = p + 1 + int(chi[(x * x * x + a * x + b) % p].sum())
+    total = p + 1 + int(chi[((x * x + a) % p * x + b) % p].sum())   # int64 terms < p^2
     return Curve(p=p, a=a, b=b, count=total, trace=p + 1 - total)
 
 

@@ -158,6 +158,39 @@ def naive_local_search(plane, iters, seed, restarts):
     return best[0], witness, examined
 
 
+def trial_division_is_prime(n):
+    """Primality by trial division by 2 and every odd f with f*f <= n."""
+    if n < 2:
+        return False
+    if n < 4:
+        return True
+    if n % 2 == 0:
+        return False
+    f = 3
+    while f * f <= n:
+        if n % f == 0:
+            return False
+        f += 2
+    return True
+
+
+def trial_division_prime_power(q):
+    """(p, k) with q = p**k by dividing out the smallest factor p >= 2 of
+    q, or None if q is not a prime power."""
+    if q < 2:
+        return None
+    p = 2
+    while p * p <= q:
+        if q % p == 0:
+            k, m = 0, q
+            while m % p == 0:
+                m //= p
+                k += 1
+            return (p, k) if m == 1 else None
+        p += 1
+    return q, 1
+
+
 def chi(p, v):
     """The quadratic character of v mod an odd prime p, by Euler's criterion."""
     v %= p

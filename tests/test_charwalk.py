@@ -7,6 +7,7 @@ import pytest
 from secants import charwalk
 from secants.charwalk import (occupancy_scaling, level_stats, profile_range_check,
                               projection_profile, psi_walk, verify_projection_laws)
+from secants.cli import CHECK_FAILED, main
 from secants.construct import ParabolaParams, parabola_region, under_parabola
 from secants.field import is_prime, legendre_table
 from secants.plane import build_plane
@@ -129,19 +130,7 @@ def test_profile_is_counted_in_linear_memory():
     assert peak < p * p // 16, peak         # the grid alone is p * p bytes
 
 
-@pytest.mark.parametrize("p", [p for p in PRIMES if p <= 31])
-def test_all_profiles_match_direct_profiles(p):
-    pl = build_plane(p)
-    for params in (ParabolaParams(1, 0, 0), ParabolaParams(2, 3, 1)):
-        params, f = under_parabola(pl, params)
-        P = charwalk._all_profiles(pl, f)
-        b = np.arange(p)
-        assert P[0].tolist() == (b[:, None] > f[None, :]).sum(axis=1).tolist()
-        for d in range(1, p):
-            assert P[d].tolist() == projection_profile(pl, params, d).pr.tolist(), d
-
-
-@pytest.mark.parametrize("p", [5, 7, 13, 31, 61])
+@pytest.mark.parametrize("p", [5, 7, 13, 31, 61, 199, 401])
 def test_law_profiles_are_the_spectrum_of_the_region(p):
     # the profiles the laws check are the secant sizes that the spectrum
     # path counts for the parabola region's affine lines
@@ -150,21 +139,36 @@ def test_law_profiles_are_the_spectrum_of_the_region(p):
                    ParabolaParams(p - 1, 1, p - 1)):
         _, f = under_parabola(pl, params)
         spec = compute_spectrum(pl, parabola_region(pl, params))
-        assert np.array_equal(charwalk._all_profiles(pl, f),
+        assert np.array_equal(charwalk._all_profiles(f),
                               spec.n_ell[pl.affine_lines()]), params
 
 
-def test_laws_reject_a_transform_that_disagrees_with_the_direct_count(monkeypatch):
+def test_laws_reject_a_profile_off_by_one(monkeypatch, tmp_path):
     all_profiles = charwalk._all_profiles
 
-    def off_by_one(plane, f):
-        P = all_profiles(plane, f)
+    def off_by_one(f):
+        P = all_profiles(f)
         P[1, 0] += 1
         return P
 
     monkeypatch.setattr(charwalk, "_all_profiles", off_by_one)
-    with pytest.raises(ArithmeticError, match="slope-1 profile"):
-        verify_projection_laws(build_plane(13), ParabolaParams(1, 0, 0))
+    rep = verify_projection_laws(build_plane(13), ParabolaParams(1, 0, 0))
+    assert not rep.all_ok and rep.l1_first_fail is not None
+    assert main(["projection", "--p", "13", "--out", str(tmp_path / "out")]) == CHECK_FAILED
+
+
+def test_law_check_runs_no_transform(monkeypatch):
+    def no_transform(*args, **kwargs):
+        raise AssertionError("the law check ran an FFT")
+
+    monkeypatch.setattr(np.fft, "rfftn", no_transform)
+    monkeypatch.setattr(np.fft, "irfftn", no_transform)
+    p = 29
+    pl = build_plane(p)
+    for params in (ParabolaParams(1, 0, 0), ParabolaParams(pow(4, p - 2, p), 1, 1),
+                   ParabolaParams(2, 3, 1)):
+        rep = verify_projection_laws(pl, params)
+        assert rep.l1_ok and rep.l2_ok and rep.l3_ok and rep.l4_ok, params
 
 
 @pytest.mark.parametrize("p", PRIMES)

@@ -345,6 +345,9 @@ def test_unknown_flag_gets_the_usage_of_its_command(capsys, argv, usage, extra):
     (["sweep", "--primes", "7,0", "--construction", "ecregion"],
      "--primes must list prime powers, got 0"),
     (["plane", "--q", "1"], "--q must be a prime power, got 1"),
+    # (10^9 + 7)(10^9 + 9), past the reach of trial division
+    (["plane", "--q", "1000000016000000063"],
+     "--q must be a prime power, got 1000000016000000063"),
     (["search", "--q", "6"], "--q must be a prime power, got 6"),
     (["projection", "--p", "-5"], "--p must be a prime power, got -5"),
     (["ec", "scan", "--p", "0"], "--p must be a prime power, got 0"),
@@ -419,6 +422,7 @@ MALFORMED_INPUTS = {
     "set-boolean-triple": ("set-file", {"q": 7, "projective": [[1, 2, 1], [False, 0, 1]]}),
     "set-coordinate-past-int64": ("set-file", {"q": 7, "affine": [[2 ** 64, 1]]}),
     "density-1/0": ("construction", "random:density=1/0"),
+    "density-past-int64": ("construction", "random:density=1/100000000000000000000"),
     "construction-seed-argument": ("construction", "random:density=1/2,seed=3"),
     "construction-unknown-argument": ("construction", "random:densty=1/8"),
     "construction-argument-of-another": ("construction", "ecregion:foo=1"),
@@ -472,6 +476,7 @@ MALFORMED_MESSAGES = {
     'set-coordinate-past-int64':
         'set file affine entry [18446744073709551616, 1] is not a point of PG(2,7)',
     'density-1/0': "'1/0' is not a rational number",
+    'density-past-int64': 'density 1/100000000000000000000 has a denominator past 2^63',
     'construction-seed-argument': "construction 'random' takes no argument 'seed'; the seed comes from --seed",
     'construction-unknown-argument': "construction 'random' takes no argument 'densty'",
     'construction-argument-of-another': "construction 'ecregion' takes no argument 'foo'",

@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 from secants.construct import (ConstructionError, FamilyParams, ParabolaParams,
                                build_construction, ec_region, parabola_family,
                                parabola_region, parse_construction,
-                               pointset_from_json, pointset_to_json, random_set)
+                               pointset_from_json, pointset_to_json, random_set,
+                               under_parabola)
 from secants.field import legendre_table
 from secants.plane import build_plane
 from secants.spectrum import PointSet, compute_spectrum
@@ -162,6 +163,26 @@ def test_random_set_binomial_window_at_scale():
     S = random_set(pl, Fraction(1, 2), 1)
     half = pl.N / 2
     assert abs(S.size - half) <= 4 * math.sqrt(pl.N / 4)
+
+
+def test_random_set_denominator_past_int64_is_named():
+    # the draws are int64 integers below the denominator, so 2^63 still draws
+    pl = build_plane(7)
+    S = random_set(pl, Fraction(1, 2 ** 63), 2)
+    rng = np.random.Generator(np.random.Philox(key=2))
+    assert S.mask.tolist() == (rng.integers(0, 2 ** 63, size=pl.N, dtype=np.int64) < 1).tolist()
+    with pytest.raises(ConstructionError,
+                       match=r"^density 1/100000000000000000000 has a denominator past 2\^63$"):
+        random_set(pl, Fraction(1, 10 ** 20), 0)
+
+
+def test_under_parabola_past_the_int64_square():
+    # alpha * x^2 passes 2^63 at this p; f is checked against Python ints
+    p = 3000017
+    alpha = pow(4, p - 2, p)
+    _, f = under_parabola(build_plane(p), ParabolaParams(alpha, 1, 1))
+    xs = list(range(0, p, 997)) + [p - 1]
+    assert f[xs].tolist() == [(alpha * x * x + x + 1) % p for x in xs]
 
 
 def test_random_set_density_is_exactly_rational():

@@ -1,9 +1,11 @@
 import math
 
+import numpy as np
 import pytest
 
 from secants.construct import ec_region
 from secants.ecurve import CurveError, curve_count, ec_spectrum_scan
+from secants.field import legendre_table
 from secants.plane import build_plane
 from secants.spectrum import verify_counting_identities
 
@@ -20,6 +22,18 @@ def test_curve_count_examples():
         curve_count(9, 1, 1)
     with pytest.raises(CurveError, match="prime"):
         curve_count(3, 1, 1)
+
+
+def test_curve_count_past_the_int64_cube():
+    # x^3 passes 2^63 at this p; the sum is taken again on Python ints,
+    # in chunks of the x range
+    p = 3000017
+    chi = legendre_table(p)
+    total = p + 1
+    for lo in range(0, p, 1 << 18):
+        x = np.arange(lo, min(lo + (1 << 18), p)).astype(object)
+        total += int(chi[((x * x * x + x + 1) % p).astype(np.int64)].sum())
+    assert curve_count(p, 1, 1).count == total == 2999216
 
 
 def test_cubic_root_count_examples():

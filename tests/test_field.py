@@ -7,6 +7,8 @@ from secants.field import (Field, FieldError, factor_prime_power, is_prime,
                            legendre_table, make_field)
 from secants.field import _decode_digits, _encode_digits, _poly_mod, _poly_mul
 
+from conftest import trial_division_is_prime, trial_division_prime_power
+
 
 def test_prime_power_factoring():
     assert factor_prime_power(7) == (7, 1)
@@ -15,6 +17,25 @@ def test_prime_power_factoring():
     assert factor_prime_power(6) is None
     assert factor_prime_power(12) is None
     assert factor_prime_power(1) is None
+
+
+def test_primality_and_prime_powers_match_trial_division():
+    for n in range(-2, 10 ** 5):
+        assert is_prime(n) == trial_division_is_prime(n), n
+        assert factor_prime_power(n) == trial_division_prime_power(n), n
+
+
+def test_primality_at_large_n():
+    assert not is_prime(211 * 421 * 631)       # Carmichael: every coprime base is a Fermat liar
+    assert not is_prime(3825123056546413051)   # strong pseudoprime to every base <= 23
+    assert not is_prime(318665857834031151167461)    # ... and to every base <= 37
+    assert is_prime(2 ** 61 - 1)
+    assert not is_prime((10 ** 9 + 7) * (10 ** 9 + 9))
+    assert factor_prime_power((10 ** 9 + 7) ** 2) == (10 ** 9 + 7, 2)
+    assert factor_prime_power((10 ** 9 + 7) * (10 ** 9 + 9)) is None
+    assert factor_prime_power(3 ** 39) == (3, 39)
+    with pytest.raises(FieldError, match="^3317044064679887385961981 is past the bound"):
+        is_prime(3317044064679887385961981)
 
 
 def test_make_field_examples():

@@ -165,6 +165,11 @@ def test_sweep_rows_and_determinism():
     assert text1 == text2
 
 
+def test_sweep_cell_names_a_density_past_int64():
+    row, = run_sweep([7], "random:density=1/100000000000000000000", seeds=1)
+    assert row.error == "density 1/100000000000000000000 has a denominator past 2^63"
+
+
 def test_sweep_records_row_errors_and_continues():
     rows = run_sweep([3, 7], "parabola:a=1,b=0,g=0", seeds=1)
     assert rows[0].error != "" and not rows[0].checks_ok
