@@ -31,6 +31,11 @@ from .spectrum import bounds_report, compute_spectrum, cor_bound_ceiling, \
 
 OK, USAGE_ERROR, CHECK_FAILED, INTERNAL_ERROR = 0, 1, 2, 3
 
+# The largest --p of charwalk, projection and ec count, which build tables
+# of length p: an int64 table of that length takes at most 32 MiB, and
+# p^2 < 2^44, so every product that is reduced mod p fits an int64 exactly.
+MAX_PRIME_ORDER = 1 << 22
+
 
 class _Parser(argparse.ArgumentParser):
     """No abbreviated flags: `sweep --seed 5` must not run as `--seeds 5`."""
@@ -128,6 +133,13 @@ def _plane(args, flag: str = "q"):
     return build_plane(q)
 
 
+def _bounded_p(args) -> int:
+    """--p of a command that builds tables of length p, at most MAX_PRIME_ORDER."""
+    if args.p > MAX_PRIME_ORDER:
+        raise ValueError(f"--p must be at most {MAX_PRIME_ORDER}, got {args.p}")
+    return args.p
+
+
 def _orders(text: str) -> list:
     """The comma-separated prime powers of sweep's --primes."""
     orders = []
@@ -218,7 +230,7 @@ def _emit_search(args, plane, res) -> int:
 
 
 def cmd_charwalk(args) -> int:
-    walk = psi_walk(args.p, args.a)
+    walk = psi_walk(_bounded_p(args), args.a)
     if args.levels:
         stats = level_stats(walk)
         payload = occupancy_scaling(stats, args.a)
@@ -232,6 +244,7 @@ def cmd_charwalk(args) -> int:
 
 
 def cmd_projection(args) -> int:
+    _bounded_p(args)
     plane = _plane(args, "p")
     params = ParabolaParams(
         rational_to_element(args.p, args.alpha),
@@ -248,7 +261,7 @@ def cmd_projection(args) -> int:
 
 def cmd_ec(args) -> int:
     if args.ec_cmd == "count":
-        curve = curve_count(args.p, args.a, args.b)
+        curve = curve_count(_bounded_p(args), args.a, args.b)
         _emit_json(args, {"p": curve.p, "a": curve.a, "b": curve.b,
                           "count": curve.count, "trace": curve.trace,
                           "hasse_ok": curve.hasse_ok})

@@ -72,10 +72,21 @@ def require_prime_plane(plane: ProjectivePlane, min_p: int) -> int:
     return F.p
 
 
-def _from_affine_grid(plane, xs, ys, meta) -> PointSet:
+def _from_affine_grid(plane, grid, meta) -> PointSet:
+    """The set of the affine points (x, y) with grid[x, y] set."""
     mask = np.zeros(plane.N, dtype=bool)
-    mask[plane.affine_points()[xs, ys]] = True
+    mask[plane.affine_points()] = grid
+    del grid                        # freed before PointSet copies the mask
     return PointSet(plane, mask, meta)
+
+
+def _shifted_rows(pattern: np.ndarray, shifts: np.ndarray) -> np.ndarray:
+    """(len(shifts), p) grid whose row i is the length-p pattern shifted
+    cyclically by shifts[i]: row[y] = pattern[(y - shifts[i]) mod p].
+    Each row is a window of the doubled pattern."""
+    p = pattern.size
+    windows = np.lib.stride_tricks.sliding_window_view(np.tile(pattern, 2), p)
+    return windows[(p - shifts) % p]
 
 
 def random_set(plane: ProjectivePlane, density, seed: int) -> PointSet:
@@ -111,10 +122,9 @@ def parabola_region(plane: ProjectivePlane, params: ParabolaParams) -> PointSet:
     """Affine points strictly under the parabola in the integer-lift order:
     S = {(x, y) : lift(alpha*x^2 + beta*x + gamma) < lift(y)}."""
     params, f = under_parabola(plane, params)
-    xs, ys = np.nonzero(np.arange(f.size)[None, :] > f[:, None])
     meta = {"construction": "parabola",
             "alpha": params.alpha, "beta": params.beta, "gamma": params.gamma}
-    return _from_affine_grid(plane, xs, ys, meta)
+    return _from_affine_grid(plane, np.arange(f.size) > f[:, None], meta)
 
 
 def parabola_family(plane: ProjectivePlane, params: FamilyParams) -> PointSet:
@@ -123,24 +133,19 @@ def parabola_family(plane: ProjectivePlane, params: FamilyParams) -> PointSet:
     p = require_prime_plane(plane, 2)
     a = params.height(p)
     x = np.arange(p, dtype=np.int64)
-    t = np.arange(a, dtype=np.int64)
-    xs = np.repeat(x, a)
-    ys = ((x * x)[:, None] + t[None, :]).ravel() % p
     meta = {"construction": "family", "c": str(params.c), "a": a}
-    return _from_affine_grid(plane, xs, ys, meta)
+    return _from_affine_grid(plane, _shifted_rows(x < a, x * x % p), meta)
 
 
 def ec_region(plane: ProjectivePlane) -> PointSet:
     """Affine points (x, v) for which x^3 - v is a square (zero included);
-    each row x contributes exactly (p+1)/2 points."""
+    each row x contributes exactly (p+1)/2 points.  Row x is the pattern
+    t -> [-t is a square] shifted by x^3, built in O(p^2) bool work."""
     p = require_prime_plane(plane, 3)
-    chi = legendre_table(p)
     x = np.arange(p, dtype=np.int64)
-    v = np.arange(p, dtype=np.int64)
-    vals = (x[:, None] ** 3 - v[None, :]) % p
-    mask = chi[vals] >= 0
-    xs, vs = np.nonzero(mask)
-    return _from_affine_grid(plane, xs, vs, {"construction": "ecregion"})
+    square = legendre_table(p)[-x % p] >= 0
+    return _from_affine_grid(plane, _shifted_rows(square, x * x % p * x % p),
+                             {"construction": "ecregion"})
 
 
 # -- set-file round trip -------------------------------------------------------

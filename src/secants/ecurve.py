@@ -4,9 +4,13 @@ point counts.
 
 A single curve is counted by the O(p) sum 1 + sum_x (1 + chi(x^3 + a*x + b)),
 trivially auditable against direct (x, y) enumeration.  The region scan
-takes the same direct sums for every line at once, grouped by value: one
-histogram of x^3 - m*x per slope m, multiplied by the circulant table of
-chi(v - b).  The curve counts never pass through a transform, so they stay
+counts all p^2 curves Y^2 = X^3 - m*X - b in O(p^2).  The character sums
+S(m, b) = sum_x chi(x^3 - m*x - b) are taken directly for three slopes,
+m0 = 0, 1 and the least non-square g, grouped by value: one histogram of
+x^3 - m0*x per slope times the circulant table of chi(v - b).  Every other
+slope is m = m0*lam^2, and the change of variables x = lam*y gives
+S(m, lam^3*b) = chi(lam) * S(m0, b), so its row is a scatter of one of the
+three.  The curve counts never pass through a transform, so they stay
 independent of the region's secant sizes they are checked against.  For a
 non-vertical line v = m*x + b that avoids the singular locus, the region's
 secant size n and the root count Z of X^3 - m*X - b tie the curve
@@ -92,6 +96,37 @@ def curve_count(p: int, a: int, b: int) -> Curve:
     return Curve(p=p, a=a, b=b, count=total, trace=p + 1 - total)
 
 
+def _curve_counts(p: int):
+    """(counts, roots), two (p, p) int64 tables over the slopes m and the
+    intercepts b: counts[m, b] = |E| of Y^2 = X^3 - m*X - b, singular
+    curves included, and roots[m, b] the number of roots of X^3 - m*X - b.
+    Every count is a direct character sum, never a transform."""
+    chi = legendre_table(p).astype(np.int64)
+    x = m = b = np.arange(p, dtype=np.int64)
+
+    # roots[m, v] = #{x : x^3 - m*x = v}, so roots[m, b] is the root count Z
+    # of x^3 - m*x - b
+    vals = (x * x % p * x - m[:, None] * x) % p                  # [m, x]
+    roots = np.bincount((m[:, None] * p + vals).ravel(),
+                        minlength=p * p).reshape(p, p)
+
+    # sums[i, b] = S(m0, b) for m0 = 0, 1, g, grouped by value: the values
+    # v run over the rows of the circulant of chi(v - b).  Each m is
+    # m0*lam^2, and counts[m, lam^3*b] = p + 1 + chi(lam) * S(m0, b)
+    g = int(np.argmax(chi == -1))
+    sums = roots[[0, 1, g]] @ chi[(x[:, None] - b) % p]          # [m0, b]
+    row = np.where(chi == 1, 1, 2)                # the row of m0 for each m
+    row[0] = 0
+    sqrt = np.zeros(p, dtype=np.int64)
+    sqrt[x * x % p] = x                           # a square root of each square
+    lam = sqrt[m * np.array([1, 1, pow(g, -1, p)])[row] % p]
+    lam[0] = 1
+    lam3 = lam * lam % p * lam % p
+    counts = np.empty((p, p), dtype=np.int64)
+    counts[m[:, None], lam3[:, None] * b % p] = p + 1 + chi[lam][:, None] * sums[row]
+    return counts, roots
+
+
 def ec_spectrum_scan(plane: ProjectivePlane) -> EcScanReport:
     """Full secant spectrum of the cubic-square region, with the
     line-curve relation verified on every non-vertical nonsingular line."""
@@ -99,23 +134,12 @@ def ec_spectrum_scan(plane: ProjectivePlane) -> EcScanReport:
     region = ec_region(plane)
     spec = compute_spectrum(plane, region)
 
-    chi = legendre_table(p).astype(np.int64)
-    m = np.arange(p, dtype=np.int64)
-    b = np.arange(p, dtype=np.int64)
-    x = np.arange(p, dtype=np.int64)
-
-    # roots[m, v] = #{x : x^3 - m*x = v}, so roots[m, b] is the root count Z
-    # of x^3 - m*x - b, and the curve count p + 1 + sum_x chi(x^3 - m*x - b)
-    # is the same direct sum grouped by value: p + 1 + sum_v roots[m, v] *
-    # chi(v - b), with the values v running over the rows of the circulant
-    vals = (x ** 3 - m[:, None] * x) % p                        # [m, x]
-    roots = np.bincount((m[:, None] * p + vals).ravel(),
-                        minlength=p * p).reshape(p, p)
-    counts = p + 1 + roots @ chi[(x[:, None] - b) % p]          # [v, b]
+    counts, roots = _curve_counts(p)
 
     # secant sizes of the lines v = m*x + b, read off the spectrum
     n_mat = spec.n_ell[plane.affine_lines()]
 
+    m = b = np.arange(p, dtype=np.int64)
     singular = (27 * b[None, :] ** 2 - 4 * m[:, None] ** 3) % p == 0
     holds = counts == 2 * n_mat + 1 - roots
     violations = int((~holds & ~singular).sum())

@@ -24,9 +24,9 @@ import numpy as np
 
 from .field import Field, make_field
 
-# Lines are solved in blocks of about this many entries, which bounds the
-# solver's int64 temporaries.
-_SOLVE_BLOCK_ENTRIES = 1 << 20
+# Lines are solved, and the affine point table is built, in blocks of
+# about this many entries, which bounds their int64 temporaries.
+_SOLVE_BLOCK_ENTRIES = 1 << 16
 
 
 class PlaneError(ValueError):
@@ -112,15 +112,19 @@ class ProjectivePlane:
     # -- the affine chart -------------------------------------------------------
 
     def affine_points(self) -> np.ndarray:
-        """(q, q) int32 table, cached: [x, y] is the index of (x : y : 1)."""
+        """(q, q) int32 table, cached: [x, y] is the index of (x : y : 1).
+        The rows x != 0 are filled in blocks of about _SOLVE_BLOCK_ENTRIES
+        entries, so no int64 temporary is as large as the table."""
         if self._affine_points is None:
             F, q = self.field, self.q
-            inv = F.inv(np.arange(1, q, dtype=np.int64))[:, None]
             y = np.arange(q, dtype=np.int64)
             tbl = np.empty((q, q), dtype=np.int32)
             tbl[0, 0] = 0
-            tbl[0, 1:] = 1 + inv[:, 0]                    # (0 : 1 : 1/y)
-            tbl[1:] = q + 1 + F.mul(y, inv) * q + inv     # (1 : y/x : 1/x)
+            tbl[0, 1:] = 1 + F.inv(y[1:])                 # (0 : 1 : 1/y)
+            step = max(1, _SOLVE_BLOCK_ENTRIES // q)
+            for lo in range(1, q, step):
+                inv = F.inv(y[lo:lo + step])[:, None]
+                tbl[lo:lo + step] = F.mul(y, inv) * q + (q + 1 + inv)  # (1 : y/x : 1/x)
             self._affine_points = tbl
         return self._affine_points
 

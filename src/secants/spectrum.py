@@ -148,8 +148,9 @@ def _spectrum_affine(plane, mask: np.ndarray) -> np.ndarray:
     return n_ell
 
 
-# The finite Radon transform inverts this many counts at a time (slopes
-# times intercepts), which bounds its temporaries at large q.
+# The finite Radon transform transforms this many grid entries (rows of x
+# times y) and inverts this many counts (slopes times intercepts) at a
+# time, which bounds its temporaries at large q.
 _RADON_BLOCK_ENTRIES = 1 << 16
 
 # Largest distance from an integer that a transformed count may have.
@@ -172,17 +173,27 @@ def affine_class_blocks(grid: np.ndarray, field):
     of a slice over the k intercept axes.  The real FFT halves the last
     axis, the lowest digit of y, and the slice reads that axis directly.
     At k = 1 this is F[-d*v mod p, v] of the 2-D DFT.
+    F is filled in place in the order rfftn takes: the real FFT over the
+    y axes one block of rows of x at a time, then one FFT over the x axes
+    with F as its output, so no temporary is as large as F.  The forward
+    and the inverse passes both work in blocks of about
+    _RADON_BLOCK_ENTRIES entries.
     Raises ArithmeticError when a transformed count is more than
     _RADON_TOLERANCE from an integer."""
     p, k, q = field.p, field.k, field.q
-    F = np.fft.rfftn(grid.reshape((p,) * 2 * k))
-    half = F.shape[-1]
-    F = F.reshape(q, -1)                  # rows: encoded u; columns: v
+    half = p // 2 + 1
+    F = np.empty((q, q // p * half), dtype=complex)   # rows: encoded u; columns: v
+    step = max(1, _RADON_BLOCK_ENTRIES // q)
+    for lo in range(0, q, step):
+        rows = grid[lo:lo + step].reshape(-1, *(p,) * k)
+        np.fft.rfftn(rows, axes=range(1, k + 1),
+                     out=F[lo:lo + step].reshape(len(rows), *(p,) * (k - 1), half))
+    Fx = F.reshape(*(p,) * k, -1)
+    np.fft.fftn(Fx, axes=range(k), out=Fx)
     col = np.arange(F.shape[1])
     # digits of each column's v, lowest (the halved axis) first
     v = np.column_stack([col % half, _decode_digits(col // half, p, k - 1)])
     powers = p ** np.arange(k)
-    step = max(1, _RADON_BLOCK_ENTRIES // q)
     for lo in range(0, q, step):
         d = np.arange(lo, min(lo + step, q), dtype=np.int64)
         MT = _decode_digits(field.mul(d[:, None], powers), p, k)    # MT[i] = M_d^T

@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 from secants.construct import ec_region
-from secants.ecurve import CurveError
+from secants.ecurve import CurveError, curve_count
 from secants.plane import PlaneError
 
 
@@ -221,6 +221,14 @@ def curve_count_bruteforce(p, a, b):
             if (y * y) % p == rhs:
                 total += 1
     return total
+
+
+def curve_counts_by_line(p):
+    """{(m, b): |E|} of Y^2 = X^3 - mX - b for every nonsingular line
+    v = mx + b, each from its own O(p) sum `curve_count`, which
+    test_ecurve checks against enumeration."""
+    return {(m, b): curve_count(p, -m, -b).count
+            for m in range(p) for b in range(p) if (27 * b * b - 4 * m ** 3) % p}
 
 
 @dataclass

@@ -3,6 +3,7 @@ import hashlib
 import json
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -357,6 +358,42 @@ def test_bad_order_exits_1_naming_flag_and_value(tmp_path, capsys, argv, message
     assert main([*argv, "--out", str(out)]) == USAGE_ERROR
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["charwalk", "--p", "1000000000000000003"],                 # a prime
+    ["charwalk", "--p", "4194319", "--levels"],                 # the next prime past 2^22
+    ["projection", "--p", "1000000000000000003", "--d", "1"],
+    ["projection", "--p", "4194319"],
+    ["ec", "count", "--p", "4194319", "--a", "1", "--b", "1"],
+    ["ec", "count", "--p", str(10 ** 40), "--a", "1", "--b", "1"],
+])
+def test_prime_order_past_the_table_bound_exits_1(tmp_path, capsys, argv):
+    # refused before any table of length p is built: the whole run stays
+    # far below the 4 MB of an int8 table of length 4194319
+    out = tmp_path / "out"
+    tracemalloc.start()
+    try:
+        code = main([*argv, "--out", str(out)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == USAGE_ERROR
+    p = argv[argv.index("--p") + 1]
+    assert capsys.readouterr().err == f"error: --p must be at most 4194304, got {p}\n"
+    assert not out.exists()
+    assert peak < 2 ** 20, peak
+
+
+def test_prime_order_bound_keeps_products_exact(tmp_path, capsys):
+    # the bound is 2^22, so a product of two residues stays below 2^63; the
+    # bound itself is not refused by it, and the largest prime below it runs
+    assert cli.MAX_PRIME_ORDER == 1 << 22 and cli.MAX_PRIME_ORDER ** 2 < 2 ** 63
+    assert main(["charwalk", "--p", "4194304", "--out", str(tmp_path / "w")]) == USAGE_ERROR
+    assert capsys.readouterr().err == "error: 4194304 is not an odd prime\n"
+    code, data = run_cli(tmp_path, "ec", "count", "--p", "4194301", "--a", "1", "--b", "1")
+    assert code == OK
+    assert json.loads(data)["p"] == 4194301
 
 
 @pytest.mark.parametrize("a", [-10 ** 23, 2 ** 63 - 1, 10 ** 30 + 5])

@@ -3,13 +3,15 @@ import math
 import numpy as np
 import pytest
 
+from secants import ecurve
 from secants.construct import ec_region
-from secants.ecurve import CurveError, curve_count, ec_spectrum_scan
+from secants.ecurve import CurveError, _curve_counts, curve_count, ec_spectrum_scan
 from secants.field import legendre_table
 from secants.plane import build_plane
-from secants.spectrum import verify_counting_identities
+from secants.spectrum import compute_spectrum, verify_counting_identities
 
-from conftest import cubic_root_count, curve_count_bruteforce, line_curve_check
+from conftest import (class_of, cubic_root_count, curve_count_bruteforce,
+                      curve_counts_by_line, line_curve_check)
 
 
 def test_curve_count_examples():
@@ -99,7 +101,37 @@ def test_line_curve_check_region_reuse():
         assert r.curve_count == 2 * r.n_ell + 1 - r.roots
 
 
-@pytest.mark.parametrize("p", [5, 7, 11, 13, 19, 29, 401])
+@pytest.mark.parametrize("p", [5, 7, 11, 13, 17, 19, 23, 29])
+def test_scan_counts_every_curve_directly(p):
+    # both classes of p mod 4 and the least non-square g = 2, 3 and 5, so the
+    # rows read off the slopes 1 and g by x = lam*y are checked with lam of
+    # both characters; every root count against a scan of x
+    counts, roots = _curve_counts(p)
+    expect = curve_counts_by_line(p)
+    assert {line: int(counts[line]) for line in expect} == expect
+    assert roots.tolist() == [[cubic_root_count(p, m, b) for b in range(p)]
+                              for m in range(p)]
+
+
+@pytest.mark.parametrize("p", [13, 29])
+def test_scan_finds_one_secant_size_off(monkeypatch, p):
+    # +1 on the secant size of the nonsingular line v = x + 1 breaks the
+    # relation on that line alone
+    pl = build_plane(p)
+    line = class_of(pl, 1, p - 1, 1)                 # [1 : -1 : 1]
+
+    def off_by_one(plane, pset):
+        spec = compute_spectrum(plane, pset)
+        spec.n_ell[line] += 1
+        return spec
+
+    monkeypatch.setattr(ecurve, "compute_spectrum", off_by_one)
+    rep = ec_spectrum_scan(pl)
+    assert rep.relation_violations == 1
+    assert rep.checked_lines + rep.skipped_singular == p * p
+
+
+@pytest.mark.parametrize("p", [5, 7, 11, 13, 19, 29, 401, 997])
 def test_scan_relation_and_identities(p):
     rep = ec_spectrum_scan(build_plane(p))
     assert rep.set_size == p * (p + 1) // 2

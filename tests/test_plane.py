@@ -1,9 +1,11 @@
 import hashlib
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from secants import plane as plane_module
 from secants.plane import PlaneError, build_plane
 
 from conftest import class_of, incident, line_through, naive_line_points, normalized_triples
@@ -184,6 +186,31 @@ def test_chart_tables_match_index_of(q):
     assert ltbl.dtype == np.int64
     assert (ltbl == pl.index_of(np.stack([x, pl.field.neg(one), y], -1))).all()
     assert (pl.affine_lines([q - 1, 0, 1]) == ltbl[[q - 1, 0, 1]]).all()
+
+
+@pytest.mark.parametrize("q", [7, 9, 16])
+@pytest.mark.parametrize("entries", [1, 20])
+def test_affine_points_built_in_small_blocks(monkeypatch, q, entries):
+    # one row, or two or three rows, per block give the same table
+    whole = build_plane(q).affine_points()
+    monkeypatch.setattr(plane_module, "_SOLVE_BLOCK_ENTRIES", entries)
+    x, y = np.meshgrid(np.arange(q), np.arange(q), indexing="ij")
+    tbl = build_plane(q).affine_points()
+    assert (tbl == whole).all()
+    assert (tbl == build_plane(q).index_of(np.stack([x, y, np.ones_like(x)], -1))).all()
+
+
+def test_affine_points_scratch_is_bounded():
+    # the int64 temporaries come in blocks of rows: measured 5.1 MB at
+    # q=997 for a 4.0 MB table, where one whole-table pass took 20 MB
+    pl = build_plane(997)
+    tracemalloc.start()
+    try:
+        tbl = pl.affine_points()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < tbl.nbytes + 2 * 2 ** 20, peak
 
 
 @pytest.mark.parametrize("q", CHART_ORDERS)
