@@ -27,7 +27,6 @@ the verified laws below are genuine checks, not restatements:
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -38,36 +37,16 @@ from .plane import ProjectivePlane
 
 
 @dataclass
-class Walk:
-    """Prefix sums of the quadratic character starting at a."""
-
-    p: int
-    a: int
-    values: list            # values[t] = sum_{j<=t} chi(a+j), t in [0, p-1]
-
-
-@dataclass
 class LevelStats:
     """Occupancy statistics of a walk: how often each level is visited."""
 
     p: int
-    counts: dict            # level -> number of t with values[t] == level
+    counts: dict            # level -> number of t with walk[t] == level
     zero_count: int
     max_level_count: int
     range: int              # max - min of the visited levels
     range_within_sqrt_log: bool    # range <= sqrt(p) * ln(p)
     zeros_within_sqrt_log2: bool   # zero_count <= sqrt(p) * ln(p)^2
-
-
-@dataclass
-class ProjectionProfile:
-    """Secant sizes of one parallel class of the under-parabola region,
-    indexed by intercept."""
-
-    p: int
-    params: ParabolaParams
-    d: int
-    pr: np.ndarray          # pr[b] = |S ∩ {y = dx + b}|
 
 
 @dataclass
@@ -114,33 +93,39 @@ class LawReport:
         }
 
 
-def psi_walk(p: int, a: int) -> Walk:
+def psi_walk(p: int, a: int) -> np.ndarray:
+    """Prefix sums of the quadratic character from a: walk[t] =
+    sum_{j<=t} chi(a+j), t in [0, p-1]."""
     chi = legendre_table(p)             # rejects p that is not an odd prime
     steps = chi[(a % p + np.arange(p, dtype=np.int64)) % p]   # any int a, no int64 wrap
-    return Walk(p=p, a=a % p, values=np.cumsum(steps, dtype=np.int64).tolist())
+    return np.cumsum(steps, dtype=np.int64)
 
 
-def level_stats(walk: Walk) -> LevelStats:
-    counts = Counter(walk.values)
-    lo, hi = min(walk.values), max(walk.values)
-    span = hi - lo
+def level_stats(walk: np.ndarray) -> LevelStats:
+    """Occupancy of the walk's levels, counted by one bincount over the
+    visited range [min, max]; p is the walk's length."""
+    p = walk.size
+    lo, hi = int(walk.min()), int(walk.max())
+    visits = np.bincount(walk - lo).tolist()
+    counts = {lo + i: c for i, c in enumerate(visits) if c}
     zeros = counts.get(0, 0)
-    sq = math.sqrt(walk.p)
-    ln = math.log(walk.p)
+    sq = math.sqrt(p)
+    ln = math.log(p)
     return LevelStats(
-        p=walk.p, counts=dict(sorted(counts.items())), zero_count=zeros,
-        max_level_count=max(counts.values()), range=span,
-        range_within_sqrt_log=span <= sq * ln,
+        p=p, counts=counts, zero_count=zeros,
+        max_level_count=max(visits), range=hi - lo,
+        range_within_sqrt_log=hi - lo <= sq * ln,
         zeros_within_sqrt_log2=zeros <= sq * ln * ln)
 
 
-def projection_profile(plane: ProjectivePlane, params: ParabolaParams, d: int) -> ProjectionProfile:
-    """Profile of the slope-d class by direct counting over x."""
+def projection_profile(plane: ProjectivePlane, params: ParabolaParams, d: int) -> np.ndarray:
+    """Profile of the slope-d class by direct counting over x: pr[b] =
+    |S ∩ {y = dx + b}|."""
     params, f = under_parabola(plane, params)
     d %= f.size
     if d == 0:
         raise ValueError("horizontal slope excluded")
-    return ProjectionProfile(p=f.size, params=params, d=d, pr=_direct_profile(f, d))
+    return _direct_profile(f, d)
 
 
 def _direct_profile(f: np.ndarray, d: int) -> np.ndarray:
@@ -154,12 +139,13 @@ def _direct_profile(f: np.ndarray, d: int) -> np.ndarray:
     return turns.reshape(2, p).sum(axis=0)
 
 
-def profile_range_check(prof: ProjectionProfile):
+def profile_range_check(pr: np.ndarray):
     """Length of the attained-value interval of one profile against the
-    sqrt(p)/(2*pi) .. sqrt(p)*ln(p) window; returns (range, lo, hi, ok)."""
-    span = int(prof.pr.max() - prof.pr.min())
-    lo = math.sqrt(prof.p) / (2 * math.pi)
-    hi = math.sqrt(prof.p) * math.log(prof.p)
+    sqrt(p)/(2*pi) .. sqrt(p)*ln(p) window, p its length; returns
+    (range, lo, hi, ok)."""
+    span = int(pr.max() - pr.min())
+    lo = math.sqrt(pr.size) / (2 * math.pi)
+    hi = math.sqrt(pr.size) * math.log(pr.size)
     return span, lo, hi, lo <= span <= hi
 
 
@@ -227,21 +213,25 @@ def verify_projection_laws(plane: ProjectivePlane, params: ParabolaParams) -> La
 
     # L5: range window on the slope-1 profile
     report.range_d1, report.range_lo, report.range_hi, report.l5_ok = \
-        profile_range_check(ProjectionProfile(p=p, params=params, d=1, pr=ref))
+        profile_range_check(ref)
     return report
 
 
 def occupancy_scaling(stats: LevelStats, a: int = 0) -> dict:
-    """Occupancy statistics of the walk from a, scaled against sqrt(p) *
-    log-power envelopes (exploratory output, nothing asserted)."""
+    """The levels document of the walk from a: its occupancy statistics,
+    scaled against sqrt(p) * log-power envelopes (exploratory output,
+    nothing asserted)."""
     p = stats.p
     sq = math.sqrt(p)
     ln = math.log(p)
     return {
         "p": p, "a": a,
+        "counts": {str(k): v for k, v in stats.counts.items()},
         "zero_count": stats.zero_count,
         "max_level_count": stats.max_level_count,
         "range": stats.range,
+        "range_within_sqrt_log": stats.range_within_sqrt_log,
+        "zeros_within_sqrt_log2": stats.zeros_within_sqrt_log2,
         "zero_over_sqrt": stats.zero_count / sq,
         "max_level_over_sqrt": stats.max_level_count / sq,
         "envelope_log1": ln,

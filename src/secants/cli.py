@@ -209,20 +209,18 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_exhaustive(args) -> int:
-    plane = _plane(args)
-    return _emit_search(args, plane, exhaustive_minmax(plane, threads=args.threads))
+    return _emit_search(args, exhaustive_minmax(_plane(args), threads=args.threads))
 
 
 def cmd_search(args) -> int:
-    plane = _plane(args)
-    return _emit_search(args, plane, local_search(plane, iters=args.iters, seed=args.seed,
-                                                  restarts=args.restarts))
+    return _emit_search(args, local_search(_plane(args), iters=args.iters, seed=args.seed,
+                                           restarts=args.restarts))
 
 
-def _emit_search(args, plane, res) -> int:
+def _emit_search(args, res) -> int:
     _emit_json(args, {
         "q": res.q, "best_mode_count": res.best_mode_count,
-        "witness_points": [int(i) for i in res.witness_set(plane).indices()],
+        "witness_points": res.witness.indices().tolist(),
         "subsets_examined": res.subsets_examined, "method": res.method,
         "cor_ceiling": cor_bound_ceiling(res.q),
     })
@@ -232,14 +230,9 @@ def _emit_search(args, plane, res) -> int:
 def cmd_charwalk(args) -> int:
     walk = psi_walk(_bounded_p(args), args.a)
     if args.levels:
-        stats = level_stats(walk)
-        payload = occupancy_scaling(stats, args.a)
-        payload["counts"] = {str(k): v for k, v in stats.counts.items()}
-        payload["range_within_sqrt_log"] = stats.range_within_sqrt_log
-        payload["zeros_within_sqrt_log2"] = stats.zeros_within_sqrt_log2
-        _emit_json(args, payload)
+        _emit_json(args, occupancy_scaling(level_stats(walk), args.a))
     else:
-        _emit(args, _csv_text(("t", "psi"), list(enumerate(walk.values))))
+        _emit(args, _csv_text(("t", "psi"), enumerate(walk.tolist())))
     return OK
 
 
@@ -251,8 +244,8 @@ def cmd_projection(args) -> int:
         rational_to_element(args.p, args.beta),
         rational_to_element(args.p, args.gamma))
     if args.d is not None:
-        prof = projection_profile(plane, params, args.d)
-        _emit(args, _csv_text(("b", "pr"), list(enumerate(prof.pr.tolist()))))
+        pr = projection_profile(plane, params, args.d)
+        _emit(args, _csv_text(("b", "pr"), enumerate(pr.tolist())))
         return OK
     report = verify_projection_laws(plane, params)
     _emit_json(args, report.as_dict())
@@ -269,6 +262,7 @@ def cmd_ec(args) -> int:
     report = ec_spectrum_scan(_plane(args, "p"))
     _emit_json(args, report.as_dict())
     ok = (report.relation_violations == 0
+          and verify_counting_identities(report.spectrum).ok
           and report.spectrum.mode_count >= report.cor_ceiling)
     return OK if ok else CHECK_FAILED
 

@@ -21,7 +21,7 @@ from itertools import chain
 import numpy as np
 
 from .field import legendre_table
-from .plane import ProjectivePlane
+from .plane import _SOLVE_BLOCK_ENTRIES, ProjectivePlane
 from .spectrum import PointSet
 
 
@@ -93,7 +93,9 @@ def random_set(plane: ProjectivePlane, density, seed: int) -> PointSet:
     """Bernoulli sample of all N plane points at an exact rational density.
 
     Point i is kept iff the i-th draw of a Philox stream keyed by the seed
-    lands below density, so membership is reproducible point by point.
+    lands below density, so membership is reproducible point by point.  The
+    draws are taken in blocks of _SOLVE_BLOCK_ENTRIES points, which continue
+    one stream: the mask equals that of a single draw of all N.
     """
     density = Fraction(density)
     if not 0 <= density <= 1:
@@ -104,8 +106,11 @@ def random_set(plane: ProjectivePlane, density, seed: int) -> PointSet:
     meta = {"construction": "random", "density": f"{num}/{den}",
             "generator": "philox4x64", "seed": int(seed)}
     rng = np.random.Generator(np.random.Philox(key=int(seed)))
-    draws = rng.integers(0, den, size=plane.N, dtype=np.int64)
-    return PointSet(plane, draws < num, meta)
+    mask = np.empty(plane.N, dtype=bool)
+    for lo in range(0, plane.N, _SOLVE_BLOCK_ENTRIES):
+        block = mask[lo:lo + _SOLVE_BLOCK_ENTRIES]
+        block[:] = rng.integers(0, den, size=block.size, dtype=np.int64) < num
+    return PointSet(plane, mask, meta)
 
 
 def under_parabola(plane: ProjectivePlane, params: ParabolaParams):

@@ -192,13 +192,6 @@ class Field:
             return f"GF({self.p})"
         return f"GF({self.p}^{self.k}; modulus={list(self.modulus)})"
 
-    def __eq__(self, other):
-        return (isinstance(other, Field) and self.p == other.p
-                and self.k == other.k and self.modulus == other.modulus)
-
-    def __hash__(self):
-        return hash((self.p, self.k, self.modulus))
-
     # -- arithmetic ----------------------------------------------------------
 
     def _digitwise(self, a, b, sign):

@@ -42,12 +42,9 @@ SWEEP_COLUMNS = ("q", "construction", "seed", "set_size", "mode_k", "mode_count"
 class SearchResult:
     q: int
     best_mode_count: int
-    witness: np.ndarray      # boolean point mask of a minimizing set
+    witness: PointSet        # a minimizing set, meta {"construction": method}
     subsets_examined: int
     method: str              # "exhaustive" | "local"
-
-    def witness_set(self, plane: ProjectivePlane) -> PointSet:
-        return PointSet(plane, self.witness, {"construction": self.method})
 
 
 @dataclass
@@ -133,7 +130,8 @@ def exhaustive_minmax(plane: ProjectivePlane, threads: int = 1) -> SearchResult:
         examined += count
         if (mode, mask) < best:
             best = (mode, mask)
-    witness = (best[1] >> np.arange(N)) & 1 == 1
+    witness = PointSet(plane, (best[1] >> np.arange(N)) & 1 == 1,
+                       {"construction": "exhaustive"})
     return SearchResult(q=q, best_mode_count=best[0], witness=witness,
                         subsets_examined=examined, method="exhaustive")
 
@@ -196,7 +194,8 @@ def local_search(plane: ProjectivePlane, iters: int = 200, seed: int = 0,
         cand = (cur[0], cur[1], mask[::-1].tobytes())
         if best is None or cand < best:
             best, witness = cand, mask
-    return SearchResult(q=q, best_mode_count=best[0], witness=witness,
+    return SearchResult(q=q, best_mode_count=best[0],
+                        witness=PointSet(plane, witness, {"construction": "local"}),
                         subsets_examined=examined, method="local")
 
 

@@ -24,8 +24,9 @@ import numpy as np
 
 from .field import Field, make_field
 
-# Lines are solved, and the affine point table is built, in blocks of
-# about this many entries, which bounds their int64 temporaries.
+# Lines are solved, the affine point table is built and random sets are
+# drawn in blocks of about this many entries, which bounds their int64
+# temporaries.
 _SOLVE_BLOCK_ENTRIES = 1 << 16
 
 

@@ -115,7 +115,7 @@ def test_criterion_02_universal_lower_bound(identity_corpus):
     for q in (2, 3, 4):
         plane = build_plane(q)
         res = exhaustive_minmax(plane)
-        check(q, compute_spectrum(plane, res.witness_set(plane)))
+        check(q, compute_spectrum(plane, res.witness))
         check(q, compute_spectrum(plane, PointSet.empty(plane)))
         check(q, compute_spectrum(plane, PointSet.full(plane)))
         check(q, compute_spectrum(plane, PointSet.from_indices(plane, [0])))

@@ -1,5 +1,7 @@
+import json
 import math
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -19,17 +21,17 @@ PRIMES = [p for p in range(5, 60) if is_prime(p)]
 
 
 def test_psi_walk_examples():
-    assert psi_walk(7, 0).values == [0, 1, 2, 1, 2, 1, 0]
-    assert psi_walk(5, 0).values == [0, 1, 0, -1, 0]
+    assert psi_walk(7, 0).tolist() == [0, 1, 2, 1, 2, 1, 0]
+    assert psi_walk(5, 0).tolist() == [0, 1, 0, -1, 0]
 
 
 @pytest.mark.parametrize("p", PRIMES)
 def test_walk_closes_and_steps_are_unit(p):
     for a in (0, 1, p // 2, p - 1):
         w = psi_walk(p, a)
-        assert len(w.values) == p
-        assert w.values[-1] == 0
-        diffs = np.diff([0] + w.values)
+        assert len(w) == p
+        assert w[-1] == 0
+        diffs = np.diff([0] + w.tolist())
         assert set(diffs.tolist()) <= {-1, 0, 1}
         # the single zero step sits where a + j hits the zero residue
         zero_steps = np.nonzero(diffs == 0)[0]
@@ -60,15 +62,48 @@ def test_level_stats_examples():
     s5 = level_stats(psi_walk(5, 0))
     assert s5.zero_count == 3 and s5.max_level_count == 3
     assert sum(s5.counts.values()) == 5
-    assert s5.range <= 2 * max(abs(v) for v in psi_walk(5, 0).values)
+    assert s5.range <= 2 * max(abs(v) for v in psi_walk(5, 0).tolist())
+
+
+def counter_level_stats(walk):
+    """(counts, zero_count, max_level_count, range) of a walk, counted as a
+    Python list by a Counter."""
+    values = walk.tolist()
+    counts = Counter(values)
+    return (dict(sorted(counts.items())), counts.get(0, 0), max(counts.values()),
+            max(values) - min(values))
+
+
+@pytest.mark.parametrize("p", [p for p in range(3, 200) if is_prime(p)])
+def test_level_stats_equal_a_counter(p):
+    for a in (0, 1, 2, p // 2, p - 1, p + 3, -5):
+        walk = psi_walk(p, a)
+        stats = level_stats(walk)
+        assert (stats.counts, stats.zero_count, stats.max_level_count, stats.range) == \
+            counter_level_stats(walk), a
+        assert all(type(k) is int and type(v) is int for k, v in stats.counts.items())
+        sq, ln = math.sqrt(p), math.log(p)
+        assert stats.range_within_sqrt_log == (stats.range <= sq * ln)
+        assert stats.zeros_within_sqrt_log2 == (stats.zero_count <= sq * ln * ln)
+
+
+def test_level_stats_peak_memory_at_the_largest_order():
+    # the walk and its levels stay int64 arrays: no Python list of p ints
+    tracemalloc.start()
+    try:
+        level_stats(psi_walk(4194301, 3))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 96 * 2 ** 20, peak
 
 
 def test_projection_profile_example_p5():
     pl = build_plane(5)
     prof = projection_profile(pl, ParabolaParams(4, 1, 1), 1)   # alpha = 1/4 mod 5
-    assert prof.pr.tolist() == [1, 2, 2, 3, 2]
-    assert prof.pr.sum() == 10
-    delta = np.roll(prof.pr, -1) - prof.pr
+    assert prof.tolist() == [1, 2, 2, 3, 2]
+    assert prof.sum() == 10
+    delta = np.roll(prof, -1) - prof
     assert delta.tolist() == [1, 0, 1, -1, -1]
     chi = legendre_table(5)
     assert delta.tolist() == [int(chi[(b - 1) % 5]) for b in range(5)]
@@ -93,8 +128,8 @@ def test_profile_matches_membership_count(p):
         for b in range(p):
             direct = sum(contains(S, class_of(pl, x, (d * x + b) % p, 1))
                          for x in range(p))
-            assert prof.pr[b] == direct
-        assert int(prof.pr.sum()) == S.size
+            assert prof[b] == direct
+        assert int(prof.sum()) == S.size
 
 
 def matrix_profile(p, f, d):
@@ -113,7 +148,7 @@ def test_profile_matches_matrix_count_for_every_slope(p):
         params, f = under_parabola(pl, params)
         for d in range(1, p):
             prof = projection_profile(pl, params, d)
-            assert prof.pr.tolist() == matrix_profile(p, f, d).tolist(), (params, d)
+            assert prof.tolist() == matrix_profile(p, f, d).tolist(), (params, d)
 
 
 def test_profile_is_counted_in_linear_memory():
@@ -190,10 +225,10 @@ def test_shift_structure_for_canonical_parabola():
         pl = build_plane(p)
         inv4 = pow(4, p - 2, p)
         rep = verify_projection_laws(pl, ParabolaParams(inv4, 1, 1))
-        p1 = projection_profile(pl, ParabolaParams(inv4, 1, 1), 1).pr
+        p1 = projection_profile(pl, ParabolaParams(inv4, 1, 1), 1)
         for d in range(1, p):
             shift = rep.l3_shifts[d - 1]
-            prof_d = projection_profile(pl, ParabolaParams(inv4, 1, 1), d).pr
+            prof_d = projection_profile(pl, ParabolaParams(inv4, 1, 1), d)
             assert (prof_d == np.roll(p1, -shift)).all()
             expected = (d - 1) ** 2 % p
             assert (prof_d == np.roll(p1, -expected)).all()
@@ -211,7 +246,7 @@ def test_l4_against_full_spectrum():
         for ell in range(pl.N):
             if ell not in skip:
                 hist[spec.n_ell[ell]] += 1
-        pr1 = projection_profile(pl, params, 1).pr
+        pr1 = projection_profile(pl, params, 1)
         for k in range(p + 2):
             assert hist[k] == (p - 1) * int((pr1 == k).sum())
 
@@ -221,9 +256,9 @@ def test_walk_reconstructs_canonical_profile():
     for p in (7, 13, 31):
         pl = build_plane(p)
         inv4 = pow(4, p - 2, p)
-        pr = projection_profile(pl, ParabolaParams(inv4, 1, 1), 1).pr
+        pr = projection_profile(pl, ParabolaParams(inv4, 1, 1), 1)
         chi = legendre_table(p)
-        psi = psi_walk(p, 0).values
+        psi = psi_walk(p, 0).tolist()
         rebuilt = [int(pr[0])]
         for b in range(1, p):
             # sum_{j<=b-1} chi(j-1) = chi(-1) + psi[b-2] for b >= 2
@@ -247,3 +282,14 @@ def test_occupancy_scaling_shape():
     assert out["zero_count"] >= 1
     assert out["envelope_log2"] == pytest.approx(math.log(101) ** 2)
     assert out["zero_over_sqrt"] == out["zero_count"] / math.sqrt(101)
+
+
+def test_occupancy_scaling_is_the_levels_document(tmp_path):
+    stats = level_stats(psi_walk(101, 3))
+    doc = occupancy_scaling(stats, 3)
+    assert doc["counts"] == {str(k): v for k, v in stats.counts.items()}
+    assert doc["range_within_sqrt_log"] == stats.range_within_sqrt_log
+    assert doc["zeros_within_sqrt_log2"] == stats.zeros_within_sqrt_log2
+    out = tmp_path / "levels.json"
+    assert main(["charwalk", "--p", "101", "--a", "3", "--levels", "--out", str(out)]) == 0
+    assert json.loads(out.read_text()) == doc

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from secants import construct
 from secants.construct import (ConstructionError, FamilyParams, ParabolaParams,
                                build_construction, ec_region, parabola_family,
                                parabola_region, parse_construction,
@@ -161,6 +162,20 @@ def test_random_set_extremes_and_determinism():
     assert random_set(pl, Fraction(1, 2), 10) != a
     with pytest.raises(ConstructionError):
         random_set(pl, Fraction(3, 2), 0)
+
+
+@pytest.mark.parametrize("q", [7, 32, 101])
+def test_random_set_drawn_in_blocks_equals_one_draw(monkeypatch, q):
+    # blocks of 7 draws continue one Philox stream: the mask is the one of
+    # a single draw of all N points
+    monkeypatch.setattr(construct, "_SOLVE_BLOCK_ENTRIES", 7)
+    pl = build_plane(q)
+    for seed in range(4):
+        for density in (Fraction(1, 2), Fraction(1, 3), Fraction(2, 7), Fraction(5, 2 ** 32 + 1)):
+            rng = np.random.Generator(np.random.Philox(key=seed))
+            draws = rng.integers(0, density.denominator, size=pl.N, dtype=np.int64)
+            expect = draws < density.numerator
+            assert np.array_equal(random_set(pl, density, seed).mask, expect), (seed, density)
 
 
 @pytest.mark.parametrize("q", [7, 32, 101])

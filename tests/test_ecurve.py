@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from secants import ecurve
+from secants.cli import CHECK_FAILED, main
 from secants.construct import ec_region
 from secants.ecurve import CurveError, _curve_counts, curve_count, ec_spectrum_scan
 from secants.field import legendre_table
@@ -129,6 +130,24 @@ def test_scan_finds_one_secant_size_off(monkeypatch, p):
     rep = ec_spectrum_scan(pl)
     assert rep.relation_violations == 1
     assert rep.checked_lines + rep.skipped_singular == p * p
+
+
+def test_scan_exits_2_on_a_vertical_secant_size_off(monkeypatch, tmp_path):
+    # the relation covers non-vertical lines only; +1 on the vertical x = 0
+    # leaves it clean and is caught by the counting identities
+    p = 13
+    line = class_of(build_plane(p), 1, 0, 0)          # [1 : 0 : 0]
+
+    def off_by_one(plane, pset):
+        spec = compute_spectrum(plane, pset)
+        spec.n_ell[line] += 1
+        return spec
+
+    monkeypatch.setattr(ecurve, "compute_spectrum", off_by_one)
+    rep = ec_spectrum_scan(build_plane(p))
+    assert rep.relation_violations == 0
+    assert not verify_counting_identities(rep.spectrum).ok
+    assert main(["ec", "scan", "--p", str(p), "--out", str(tmp_path / "out")]) == CHECK_FAILED
 
 
 @pytest.mark.parametrize("p", [5, 7, 11, 13, 19, 29, 401, 997])

@@ -37,10 +37,10 @@ def test_exhaustive_q2_matches_bruteforce(fano):
     res = exhaustive_minmax(fano)
     expect_best, expect_witness = brute_minmax(fano)
     assert res.best_mode_count == expect_best == 3
-    assert res.witness_set(fano).indices().tolist() == expect_witness
+    assert res.witness.indices().tolist() == expect_witness
     assert res.method == "exhaustive"
     # the witness is a triangle: its spectrum attains the minimum
-    spec = compute_spectrum(fano, res.witness_set(fano))
+    spec = compute_spectrum(fano, res.witness)
     assert spec.mode_count == 3
     assert res.best_mode_count >= cor_bound_ceiling(2) == 2
 
@@ -50,7 +50,7 @@ def test_exhaustive_q3_matches_bruteforce_and_golden():
     res = exhaustive_minmax(pl)
     expect_best, expect_witness = brute_minmax(pl)
     assert res.best_mode_count == expect_best
-    assert res.witness_set(pl).indices().tolist() == expect_witness
+    assert res.witness.indices().tolist() == expect_witness
     # repository golden value, first computed by this oracle
     assert res.best_mode_count == 6
     assert res.best_mode_count >= cor_bound_ceiling(3) == 3
@@ -61,7 +61,7 @@ def test_exhaustive_q4_golden_and_thread_invariance():
     res1 = exhaustive_minmax(pl, threads=1)
     res4 = exhaustive_minmax(pl, threads=4)
     assert res1.best_mode_count == res4.best_mode_count
-    assert res1.witness.tolist() == res4.witness.tolist()
+    assert res1.witness.mask.tolist() == res4.witness.mask.tolist()
     assert res1.best_mode_count == 7       # repository golden value
     assert res1.best_mode_count >= cor_bound_ceiling(4) == 5
 
@@ -90,7 +90,7 @@ def test_local_search_reaches_exhaustive_minimum():
         res = local_search(pl, iters=300, seed=11, restarts=10)
         assert res.best_mode_count == golden
         assert res.method == "local"
-        spec = compute_spectrum(pl, res.witness_set(pl))
+        spec = compute_spectrum(pl, res.witness)
         assert spec.mode_count == res.best_mode_count
 
 
@@ -98,14 +98,14 @@ def test_local_search_determinism():
     pl = build_plane(3)
     a = local_search(pl, iters=100, seed=5, restarts=4)
     b = local_search(pl, iters=100, seed=5, restarts=4)
-    assert (a.best_mode_count, a.witness.tolist(), a.subsets_examined) == \
-        (b.best_mode_count, b.witness.tolist(), b.subsets_examined)
+    assert (a.best_mode_count, a.witness.mask.tolist(), a.subsets_examined) == \
+        (b.best_mode_count, b.witness.mask.tolist(), b.subsets_examined)
     c = local_search(pl, iters=100, seed=6, restarts=4)
     assert c.best_mode_count >= cor_bound_ceiling(3)
 
 
 def _result_triple(res):
-    return res.best_mode_count, res.witness.nonzero()[0].tolist(), res.subsets_examined
+    return res.best_mode_count, res.witness.mask.nonzero()[0].tolist(), res.subsets_examined
 
 
 @lru_cache(maxsize=None)
@@ -186,6 +186,6 @@ def test_sweep_deterministic_constructions_ignore_seed_column():
 
 def test_witness_histograms_survive_naive_recount(fano):
     res = exhaustive_minmax(fano)
-    members = res.witness_set(fano).indices()
+    members = res.witness.indices()
     hist = naive_histogram(fano, members)
     assert max(hist) == res.best_mode_count
