@@ -9,8 +9,7 @@ from .spectrum import (BoundsReport, PointSet, SecantSpectrum, bounds_report,
 from .construct import (ConstructionError, FamilyParams, ParabolaParams, ec_region,
                         parabola_family, parabola_region, pointset_from_json,
                         pointset_to_json, random_set)
-from .charwalk import (LawReport, LevelStats, level_stats, projection_profile, psi_walk,
-                       verify_projection_laws)
+from .charwalk import level_stats, projection_profile, psi_walk, verify_projection_laws
 from .ecurve import Curve, CurveError, curve_count, ec_spectrum_scan
 from .legit import (LegitColoring, LegitError, LinearHypergraph,
                     generate_linear_hypergraph, two_phase_coloring, verify_legitimate)

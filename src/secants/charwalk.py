@@ -27,70 +27,12 @@ the verified laws below are genuine checks, not restatements:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from .construct import ParabolaParams, under_parabola
 from .field import legendre_table
 from .plane import ProjectivePlane
-
-
-@dataclass
-class LevelStats:
-    """Occupancy statistics of a walk: how often each level is visited."""
-
-    p: int
-    counts: dict            # level -> number of t with walk[t] == level
-    zero_count: int
-    max_level_count: int
-    range: int              # max - min of the visited levels
-    range_within_sqrt_log: bool    # range <= sqrt(p) * ln(p)
-    zeros_within_sqrt_log2: bool   # zero_count <= sqrt(p) * ln(p)^2
-
-
-@dataclass
-class LawReport:
-    p: int
-    params: ParabolaParams
-    l1_ok: bool = False
-    l2_ok: bool = False
-    l3_ok: bool = False
-    l4_ok: bool = False
-    l5_ok: bool = False
-    l1_first_fail: tuple | None = None     # (d, b)
-    l2_first_fail: int | None = None       # d
-    l3_shifts: list = field(default_factory=list)
-    l4_first_fail: int | None = None       # k
-    step_law: str = ""
-    d_free_variant: str = ""
-    d_free_match_fraction: float = 0.0
-    range_d1: int = 0
-    range_lo: float = 0.0
-    range_hi: float = 0.0
-
-    @property
-    def all_ok(self) -> bool:
-        return self.l1_ok and self.l2_ok and self.l3_ok and self.l4_ok and self.l5_ok
-
-    def as_dict(self) -> dict:
-        return {
-            "p": self.p,
-            "params": {"alpha": self.params.alpha, "beta": self.params.beta,
-                       "gamma": self.params.gamma},
-            "laws": {"L1": self.l1_ok, "L2": self.l2_ok, "L3": self.l3_ok,
-                     "L4": self.l4_ok, "L5": self.l5_ok},
-            "l1_first_fail": self.l1_first_fail,
-            "l2_first_fail": self.l2_first_fail,
-            "l4_first_fail": self.l4_first_fail,
-            "shifts": self.l3_shifts,
-            "step_law": self.step_law,
-            "d_free_variant": self.d_free_variant,
-            "d_free_match_fraction": self.d_free_match_fraction,
-            "range_d1": self.range_d1,
-            "range_bounds": [self.range_lo, self.range_hi],
-            "all_ok": self.all_ok,
-        }
 
 
 def psi_walk(p: int, a: int) -> np.ndarray:
@@ -101,31 +43,38 @@ def psi_walk(p: int, a: int) -> np.ndarray:
     return np.cumsum(steps, dtype=np.int64)
 
 
-def level_stats(walk: np.ndarray) -> LevelStats:
-    """Occupancy of the walk's levels, counted by one bincount over the
-    visited range [min, max]; p is the walk's length."""
+def level_stats(walk: np.ndarray, a: int = 0) -> dict:
+    """The levels document of the walk from a: how often each level is
+    visited, counted by one bincount over the visited range [min, max], and
+    scaled against sqrt(p) * log-power envelopes, p the walk's length
+    (exploratory output, nothing asserted)."""
     p = walk.size
     lo, hi = int(walk.min()), int(walk.max())
     visits = np.bincount(walk - lo).tolist()
-    counts = {lo + i: c for i, c in enumerate(visits) if c}
-    zeros = counts.get(0, 0)
+    counts = {str(lo + i): c for i, c in enumerate(visits) if c}
+    zeros = counts.get("0", 0)
+    top = max(visits)
     sq = math.sqrt(p)
     ln = math.log(p)
-    return LevelStats(
-        p=p, counts=counts, zero_count=zeros,
-        max_level_count=max(visits), range=hi - lo,
-        range_within_sqrt_log=hi - lo <= sq * ln,
-        zeros_within_sqrt_log2=zeros <= sq * ln * ln)
+    return {
+        "p": p, "a": a, "counts": counts,
+        "zero_count": zeros, "max_level_count": top, "range": hi - lo,
+        "range_within_sqrt_log": hi - lo <= sq * ln,
+        "zeros_within_sqrt_log2": zeros <= sq * ln * ln,
+        "zero_over_sqrt": zeros / sq,
+        "max_level_over_sqrt": top / sq,
+        "envelope_log1": ln,
+        "envelope_log2": ln * ln,
+    }
 
 
 def projection_profile(plane: ProjectivePlane, params: ParabolaParams, d: int) -> np.ndarray:
     """Profile of the slope-d class by direct counting over x: pr[b] =
     |S ∩ {y = dx + b}|."""
     params, f = under_parabola(plane, params)
-    d %= f.size
-    if d == 0:
-        raise ValueError("horizontal slope excluded")
-    return _direct_profile(f, d)
+    if d % f.size == 0:
+        raise ValueError(f"horizontal slope excluded: d={d} is 0 mod {f.size}")
+    return _direct_profile(f, d % f.size)
 
 
 def _direct_profile(f: np.ndarray, d: int) -> np.ndarray:
@@ -154,21 +103,18 @@ def _all_profiles(f: np.ndarray) -> np.ndarray:
     return np.array([_direct_profile(f, d) for d in range(f.size)])
 
 
-def verify_projection_laws(plane: ProjectivePlane, params: ParabolaParams) -> LawReport:
+def verify_projection_laws(plane: ProjectivePlane, params: ParabolaParams) -> dict:
     """Check laws L1-L4 exactly for every slope d != 0 and intercept, plus
-    the L5 range window.  The slope-1 profile is the reference for L3-L5."""
+    the L5 range window, and return the `projection` document.  The slope-1
+    profile is the reference for L3-L5."""
     params, f = under_parabola(plane, params)
     p = f.size
     alpha, beta, gamma = params.alpha, params.beta, params.gamma
     chi = legendre_table(p)
     P = _all_profiles(f)
     ref = P[1]
-    report = LawReport(p=p, params=params)
-    report.step_law = "pr_d(b+1) - pr_d(b) = chi((beta-d)^2 + 4*alpha*(b-gamma))"
-    report.d_free_variant = "-chi((beta-1)^2 + 4*alpha*(b+1-gamma))"
 
-    d_arr = np.arange(p, dtype=np.int64)
-    b_arr = np.arange(p, dtype=np.int64)
+    d_arr = b_arr = np.arange(p, dtype=np.int64)
 
     # L1: wrap-around first differences against the character of the
     # discriminant of f(x) = dx + b.
@@ -176,23 +122,21 @@ def verify_projection_laws(plane: ProjectivePlane, params: ParabolaParams) -> La
     disc = ((beta - d_arr[:, None]) ** 2 + 4 * alpha * (b_arr[None, :] - gamma)) % p
     expect = chi[disc].astype(np.int64)
     mism = delta[1:] != expect[1:]
-    report.l1_ok = not mism.any()
-    if not report.l1_ok:
+    l1_first_fail = None                   # (d, b)
+    if mism.any():
         d0, b0 = np.argwhere(mism)[0]
-        report.l1_first_fail = (int(d0) + 1, int(b0))
+        l1_first_fail = (int(d0) + 1, int(b0))
 
     # d-free variant, evaluated for comparison only
     alt = -chi[((beta - 1) ** 2 + 4 * alpha * (b_arr + 1 - gamma)) % p].astype(np.int64)
-    report.d_free_match_fraction = float((delta[1:] == alt[None, :]).mean())
 
     # L2: unit steps and interval image
-    report.l2_ok = True
+    l2_first_fail = None                   # d
     for d in range(1, p):
         row = P[d]
         span = int(row.max() - row.min())
         if np.abs(delta[d]).max() > 1 or len(np.unique(row)) != span + 1:
-            report.l2_ok = False
-            report.l2_first_fail = d
+            l2_first_fail = d
             break
 
     # L3: every class is a cyclic shift of the slope-1 class
@@ -200,40 +144,30 @@ def verify_projection_laws(plane: ProjectivePlane, params: ParabolaParams) -> La
     first_shift = {}
     for s, row in enumerate(ref[(b_arr[:, None] + b_arr[None, :]) % p]):
         first_shift.setdefault(row.tobytes(), s)
-    report.l3_shifts = [first_shift.get(P[d].tobytes()) for d in range(1, p)]
-    report.l3_ok = None not in report.l3_shifts
+    shifts = [first_shift.get(P[d].tobytes()) for d in range(1, p)]
 
     # L4: class-wise frequencies aggregate to (p-1) * histogram of pr_1
     hist_all = np.bincount(P[1:].ravel(), minlength=p + 2)
     hist_one = np.bincount(ref, minlength=p + 2)
     l4 = hist_all == (p - 1) * hist_one
-    report.l4_ok = bool(l4.all())
-    if not report.l4_ok:
-        report.l4_first_fail = int(np.nonzero(~l4)[0][0])
+    l4_first_fail = None if l4.all() else int(np.nonzero(~l4)[0][0])   # k
 
     # L5: range window on the slope-1 profile
-    report.range_d1, report.range_lo, report.range_hi, report.l5_ok = \
-        profile_range_check(ref)
-    return report
-
-
-def occupancy_scaling(stats: LevelStats, a: int = 0) -> dict:
-    """The levels document of the walk from a: its occupancy statistics,
-    scaled against sqrt(p) * log-power envelopes (exploratory output,
-    nothing asserted)."""
-    p = stats.p
-    sq = math.sqrt(p)
-    ln = math.log(p)
+    range_d1, range_lo, range_hi, l5_ok = profile_range_check(ref)
+    laws = {"L1": l1_first_fail is None, "L2": l2_first_fail is None,
+            "L3": None not in shifts, "L4": l4_first_fail is None, "L5": l5_ok}
     return {
-        "p": p, "a": a,
-        "counts": {str(k): v for k, v in stats.counts.items()},
-        "zero_count": stats.zero_count,
-        "max_level_count": stats.max_level_count,
-        "range": stats.range,
-        "range_within_sqrt_log": stats.range_within_sqrt_log,
-        "zeros_within_sqrt_log2": stats.zeros_within_sqrt_log2,
-        "zero_over_sqrt": stats.zero_count / sq,
-        "max_level_over_sqrt": stats.max_level_count / sq,
-        "envelope_log1": ln,
-        "envelope_log2": ln * ln,
+        "p": p,
+        "params": {"alpha": alpha, "beta": beta, "gamma": gamma},
+        "laws": laws,
+        "l1_first_fail": l1_first_fail,
+        "l2_first_fail": l2_first_fail,
+        "l4_first_fail": l4_first_fail,
+        "shifts": shifts,
+        "step_law": "pr_d(b+1) - pr_d(b) = chi((beta-d)^2 + 4*alpha*(b-gamma))",
+        "d_free_variant": "-chi((beta-1)^2 + 4*alpha*(b+1-gamma))",
+        "d_free_match_fraction": float((delta[1:] == alt[None, :]).mean()),
+        "range_d1": range_d1,
+        "range_bounds": [range_lo, range_hi],
+        "all_ok": all(laws.values()),
     }

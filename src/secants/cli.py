@@ -16,8 +16,7 @@ from json.encoder import encode_basestring_ascii
 import numpy as np
 
 from . import __version__
-from .charwalk import (occupancy_scaling, level_stats, projection_profile, psi_walk,
-                       verify_projection_laws)
+from .charwalk import level_stats, projection_profile, psi_walk, verify_projection_laws
 from .construct import (ParabolaParams, rational_to_element, build_construction,
                         parse_construction, pointset_from_json, pointset_to_json)
 from .ecurve import curve_count, ec_spectrum_scan
@@ -125,6 +124,17 @@ def _csv_text(header, rows) -> str:
     return buf.getvalue()
 
 
+def _load_json(path, flag: str):
+    """The JSON document in the file that --flag names.  A file that json
+    cannot decode (malformed, not UTF-8, an integer past Python's digit
+    limit, nested past the recursion limit) is bad input of that flag."""
+    with open(path) as fh:
+        try:
+            return json.load(fh)
+        except (ValueError, RecursionError) as exc:     # JSONDecodeError is a ValueError
+            raise ValueError(f"--{flag} {path} is not JSON: {exc}") from None
+
+
 def _plane(args, flag: str = "q"):
     """The plane whose order the flag gives, which must be a prime power."""
     q = getattr(args, flag)
@@ -168,8 +178,7 @@ def cmd_plane(args) -> int:
 def cmd_spectrum(args) -> int:
     plane = _plane(args)
     if args.set_file:
-        with open(args.set_file) as fh:
-            pset = pointset_from_json(plane, json.load(fh))
+        pset = pointset_from_json(plane, _load_json(args.set_file, "set-file"))
     elif args.construction:
         pset = build_construction(plane, args.construction, seed=args.seed)
     else:
@@ -230,7 +239,7 @@ def _emit_search(args, res) -> int:
 def cmd_charwalk(args) -> int:
     walk = psi_walk(_bounded_p(args), args.a)
     if args.levels:
-        _emit_json(args, occupancy_scaling(level_stats(walk), args.a))
+        _emit_json(args, level_stats(walk, args.a))
     else:
         _emit(args, _csv_text(("t", "psi"), enumerate(walk.tolist())))
     return OK
@@ -247,9 +256,9 @@ def cmd_projection(args) -> int:
         pr = projection_profile(plane, params, args.d)
         _emit(args, _csv_text(("b", "pr"), enumerate(pr.tolist())))
         return OK
-    report = verify_projection_laws(plane, params)
-    _emit_json(args, report.as_dict())
-    return OK if report.all_ok else CHECK_FAILED
+    doc = verify_projection_laws(plane, params)
+    _emit_json(args, doc)
+    return OK if doc["all_ok"] else CHECK_FAILED
 
 
 def cmd_ec(args) -> int:
@@ -259,19 +268,18 @@ def cmd_ec(args) -> int:
                           "count": curve.count, "trace": curve.trace,
                           "hasse_ok": curve.hasse_ok})
         return OK if curve.hasse_ok else CHECK_FAILED
-    report = ec_spectrum_scan(_plane(args, "p"))
-    _emit_json(args, report.as_dict())
-    ok = (report.relation_violations == 0
-          and verify_counting_identities(report.spectrum).ok
-          and report.spectrum.mode_count >= report.cor_ceiling)
+    doc, spec = ec_spectrum_scan(_plane(args, "p"))
+    _emit_json(args, doc)
+    ok = (doc["relation_violations"] == 0
+          and verify_counting_identities(spec).ok
+          and spec.mode_count >= doc["cor_ceiling"])
     return OK if ok else CHECK_FAILED
 
 
 def _read_coloring(path, num_vertices: int) -> np.ndarray:
     """A coloring file: {"colors": [...]} or a bare list with exactly one
     entry per vertex, each "red", "blue", 0 or 1."""
-    with open(path) as fh:
-        doc = json.load(fh)
+    doc = _load_json(path, "coloring")
     names = doc.get("colors") if isinstance(doc, dict) else doc
     if not isinstance(names, list) or len(names) != num_vertices:
         raise LegitError(f"coloring file must list exactly {num_vertices} colors")
@@ -293,8 +301,7 @@ def cmd_legit(args) -> int:
         hg = generate_linear_hypergraph(args.n, args.seed, args.mode)
         _emit_json(args, hg.to_json())
         return OK
-    with open(args.infile) as fh:
-        hg = LinearHypergraph.from_json(json.load(fh))
+    hg = LinearHypergraph.from_json(_load_json(args.infile, "in"))
     if args.legit_cmd == "color":
         if args.permute_seed is not None:
             hg = hg.permuted(args.permute_seed)
@@ -473,9 +480,10 @@ def main(argv=None) -> int:
             value = getattr(args, flag, least)
             if value < least:
                 raise ValueError(f"--{flag} must be at least {least}, got {value}")
-        seed = getattr(args, "seed", 0)
-        if not 0 <= seed < 2 ** 128:
-            raise ValueError(f"--seed must be in [0, 2**128), got {seed}")
+        for flag in ("seed", "permute-seed"):
+            seed = getattr(args, flag.replace("-", "_"), None)
+            if seed is not None and not 0 <= seed < 2 ** 128:
+                raise ValueError(f"--{flag} must be in [0, 2**128), got {seed}")
         return args.func(args)
     except (ValueError, OverflowError, OSError) as exc:  # library errors are ValueErrors
         print(f"error: {exc}", file=sys.stderr)

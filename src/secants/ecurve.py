@@ -26,7 +26,7 @@ import numpy as np
 from .construct import ec_region, require_prime_plane
 from .field import is_prime, legendre_table
 from .plane import ProjectivePlane
-from .spectrum import SecantSpectrum, compute_spectrum, cor_bound_ceiling
+from .spectrum import compute_spectrum, cor_bound_ceiling
 
 
 class CurveError(ValueError):
@@ -48,48 +48,14 @@ class Curve:
         return self.trace * self.trace <= 4 * self.p
 
 
-@dataclass
-class EcScanReport:
-    p: int
-    set_size: int
-    spectrum: SecantSpectrum
-    checked_lines: int
-    relation_violations: int
-    skipped_vertical: int
-    skipped_singular: int
-    mode_ratio: float        # mode_count / (p^1.5 * ln p * (ln ln p)^2)
-    cor_ceiling: int
-
-    @property
-    def skipped_lines(self) -> int:
-        return self.skipped_vertical + self.skipped_singular
-
-    def as_dict(self) -> dict:
-        return {
-            "p": self.p,
-            "set_size": self.set_size,
-            "histogram": [{"k": k, "count": int(c)}
-                          for k, c in enumerate(self.spectrum.histogram) if c],
-            "mode_k": self.spectrum.mode_k,
-            "mode_count": self.spectrum.mode_count,
-            "relation_violations": self.relation_violations,
-            "checked_lines": self.checked_lines,
-            "skipped_lines": self.skipped_lines,
-            "skipped_vertical": self.skipped_vertical,
-            "skipped_singular": self.skipped_singular,
-            "mode_ratio": self.mode_ratio,
-            "cor_ceiling": self.cor_ceiling,
-        }
-
-
 def curve_count(p: int, a: int, b: int) -> Curve:
     """Point count over F_p including the point at infinity."""
     if not is_prime(p) or p <= 3:
         raise CurveError(f"requires a prime p > 3, got {p}")
+    if (4 * pow(a, 3, p) + 27 * pow(b, 2, p)) % p == 0:
+        raise CurveError(f"singular curve: 4a^3 + 27b^2 = 0 mod {p} at a={a}, b={b}")
     a %= p
     b %= p
-    if (4 * a * a * a + 27 * b * b) % p == 0:
-        raise CurveError("singular curve")
     chi = legendre_table(p)
     x = np.arange(p, dtype=np.int64)
     total = p + 1 + int(chi[((x * x + a) % p * x + b) % p].sum())   # int64 terms < p^2
@@ -127,9 +93,10 @@ def _curve_counts(p: int):
     return counts, roots
 
 
-def ec_spectrum_scan(plane: ProjectivePlane) -> EcScanReport:
-    """Full secant spectrum of the cubic-square region, with the
-    line-curve relation verified on every non-vertical nonsingular line."""
+def ec_spectrum_scan(plane: ProjectivePlane):
+    """(document, spectrum): the `ec scan` document of the cubic-square
+    region's full secant spectrum, with the line-curve relation verified on
+    every non-vertical nonsingular line, and that spectrum."""
     p = require_prime_plane(plane, 3)
     region = ec_region(plane)
     spec = compute_spectrum(plane, region)
@@ -142,14 +109,22 @@ def ec_spectrum_scan(plane: ProjectivePlane) -> EcScanReport:
     m = b = np.arange(p, dtype=np.int64)
     singular = (27 * b[None, :] ** 2 - 4 * m[:, None] ** 3) % p == 0
     holds = counts == 2 * n_mat + 1 - roots
-    violations = int((~holds & ~singular).sum())
-    checked = int((~singular).sum())
+    skipped_singular = int(singular.sum())
 
     ratio_scale = p ** 1.5 * math.log(p) * math.log(math.log(p)) ** 2
-    return EcScanReport(
-        p=p, set_size=region.size, spectrum=spec,
-        checked_lines=checked, relation_violations=violations,
-        skipped_vertical=p, skipped_singular=int(singular.sum()),
-        mode_ratio=spec.mode_count / ratio_scale,
-        cor_ceiling=cor_bound_ceiling(p))
-
+    return {
+        "p": p,
+        "set_size": region.size,
+        "histogram": [{"k": k, "count": int(c)}
+                      for k, c in enumerate(spec.histogram) if c],
+        "mode_k": spec.mode_k,
+        "mode_count": spec.mode_count,
+        "relation_violations": int((~holds & ~singular).sum()),
+        "checked_lines": int((~singular).sum()),
+        "skipped_lines": p + skipped_singular,
+        "skipped_vertical": p,
+        "skipped_singular": skipped_singular,
+        # mode_count / (p^1.5 * ln p * (ln ln p)^2)
+        "mode_ratio": spec.mode_count / ratio_scale,
+        "cor_ceiling": cor_bound_ceiling(p),
+    }, spec

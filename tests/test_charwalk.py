@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 from secants import charwalk
-from secants.charwalk import (occupancy_scaling, level_stats, profile_range_check,
-                              projection_profile, psi_walk, verify_projection_laws)
+from secants.charwalk import (level_stats, profile_range_check, projection_profile,
+                              psi_walk, verify_projection_laws)
 from secants.cli import CHECK_FAILED, main
 from secants.construct import ParabolaParams, parabola_region, under_parabola
 from secants.field import is_prime, legendre_table
@@ -56,22 +56,22 @@ def test_phi_sum_examples_and_window_bound():
 
 def test_level_stats_examples():
     s7 = level_stats(psi_walk(7, 0))
-    assert s7.zero_count == 2
-    assert s7.max_level_count == 3     # level 1 at t in {1, 3, 5}
-    assert s7.counts[1] == 3
+    assert s7["zero_count"] == 2
+    assert s7["max_level_count"] == 3     # level 1 at t in {1, 3, 5}
+    assert s7["counts"]["1"] == 3
     s5 = level_stats(psi_walk(5, 0))
-    assert s5.zero_count == 3 and s5.max_level_count == 3
-    assert sum(s5.counts.values()) == 5
-    assert s5.range <= 2 * max(abs(v) for v in psi_walk(5, 0).tolist())
+    assert s5["zero_count"] == 3 and s5["max_level_count"] == 3
+    assert sum(s5["counts"].values()) == 5
+    assert s5["range"] <= 2 * max(abs(v) for v in psi_walk(5, 0).tolist())
 
 
 def counter_level_stats(walk):
     """(counts, zero_count, max_level_count, range) of a walk, counted as a
-    Python list by a Counter."""
+    Python list by a Counter; counts has the levels' text as its keys."""
     values = walk.tolist()
     counts = Counter(values)
-    return (dict(sorted(counts.items())), counts.get(0, 0), max(counts.values()),
-            max(values) - min(values))
+    return ({str(k): v for k, v in sorted(counts.items())}, counts.get(0, 0),
+            max(counts.values()), max(values) - min(values))
 
 
 @pytest.mark.parametrize("p", [p for p in range(3, 200) if is_prime(p)])
@@ -79,12 +79,12 @@ def test_level_stats_equal_a_counter(p):
     for a in (0, 1, 2, p // 2, p - 1, p + 3, -5):
         walk = psi_walk(p, a)
         stats = level_stats(walk)
-        assert (stats.counts, stats.zero_count, stats.max_level_count, stats.range) == \
-            counter_level_stats(walk), a
-        assert all(type(k) is int and type(v) is int for k, v in stats.counts.items())
+        assert (stats["counts"], stats["zero_count"], stats["max_level_count"],
+                stats["range"]) == counter_level_stats(walk), a
+        assert all(type(v) is int for v in stats["counts"].values())
         sq, ln = math.sqrt(p), math.log(p)
-        assert stats.range_within_sqrt_log == (stats.range <= sq * ln)
-        assert stats.zeros_within_sqrt_log2 == (stats.zero_count <= sq * ln * ln)
+        assert stats["range_within_sqrt_log"] == (stats["range"] <= sq * ln)
+        assert stats["zeros_within_sqrt_log2"] == (stats["zero_count"] <= sq * ln * ln)
 
 
 def test_level_stats_peak_memory_at_the_largest_order():
@@ -116,6 +116,8 @@ def test_projection_profile_rejects_horizontal():
     pl = build_plane(7)
     with pytest.raises(ValueError, match="horizontal"):
         projection_profile(pl, ParabolaParams(1, 0, 0), 0)
+    with pytest.raises(ValueError, match=r"^horizontal slope excluded: d=-14 is 0 mod 7$"):
+        projection_profile(pl, ParabolaParams(1, 0, 0), -14)
 
 
 @pytest.mark.parametrize("p", [5, 7, 11, 13])
@@ -188,7 +190,17 @@ def test_laws_reject_a_profile_off_by_one(monkeypatch, tmp_path):
 
     monkeypatch.setattr(charwalk, "_all_profiles", off_by_one)
     rep = verify_projection_laws(build_plane(13), ParabolaParams(1, 0, 0))
-    assert not rep.all_ok and rep.l1_first_fail is not None
+    assert not rep["all_ok"] and rep["l1_first_fail"] is not None
+    assert main(["projection", "--p", "13", "--out", str(tmp_path / "out")]) == CHECK_FAILED
+
+
+def test_laws_report_a_range_window_miss(monkeypatch, tmp_path):
+    # L5 is a range window, not an identity; a miss still clears all_ok
+    monkeypatch.setattr(charwalk, "profile_range_check",
+                        lambda pr: (0, 1.0, 2.0, False))
+    rep = verify_projection_laws(build_plane(13), ParabolaParams(1, 0, 0))
+    assert rep["laws"] == {"L1": True, "L2": True, "L3": True, "L4": True, "L5": False}
+    assert not rep["all_ok"] and rep["range_bounds"] == [1.0, 2.0]
     assert main(["projection", "--p", "13", "--out", str(tmp_path / "out")]) == CHECK_FAILED
 
 
@@ -202,8 +214,8 @@ def test_law_check_runs_no_transform(monkeypatch):
     pl = build_plane(p)
     for params in (ParabolaParams(1, 0, 0), ParabolaParams(pow(4, p - 2, p), 1, 1),
                    ParabolaParams(2, 3, 1)):
-        rep = verify_projection_laws(pl, params)
-        assert rep.l1_ok and rep.l2_ok and rep.l3_ok and rep.l4_ok, params
+        laws = verify_projection_laws(pl, params)["laws"]
+        assert laws["L1"] and laws["L2"] and laws["L3"] and laws["L4"], params
 
 
 @pytest.mark.parametrize("p", PRIMES)
@@ -213,9 +225,10 @@ def test_projection_laws_three_triples(p):
     for params in (ParabolaParams(1, 0, 0), ParabolaParams(inv4, 1, 1),
                    ParabolaParams(2, 3, 1)):
         rep = verify_projection_laws(pl, params)
-        assert rep.l1_ok and rep.l2_ok and rep.l3_ok and rep.l4_ok, (p, params)
-        assert rep.l1_first_fail is None
-        assert rep.all_ok == rep.l5_ok
+        laws = rep["laws"]
+        assert laws["L1"] and laws["L2"] and laws["L3"] and laws["L4"], (p, params)
+        assert rep["l1_first_fail"] is None
+        assert rep["all_ok"] == laws["L5"]
 
 
 def test_shift_structure_for_canonical_parabola():
@@ -227,7 +240,7 @@ def test_shift_structure_for_canonical_parabola():
         rep = verify_projection_laws(pl, ParabolaParams(inv4, 1, 1))
         p1 = projection_profile(pl, ParabolaParams(inv4, 1, 1), 1)
         for d in range(1, p):
-            shift = rep.l3_shifts[d - 1]
+            shift = rep["shifts"][d - 1]
             prof_d = projection_profile(pl, ParabolaParams(inv4, 1, 1), d)
             assert (prof_d == np.roll(p1, -shift)).all()
             expected = (d - 1) ** 2 % p
@@ -270,26 +283,24 @@ def test_walk_reconstructs_canonical_profile():
 def test_d_free_variant_is_reported_not_asserted():
     pl = build_plane(13)
     rep = verify_projection_laws(pl, ParabolaParams(pow(4, 11, 13), 1, 1))
-    assert rep.step_law.startswith("pr_d(b+1)")
-    assert rep.d_free_variant.startswith("-chi(")
-    assert 0.0 <= rep.d_free_match_fraction <= 1.0
-    d = rep.as_dict()
-    assert d["laws"]["L1"] and "d_free_match_fraction" in d
+    assert rep["step_law"].startswith("pr_d(b+1)")
+    assert rep["d_free_variant"].startswith("-chi(")
+    assert 0.0 <= rep["d_free_match_fraction"] <= 1.0
+    assert rep["laws"]["L1"]
 
 
-def test_occupancy_scaling_shape():
-    out = occupancy_scaling(level_stats(psi_walk(101, 0)))
+def test_levels_document_shape():
+    out = level_stats(psi_walk(101, 0))
     assert out["zero_count"] >= 1
     assert out["envelope_log2"] == pytest.approx(math.log(101) ** 2)
     assert out["zero_over_sqrt"] == out["zero_count"] / math.sqrt(101)
 
 
-def test_occupancy_scaling_is_the_levels_document(tmp_path):
-    stats = level_stats(psi_walk(101, 3))
-    doc = occupancy_scaling(stats, 3)
-    assert doc["counts"] == {str(k): v for k, v in stats.counts.items()}
-    assert doc["range_within_sqrt_log"] == stats.range_within_sqrt_log
-    assert doc["zeros_within_sqrt_log2"] == stats.zeros_within_sqrt_log2
+def test_level_stats_is_the_levels_document(tmp_path):
+    walk = psi_walk(101, 3)
+    doc = level_stats(walk, 3)
+    assert doc["p"] == 101 and doc["a"] == 3
+    assert doc["counts"] == counter_level_stats(walk)[0]
     out = tmp_path / "levels.json"
     assert main(["charwalk", "--p", "101", "--a", "3", "--levels", "--out", str(out)]) == 0
     assert json.loads(out.read_text()) == doc

@@ -1,4 +1,3 @@
-import dataclasses
 import hashlib
 import json
 import subprocess
@@ -200,6 +199,32 @@ def test_spectrum_output_golden(tmp_path, args, digest):
     code, data = run_cli(tmp_path, "spectrum",
                          *[str(setfile) if a == "SET7" else a for a in args])
     assert code == OK
+    assert hashlib.sha256(data).hexdigest() == digest
+
+
+# sha256 of `--out` and the exit code of the projection, `ec scan` and
+# `charwalk --levels` documents, recorded while each check still filled a
+# report object that was copied into the document field by field.
+DOCUMENT_GOLDENS = [
+    (("projection", "--p", "13", "--alpha", "2", "--beta", "3", "--gamma", "5"), OK,
+     "92316c90c81331095c4ae698baa7513afc424de2d651a503644fbeb691a7378b"),
+    (("projection", "--p", "401", "--alpha", "1/4", "--beta", "1", "--gamma", "1"), OK,
+     "45c415d9140eea431eb073c03d1cb4881ff94cae90372518b4456e47ec0cb24a"),
+    (("ec", "scan", "--p", "5"), OK,
+     "b6954cc7451eee3f89b6c234212901cca0b7c68186f509680a76bc5bdcbb4f36"),
+    (("ec", "scan", "--p", "101"), OK,
+     "426215d2d99c7f201d4dfa9650d7bac29f9c03b51cbc10c26fcb4874dca81301"),
+    (("charwalk", "--p", "7", "--levels"), OK,
+     "b5f1cdac8e30f9bffc0cbbcaa14a4ebc42fec3cac0488262a8c222490e615f29"),
+    (("charwalk", "--p", "1999", "--a", "5", "--levels"), OK,
+     "3ec91fe7eb310a5614fbd7504d26476b9ea2ce9e1493fb510971be6c9f8fb102"),
+]
+
+
+@pytest.mark.parametrize("args, code, digest", DOCUMENT_GOLDENS)
+def test_check_document_golden(tmp_path, args, code, digest):
+    got, data = run_cli(tmp_path, *args)
+    assert got == code
     assert hashlib.sha256(data).hexdigest() == digest
 
 
@@ -441,6 +466,27 @@ def test_largest_seed_runs(tmp_path):
     assert code == OK and json.loads(data)["meta"]["seed"] == 2 ** 128 - 1
 
 
+@pytest.mark.parametrize("seed", ["-5", str(2 ** 128)])
+def test_permute_seed_outside_range_exits_1_with_one_line(tmp_path, capsys, seed):
+    # random.Random seeds with abs(seed), so -5 would run as 5
+    hyper, out = tmp_path / "h.json", tmp_path / "out"
+    hyper.write_text(json.dumps(VALID_HYPERGRAPH))
+    argv = ["legit", "color", "--in", str(hyper), "--permute-seed", seed]
+    assert main([*argv, "--out", str(out)]) == USAGE_ERROR
+    assert capsys.readouterr().err == \
+        f"error: --permute-seed must be in [0, 2**128), got {seed}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("seed", ["0", "5", str(2 ** 128 - 1)])
+def test_permute_seed_in_range_runs(tmp_path, seed):
+    hyper = tmp_path / "h.json"
+    assert main(["legit", "gen", "--n", "8", "--seed", "4", "--out", str(hyper)]) == OK
+    code, data = run_cli(tmp_path, "legit", "color", "--in", str(hyper),
+                         "--permute-seed", seed)
+    assert code == OK and json.loads(data)["legitimate"]
+
+
 def test_empty_prime_list_exits_1_with_one_line(tmp_path, capsys):
     out = tmp_path / "out"
     argv = ["sweep", "--primes", ",,", "--construction", "ecregion", "--seeds", "1"]
@@ -565,6 +611,31 @@ def test_malformed_input_exits_1_with_one_line(tmp_path, capsys, name):
             "coloring": ["legit", "verify", "--in", str(hyper), "--coloring", str(path)]}[kind]
     assert main([*argv, "--out", str(tmp_path / "out")]) == USAGE_ERROR
     assert capsys.readouterr().err == f"error: {MALFORMED_MESSAGES[name]}\n"
+
+
+# files that json cannot decode: empty, nested past the recursion limit, not
+# UTF-8 text, and an integer past Python's 4300-digit conversion limit
+UNDECODABLE = {"empty": b"", "deep-array": b"[" * 100000 + b"]" * 100000,
+               "not-utf8": b"\xff\xfe{", "long-integer": b"[" + b"1" * 5000 + b"]"}
+
+
+@pytest.mark.parametrize("content", list(UNDECODABLE))
+@pytest.mark.parametrize("flag", ["set-file", "in", "coloring"])
+def test_undecodable_json_exits_1_naming_its_flag(tmp_path, capsys, flag, content):
+    path = tmp_path / "in.json"
+    path.write_bytes(UNDECODABLE[content])
+    hyper = tmp_path / "h.json"
+    hyper.write_text(json.dumps(VALID_HYPERGRAPH))
+    argv = {"set-file": ["spectrum", "--q", "7", "--set-file", str(path)],
+            "in": ["legit", "color", "--in", str(path)],
+            "coloring": ["legit", "verify", "--in", str(hyper), "--coloring", str(path)]}[flag]
+    out = tmp_path / "out"
+    assert main([*argv, "--out", str(out)]) == USAGE_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: --{flag} {path} is not JSON: ") and err.count("\n") == 1
+    if content == "empty":
+        assert err.endswith(": Expecting value: line 1 column 1 (char 0)\n")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("colors", [
@@ -736,8 +807,10 @@ def test_failed_projection_report_golden(tmp_path, monkeypatch):
     laws = cli.verify_projection_laws
 
     def failing(plane, params):
-        return dataclasses.replace(laws(plane, params), l1_ok=False, l1_first_fail=(3, 5),
-                                   l2_first_fail=2, l4_first_fail=7)
+        doc = laws(plane, params)
+        doc["laws"]["L1"] = doc["all_ok"] = False
+        doc.update(l1_first_fail=(3, 5), l2_first_fail=2, l4_first_fail=7)
+        return doc
 
     monkeypatch.setattr(cli, "verify_projection_laws", failing)
     code, data = run_cli(tmp_path, "projection", "--p", "13", "--alpha", "2",

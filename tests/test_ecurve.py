@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -21,6 +22,9 @@ def test_curve_count_examples():
     assert curve_count(5, -1, 0).count == 8
     with pytest.raises(CurveError, match="singular"):
         curve_count(5, 0, 0)
+    with pytest.raises(CurveError,
+                       match=r"^singular curve: 4a\^3 \+ 27b\^2 = 0 mod 5 at a=5, b=-10$"):
+        curve_count(5, 5, -10)
     with pytest.raises(CurveError, match="prime"):
         curve_count(9, 1, 1)
     with pytest.raises(CurveError, match="prime"):
@@ -127,9 +131,9 @@ def test_scan_finds_one_secant_size_off(monkeypatch, p):
         return spec
 
     monkeypatch.setattr(ecurve, "compute_spectrum", off_by_one)
-    rep = ec_spectrum_scan(pl)
-    assert rep.relation_violations == 1
-    assert rep.checked_lines + rep.skipped_singular == p * p
+    rep, _ = ec_spectrum_scan(pl)
+    assert rep["relation_violations"] == 1
+    assert rep["checked_lines"] + rep["skipped_singular"] == p * p
 
 
 def test_scan_exits_2_on_a_vertical_secant_size_off(monkeypatch, tmp_path):
@@ -144,31 +148,38 @@ def test_scan_exits_2_on_a_vertical_secant_size_off(monkeypatch, tmp_path):
         return spec
 
     monkeypatch.setattr(ecurve, "compute_spectrum", off_by_one)
-    rep = ec_spectrum_scan(build_plane(p))
-    assert rep.relation_violations == 0
-    assert not verify_counting_identities(rep.spectrum).ok
+    rep, spec = ec_spectrum_scan(build_plane(p))
+    assert rep["relation_violations"] == 0
+    assert not verify_counting_identities(spec).ok
     assert main(["ec", "scan", "--p", str(p), "--out", str(tmp_path / "out")]) == CHECK_FAILED
+
+
+def test_scan_exits_2_on_a_mode_count_under_the_ceiling(monkeypatch, tmp_path):
+    # the relation and the identities hold; only the cor ceiling is raised
+    monkeypatch.setattr(ecurve, "cor_bound_ceiling", lambda q: 10 ** 9)
+    out = tmp_path / "out"
+    assert main(["ec", "scan", "--p", "13", "--out", str(out)]) == CHECK_FAILED
+    assert json.loads(out.read_text())["cor_ceiling"] == 10 ** 9
 
 
 @pytest.mark.parametrize("p", [5, 7, 11, 13, 19, 29, 401, 997])
 def test_scan_relation_and_identities(p):
-    rep = ec_spectrum_scan(build_plane(p))
-    assert rep.set_size == p * (p + 1) // 2
-    assert rep.relation_violations == 0
-    assert rep.skipped_vertical == p
-    assert rep.checked_lines + rep.skipped_singular == p * p
-    assert verify_counting_identities(rep.spectrum).ok
-    assert rep.spectrum.mode_count >= rep.cor_ceiling
-    d = rep.as_dict()
-    assert d["skipped_lines"] == rep.skipped_vertical + rep.skipped_singular
-    assert d["mode_ratio"] > 0
+    rep, spec = ec_spectrum_scan(build_plane(p))
+    assert rep["set_size"] == p * (p + 1) // 2
+    assert rep["relation_violations"] == 0
+    assert rep["skipped_vertical"] == p
+    assert rep["checked_lines"] + rep["skipped_singular"] == p * p
+    assert verify_counting_identities(spec).ok
+    assert rep["mode_count"] == spec.mode_count >= rep["cor_ceiling"]
+    assert rep["skipped_lines"] == rep["skipped_vertical"] + rep["skipped_singular"]
+    assert rep["mode_ratio"] > 0
 
 
 def test_scan_agrees_with_scalar_path():
     p = 11
     pl = build_plane(p)
     region = ec_region(pl)
-    rep = ec_spectrum_scan(pl)
+    rep, _ = ec_spectrum_scan(pl)
     checked = 0
     for m in range(p):
         for b in range(p):
@@ -177,7 +188,7 @@ def test_scan_agrees_with_scalar_path():
                 continue
             checked += 1
             assert r.holds
-    assert checked == rep.checked_lines
+    assert checked == rep["checked_lines"]
 
 
 def test_trace_parity_under_b_negation():
