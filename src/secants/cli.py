@@ -7,8 +7,6 @@ exact identity / law / relation check failed, 3 internal error.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import sys
 from json.encoder import encode_basestring_ascii
@@ -29,6 +27,9 @@ from .spectrum import bounds_report, compute_spectrum, cor_bound_ceiling, \
     verify_counting_identities
 
 OK, USAGE_ERROR, CHECK_FAILED, INTERNAL_ERROR = 0, 1, 2, 3
+
+# The most worker threads that --threads may ask for.
+MAX_THREADS = 64
 
 # The largest --p of charwalk, projection and ec count, which build tables
 # of length p: an int64 table of that length takes at most 32 MiB, and
@@ -116,12 +117,18 @@ def _json_key(key) -> str:
                     f"not {type(key).__name__}")
 
 
-def _csv_text(header, rows) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    return buf.getvalue()
+def _csv_text(header, table) -> str:
+    """CSV of an int array (1-D, or 2-D with a row per line) under header,
+    each line led by its row index.  Lines are formatted in blocks of about
+    1 << 16 entries, which bounds the Python ints alive at once."""
+    line = ",".join(["%d"] * len(header)) + "\n"
+    step = (1 << 16) // len(header)
+    parts = [",".join(header) + "\n"]
+    for lo in range(0, len(table), step):
+        block = table[lo:lo + step]
+        block = np.column_stack([np.arange(lo, lo + len(block)), block])
+        parts.append((line * len(block)) % tuple(block.ravel().tolist()))
+    return "".join(parts)
 
 
 def _load_json(path, flag: str):
@@ -170,8 +177,7 @@ def _orders(text: str) -> list:
 
 def cmd_plane(args) -> int:
     plane = _plane(args)     # points and lines share one indexing
-    rows = np.column_stack([np.arange(plane.N), plane.triples()])
-    _emit(args, _csv_text(("idx", "x", "y", "z"), rows.tolist()))
+    _emit(args, _csv_text(("idx", "x", "y", "z"), plane.triples()))
     return OK
 
 
@@ -190,10 +196,8 @@ def cmd_spectrum(args) -> int:
             fh.write("\n")
     spec = compute_spectrum(plane, pset)
     ident = verify_counting_identities(spec)
-    bounds = bounds_report(plane.q, pset.size)
     if args.format == "csv":
-        rows = [(k, int(c)) for k, c in enumerate(spec.histogram)]
-        _emit(args, _csv_text(("k", "count"), rows))
+        _emit(args, _csv_text(("k", "count"), spec.histogram))
     else:
         _emit_json(args, {
             "q": plane.q, "N": plane.N, "set_size": pset.size,
@@ -201,8 +205,7 @@ def cmd_spectrum(args) -> int:
                           for k, c in enumerate(spec.histogram)],
             "mode_k": spec.mode_k, "mode_count": spec.mode_count,
             "checks": {"eq1": ident.eq1, "eq2": ident.eq2, "var": ident.var_ok},
-            "bounds": {"prop": bounds.prop_bound, "cor": bounds.cor_bound,
-                       "thm_lower": bounds.thm_lower},
+            "bounds": bounds_report(plane.q, pset.size),
             "meta": pset.meta,
         })
     cor_ok = spec.mode_count >= cor_bound_ceiling(plane.q)
@@ -214,7 +217,8 @@ def cmd_sweep(args) -> int:
     parse_construction(args.construction)
     rows = run_sweep(primes, args.construction, args.seeds, threads=args.threads)
     _emit(args, sweep_to_csv(rows))
-    return OK if all(row.checks_ok for row in rows) else CHECK_FAILED
+    ok = all(row["eq1"] and row["eq2"] and row["var_ok"] and row["cor_ok"] for row in rows)
+    return OK if ok else CHECK_FAILED
 
 
 def cmd_exhaustive(args) -> int:
@@ -226,14 +230,9 @@ def cmd_search(args) -> int:
                                            restarts=args.restarts))
 
 
-def _emit_search(args, res) -> int:
-    _emit_json(args, {
-        "q": res.q, "best_mode_count": res.best_mode_count,
-        "witness_points": res.witness.indices().tolist(),
-        "subsets_examined": res.subsets_examined, "method": res.method,
-        "cor_ceiling": cor_bound_ceiling(res.q),
-    })
-    return OK if res.best_mode_count >= cor_bound_ceiling(res.q) else CHECK_FAILED
+def _emit_search(args, doc) -> int:
+    _emit_json(args, doc)
+    return OK if doc["best_mode_count"] >= doc["cor_ceiling"] else CHECK_FAILED
 
 
 def cmd_charwalk(args) -> int:
@@ -241,7 +240,7 @@ def cmd_charwalk(args) -> int:
     if args.levels:
         _emit_json(args, level_stats(walk, args.a))
     else:
-        _emit(args, _csv_text(("t", "psi"), enumerate(walk.tolist())))
+        _emit(args, _csv_text(("t", "psi"), walk))
     return OK
 
 
@@ -254,7 +253,7 @@ def cmd_projection(args) -> int:
         rational_to_element(args.p, args.gamma))
     if args.d is not None:
         pr = projection_profile(plane, params, args.d)
-        _emit(args, _csv_text(("b", "pr"), enumerate(pr.tolist())))
+        _emit(args, _csv_text(("b", "pr"), pr))
         return OK
     doc = verify_projection_laws(plane, params)
     _emit_json(args, doc)
@@ -263,11 +262,9 @@ def cmd_projection(args) -> int:
 
 def cmd_ec(args) -> int:
     if args.ec_cmd == "count":
-        curve = curve_count(_bounded_p(args), args.a, args.b)
-        _emit_json(args, {"p": curve.p, "a": curve.a, "b": curve.b,
-                          "count": curve.count, "trace": curve.trace,
-                          "hasse_ok": curve.hasse_ok})
-        return OK if curve.hasse_ok else CHECK_FAILED
+        doc = curve_count(_bounded_p(args), args.a, args.b)
+        _emit_json(args, doc)
+        return OK if doc["hasse_ok"] else CHECK_FAILED
     doc, spec = ec_spectrum_scan(_plane(args, "p"))
     _emit_json(args, doc)
     ok = (doc["relation_violations"] == 0
@@ -305,22 +302,10 @@ def cmd_legit(args) -> int:
     if args.legit_cmd == "color":
         if args.permute_seed is not None:
             hg = hg.permuted(args.permute_seed)
-        coloring = two_phase_coloring(hg)
-        legitimate, pair = verify_legitimate(hg, coloring)
-        _emit_json(args, {
-            "n": hg.n,
-            "colors": coloring.color_names(),
-            "blue_counts": coloring.blue_counts,
-            "targets": coloring.targets,
-            "legitimate": legitimate,
-            "diagnostics": [{
-                "edge": d.position, "target": d.target,
-                "phase1_blue": d.phase1_blue, "recolored": d.recolored,
-                "private": d.private, "captured": d.captured,
-                "disjoint": d.disjoint, "feasible": d.feasible,
-            } for d in coloring.diagnostics],
-        })
-        return OK if legitimate else CHECK_FAILED
+        doc, color = two_phase_coloring(hg)
+        doc["legitimate"], _ = verify_legitimate(hg, color)
+        _emit_json(args, doc)
+        return OK if doc["legitimate"] else CHECK_FAILED
     legitimate, pair = verify_legitimate(hg, _read_coloring(args.coloring, hg.num_vertices))
     _emit_json(args, {"legitimate": legitimate, "violating_pair": pair})
     return OK if legitimate else CHECK_FAILED
@@ -480,6 +465,8 @@ def main(argv=None) -> int:
             value = getattr(args, flag, least)
             if value < least:
                 raise ValueError(f"--{flag} must be at least {least}, got {value}")
+        if args.threads > MAX_THREADS:
+            raise ValueError(f"--threads must be at most {MAX_THREADS}, got {args.threads}")
         for flag in ("seed", "permute-seed"):
             seed = getattr(args, flag.replace("-", "_"), None)
             if seed is not None and not 0 <= seed < 2 ** 128:

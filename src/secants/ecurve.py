@@ -19,7 +19,6 @@ Y^2 = X^3 - m*X - b to the line via  |E| = 2n + 1 - Z."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,23 +32,9 @@ class CurveError(ValueError):
     pass
 
 
-@dataclass
-class Curve:
-    """Y^2 = X^3 + aX + b over F_p with its point count and trace."""
-
-    p: int
-    a: int
-    b: int
-    count: int
-    trace: int
-
-    @property
-    def hasse_ok(self) -> bool:
-        return self.trace * self.trace <= 4 * self.p
-
-
-def curve_count(p: int, a: int, b: int) -> Curve:
-    """Point count over F_p including the point at infinity."""
+def curve_count(p: int, a: int, b: int) -> dict:
+    """The `ec count` document of Y^2 = X^3 + aX + b over F_p: its point
+    count including the point at infinity, its trace and the Hasse check."""
     if not is_prime(p) or p <= 3:
         raise CurveError(f"requires a prime p > 3, got {p}")
     if (4 * pow(a, 3, p) + 27 * pow(b, 2, p)) % p == 0:
@@ -59,7 +44,9 @@ def curve_count(p: int, a: int, b: int) -> Curve:
     chi = legendre_table(p)
     x = np.arange(p, dtype=np.int64)
     total = p + 1 + int(chi[((x * x + a) % p * x + b) % p].sum())   # int64 terms < p^2
-    return Curve(p=p, a=a, b=b, count=total, trace=p + 1 - total)
+    trace = p + 1 - total
+    return {"p": p, "a": a, "b": b, "count": total, "trace": trace,
+            "hasse_ok": trace * trace <= 4 * p}
 
 
 def _curve_counts(p: int):

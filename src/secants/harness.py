@@ -14,15 +14,14 @@ from __future__ import annotations
 import csv
 import io
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
 from random import Random
 
 import numpy as np
 
 from .construct import build_construction
 from .plane import ProjectivePlane, build_plane
-from .spectrum import (PointSet, bounds_report, compute_spectrum,
-                       cor_bound_ceiling, verify_counting_identities)
+from .spectrum import (bounds_report, compute_spectrum, cor_bound_ceiling,
+                       verify_counting_identities)
 
 EXHAUSTIVE_MAX_Q = 4
 # The local search holds the plane's (N, q+1) int32 incidence; 251 is the
@@ -38,46 +37,6 @@ SWEEP_COLUMNS = ("q", "construction", "seed", "set_size", "mode_k", "mode_count"
                  "cor_bound", "prop_bound", "thm_lower", "thm_lower_clamped",
                  "ratio", "eq1", "eq2", "var_ok", "cor_ok", "error")
 
-@dataclass
-class SearchResult:
-    q: int
-    best_mode_count: int
-    witness: PointSet        # a minimizing set, meta {"construction": method}
-    subsets_examined: int
-    method: str              # "exhaustive" | "local"
-
-
-@dataclass
-class SweepRow:
-    q: int
-    construction: str
-    seed: int
-    set_size: int
-    mode_k: int
-    mode_count: int
-    cor_bound: float
-    prop_bound: float
-    thm_lower: float
-    ratio: float
-    eq1: bool
-    eq2: bool
-    var_ok: bool
-    cor_ok: bool
-    error: str = ""
-
-    @property
-    def checks_ok(self) -> bool:
-        return self.eq1 and self.eq2 and self.var_ok and self.cor_ok and not self.error
-
-    def csv_values(self):
-        return (str(self.q), self.construction, str(self.seed), str(self.set_size),
-                str(self.mode_k), str(self.mode_count),
-                f"{self.cor_bound:.6f}", f"{self.prop_bound:.6f}",
-                f"{self.thm_lower:.6f}", f"{max(self.thm_lower, 0.0):.6f}",
-                f"{self.ratio:.6f}",
-                str(int(self.eq1)), str(int(self.eq2)), str(int(self.var_ok)),
-                str(int(self.cor_ok)), self.error)
-
 
 def _ordered_map(fn, items, threads: int) -> list:
     """fn over items on `threads` worker threads, results in input order.
@@ -89,8 +48,9 @@ def _ordered_map(fn, items, threads: int) -> list:
         return list(pool.map(fn, items))
 
 
-def exhaustive_minmax(plane: ProjectivePlane, threads: int = 1) -> SearchResult:
-    """Exact minimum over all subsets of the maximal secant-size frequency.
+def exhaustive_minmax(plane: ProjectivePlane, threads: int = 1) -> dict:
+    """The `exhaustive` document: the exact minimum over all subsets of the
+    maximal secant-size frequency, with a witness set's point indices.
 
     Only bitmaps (bit i = point i) with at most N/2 bits set are enumerated
     (complement duality); the witness is the numerically smallest bitmap
@@ -130,16 +90,17 @@ def exhaustive_minmax(plane: ProjectivePlane, threads: int = 1) -> SearchResult:
         examined += count
         if (mode, mask) < best:
             best = (mode, mask)
-    witness = PointSet(plane, (best[1] >> np.arange(N)) & 1 == 1,
-                       {"construction": "exhaustive"})
-    return SearchResult(q=q, best_mode_count=best[0], witness=witness,
-                        subsets_examined=examined, method="exhaustive")
+    return {"q": q, "best_mode_count": best[0],
+            "witness_points": np.flatnonzero((best[1] >> np.arange(N)) & 1).tolist(),
+            "subsets_examined": examined, "method": "exhaustive",
+            "cor_ceiling": cor_bound_ceiling(q)}
 
 
 def local_search(plane: ProjectivePlane, iters: int = 200, seed: int = 0,
-                 restarts: int = 5) -> SearchResult:
-    """Seeded hill descent on single-point flips minimizing the mode count,
-    ties broken by histogram variance; best over restarts.
+                 restarts: int = 5) -> dict:
+    """The `search` document of a seeded hill descent on single-point flips
+    minimizing the mode count, ties broken by histogram variance; best over
+    restarts.
 
     A step scores all N flips at once.  With C[pt, k] the number of lines
     through pt that meet the set in k points, flipping pt gives the
@@ -194,36 +155,35 @@ def local_search(plane: ProjectivePlane, iters: int = 200, seed: int = 0,
         cand = (cur[0], cur[1], mask[::-1].tobytes())
         if best is None or cand < best:
             best, witness = cand, mask
-    return SearchResult(q=q, best_mode_count=best[0],
-                        witness=PointSet(plane, witness, {"construction": "local"}),
-                        subsets_examined=examined, method="local")
+    return {"q": q, "best_mode_count": best[0],
+            "witness_points": np.flatnonzero(witness).tolist(),
+            "subsets_examined": examined, "method": "local",
+            "cor_ceiling": cor_bound_ceiling(q)}
 
 
-def _sweep_cell(plane: ProjectivePlane, construction: str, seed: int) -> SweepRow:
+def _sweep_cell(plane: ProjectivePlane, construction: str, seed: int) -> dict:
     q = plane.q
     try:
         pset = build_construction(plane, construction, seed=seed)
         spec = compute_spectrum(plane, pset)
         ident = verify_counting_identities(spec)
         bounds = bounds_report(q, pset.size)
-        return SweepRow(
-            q=q, construction=construction, seed=seed, set_size=pset.size,
-            mode_k=spec.mode_k, mode_count=spec.mode_count,
-            cor_bound=bounds.cor_bound, prop_bound=bounds.prop_bound,
-            thm_lower=bounds.thm_lower,
-            ratio=spec.mode_count / q ** 1.5,
-            eq1=ident.eq1, eq2=ident.eq2, var_ok=ident.var_ok,
-            cor_ok=spec.mode_count >= cor_bound_ceiling(q))
     except ValueError as exc:           # an input error: recorded per row, sweep continues
-        return SweepRow(q=q, construction=construction, seed=seed, set_size=0,
-                        mode_k=0, mode_count=0, cor_bound=0.0, prop_bound=0.0,
-                        thm_lower=0.0, ratio=0.0, eq1=False, eq2=False,
-                        var_ok=False, cor_ok=False, error=str(exc))
+        return dict(zip(SWEEP_COLUMNS, (q, construction, seed, 0, 0, 0, *(0.0,) * 5,
+                                        *(False,) * 4, str(exc))))
+    return {"q": q, "construction": construction, "seed": seed, "set_size": pset.size,
+            "mode_k": spec.mode_k, "mode_count": spec.mode_count,
+            "cor_bound": bounds["cor"], "prop_bound": bounds["prop"],
+            "thm_lower": bounds["thm_lower"],
+            "thm_lower_clamped": max(bounds["thm_lower"], 0.0),
+            "ratio": spec.mode_count / q ** 1.5,
+            "eq1": ident.eq1, "eq2": ident.eq2, "var_ok": ident.var_ok,
+            "cor_ok": spec.mode_count >= cor_bound_ceiling(q), "error": ""}
 
 
 def run_sweep(primes, construction: str, seeds, threads: int = 1):
-    """One row per (prime, seed) cell, in input order regardless of the
-    worker count."""
+    """One row per (prime, seed) cell, a dict keyed by SWEEP_COLUMNS, in
+    input order regardless of the worker count."""
     if isinstance(seeds, int):
         seeds = range(seeds)
     seeds = list(seeds)
@@ -236,10 +196,13 @@ def run_sweep(primes, construction: str, seeds, threads: int = 1):
 
 
 def sweep_to_csv(rows) -> str:
+    """The rows as CSV: floats to six decimals, bools as 0/1."""
     buf = io.StringIO()
     buf.write(f"# schema={SWEEP_SCHEMA}\n")
-    writer = csv.writer(buf, lineterminator="\n")
+    writer = csv.writer(buf, lineterminator="\n")     # quotes error text with commas
     writer.writerow(SWEEP_COLUMNS)
     for row in rows:
-        writer.writerow(row.csv_values())
+        values = (row[c] for c in SWEEP_COLUMNS)
+        writer.writerow([f"{v:.6f}" if type(v) is float else int(v) if type(v) is bool
+                         else v for v in values])
     return buf.getvalue()

@@ -14,7 +14,6 @@ generator, the coloring and the verifier all work on numpy arrays.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import chain
 from random import Random
 
@@ -122,32 +121,6 @@ class LinearHypergraph:
         return LinearHypergraph(self.n, self.edges[order], self.num_vertices)
 
 
-@dataclass
-class EdgeDiagnostics:
-    position: int            # 1-based
-    target: int              # required blue count
-    phase1_blue: int
-    recolored: int           # t_i, vertices flipped in phase 2
-    private: int             # |R_i|
-    captured: int            # |C_i|
-    disjoint: int            # |D_i|
-
-    @property
-    def feasible(self) -> bool:
-        return self.private >= self.captured + self.disjoint + 1
-
-
-@dataclass
-class LegitColoring:
-    color: np.ndarray        # int64, vertex -> RED/BLUE
-    blue_counts: list        # per edge position
-    targets: list
-    diagnostics: list = field(default_factory=list)
-
-    def color_names(self):
-        return COLOR_NAMES[self.color].tolist()
-
-
 def generate_linear_hypergraph(n: int, seed: int, mode: str = "pairwise") -> LinearHypergraph:
     """Random linear test instance with n edges of size n.
 
@@ -199,11 +172,18 @@ def generate_linear_hypergraph(n: int, seed: int, mode: str = "pairwise") -> Lin
     return LinearHypergraph(n, edges, links + int(pad.sum()))
 
 
-def two_phase_coloring(hg: LinearHypergraph) -> LegitColoring:
-    """Color so edge i holds exactly n - floor(i/2) blue vertices when i is
-    odd and i/2 when even.  Raises LegitError if phase 2 would need more
-    private vertices than exist, which a valid linear instance never does.
+def two_phase_coloring(hg: LinearHypergraph):
+    """(document, color): color so edge i holds exactly n - floor(i/2) blue
+    vertices when i is odd and i/2 when even, and return the `legit color`
+    document without its verdict, with the int64 color array (vertex ->
+    RED/BLUE).  Raises LegitError if phase 2 would need more private
+    vertices than exist, which a valid linear instance never does.
     Vertices on no edge stay red.
+
+    Each edge's diagnostics: its 1-based position, its target, its phase-1
+    blue count, the t_i vertices recolored in phase 2, and |R_i|, |C_i| and
+    |D_i| (private, captured, disjoint); it is feasible when
+    |R_i| > |C_i| + |D_i|.
     """
     n, edges = hg.n, hg.edges
     pos = np.arange(1, n + 1)
@@ -222,7 +202,6 @@ def two_phase_coloring(hg: LinearHypergraph) -> LegitColoring:
     rows = np.stack([pos, targets, phase1, recolored, private.sum(axis=1),
                      np.maximum(hg.rank - 1, 0).sum(axis=1),
                      n - 1 - (degree - 1).sum(axis=1)], axis=1)
-    diagnostics = [EdgeDiagnostics(*row) for row in rows.tolist()]
 
     # phase 2: every edge at once flips its smallest private vertices of
     # the color it must shed
@@ -231,25 +210,28 @@ def two_phase_coloring(hg: LinearHypergraph) -> LegitColoring:
     size = pool.sum(axis=1)
     short = np.flatnonzero(size < recolored)
     if short.size:
-        i, d = short[0], diagnostics[short[0]]
+        i = short[0]
+        R, C, D = rows[i, 4:]
         raise LegitError(
-            f"edge {i + 1} needs {d.recolored} recolorings but has only "
-            f"{size[i]} private {COLOR_NAMES[want[i]]} vertices "
-            f"(R={d.private}, C={d.captured}, D={d.disjoint})")
+            f"edge {i + 1} needs {recolored[i]} recolorings but has only "
+            f"{size[i]} private {COLOR_NAMES[want[i]]} vertices (R={R}, C={C}, D={D})")
     flips = np.sort(np.where(pool, edges, hg.num_vertices), axis=1)
     color[flips[np.arange(n) < recolored[:, None]]] = np.repeat(1 - want, recolored)
 
     blue_counts = color[edges].sum(axis=1).tolist()
     if blue_counts != targets.tolist():
         raise LegitError(f"blue quotas missed: {blue_counts} vs {targets.tolist()}")
-    return LegitColoring(color=color, blue_counts=blue_counts,
-                         targets=targets.tolist(), diagnostics=diagnostics)
+    diagnostics = [{"edge": i, "target": t, "phase1_blue": b, "recolored": r,
+                    "private": R, "captured": C, "disjoint": D, "feasible": R > C + D}
+                   for i, t, b, r, R, C, D in rows.tolist()]
+    return {"n": n, "colors": COLOR_NAMES[color].tolist(), "blue_counts": blue_counts,
+            "targets": targets.tolist(), "diagnostics": diagnostics}, color
 
 
-def verify_legitimate(hg: LinearHypergraph, coloring, num_colors: int = 2):
-    """True iff the per-edge color multiplicity lists are pairwise
-    distinct; otherwise returns the first offending 1-based pair."""
-    color = coloring.color if isinstance(coloring, LegitColoring) else coloring
+def verify_legitimate(hg: LinearHypergraph, color, num_colors: int = 2):
+    """True iff the per-edge color multiplicity lists of the color array
+    (vertex -> color) are pairwise distinct; otherwise returns the first
+    offending 1-based pair."""
     slots = np.asarray(color, dtype=float)[hg.edges]    # None reads as NaN
     ok = (slots >= 0) & (slots < num_colors) & (slots == np.trunc(slots))
     bad = np.flatnonzero(~ok)

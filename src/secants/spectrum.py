@@ -104,18 +104,6 @@ class IdentityReport:
         return self.eq1 and self.eq2 and self.var_ok
 
 
-@dataclass
-class BoundsReport:
-    q: int
-    s: int
-    N: int
-    V: Fraction          # exact variance q*s*(1 - s/N)
-    prop_bound: float    # N^(3/2) / sqrt(12V + 13N)
-    cor_bound: float     # N / sqrt(3q + 13)
-    thm_lower: float     # q^(3/2)/sqrt(3) - 3q (may be negative at small q)
-    thm_upper_ref: float  # sqrt(2/pi) * q^(3/2), reference scale only
-
-
 def compute_spectrum(plane: ProjectivePlane, pset: PointSet) -> SecantSpectrum:
     if pset.plane is not plane:
         raise ValueError("point set belongs to a different plane")
@@ -222,8 +210,11 @@ def verify_counting_identities(spec: SecantSpectrum) -> IdentityReport:
                           eq1_residual=r1, eq2_residual=r2, var_residual=r3)
 
 
-def bounds_report(q: int, s: int) -> BoundsReport:
-    """Evaluate the mode-frequency lower bounds at set size s.
+def bounds_report(q: int, s: int) -> dict:
+    """The mode-frequency lower bounds at set size s, as the `bounds` object
+    of the spectrum document: prop = N^(3/2) / sqrt(12V + 13N) with V the
+    exact variance q*s*(1 - s/N), cor = N / sqrt(3q + 13) and
+    thm_lower = q^(3/2)/sqrt(3) - 3q (negative at small q).
 
     The general bound uses the 13N denominator of the counting argument
     (consistent with the universal N/sqrt(3q+13) form it specializes to).
@@ -231,13 +222,10 @@ def bounds_report(q: int, s: int) -> BoundsReport:
     N = q * q + q + 1
     if not 0 <= s <= N:
         raise ValueError(f"set size {s} out of range [0, {N}]")
-    V = Fraction(q * s * (N - s), N)
-    prop = N ** 1.5 / math.sqrt(12 * float(V) + 13 * N)
-    cor = N / math.sqrt(3 * q + 13)
-    thm_lower = q ** 1.5 / math.sqrt(3) - 3 * q
-    thm_upper = math.sqrt(2 / math.pi) * q ** 1.5
-    return BoundsReport(q=q, s=s, N=N, V=V, prop_bound=prop, cor_bound=cor,
-                        thm_lower=thm_lower, thm_upper_ref=thm_upper)
+    V = q * s * (N - s) / N       # true division of ints rounds once, exactly
+    return {"prop": N ** 1.5 / math.sqrt(12 * V + 13 * N),
+            "cor": N / math.sqrt(3 * q + 13),
+            "thm_lower": q ** 1.5 / math.sqrt(3) - 3 * q}
 
 
 def cor_bound_ceiling(q: int) -> int:

@@ -227,7 +227,7 @@ def curve_counts_by_line(p):
     """{(m, b): |E|} of Y^2 = X^3 - mX - b for every nonsingular line
     v = mx + b, each from its own O(p) sum `curve_count`, which
     test_ecurve checks against enumeration."""
-    return {(m, b): curve_count(p, -m, -b).count
+    return {(m, b): curve_count(p, -m, -b)["count"]
             for m in range(p) for b in range(p) if (27 * b * b - 4 * m ** 3) % p}
 
 

@@ -1,3 +1,5 @@
+import csv
+import dataclasses
 import hashlib
 import json
 import subprocess
@@ -10,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from secants import cli, spectrum
+from secants import cli, harness, spectrum
 from secants.cli import CHECK_FAILED, INTERNAL_ERROR, OK, USAGE_ERROR, main
 
 
@@ -84,6 +86,23 @@ def test_sweep_deterministic_across_threads(tmp_path):
     _, c = run_cli(tmp_path, *args, "--threads", "1", name="c.csv")
     assert a == b == c
     assert a.decode().startswith("# schema=")
+
+
+@pytest.mark.parametrize("check", ["identities", "cor"])
+def test_sweep_exits_2_when_a_row_fails_one_check(tmp_path, monkeypatch, check):
+    # the bound and the identities are theorems, so only a patched check fails
+    if check == "cor":
+        monkeypatch.setattr(harness, "cor_bound_ceiling", lambda q: q * q * q)
+    else:
+        real = harness.verify_counting_identities
+        monkeypatch.setattr(harness, "verify_counting_identities",
+                            lambda spec: dataclasses.replace(real(spec), var_ok=False))
+    code, data = run_cli(tmp_path, "sweep", "--primes", "7", "--construction",
+                         "random:density=1/2", "--seeds", "1")
+    assert code == CHECK_FAILED
+    row = dict(zip(*csv.reader(data.decode().splitlines()[1:])))
+    assert row["error"] == "" and (row["cor_ok"], row["var_ok"]) == \
+        (("0", "1") if check == "cor" else ("1", "0"))
 
 
 def test_exhaustive_and_search_commands(tmp_path):
@@ -202,9 +221,10 @@ def test_spectrum_output_golden(tmp_path, args, digest):
     assert hashlib.sha256(data).hexdigest() == digest
 
 
-# sha256 of `--out` and the exit code of the projection, `ec scan` and
-# `charwalk --levels` documents, recorded while each check still filled a
-# report object that was copied into the document field by field.
+# sha256 of `--out` and the exit code of the projection, `ec scan`,
+# `charwalk --levels`, sweep, `ec count` and `exhaustive` outputs, recorded
+# while each still filled a report object or a record that was copied into
+# the output field by field.
 DOCUMENT_GOLDENS = [
     (("projection", "--p", "13", "--alpha", "2", "--beta", "3", "--gamma", "5"), OK,
      "92316c90c81331095c4ae698baa7513afc424de2d651a503644fbeb691a7378b"),
@@ -218,6 +238,24 @@ DOCUMENT_GOLDENS = [
      "b5f1cdac8e30f9bffc0cbbcaa14a4ebc42fec3cac0488262a8c222490e615f29"),
     (("charwalk", "--p", "1999", "--a", "5", "--levels"), OK,
      "3ec91fe7eb310a5614fbd7504d26476b9ea2ce9e1493fb510971be6c9f8fb102"),
+    (("sweep", "--primes", "7,11", "--construction", "random:density=1/2",
+      "--seeds", "4"), OK,
+     "d5a22c5eecdf292c3736f58743de724191243d4838c60f76511d8f0e3d706dfe"),
+    (("sweep", "--primes", "3,7,9,11,13", "--construction", "parabola:a=1/4,b=1,g=1",
+      "--seeds", "2"), CHECK_FAILED,
+     "6340d71db0e5d183234a2927d90872241780591c22eb86ca8c5db5494d97902f"),
+    (("sweep", "--primes", "5,7,9,11", "--construction", "ecregion", "--seeds", "1"),
+     CHECK_FAILED,
+     "8ddaac24a392f4ac02c6d6df87a98cf32960e2926ab7cf6b7624e4fb192931a1"),
+    (("sweep", "--primes", "7,11", "--construction",
+      "random:density=1/100000000000000000000", "--seeds", "1"), CHECK_FAILED,
+     "ac7e7e5c903e582925a7d6bb3f8e670e63f868a5644dc5d5e05340f64e1a91e6"),
+    (("ec", "count", "--p", "101", "--a", "-3", "--b", "7"), OK,
+     "66245373f17ac705efeed958ca322f2a599a679c82222ec7ed5ed09dbc0f82b6"),
+    (("ec", "count", "--p", "4194301", "--a", "1", "--b", "1"), OK,
+     "135e3ec86962cdc8e9fc184522e87b7fd99c39a521e71c18dc657e167781b7d0"),
+    (("exhaustive", "--q", "3"), OK,
+     "2a6062714048d6565796fe75430fd6a75c8c72e361b9cd038b5affa7d7d80e28"),
 ]
 
 
@@ -662,6 +700,35 @@ def test_threads_below_one_exits_1_with_one_line(tmp_path, capsys, argv, threads
     err = capsys.readouterr().err
     assert err == f"error: --threads must be at least 1, got {threads}\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--primes", "7", "--construction", "random:density=1/2", "--seeds", "2"],
+    ["exhaustive", "--q", "2"],
+    ["plane", "--q", "2"],
+])
+def test_threads_past_the_bound_exit_1_before_any_thread(tmp_path, capsys, monkeypatch,
+                                                         argv):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a thread pool was built")
+
+    monkeypatch.setattr(harness, "ThreadPoolExecutor", no_pool)
+    out = tmp_path / "out"
+    threads = str(cli.MAX_THREADS + 1)
+    assert main([*argv, "--threads", threads, "--out", str(out)]) == USAGE_ERROR
+    err = capsys.readouterr().err
+    assert err == f"error: --threads must be at most {cli.MAX_THREADS}, got {threads}\n"
+    assert not out.exists()
+
+
+def test_threads_at_the_bound_run(tmp_path):
+    assert cli.MAX_THREADS >= 8
+    code, data = run_cli(tmp_path, "sweep", "--primes", "7", "--construction",
+                         "random:density=1/2", "--seeds", "2",
+                         "--threads", str(cli.MAX_THREADS))
+    _, serial = run_cli(tmp_path, "sweep", "--primes", "7", "--construction",
+                        "random:density=1/2", "--seeds", "2", name="serial.csv")
+    assert code == OK and data == serial
 
 
 @pytest.mark.parametrize("argv, flag, value, least", [

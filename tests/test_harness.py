@@ -5,10 +5,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from secants import harness as harness_module
-from secants.harness import (SWEEP_SCHEMA, exhaustive_minmax, local_search,
-                             run_sweep, sweep_to_csv)
+from secants.harness import (SWEEP_COLUMNS, SWEEP_SCHEMA, exhaustive_minmax,
+                             local_search, run_sweep, sweep_to_csv)
 from secants.plane import build_plane
-from secants.spectrum import compute_spectrum, cor_bound_ceiling
+from secants.spectrum import PointSet, compute_spectrum, cor_bound_ceiling
 
 from conftest import naive_histogram, naive_line_points, naive_local_search
 
@@ -33,43 +33,51 @@ def brute_minmax(plane):
     return best, witness
 
 
+def witness_set(plane, res):
+    return PointSet.from_indices(plane, res["witness_points"])
+
+
+# the four checks a sweep row must pass
+CHECKS = ("eq1", "eq2", "var_ok", "cor_ok")
+
+
 def test_exhaustive_q2_matches_bruteforce(fano):
     res = exhaustive_minmax(fano)
     expect_best, expect_witness = brute_minmax(fano)
-    assert res.best_mode_count == expect_best == 3
-    assert res.witness.indices().tolist() == expect_witness
-    assert res.method == "exhaustive"
+    assert res["best_mode_count"] == expect_best == 3
+    assert res["witness_points"] == expect_witness
+    assert res["method"] == "exhaustive"
     # the witness is a triangle: its spectrum attains the minimum
-    spec = compute_spectrum(fano, res.witness)
+    spec = compute_spectrum(fano, witness_set(fano, res))
     assert spec.mode_count == 3
-    assert res.best_mode_count >= cor_bound_ceiling(2) == 2
+    assert res["best_mode_count"] >= cor_bound_ceiling(2) == 2
 
 
 def test_exhaustive_q3_matches_bruteforce_and_golden():
     pl = build_plane(3)
     res = exhaustive_minmax(pl)
     expect_best, expect_witness = brute_minmax(pl)
-    assert res.best_mode_count == expect_best
-    assert res.witness.indices().tolist() == expect_witness
+    assert res["best_mode_count"] == expect_best
+    assert res["witness_points"] == expect_witness
     # repository golden value, first computed by this oracle
-    assert res.best_mode_count == 6
-    assert res.best_mode_count >= cor_bound_ceiling(3) == 3
+    assert res["best_mode_count"] == 6
+    assert res["best_mode_count"] >= cor_bound_ceiling(3) == 3
 
 
 def test_exhaustive_q4_golden_and_thread_invariance():
     pl = build_plane(4)
     res1 = exhaustive_minmax(pl, threads=1)
     res4 = exhaustive_minmax(pl, threads=4)
-    assert res1.best_mode_count == res4.best_mode_count
-    assert res1.witness.mask.tolist() == res4.witness.mask.tolist()
-    assert res1.best_mode_count == 7       # repository golden value
-    assert res1.best_mode_count >= cor_bound_ceiling(4) == 5
+    assert res1["best_mode_count"] == res4["best_mode_count"]
+    assert res1["witness_points"] == res4["witness_points"]
+    assert res1["best_mode_count"] == 7       # repository golden value
+    assert res1["best_mode_count"] >= cor_bound_ceiling(4) == 5
 
 
 def test_exhaustive_enumerates_half_space(fano):
     res = exhaustive_minmax(fano)
     expect = sum(1 for m in range(1 << 7) if bin(m).count("1") <= 3)
-    assert res.subsets_examined == expect
+    assert res["subsets_examined"] == expect
 
 
 def test_exhaustive_rejects_large_q():
@@ -88,24 +96,23 @@ def test_local_search_reaches_exhaustive_minimum():
     for q, golden in ((2, 3), (3, 6), (4, 7)):
         pl = build_plane(q)
         res = local_search(pl, iters=300, seed=11, restarts=10)
-        assert res.best_mode_count == golden
-        assert res.method == "local"
-        spec = compute_spectrum(pl, res.witness)
-        assert spec.mode_count == res.best_mode_count
+        assert res["best_mode_count"] == golden
+        assert res["method"] == "local"
+        spec = compute_spectrum(pl, witness_set(pl, res))
+        assert spec.mode_count == res["best_mode_count"]
 
 
 def test_local_search_determinism():
     pl = build_plane(3)
     a = local_search(pl, iters=100, seed=5, restarts=4)
     b = local_search(pl, iters=100, seed=5, restarts=4)
-    assert (a.best_mode_count, a.witness.mask.tolist(), a.subsets_examined) == \
-        (b.best_mode_count, b.witness.mask.tolist(), b.subsets_examined)
+    assert a == b
     c = local_search(pl, iters=100, seed=6, restarts=4)
-    assert c.best_mode_count >= cor_bound_ceiling(3)
+    assert c["best_mode_count"] >= cor_bound_ceiling(3)
 
 
 def _result_triple(res):
-    return res.best_mode_count, res.witness.mask.nonzero()[0].tolist(), res.subsets_examined
+    return res["best_mode_count"], res["witness_points"], res["subsets_examined"]
 
 
 @lru_cache(maxsize=None)
@@ -154,11 +161,12 @@ def test_local_search_point_blocks_do_not_change_results(monkeypatch, q, seed):
 def test_sweep_rows_and_determinism():
     rows = run_sweep([7, 11], "random:density=1/2", seeds=4)
     assert len(rows) == 8
-    assert [(r.q, r.seed) for r in rows] == [(q, s) for q in (7, 11) for s in range(4)]
+    assert [(r["q"], r["seed"]) for r in rows] == [(q, s) for q in (7, 11) for s in range(4)]
     for r in rows:
-        assert r.checks_ok
-        assert r.mode_count >= r.cor_bound
-        assert r.ratio == r.mode_count / r.q ** 1.5
+        assert list(r) == list(SWEEP_COLUMNS)
+        assert all(r[c] is True for c in CHECKS) and r["error"] == ""
+        assert r["mode_count"] >= r["cor_bound"]
+        assert r["ratio"] == r["mode_count"] / r["q"] ** 1.5
     text1 = sweep_to_csv(rows)
     assert text1.startswith(f"# schema={SWEEP_SCHEMA}\n")
     text2 = sweep_to_csv(run_sweep([7, 11], "random:density=1/2", seeds=4, threads=3))
@@ -167,25 +175,25 @@ def test_sweep_rows_and_determinism():
 
 def test_sweep_cell_names_a_density_past_int64():
     row, = run_sweep([7], "random:density=1/100000000000000000000", seeds=1)
-    assert row.error == "density 1/100000000000000000000 has a denominator past 2^63"
+    assert row["error"] == "density 1/100000000000000000000 has a denominator past 2^63"
 
 
 def test_sweep_records_row_errors_and_continues():
     rows = run_sweep([3, 7], "parabola:a=1,b=0,g=0", seeds=1)
-    assert rows[0].error != "" and not rows[0].checks_ok
-    assert rows[1].error == "" and rows[1].checks_ok
+    assert rows[0]["error"] != "" and not any(rows[0][c] for c in CHECKS)
+    assert rows[1]["error"] == "" and all(rows[1][c] for c in CHECKS)
     text = sweep_to_csv(rows)
     assert "requires a prime plane" in text
 
 
 def test_sweep_deterministic_constructions_ignore_seed_column():
     rows = run_sweep([11], "ecregion", seeds=2)
-    assert rows[0].set_size == rows[1].set_size == 11 * 12 // 2
-    assert rows[0].mode_count == rows[1].mode_count
+    assert rows[0]["set_size"] == rows[1]["set_size"] == 11 * 12 // 2
+    assert rows[0]["mode_count"] == rows[1]["mode_count"]
 
 
 def test_witness_histograms_survive_naive_recount(fano):
     res = exhaustive_minmax(fano)
-    members = res.witness.indices()
+    members = res["witness_points"]
     hist = naive_histogram(fano, members)
-    assert max(hist) == res.best_mode_count
+    assert max(hist) == res["best_mode_count"]

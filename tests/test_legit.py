@@ -1,9 +1,9 @@
 import itertools
 import re
 from collections import Counter
-from dataclasses import astuple
 from random import Random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,6 +11,10 @@ from hypothesis import strategies as st
 from secants.legit import (BLUE, GENERATOR_MODES, RED, LegitError, LinearHypergraph,
                            generate_linear_hypergraph, two_phase_coloring,
                            verify_legitimate)
+
+# the columns of an edge's diagnostics, in the loop oracle's order
+DIAGNOSTIC_KEYS = ("edge", "target", "phase1_blue", "recolored", "private", "captured",
+                   "disjoint")
 
 
 def naive_diagnostics(hg):
@@ -130,9 +134,11 @@ def test_arrays_match_loop_oracles(mode):
             hg = generate_linear_hypergraph(n, seed, mode)
             assert hg.edges.tolist() == edges and hg.num_vertices == num_vertices
             color, diagnostics = loop_two_phase_coloring(hg)
-            col = two_phase_coloring(hg)
-            assert col.color.tolist() == color, (n, seed)
-            assert [astuple(d) for d in col.diagnostics] == diagnostics, (n, seed)
+            doc, col = two_phase_coloring(hg)
+            assert col.tolist() == color, (n, seed)
+            assert [tuple(map(d.get, DIAGNOSTIC_KEYS)) for d in doc["diagnostics"]] \
+                == diagnostics, (n, seed)
+            assert doc["colors"] == [("red", "blue")[c] for c in color]
 
 
 def _verdict(verify, *args):
@@ -150,7 +156,7 @@ def test_verify_matches_loop_oracle_on_generated_instances(mode):
         for seed in (0, 1):
             hg = generate_linear_hypergraph(n, seed, mode)
             rng = Random(seed * 61 + n)
-            colorings = [(two_phase_coloring(hg).color, 2)]
+            colorings = [(two_phase_coloring(hg)[1], 2)]
             for num_colors in (2, 3):
                 colorings.append(([rng.randrange(num_colors)
                                    for _ in range(hg.num_vertices)], num_colors))
@@ -165,26 +171,51 @@ def test_verify_matches_loop_oracle_on_generated_instances(mode):
 
 def test_disjoint_triples_hand_trace():
     hg = LinearHypergraph(3, [[0, 1, 2], [3, 4, 5], [6, 7, 8]])
-    col = two_phase_coloring(hg)
-    assert [d.phase1_blue for d in col.diagnostics] == [3, 0, 3]
-    assert col.targets == [3, 1, 2]
-    assert [d.recolored for d in col.diagnostics] == [0, 1, 1]
-    assert col.blue_counts == [3, 1, 2]
-    ok, cert = verify_legitimate(hg, col)
+    doc, color = two_phase_coloring(hg)
+    assert [d["phase1_blue"] for d in doc["diagnostics"]] == [3, 0, 3]
+    assert doc["targets"] == [3, 1, 2]
+    assert [d["recolored"] for d in doc["diagnostics"]] == [0, 1, 1]
+    assert doc["blue_counts"] == [3, 1, 2]
+    ok, cert = verify_legitimate(hg, color)
     assert ok and cert is None
 
 
 def test_two_edge_hand_trace():
     hg = LinearHypergraph(2, [[0, 1], [1, 2]])
-    col = two_phase_coloring(hg)
-    assert col.blue_counts == [2, 1]
-    assert [d.recolored for d in col.diagnostics] == [0, 0]
-    assert col.color[1] == BLUE and col.color[2] == RED
+    doc, color = two_phase_coloring(hg)
+    assert doc["blue_counts"] == [2, 1]
+    assert [d["recolored"] for d in doc["diagnostics"]] == [0, 0]
+    assert color[1] == BLUE and color[2] == RED
 
 
 def test_single_edge():
-    col = two_phase_coloring(LinearHypergraph(1, [[0]]))
-    assert col.blue_counts == [1] and col.targets == [1]
+    doc, _ = two_phase_coloring(LinearHypergraph(1, [[0]]))
+    assert doc["blue_counts"] == [1] and doc["targets"] == [1]
+    assert doc["n"] == 1 and doc["colors"] == ["blue"]
+
+
+def test_feasible_is_strict():
+    # an index overwritten so that R = C + D (1 = 1 + 0): a linear
+    # hypergraph always has R > C + D, so only a hand-set index shows the
+    # boundary; phase 2 has nothing to recolor and still runs
+    hg = LinearHypergraph(1, [[0]])
+    hg.rank = np.array([[2]])
+    doc, _ = two_phase_coloring(hg)
+    d, = doc["diagnostics"]
+    assert (d["private"], d["captured"], d["disjoint"]) == (1, 1, 0)
+    assert d["feasible"] is False
+
+
+def test_phase2_shortfall_names_its_edge():
+    # an index overwritten so that no vertex is private (and every slot
+    # has two edges before it): edge 2 must shed one red vertex and has none
+    hg = LinearHypergraph(3, [[0, 1, 2], [3, 4, 5], [6, 7, 8]])
+    hg.degree = np.full(hg.num_vertices, 2)
+    hg.rank = np.full((3, 3), 3)
+    with pytest.raises(LegitError) as exc:
+        two_phase_coloring(hg)
+    assert str(exc.value) == ("edge 2 needs 1 recolorings but has only 0 private red "
+                              "vertices (R=0, C=6, D=-1)")
 
 
 def test_verify_rejects_identical_lists():
@@ -309,13 +340,13 @@ def test_coloring_invariants_across_instances(mode):
     for n in (1, 2, 3, 5, 9, 16, 30):
         for seed in range(8):
             hg = generate_linear_hypergraph(n, seed, mode)
-            col = two_phase_coloring(hg)
-            assert col.blue_counts == col.targets
-            assert len(set(col.blue_counts)) == n
-            for d in col.diagnostics:
-                assert d.feasible
-                assert d.recolored <= d.captured + d.disjoint
-            ok, cert = verify_legitimate(hg, col)
+            doc, color = two_phase_coloring(hg)
+            assert doc["blue_counts"] == doc["targets"]
+            assert len(set(doc["blue_counts"])) == n
+            for d in doc["diagnostics"]:
+                assert d["feasible"] is True
+                assert d["recolored"] <= d["captured"] + d["disjoint"]
+            ok, cert = verify_legitimate(hg, color)
             assert ok, cert
 
 
@@ -325,18 +356,18 @@ def test_diagnostics_match_set_oracle(mode):
         for seed in range(3):
             hg = generate_linear_hypergraph(n, seed, mode)
             for g in (hg, hg.permuted(seed)):
-                got = [(d.private, d.captured, d.disjoint)
-                       for d in two_phase_coloring(g).diagnostics]
+                got = [(d["private"], d["captured"], d["disjoint"])
+                       for d in two_phase_coloring(g)[0]["diagnostics"]]
                 assert got == naive_diagnostics(g), (n, seed)
 
 
 def test_vertices_on_no_edge_are_red():
     hg = LinearHypergraph(2, [[0, 1], [1, 3]])
-    col = two_phase_coloring(hg)
-    assert hg.num_vertices == 4 and col.color.tolist() == [BLUE, BLUE, RED, RED]
-    assert verify_legitimate(hg, col)[0]
-    col = two_phase_coloring(LinearHypergraph(2, [[0, 1], [0, 2]], num_vertices=4))
-    assert col.color.tolist() == [BLUE, BLUE, RED, RED]
+    _, color = two_phase_coloring(hg)
+    assert hg.num_vertices == 4 and color.tolist() == [BLUE, BLUE, RED, RED]
+    assert verify_legitimate(hg, color)[0]
+    _, color = two_phase_coloring(LinearHypergraph(2, [[0, 1], [0, 2]], num_vertices=4))
+    assert color.tolist() == [BLUE, BLUE, RED, RED]
 
 
 def test_phase2_touches_only_private_vertices():
@@ -349,25 +380,25 @@ def test_phase2_touches_only_private_vertices():
             for v in e:
                 if color1[v] is None:
                     color1[v] = paint
-        col = two_phase_coloring(hg)
+        doc, color = two_phase_coloring(hg)
         degree = {}
         for e in hg.edges:
             for v in e:
                 degree[v] = degree.get(v, 0) + 1
-        changed = [v for v in range(hg.num_vertices) if col.color[v] != color1[v]]
+        changed = [v for v in range(hg.num_vertices) if color[v] != color1[v]]
         assert all(degree[v] == 1 for v in changed)
-        assert len(changed) == sum(d.recolored for d in col.diagnostics)
+        assert len(changed) == sum(d["recolored"] for d in doc["diagnostics"])
 
 
 def test_coloring_determinism_and_permutation():
     hg = generate_linear_hypergraph(15, 4, "mixed")
-    c1 = two_phase_coloring(hg)
-    c2 = two_phase_coloring(hg)
-    assert c1.color.tolist() == c2.color.tolist()
+    d1, c1 = two_phase_coloring(hg)
+    d2, c2 = two_phase_coloring(hg)
+    assert c1.tolist() == c2.tolist() and d1 == d2
     shuffled = hg.permuted(9)
     assert shuffled.edges.tolist() != hg.edges.tolist()
     assert sorted(map(sorted, shuffled.edges.tolist())) == sorted(map(sorted, hg.edges.tolist()))
-    c3 = two_phase_coloring(shuffled)
+    _, c3 = two_phase_coloring(shuffled)
     assert verify_legitimate(shuffled, c3)[0]
 
 
