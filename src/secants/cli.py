@@ -68,16 +68,17 @@ def _common_flags(parser, seed: bool = False):
     parser.add_argument("--out", metavar="PATH", default=None)
 
 
-def _emit(args, text: str):
+def _emit(args, chunks) -> None:
+    """Write the text chunks, one after another, to --out or to stdout."""
     if args.out:
         with open(args.out, "w") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
 
 
 def _emit_json(args, obj) -> None:
-    _emit(args, _json_text(obj) + "\n")
+    _emit(args, (_json_text(obj), "\n"))
 
 
 def _json_text(obj, pad: str = "\n") -> str:
@@ -117,18 +118,17 @@ def _json_key(key) -> str:
                     f"not {type(key).__name__}")
 
 
-def _csv_text(header, table) -> str:
+def _csv_blocks(header, table):
     """CSV of an int array (1-D, or 2-D with a row per line) under header,
-    each line led by its row index.  Lines are formatted in blocks of about
-    1 << 16 entries, which bounds the Python ints alive at once."""
+    each line led by its row index, as a stream of text blocks of about
+    1 << 16 entries each: the writer holds one block, never the file."""
     line = ",".join(["%d"] * len(header)) + "\n"
     step = (1 << 16) // len(header)
-    parts = [",".join(header) + "\n"]
+    yield ",".join(header) + "\n"
     for lo in range(0, len(table), step):
         block = table[lo:lo + step]
         block = np.column_stack([np.arange(lo, lo + len(block)), block])
-        parts.append((line * len(block)) % tuple(block.ravel().tolist()))
-    return "".join(parts)
+        yield (line * len(block)) % tuple(block.ravel().tolist())
 
 
 def _load_json(path, flag: str):
@@ -177,7 +177,7 @@ def _orders(text: str) -> list:
 
 def cmd_plane(args) -> int:
     plane = _plane(args)     # points and lines share one indexing
-    _emit(args, _csv_text(("idx", "x", "y", "z"), plane.triples()))
+    _emit(args, _csv_blocks(("idx", "x", "y", "z"), plane.triples()))
     return OK
 
 
@@ -197,7 +197,7 @@ def cmd_spectrum(args) -> int:
     spec = compute_spectrum(plane, pset)
     ident = verify_counting_identities(spec)
     if args.format == "csv":
-        _emit(args, _csv_text(("k", "count"), spec.histogram))
+        _emit(args, _csv_blocks(("k", "count"), spec.histogram))
     else:
         _emit_json(args, {
             "q": plane.q, "N": plane.N, "set_size": pset.size,
@@ -216,7 +216,7 @@ def cmd_sweep(args) -> int:
     primes = _orders(args.primes)
     parse_construction(args.construction)
     rows = run_sweep(primes, args.construction, args.seeds, threads=args.threads)
-    _emit(args, sweep_to_csv(rows))
+    _emit(args, (sweep_to_csv(rows),))
     ok = all(row["eq1"] and row["eq2"] and row["var_ok"] and row["cor_ok"] for row in rows)
     return OK if ok else CHECK_FAILED
 
@@ -240,7 +240,7 @@ def cmd_charwalk(args) -> int:
     if args.levels:
         _emit_json(args, level_stats(walk, args.a))
     else:
-        _emit(args, _csv_text(("t", "psi"), walk))
+        _emit(args, _csv_blocks(("t", "psi"), walk))
     return OK
 
 
@@ -253,7 +253,7 @@ def cmd_projection(args) -> int:
         rational_to_element(args.p, args.gamma))
     if args.d is not None:
         pr = projection_profile(plane, params, args.d)
-        _emit(args, _csv_text(("b", "pr"), pr))
+        _emit(args, _csv_blocks(("b", "pr"), pr))
         return OK
     doc = verify_projection_laws(plane, params)
     _emit_json(args, doc)

@@ -15,7 +15,10 @@ The affine chart identifies F_q^2 with the points off the line z = 0:
 (x, y) corresponds to (x : y : 1), the line y = dx + b to [d : -1 : b],
 and the vertical x = c to [1 : 0 : -c].  The first two have closed-form
 tables (`affine_points`, `affine_lines`); every other chart object is
-encoded with `index_of`.
+encoded with `index_of`.  The spectrum reads the chart through
+`affine_points` alone, since its classes come in line-index order;
+`affine_lines` serves the curve relations, which read secant sizes by
+slope and intercept.
 """
 
 from __future__ import annotations

@@ -3,12 +3,14 @@ their histogram, and the exact double-counting identities they satisfy.
 
 A point set is a read-only boolean mask over the point indices.  Every
 plane is counted the same way, through the affine chart with the finite
-Radon transform: the counts along the parallel class of slope d are the
-inverse DFT of one slice of the DFT of the q x q membership grid (the
-Fourier slice theorem over GF(q), whose additive characters are the
-characters of its base-p digit vectors), so all classes cost
-O(q^2 log q) and no incidence is stored.  The transform is rounded to
-integers under an explicit tolerance guard."""
+Radon transform: the counts along a parallel class are the inverse DFT
+of one slice of the DFT of the q x q membership grid (the Fourier slice
+theorem over GF(q), whose additive characters are the characters of its
+base-p digit vectors), so all classes cost O(q^2 log q) and no incidence
+is stored.  The classes come in the order of the line indices, so each
+fills one contiguous slab of the counts, and the real transforms run two
+to one complex FFT.  The transform is rounded to integers under an
+explicit tolerance guard."""
 
 from __future__ import annotations
 
@@ -119,26 +121,24 @@ def compute_spectrum(plane: ProjectivePlane, pset: PointSet) -> SecantSpectrum:
 
 def _spectrum_affine(plane, mask: np.ndarray) -> np.ndarray:
     F, q, N = plane.field, plane.q, plane.N
+    grid = mask.take(plane.affine_points().T)           # grid[y, x]: (x : y : 1)
+    at_inf = mask[q + 1::q]                             # (1 : y : 0) by y
+    n_ell = np.empty(N, dtype=np.int64)
+    n_ell[0] = mask[1] + at_inf.sum()                   # z = 0
     c = np.arange(q, dtype=np.int64)
-    one, zero = np.ones_like(c), np.zeros_like(c)
-    directions = plane.index_of(np.column_stack([one, c, zero]))        # (1 : d : 0)
-    verticals = plane.index_of(np.column_stack([one, zero, F.neg(c)]))  # x = c
-    grid = mask[plane.affine_points()]                          # grid[x, y]
-    dir_in = mask[directions]
-    vert_in = int(mask[plane.index_of([0, 1, 0])])
-
-    n_ell = np.zeros(N, dtype=np.int64)
-    n_ell[plane.index_of([0, 0, 1])] = int(dir_in.sum()) + vert_in     # z = 0
-    n_ell[verticals] = grid.sum(1) + vert_in
+    n_ell[1:q + 1] = grid.sum(1)[F.neg(c)] + at_inf[0]  # [0 : 1 : c]: y = -c
+    # class t meets z = 0 at (-t : 1 : 0): (0 : 1 : 0), then (1 : -1/t : 0)
+    ends = np.concatenate([mask[1:2], at_inf[F.neg(F.inv(c[1:]))]])
+    slabs = n_ell[q + 1:].reshape(q, q)                 # [1 : t : c] at row t
     for lo, counts in affine_class_blocks(grid, F):
-        d = np.arange(lo, lo + len(counts))
-        n_ell[plane.affine_lines(d)] = counts + dir_in[d, None]
+        hi = lo + len(counts)
+        np.add(counts, ends[lo:hi, None], out=slabs[lo:hi])
     return n_ell
 
 
-# The finite Radon transform transforms this many grid entries (rows of x
-# times y) and inverts this many counts (slopes times intercepts) at a
-# time, which bounds its temporaries at large q.
+# The finite Radon transform transforms this many grid entries (rows times
+# columns) and inverts this many counts (classes times intercepts) at a
+# time, in pairs of rows or classes, which bounds its temporaries at large q.
 _RADON_BLOCK_ENTRIES = 1 << 16
 
 # Largest distance from an integer that a transformed count may have.
@@ -148,52 +148,102 @@ _RADON_TOLERANCE = 1e-3
 
 
 def affine_class_blocks(grid: np.ndarray, field):
-    """Counts of a q x q membership grid along every non-vertical parallel
-    class of AG(2,q), by the finite Radon transform over GF(q) = GF(p^k).
+    """Counts of a q x q membership grid along every parallel class of
+    AG(2,q) but the rows, by the finite Radon transform over
+    GF(q) = GF(p^k).
 
-    Yields (lo, C) for consecutive blocks of slopes, where C[i, b] counts
-    the x with grid[x, d*x + b] set (field arithmetic), for the slope
-    d = lo + i.  Reshaped to (p,)*2k, the grid has the digits of x, then
-    of y, as axes, highest digit first.  With F its DFT over those axes,
-    the DFT of the slope-d counts at the dual digit vector v is
-    F[-M_d^T v, v], where M_d is multiplication by d on digit vectors
-    (column j holds the digits of d*p^j), so each class is one inverse FFT
-    of a slice over the k intercept axes.  The real FFT halves the last
-    axis, the lowest digit of y, and the slice reads that axis directly.
-    At k = 1 this is F[-d*v mod p, v] of the 2-D DFT.
-    F is filled in place in the order rfftn takes: the real FFT over the
-    y axes one block of rows of x at a time, then one FFT over the x axes
-    with F as its output, so no temporary is as large as F.  The forward
-    and the inverse passes both work in blocks of about
-    _RADON_BLOCK_ENTRIES entries.
+    Yields (lo, C) for consecutive blocks of classes, where C[i, c] counts
+    the (r, s) with grid[r, s] set and s + t*r + c = 0 (field arithmetic),
+    for t = lo + i.  Given grid[y, x], the transposed affine chart, C[i, c]
+    is the count on the line [1 : t : c] of PG(2,q), so the rows of C come
+    in the order of the line indices.  Reshaped to (p,)*k, each index has
+    its base-p digits as axes, highest first.  With F the DFT of the grid
+    over those 2k axes, the DFT of the class-t counts at the dual digit
+    vector v is conj F[M_t^T v, v], where M_t is multiplication by t on
+    digit vectors (column j holds the digits of t*p^j), so each class is
+    one inverse FFT of a slice over the k intercept axes.  F is kept as
+    the half-spectrum of the real rows: the lowest digit of v runs to
+    p // 2 only, and the slice reads that axis directly.
+
+    Real data goes through the transforms two at a time.  The forward pass
+    packs the rows r and r+1 as z = grid[r] + i*grid[r+1]; with Z the FFT
+    of z, their spectra are (Z(v) + conj Z(-v))/2 and (Z(v) - conj Z(-v))/2i,
+    where -v is the digit-wise negation.  F is filled in place one block of
+    rows at a time, then one FFT over the r axes writes back into F, so no
+    temporary is as large as F.  The inverse pass packs the classes t and
+    t+1 as the real and the imaginary part of one spectrum: on the half it
+    takes the conjugated slices, and on the mirrored half, at -v, the
+    slices themselves, read reversed (a reversed view at k = 1).  Both
+    passes work in blocks of about _RADON_BLOCK_ENTRIES entries, in pairs;
+    the last row or class of an odd block is packed with zeros.
     Raises ArithmeticError when a transformed count is more than
     _RADON_TOLERANCE from an integer."""
     p, k, q = field.p, field.k, field.q
     half = p // 2 + 1
-    F = np.empty((q, q // p * half), dtype=complex)   # rows: encoded u; columns: v
-    step = max(1, _RADON_BLOCK_ENTRIES // q)
+    cols = q // p * half
+    digits = (p,) * k
+    neg = -np.arange(p) % p
+    # the flat index of -v for each column v of the half-spectrum
+    negcol = np.ravel_multi_index(np.ix_(*(neg,) * (k - 1), neg[:half]), digits).ravel()
+    # rows or classes per block, in pairs, and never more than q needs
+    step = min(2 * max(1, _RADON_BLOCK_ENTRIES // (2 * q)), q + q % 2)
+    packed = np.empty((step // 2, q), dtype=complex)   # z, then the class pair spectra
+    halves = np.empty((step, cols), dtype=complex)     # Z(-v), then the class slices
+    F = np.empty((q, cols), dtype=complex)             # rows: encoded u; columns: v
+    Fv = F.reshape(q, -1, half)
     for lo in range(0, q, step):
-        rows = grid[lo:lo + step].reshape(-1, *(p,) * k)
-        np.fft.rfftn(rows, axes=range(1, k + 1),
-                     out=F[lo:lo + step].reshape(len(rows), *(p,) * (k - 1), half))
-    Fx = F.reshape(*(p,) * k, -1)
+        rows = grid[lo:lo + step]
+        n = len(rows) // 2
+        z = packed[:len(rows) - n]
+        # z = (grid[r] + i*grid[r+1]) / 2, so the split below needs no halving
+        np.multiply(rows[0::2], 0.5, out=z.real)
+        np.multiply(rows[1::2], 0.5, out=z.imag[:n])
+        z.imag[n:] = 0
+        Z = z.reshape(-1, *digits)
+        Z = np.fft.fftn(Z, axes=range(1, k + 1), out=Z).reshape(len(z), q)
+        P = Z.reshape(len(z), -1, p)[..., :half]                            # Z(v)
+        M = np.take(Z, negcol, axis=1, out=halves[:len(z)]).reshape(P.shape)  # Z(-v)
+        Fe, Fo = Fv[lo:lo + step:2], Fv[lo + 1:lo + step:2]
+        np.add(P.real, M.real, out=Fe.real)
+        np.subtract(P.imag, M.imag, out=Fe.imag)
+        np.add(P.imag[:n], M.imag[:n], out=Fo.real)
+        np.subtract(M.real[:n], P.real[:n], out=Fo.imag)
+    Fx = F.reshape(*digits, -1)
     np.fft.fftn(Fx, axes=range(k), out=Fx)
-    col = np.arange(F.shape[1])
+    col = np.arange(cols)
     # digits of each column's v, lowest (the halved axis) first
     v = np.column_stack([col % half, _decode_digits(col // half, p, k - 1)])
     powers = p ** np.arange(k)
+    flat = F.reshape(-1)
     for lo in range(0, q, step):
-        d = np.arange(lo, min(lo + step, q), dtype=np.int64)
-        MT = _decode_digits(field.mul(d[:, None], powers), p, k)    # MT[i] = M_d^T
-        u = ((-(MT @ v.T) % p) * powers[:, None]).sum(axis=1)
-        x = np.fft.irfftn(F[u, col].reshape(d.size, *(p,) * (k - 1), half),
-                          s=(p,) * k, axes=range(1, k + 1)).reshape(d.size, q)
+        t = np.arange(lo, min(lo + step, q), dtype=np.int64)
+        MT = _decode_digits(field.mul(t[:, None], powers), p, k)    # MT[i] = M_t^T
+        u = ((MT @ v.T % p) * powers[:, None]).sum(axis=1)
+        n = -(-t.size // 2)
+        S = halves[:2 * n]
+        np.take(flat, u * cols + col, out=S[:t.size])
+        S[t.size:] = 0
+        S = S.reshape(n, 2, *digits[:-1], half)
+        a, b = S[:, 0], S[:, 1]               # the slices of t and t+1, on the half
+        W = packed[:n].reshape(n, *digits)
+        # conj a + i conj b on the half ...
+        np.add(a.real, b.imag, out=W.real[..., :half])
+        np.subtract(b.real, a.imag, out=W.imag[..., :half])
+        # ... and a + i b, read at -v, on the mirrored half
+        a, b = a[..., p - half:0:-1], b[..., p - half:0:-1]
+        for axis in range(1, k):
+            a, b = a.take(neg, axis=axis), b.take(neg, axis=axis)
+        np.subtract(a.real, b.imag, out=W.real[..., half:])
+        np.add(a.imag, b.real, out=W.imag[..., half:])
+        x = np.fft.ifftn(W, axes=range(1, k + 1), out=W).reshape(n, q)
+        x = x.view(float).reshape(n, q, 2)    # [..., 0]: class t, [..., 1]: t+1
         counts = np.rint(x)
-        err = float(np.abs(x - counts).max())
+        err = float(np.abs(np.subtract(x, counts, out=x), out=x).max())
         if err > _RADON_TOLERANCE:
             raise ArithmeticError(
                 f"finite Radon transform at q={q} is {err:.3g} off an integer count")
-        yield lo, counts.astype(np.int64)
+        counts = counts.transpose(0, 2, 1).astype(np.int64, order="C")
+        yield lo, counts.reshape(2 * n, q)[:t.size]
 
 
 def verify_counting_identities(spec: SecantSpectrum) -> IdentityReport:

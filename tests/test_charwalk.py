@@ -208,8 +208,8 @@ def test_law_check_runs_no_transform(monkeypatch):
     def no_transform(*args, **kwargs):
         raise AssertionError("the law check ran an FFT")
 
-    monkeypatch.setattr(np.fft, "rfftn", no_transform)
-    monkeypatch.setattr(np.fft, "irfftn", no_transform)
+    for name in np.fft.__all__:       # every transform, whichever the kernel calls
+        monkeypatch.setattr(np.fft, name, no_transform)
     p = 29
     pl = build_plane(p)
     for params in (ParabolaParams(1, 0, 0), ParabolaParams(pow(4, p - 2, p), 1, 1),

