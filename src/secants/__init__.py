@@ -4,8 +4,8 @@ __version__ = "0.1.0"
 
 from .field import Field, FieldError, make_field
 from .plane import PlaneError, ProjectivePlane, build_plane
-from .spectrum import (PointSet, SecantSpectrum, bounds_report, compute_spectrum,
-                       cor_bound_ceiling, verify_counting_identities)
+from .spectrum import (PointSet, bounds_report, compute_spectrum, cor_bound_ceiling,
+                       verify_counting_identities)
 from .construct import (ConstructionError, FamilyParams, ParabolaParams, ec_region,
                         parabola_family, parabola_region, pointset_from_json,
                         pointset_to_json, random_set)

@@ -189,11 +189,15 @@ def _point_block(listed, length: int, q: int):
 
 
 def pointset_from_json(plane: ProjectivePlane, doc) -> PointSet:
-    """Parse a set file, rejecting anything but distinct points of this
-    plane.  An error names the first bad or repeated entry in document
-    order: the affine entries, then the projective ones."""
+    """Parse a set file, rejecting any key but q, affine and projective
+    and anything but distinct points of this plane.  An error names the
+    first bad key, or the first bad or repeated entry in document order:
+    the affine entries, then the projective ones."""
     if not isinstance(doc, dict):
         raise ConstructionError("set file must be a JSON object")
+    extra = next((key for key in doc if key not in ("q", "affine", "projective")), None)
+    if extra is not None:
+        raise ConstructionError(f"set file key {extra!r} is not q, affine or projective")
     q = plane.q
     if doc.get("q") != q:
         raise ConstructionError(f"set file is for q={doc.get('q')}, plane has q={q}")

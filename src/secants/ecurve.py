@@ -81,37 +81,38 @@ def _curve_counts(p: int):
 
 
 def ec_spectrum_scan(plane: ProjectivePlane):
-    """(document, spectrum): the `ec scan` document of the cubic-square
-    region's full secant spectrum, with the line-curve relation verified on
-    every non-vertical nonsingular line, and that spectrum."""
+    """(document, ok): the `ec scan` document of the cubic-square region's
+    full secant spectrum, with the line-curve relation verified on every
+    non-vertical nonsingular line, and whether the relation, the counting
+    identities and the cor ceiling all hold."""
     p = require_prime_plane(plane, 3)
-    region = ec_region(plane)
-    spec = compute_spectrum(plane, region)
+    spec, n_ell = compute_spectrum(plane, ec_region(plane))
 
     counts, roots = _curve_counts(p)
 
     # secant sizes of the lines v = m*x + b, read off the spectrum
-    n_mat = spec.n_ell[plane.affine_lines()]
+    n_mat = n_ell[plane.affine_lines()]
 
     m = b = np.arange(p, dtype=np.int64)
     singular = (27 * b[None, :] ** 2 - 4 * m[:, None] ** 3) % p == 0
     holds = counts == 2 * n_mat + 1 - roots
     skipped_singular = int(singular.sum())
+    violations = int((~holds & ~singular).sum())
+    mode_count, ceiling = spec["mode_count"], cor_bound_ceiling(p)
 
     ratio_scale = p ** 1.5 * math.log(p) * math.log(math.log(p)) ** 2
     return {
         "p": p,
-        "set_size": region.size,
-        "histogram": [{"k": k, "count": int(c)}
-                      for k, c in enumerate(spec.histogram) if c],
-        "mode_k": spec.mode_k,
-        "mode_count": spec.mode_count,
-        "relation_violations": int((~holds & ~singular).sum()),
+        "set_size": spec["set_size"],
+        "histogram": [e for e in spec["histogram"] if e["count"]],
+        "mode_k": spec["mode_k"],
+        "mode_count": mode_count,
+        "relation_violations": violations,
         "checked_lines": int((~singular).sum()),
         "skipped_lines": p + skipped_singular,
         "skipped_vertical": p,
         "skipped_singular": skipped_singular,
         # mode_count / (p^1.5 * ln p * (ln ln p)^2)
-        "mode_ratio": spec.mode_count / ratio_scale,
-        "cor_ceiling": cor_bound_ceiling(p),
-    }, spec
+        "mode_ratio": mode_count / ratio_scale,
+        "cor_ceiling": ceiling,
+    }, violations == 0 and all(spec["checks"].values()) and mode_count >= ceiling

@@ -20,8 +20,7 @@ import numpy as np
 
 from .construct import build_construction
 from .plane import ProjectivePlane, build_plane
-from .spectrum import (bounds_report, compute_spectrum, cor_bound_ceiling,
-                       verify_counting_identities)
+from .spectrum import _spectrum_affine, compute_spectrum, cor_bound_ceiling
 
 EXHAUSTIVE_MAX_Q = 4
 # The local search holds the plane's (N, q+1) int32 incidence; 251 is the
@@ -105,8 +104,10 @@ def local_search(plane: ProjectivePlane, iters: int = 200, seed: int = 0,
     A step scores all N flips at once.  With C[pt, k] the number of lines
     through pt that meet the set in k points, flipping pt gives the
     histogram hist - C[pt] + C[pt] shifted by the flip's sign.  C is built
-    in blocks of points of about _FLIP_BLOCK_ENTRIES entries.  The search
-    solves the plane's incidence once, so it runs up to LOCAL_SEARCH_MAX_Q."""
+    in blocks of points of about _FLIP_BLOCK_ENTRIES entries.  Each restart
+    takes its starting secant sizes from the spectrum kernel; the flips
+    read the plane's incidence, solved once, so the search runs up to
+    LOCAL_SEARCH_MAX_Q."""
     q, N, W = plane.q, plane.N, plane.q + 2
     if q > LOCAL_SEARCH_MAX_Q:
         raise ValueError(f"search limit: q={q} is above the largest locally "
@@ -123,7 +124,7 @@ def local_search(plane: ProjectivePlane, iters: int = 200, seed: int = 0,
         # the seed's random bitmap, bit i = point i
         raw = np.frombuffer(rng.getrandbits(N).to_bytes((N + 7) // 8, "little"), np.uint8)
         mask = np.unpackbits(raw, count=N, bitorder="little").astype(bool)
-        n_ell = mask[incidence].sum(axis=1)
+        n_ell = _spectrum_affine(plane, mask)
         hist = np.bincount(n_ell, minlength=W)
         # exact integer score: mode, then cleared-denominator variance
         cur = (int(hist.max()), W * int(hist @ hist) - N * N)
@@ -164,21 +165,19 @@ def local_search(plane: ProjectivePlane, iters: int = 200, seed: int = 0,
 def _sweep_cell(plane: ProjectivePlane, construction: str, seed: int) -> dict:
     q = plane.q
     try:
-        pset = build_construction(plane, construction, seed=seed)
-        spec = compute_spectrum(plane, pset)
-        ident = verify_counting_identities(spec)
-        bounds = bounds_report(q, pset.size)
+        doc, _ = compute_spectrum(plane, build_construction(plane, construction, seed=seed))
     except ValueError as exc:           # an input error: recorded per row, sweep continues
         return dict(zip(SWEEP_COLUMNS, (q, construction, seed, 0, 0, 0, *(0.0,) * 5,
                                         *(False,) * 4, str(exc))))
-    return {"q": q, "construction": construction, "seed": seed, "set_size": pset.size,
-            "mode_k": spec.mode_k, "mode_count": spec.mode_count,
+    bounds, checks, mode_count = doc["bounds"], doc["checks"], doc["mode_count"]
+    return {"q": q, "construction": construction, "seed": seed, "set_size": doc["set_size"],
+            "mode_k": doc["mode_k"], "mode_count": mode_count,
             "cor_bound": bounds["cor"], "prop_bound": bounds["prop"],
             "thm_lower": bounds["thm_lower"],
             "thm_lower_clamped": max(bounds["thm_lower"], 0.0),
-            "ratio": spec.mode_count / q ** 1.5,
-            "eq1": ident.eq1, "eq2": ident.eq2, "var_ok": ident.var_ok,
-            "cor_ok": spec.mode_count >= cor_bound_ceiling(q), "error": ""}
+            "ratio": mode_count / q ** 1.5,
+            "eq1": checks["eq1"], "eq2": checks["eq2"], "var_ok": checks["var"],
+            "cor_ok": mode_count >= cor_bound_ceiling(q), "error": ""}
 
 
 def run_sweep(primes, construction: str, seeds, threads: int = 1):

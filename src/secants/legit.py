@@ -101,6 +101,9 @@ class LinearHypergraph:
     def from_json(cls, doc) -> "LinearHypergraph":
         if not isinstance(doc, dict) or "n" not in doc or "edges" not in doc:
             raise LegitError("hypergraph file must be a JSON object with n and edges")
+        extra = next((key for key in doc if key not in ("n", "edges", "num_vertices")), None)
+        if extra is not None:
+            raise LegitError(f"hypergraph file key {extra!r} is not n, edges or num_vertices")
         n, edges, num_vertices = doc["n"], doc["edges"], doc.get("num_vertices")
         if type(n) is not int or n < 1:
             raise LegitError(f"n must be an integer >= 1, got {n!r}")

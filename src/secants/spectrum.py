@@ -15,8 +15,6 @@ explicit tolerance guard."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -75,48 +73,23 @@ class PointSet:
         return f"PointSet(|S|={self.size} of N={self.plane.N})"
 
 
-@dataclass
-class SecantSpectrum:
-    """Per-line secant sizes of a set, with histogram and mode statistics."""
-
-    q: int
-    N: int
-    s: int
-    n_ell: np.ndarray          # length N, n_ell[i] = |S ∩ line i|
-    histogram: np.ndarray      # length q+2, histogram[k] = #k-secants
-    mu: Fraction               # exact average secant size s(q+1)/N
-    mode_k: int                # smallest k maximizing histogram[k]
-    mode_count: int
-
-
-@dataclass
-class IdentityReport:
-    """Exact-integer residuals of the two standard equations and the
-    cleared-denominator variance identity (all must be zero)."""
-
-    eq1: bool
-    eq2: bool
-    var_ok: bool
-    eq1_residual: int
-    eq2_residual: int
-    var_residual: int
-
-    @property
-    def ok(self) -> bool:
-        return self.eq1 and self.eq2 and self.var_ok
-
-
-def compute_spectrum(plane: ProjectivePlane, pset: PointSet) -> SecantSpectrum:
+def compute_spectrum(plane: ProjectivePlane, pset: PointSet):
+    """(document, n_ell): the `spectrum` document of pset, with its
+    histogram over every k in 0..q+1, the smallest k of largest count, the
+    counting checks, the bounds and the set's meta, and the int64 array of
+    the per-line counts n_ell[i] = |S ∩ line i|."""
     if pset.plane is not plane:
         raise ValueError("point set belongs to a different plane")
-    q, N, size = plane.q, plane.N, pset.size
+    q, size = plane.q, pset.size
     n_ell = _spectrum_affine(plane, pset.mask)
     hist = np.bincount(n_ell, minlength=q + 2)
     mode_k = int(hist.argmax())          # argmax returns the smallest maximizer
-    return SecantSpectrum(
-        q=q, N=N, s=size, n_ell=n_ell, histogram=hist,
-        mu=Fraction(size * (q + 1), N),
-        mode_k=mode_k, mode_count=int(hist[mode_k]))
+    return {"q": q, "N": plane.N, "set_size": size,
+            "histogram": [{"k": k, "count": c} for k, c in enumerate(hist.tolist())],
+            "mode_k": mode_k, "mode_count": int(hist[mode_k]),
+            "checks": verify_counting_identities(q, size, n_ell),
+            "bounds": bounds_report(q, size),
+            "meta": pset.meta}, n_ell
 
 
 def _spectrum_affine(plane, mask: np.ndarray) -> np.ndarray:
@@ -246,18 +219,17 @@ def affine_class_blocks(grid: np.ndarray, field):
         yield lo, counts.reshape(2 * n, q)[:t.size]
 
 
-def verify_counting_identities(spec: SecantSpectrum) -> IdentityReport:
-    """Check, in exact integer arithmetic, the standard equations and the
-    cleared-denominator variance identity N*Σn² - (Σn)² = q*s*(N - s)."""
-    n = spec.n_ell
-    s, q, N = spec.s, spec.q, spec.N
-    sum_n = int(n.sum())
-    sum_n2 = int((n * n).sum())
-    r1 = sum_n - s * (q + 1)
-    r2 = (sum_n2 - sum_n) - s * (s - 1)
-    r3 = N * sum_n2 - sum_n * sum_n - q * s * (N - s)
-    return IdentityReport(eq1=r1 == 0, eq2=r2 == 0, var_ok=r3 == 0,
-                          eq1_residual=r1, eq2_residual=r2, var_residual=r3)
+def verify_counting_identities(q: int, s: int, n_ell: np.ndarray) -> dict:
+    """The `checks` object of the spectrum document: whether the per-line
+    counts of a set of size s satisfy, in exact integer arithmetic, the
+    standard equations (eq1, eq2) and the cleared-denominator variance
+    identity N*Σn² - (Σn)² = q*s*(N - s) (var)."""
+    N = q * q + q + 1
+    sum_n = int(n_ell.sum())
+    sum_n2 = int((n_ell * n_ell).sum())
+    return {"eq1": sum_n == s * (q + 1),
+            "eq2": sum_n2 - sum_n == s * (s - 1),
+            "var": N * sum_n2 - sum_n * sum_n == q * s * (N - s)}
 
 
 def bounds_report(q: int, s: int) -> dict:

@@ -99,9 +99,26 @@ def naive_histogram(plane, member_indices):
     return hist
 
 
-def assert_spectrum_matches_naive(plane, pset, spec):
+def assert_spectrum_matches_naive(plane, pset, n_ell):
     expect = naive_secant_counts(plane, pset.indices())
-    assert spec.n_ell.tolist() == expect
+    assert n_ell.tolist() == expect
+
+
+def histogram_counts(doc):
+    """The counts of a spectrum document's histogram, in order of k."""
+    return [entry["count"] for entry in doc["histogram"]]
+
+
+def identity_residuals(q, s, n_ell):
+    """The residuals of the two standard equations Σn = s(q+1) and
+    Σn(n-1) = s(s-1) and of the variance identity N*Σn² - (Σn)² = q*s*(N-s)
+    for per-line counts n of a set of size s, summed on Python ints: all
+    three are zero for every set in every plane of order q."""
+    n = [int(v) for v in n_ell]
+    N = q * q + q + 1
+    sum_n, sum_n2 = sum(n), sum(v * v for v in n)
+    return (sum_n - s * (q + 1), sum_n2 - sum_n - s * (s - 1),
+            N * sum_n2 - sum_n * sum_n - q * s * (N - s))
 
 
 def naive_local_search(plane, iters, seed, restarts):

@@ -19,10 +19,9 @@ from secants.harness import exhaustive_minmax, local_search, run_sweep
 from secants.legit import (generate_linear_hypergraph, two_phase_coloring,
                            verify_legitimate)
 from secants.plane import build_plane
-from secants.spectrum import (PointSet, compute_spectrum, cor_bound_ceiling,
-                              verify_counting_identities)
+from secants.spectrum import PointSet, compute_spectrum, cor_bound_ceiling
 
-from conftest import curve_count_bruteforce
+from conftest import curve_count_bruteforce, histogram_counts, identity_residuals
 
 IDENTITY_ORDERS = (2, 3, 4, 5, 7, 8, 9, 11, 13)
 SETS_PER_ORDER = 200
@@ -65,8 +64,9 @@ def parabola_params(plane, triple):
 @pytest.fixture(scope="module")
 def identity_corpus():
     """Criterion-1 corpus: 200 seeded random sets per order, densities
-    cycling through 1/4, 1/2, 3/4; spectra computed once, reused by the
-    complement-duality and universal-bound criteria."""
+    cycling through 1/4, 1/2, 3/4; spectra computed once as (plane, set,
+    document, n_ell), reused by the complement-duality and universal-bound
+    criteria."""
     corpus = []
     start = time.monotonic()
     for q in IDENTITY_ORDERS:
@@ -74,16 +74,16 @@ def identity_corpus():
         for seed in range(SETS_PER_ORDER):
             density = DENSITIES[seed % len(DENSITIES)]
             pset = random_set(plane, density, seed)
-            corpus.append((plane, pset, compute_spectrum(plane, pset)))
+            corpus.append((plane, pset, *compute_spectrum(plane, pset)))
     return corpus, time.monotonic() - start
 
 
 def test_criterion_01_exact_identities(identity_corpus):
     corpus, elapsed = identity_corpus
     bad = 0
-    for _, pset, spec in corpus:
-        rep = verify_counting_identities(spec)
-        if (rep.eq1_residual, rep.eq2_residual, rep.var_residual) != (0, 0, 0):
+    for plane, pset, doc, n_ell in corpus:
+        if (identity_residuals(plane.q, pset.size, n_ell) != (0, 0, 0)
+                or not all(doc["checks"].values())):
             bad += 1
     ok = bad == 0 and len(corpus) == len(IDENTITY_ORDERS) * SETS_PER_ORDER \
         and elapsed < 60.0
@@ -96,29 +96,32 @@ def test_criterion_02_universal_lower_bound(identity_corpus):
     violations = 0
     checked = 0
 
-    def check(q, spec):
+    def check(q, doc):
         nonlocal violations, checked
         checked += 1
-        if spec.mode_count < cor_bound_ceiling(q):
+        if doc["mode_count"] < cor_bound_ceiling(q):
             violations += 1
 
-    for plane, _, spec in corpus:
-        check(plane.q, spec)
+    def check_set(plane, pset):
+        check(plane.q, compute_spectrum(plane, pset)[0])
+
+    for plane, _, doc, _ in corpus:
+        check(plane.q, doc)
     # deterministic constructions across a prime span
     for p in primes_in(5, 31):
         plane = build_plane(p)
-        check(p, compute_spectrum(plane, ec_region(plane)))
-        check(p, compute_spectrum(plane, parabola_region(plane, ParabolaParams(1, 0, 0))))
+        check_set(plane, ec_region(plane))
+        check_set(plane, parabola_region(plane, ParabolaParams(1, 0, 0)))
         if p >= 7:
-            check(p, compute_spectrum(plane, parabola_family(plane, FamilyParams(Fraction(1, 2)))))
+            check_set(plane, parabola_family(plane, FamilyParams(Fraction(1, 2))))
     # search witnesses and degenerate sets
     for q in (2, 3, 4):
         plane = build_plane(q)
         res = exhaustive_minmax(plane)
-        check(q, compute_spectrum(plane, PointSet.from_indices(plane, res["witness_points"])))
-        check(q, compute_spectrum(plane, PointSet.empty(plane)))
-        check(q, compute_spectrum(plane, PointSet.full(plane)))
-        check(q, compute_spectrum(plane, PointSet.from_indices(plane, [0])))
+        check_set(plane, PointSet.from_indices(plane, res["witness_points"]))
+        check_set(plane, PointSet.empty(plane))
+        check_set(plane, PointSet.full(plane))
+        check_set(plane, PointSet.from_indices(plane, [0]))
     report(2, violations == 0,
            f"mode_count >= ceil(N/sqrt(3q+13)) on {checked} sets, "
            f"{violations} violations")
@@ -199,19 +202,19 @@ def test_criterion_06_family_counting():
         for c in (Fraction(1, 4), Fraction(1, 2)):
             params = FamilyParams(c)
             a = params.height(p)
-            spec = compute_spectrum(plane, parabola_family(plane, params))
+            _, n_ell = compute_spectrum(plane, parabola_family(plane, params))
             m = np.arange(p, dtype=np.int64)
             b = np.arange(p, dtype=np.int64)
             u = (m[:, None] ** 2 + 4 * b[None, :]) % p
             expect = np.full((p, p), a, dtype=np.int64)
             for t in range(a):
                 expect += chi[(u - 4 * t) % p]
-            got = spec.n_ell[plane.affine_lines()]
+            got = n_ell[plane.affine_lines()]
             failures += int((got != expect).sum())
             checked_lines += p * p
             for cc in range(p):
                 checked_lines += 1
-                if spec.n_ell[plane.index_of([1, 0, -cc % p])] != a:
+                if n_ell[plane.index_of([1, 0, -cc % p])] != a:
                     failures += 1
     report(6, failures == 0,
            f"family-of-parabolas counting exact on {checked_lines} lines "
@@ -279,9 +282,9 @@ def test_criterion_08_legitimate_coloring():
 def test_criterion_09_complement_duality(identity_corpus):
     corpus, _ = identity_corpus
     violations = 0
-    for plane, pset, spec in corpus:
-        spec_c = compute_spectrum(plane, pset.complement())
-        if spec_c.histogram.tolist() != spec.histogram.tolist()[::-1]:
+    for plane, pset, doc, _ in corpus:
+        doc_c, _ = compute_spectrum(plane, pset.complement())
+        if histogram_counts(doc_c) != histogram_counts(doc)[::-1]:
             violations += 1
     report(9, violations == 0,
            f"complement histogram reversal on {len(corpus)} sets, "

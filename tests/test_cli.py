@@ -1,7 +1,7 @@
 import csv
-import dataclasses
 import hashlib
 import json
+import os
 import subprocess
 import sys
 import tracemalloc
@@ -94,15 +94,29 @@ def test_sweep_exits_2_when_a_row_fails_one_check(tmp_path, monkeypatch, check):
     if check == "cor":
         monkeypatch.setattr(harness, "cor_bound_ceiling", lambda q: q * q * q)
     else:
-        real = harness.verify_counting_identities
-        monkeypatch.setattr(harness, "verify_counting_identities",
-                            lambda spec: dataclasses.replace(real(spec), var_ok=False))
+        real = spectrum.verify_counting_identities
+        monkeypatch.setattr(spectrum, "verify_counting_identities",
+                            lambda q, s, n_ell: {**real(q, s, n_ell), "var": False})
     code, data = run_cli(tmp_path, "sweep", "--primes", "7", "--construction",
                          "random:density=1/2", "--seeds", "1")
     assert code == CHECK_FAILED
     row = dict(zip(*csv.reader(data.decode().splitlines()[1:])))
     assert row["error"] == "" and (row["cor_ok"], row["var_ok"]) == \
         (("0", "1") if check == "cor" else ("1", "0"))
+
+
+def test_spectrum_sweep_and_ec_scan_exit_2_on_one_failed_identity(tmp_path, monkeypatch):
+    # all three commands read the checks of the one spectrum document
+    commands = [("spectrum", "--q", "7", "--construction", "ecregion"),
+                ("sweep", "--primes", "7", "--construction", "ecregion", "--seeds", "1"),
+                ("ec", "scan", "--p", "7")]
+    assert [run_cli(tmp_path, *argv)[0] for argv in commands] == [OK] * 3
+    real = spectrum.verify_counting_identities
+    monkeypatch.setattr(spectrum, "verify_counting_identities",
+                        lambda q, s, n_ell: {**real(q, s, n_ell), "var": False})
+    assert [run_cli(tmp_path, *argv)[0] for argv in commands] == [CHECK_FAILED] * 3
+    doc = json.loads(run_cli(tmp_path, *commands[0])[1])
+    assert doc["checks"] == {"eq1": True, "eq2": True, "var": False}
 
 
 def test_exhaustive_and_search_commands(tmp_path):
@@ -562,6 +576,8 @@ MALFORMED_INPUTS = {
     "set-boolean-coordinate": ("set-file", {"q": 7, "affine": [[1, 2], [1, True]]}),
     "set-boolean-triple": ("set-file", {"q": 7, "projective": [[1, 2, 1], [False, 0, 1]]}),
     "set-coordinate-past-int64": ("set-file", {"q": 7, "affine": [[2 ** 64, 1]]}),
+    "set-unknown-key": ("set-file", {"q": 7, "afine": [[1, 2]]}),
+    "set-and-construction": ("set-and-construction", {"q": 7, "affine": [[1, 2]]}),
     "density-1/0": ("construction", "random:density=1/0"),
     "density-past-int64": ("construction", "random:density=1/100000000000000000000"),
     "construction-seed-argument": ("construction", "random:density=1/2,seed=3"),
@@ -601,6 +617,8 @@ MALFORMED_INPUTS = {
     "coloring-name-among-codes": ("coloring", [0, "1", 1]),
     "hypergraph-float-vertex": ("hypergraph", {"n": 2, "edges": [[0, 1.0], [1, 2]]}),
     "hypergraph-boolean-edge": ("hypergraph", {"n": 2, "edges": [[0, 1], True]}),
+    "hypergraph-unknown-key": ("hypergraph", {"n": 2, "edges": [[0, 1], [1, 2]],
+                                              "num_vertice": 3}),
 }
 
 # each case's one error line, recorded before the set-file, hypergraph and
@@ -650,6 +668,9 @@ MALFORMED_MESSAGES = {
     'coloring-name-among-codes': "vertex 1 has color '1'; expected red, blue, 0 or 1",
     'hypergraph-float-vertex': 'edges must be a list of lists of integer vertices',
     'hypergraph-boolean-edge': 'edges must be a list of lists of integer vertices',
+    'set-unknown-key': "set file key 'afine' is not q, affine or projective",
+    'set-and-construction': 'spectrum takes --set-file or --construction, not both',
+    'hypergraph-unknown-key': "hypergraph file key 'num_vertice' is not n, edges or num_vertices",
 }
 
 # the hypergraph that the coloring cases are checked against: 3 vertices
@@ -665,6 +686,8 @@ def test_malformed_input_exits_1_with_one_line(tmp_path, capsys, name):
     hyper.write_text(json.dumps(VALID_HYPERGRAPH))
     argv = {"set-file": ["spectrum", "--q", "7", "--set-file", str(path)],
             "construction": ["spectrum", "--q", "7", "--construction", value],
+            "set-and-construction": ["spectrum", "--q", "7", "--set-file", str(path),
+                                     "--construction", "ecregion"],
             "hypergraph": ["legit", "color", "--in", str(path)],
             "coloring": ["legit", "verify", "--in", str(hyper), "--coloring", str(path)]}[kind]
     assert main([*argv, "--out", str(tmp_path / "out")]) == USAGE_ERROR
@@ -922,16 +945,24 @@ def test_repeat_invocations_byte_identical(tmp_path):
         assert first == second, args
 
 
+def run_python(*args):
+    """A fresh interpreter on args that imports the package under test: the
+    directory it was imported from leads PYTHONPATH, as pytest's own
+    pythonpath setting reaches this process only."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env)
+
+
 def test_cli_import_leaves_fft_unloaded():
     # numpy loads numpy.fft on first use; the CLI's start-up must not pay for it
-    code = "import sys, secants.cli; print('numpy.fft' in sys.modules)"
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    proc = run_python("-c", "import sys, secants.cli; print('numpy.fft' in sys.modules)")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
 
 
 def test_console_entry_point():
-    proc = subprocess.run([sys.executable, "-m", "secants.cli", "--version"],
-                          capture_output=True, text=True)
+    proc = run_python("-m", "secants.cli", "--version")
     assert proc.returncode == 0
     assert proc.stdout.strip() == "0.1.0"

@@ -4,13 +4,13 @@ import math
 import numpy as np
 import pytest
 
-from secants import ecurve
+from secants import ecurve, spectrum
 from secants.cli import CHECK_FAILED, main
 from secants.construct import ec_region
 from secants.ecurve import CurveError, _curve_counts, curve_count, ec_spectrum_scan
 from secants.field import legendre_table
 from secants.plane import build_plane
-from secants.spectrum import compute_spectrum, verify_counting_identities
+from secants.spectrum import compute_spectrum
 
 from conftest import (class_of, cubic_root_count, curve_count_bruteforce,
                       curve_counts_by_line, line_curve_check)
@@ -123,18 +123,20 @@ def test_scan_counts_every_curve_directly(p):
 @pytest.mark.parametrize("p", [13, 29])
 def test_scan_finds_one_secant_size_off(monkeypatch, p):
     # +1 on the secant size of the nonsingular line v = x + 1 breaks the
-    # relation on that line alone
+    # relation on that line alone, and the counting identities
     pl = build_plane(p)
     line = class_of(pl, 1, p - 1, 1)                 # [1 : -1 : 1]
 
-    def off_by_one(plane, pset):
-        spec = compute_spectrum(plane, pset)
-        spec.n_ell[line] += 1
-        return spec
+    def off_by_one(plane, mask, kernel=spectrum._spectrum_affine):
+        n_ell = kernel(plane, mask)
+        n_ell[line] += 1
+        return n_ell
 
-    monkeypatch.setattr(ecurve, "compute_spectrum", off_by_one)
-    rep, _ = ec_spectrum_scan(pl)
+    monkeypatch.setattr(spectrum, "_spectrum_affine", off_by_one)
+    rep, ok = ec_spectrum_scan(pl)
     assert rep["relation_violations"] == 1
+    assert not ok
+    assert compute_spectrum(pl, ec_region(pl))[0]["checks"]["eq1"] is False
     assert rep["checked_lines"] + rep["skipped_singular"] == p * p
 
 
@@ -144,15 +146,15 @@ def test_scan_exits_2_on_a_vertical_secant_size_off(monkeypatch, tmp_path):
     p = 13
     line = class_of(build_plane(p), 1, 0, 0)          # [1 : 0 : 0]
 
-    def off_by_one(plane, pset):
-        spec = compute_spectrum(plane, pset)
-        spec.n_ell[line] += 1
-        return spec
+    def off_by_one(plane, mask, kernel=spectrum._spectrum_affine):
+        n_ell = kernel(plane, mask)
+        n_ell[line] += 1
+        return n_ell
 
-    monkeypatch.setattr(ecurve, "compute_spectrum", off_by_one)
-    rep, spec = ec_spectrum_scan(build_plane(p))
+    monkeypatch.setattr(spectrum, "_spectrum_affine", off_by_one)
+    rep, ok = ec_spectrum_scan(build_plane(p))
     assert rep["relation_violations"] == 0
-    assert not verify_counting_identities(spec).ok
+    assert not ok                                    # the identities catch it
     assert main(["ec", "scan", "--p", str(p), "--out", str(tmp_path / "out")]) == CHECK_FAILED
 
 
@@ -166,13 +168,15 @@ def test_scan_exits_2_on_a_mode_count_under_the_ceiling(monkeypatch, tmp_path):
 
 @pytest.mark.parametrize("p", [5, 7, 11, 13, 19, 29, 401, 997])
 def test_scan_relation_and_identities(p):
-    rep, spec = ec_spectrum_scan(build_plane(p))
+    pl = build_plane(p)
+    rep, ok = ec_spectrum_scan(pl)
+    doc, _ = compute_spectrum(pl, ec_region(pl))
     assert rep["set_size"] == p * (p + 1) // 2
     assert rep["relation_violations"] == 0
     assert rep["skipped_vertical"] == p
     assert rep["checked_lines"] + rep["skipped_singular"] == p * p
-    assert verify_counting_identities(spec).ok
-    assert rep["mode_count"] == spec.mode_count >= rep["cor_ceiling"]
+    assert ok and all(doc["checks"].values())
+    assert rep["mode_count"] == doc["mode_count"] >= rep["cor_ceiling"]
     assert rep["skipped_lines"] == rep["skipped_vertical"] + rep["skipped_singular"]
     assert rep["mode_ratio"] > 0
 

@@ -19,7 +19,8 @@ from secants.spectrum import (PointSet, bounds_report, compute_spectrum,
 from secants.spectrum import _spectrum_affine
 
 from conftest import (assert_spectrum_matches_naive, class_of, contains,
-                      gather_secant_counts, naive_histogram, naive_secant_counts)
+                      gather_secant_counts, histogram_counts, identity_residuals,
+                      naive_histogram, naive_secant_counts)
 
 
 def fano_triangle(fano):
@@ -32,45 +33,60 @@ def fano_triangle(fano):
 
 def test_full_line_spectrum(fano):
     S = PointSet.from_indices(fano, fano.line_points([0])[0])
-    spec = compute_spectrum(fano, S)
+    doc, n_ell = compute_spectrum(fano, S)
     # any other line meets this one in exactly one point
-    assert spec.histogram.tolist() == [0, 6, 0, 1]
-    assert (spec.mode_k, spec.mode_count) == (1, 6)
-    assert spec.mu == Fraction(9, 7)
-    rep = verify_counting_identities(spec)
-    assert rep.ok
-    assert int(spec.n_ell.sum()) == 9
-    assert int((spec.n_ell * (spec.n_ell - 1)).sum()) == 6
-    assert 7 * int((spec.n_ell ** 2).sum()) - 81 == 24
+    assert histogram_counts(doc) == [0, 6, 0, 1]
+    assert (doc["mode_k"], doc["mode_count"]) == (1, 6)
+    assert doc["checks"] == {"eq1": True, "eq2": True, "var": True}
+    assert int(n_ell.sum()) == 9
+    assert int((n_ell * (n_ell - 1)).sum()) == 6
+    assert 7 * int((n_ell ** 2).sum()) - 81 == 24
 
 
 def test_empty_and_full_set(fano):
-    spec = compute_spectrum(fano, PointSet.empty(fano))
-    assert spec.histogram.tolist() == [7, 0, 0, 0]
-    assert (spec.mode_k, spec.mode_count) == (0, 7)
-    assert verify_counting_identities(spec).ok
-    spec_full = compute_spectrum(fano, PointSet.full(fano))
-    assert spec_full.histogram.tolist() == [0, 0, 0, 7]
-    assert verify_counting_identities(spec_full).ok
+    doc, _ = compute_spectrum(fano, PointSet.empty(fano))
+    assert histogram_counts(doc) == [7, 0, 0, 0]
+    assert (doc["mode_k"], doc["mode_count"]) == (0, 7)
+    assert all(doc["checks"].values())
+    doc_full, _ = compute_spectrum(fano, PointSet.full(fano))
+    assert histogram_counts(doc_full) == [0, 0, 0, 7]
+    assert all(doc_full["checks"].values())
 
 
 def test_triangle_spectrum(fano):
     tri = fano_triangle(fano)
-    spec = compute_spectrum(fano, PointSet.from_indices(fano, tri))
-    assert spec.histogram.tolist() == [1, 3, 3, 0]
+    doc, _ = compute_spectrum(fano, PointSet.from_indices(fano, tri))
+    assert histogram_counts(doc) == [1, 3, 3, 0]
     # ties resolve to the smallest k
-    assert (spec.mode_k, spec.mode_count) == (1, 3)
+    assert (doc["mode_k"], doc["mode_count"]) == (1, 3)
 
 
 def test_single_point_variance_identity():
     # N*Σn² - (Σn)² = q(N-1) * ... both sides reduce to q²(q+1) at |S| = 1
     for q in (2, 3, 4, 5, 7, 9):
         pl = build_plane(q)
-        spec = compute_spectrum(pl, PointSet.from_indices(pl, [0]))
-        rep = verify_counting_identities(spec)
-        assert rep.ok
-        lhs = pl.N * int((spec.n_ell ** 2).sum()) - int(spec.n_ell.sum()) ** 2
+        doc, n_ell = compute_spectrum(pl, PointSet.from_indices(pl, [0]))
+        assert all(doc["checks"].values())
+        lhs = pl.N * int((n_ell ** 2).sum()) - int(n_ell.sum()) ** 2
         assert lhs == q * q * (q + 1)
+
+
+def test_counting_identities_catch_a_count_off():
+    q = 7
+    pl = build_plane(q)
+    S = random_set(pl, Fraction(1, 2), 0)
+    _, n_ell = compute_spectrum(pl, S)
+    assert verify_counting_identities(q, S.size, n_ell) == \
+        {"eq1": True, "eq2": True, "var": True}
+    off = n_ell.copy()
+    off[0] += 1
+    assert verify_counting_identities(q, S.size, off)["eq1"] is False
+    # one incidence moved from the fullest line to the emptiest keeps Σn, not Σn²
+    moved = n_ell.copy()
+    moved[n_ell.argmax()] -= 1
+    moved[n_ell.argmin()] += 1
+    assert verify_counting_identities(q, S.size, moved) == \
+        {"eq1": True, "eq2": False, "var": False}
 
 
 def test_complement_involution_and_reversal(fano):
@@ -81,9 +97,9 @@ def test_complement_involution_and_reversal(fano):
     assert Sc.complement() == S
     assert (Sc.mask == ~S.mask).all()
     assert PointSet.empty(fano).complement().size == fano.N
-    hist = compute_spectrum(fano, S).histogram
-    hist_c = compute_spectrum(fano, Sc).histogram
-    assert hist_c.tolist() == hist.tolist()[::-1]
+    hist = histogram_counts(compute_spectrum(fano, S)[0])
+    hist_c = histogram_counts(compute_spectrum(fano, Sc)[0])
+    assert hist_c == hist[::-1]
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
@@ -93,11 +109,11 @@ def test_spectrum_matches_naive_oracle(q):
     for _ in range(8):
         members = [i for i in range(pl.N) if rng.random() < 0.4]
         S = PointSet.from_indices(pl, members)
-        spec = compute_spectrum(pl, S)
-        assert_spectrum_matches_naive(pl, S, spec)
-        assert verify_counting_identities(spec).ok
-        assert spec.mode_count >= cor_bound_ceiling(q)
-        assert spec.histogram.tolist() == naive_histogram(pl, members)
+        doc, n_ell = compute_spectrum(pl, S)
+        assert_spectrum_matches_naive(pl, S, n_ell)
+        assert all(doc["checks"].values())
+        assert doc["mode_count"] >= cor_bound_ceiling(q)
+        assert histogram_counts(doc) == naive_histogram(pl, members)
 
 
 @pytest.mark.parametrize("p", [5, 7, 11, 13, 17])
@@ -159,7 +175,7 @@ def test_spectrum_needs_no_incidence_cache(monkeypatch, q):
     monkeypatch.setattr(plane_module.ProjectivePlane, "line_points", unsolvable)
     pl = build_plane(q)
     S = random_set(pl, Fraction(1, 3), q)
-    assert_spectrum_matches_naive(pl, S, compute_spectrum(pl, S))
+    assert_spectrum_matches_naive(pl, S, compute_spectrum(pl, S)[1])
 
 
 _PROPERTY_PLANES = {q: build_plane(q)
@@ -174,7 +190,7 @@ def test_kernels_match_naive_oracle_property(q, data):
     expect = naive_secant_counts(pl, np.flatnonzero(mask))
     assert gather_secant_counts(pl, mask).tolist() == expect
     assert _spectrum_affine(pl, mask).tolist() == expect
-    assert compute_spectrum(pl, PointSet(pl, mask)).n_ell.tolist() == expect
+    assert compute_spectrum(pl, PointSet(pl, mask))[1].tolist() == expect
 
 
 @settings(max_examples=60, deadline=None)
@@ -233,7 +249,7 @@ def test_secant_counts_match_recorded_digests(q, construction, digest):
     # sha256 of n_ell as little-endian int64 at the benchmark's largest prime
     # and its extension planes: a change of any one secant count shows
     pl = build_plane(q)
-    n_ell = compute_spectrum(pl, build_construction(pl, construction, seed=0)).n_ell
+    _, n_ell = compute_spectrum(pl, build_construction(pl, construction, seed=0))
     assert hashlib.sha256(n_ell.astype("<i8").tobytes()).hexdigest() == digest
 
 
@@ -324,5 +340,6 @@ def test_identities_on_random_sets_random_plane_sizes():
         pl = build_plane(q)
         for _ in range(5):
             S = random_set(pl, Fraction(rng.randrange(1, 4), 4), rng.randrange(1000))
-            rep = verify_counting_identities(compute_spectrum(pl, S))
-            assert (rep.eq1_residual, rep.eq2_residual, rep.var_residual) == (0, 0, 0)
+            doc, n_ell = compute_spectrum(pl, S)
+            assert identity_residuals(q, S.size, n_ell) == (0, 0, 0)
+            assert doc["checks"] == {"eq1": True, "eq2": True, "var": True}
