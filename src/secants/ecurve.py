@@ -86,7 +86,7 @@ def ec_spectrum_scan(plane: ProjectivePlane):
     non-vertical nonsingular line, and whether the relation, the counting
     identities and the cor ceiling all hold."""
     p = require_prime_plane(plane, 3)
-    spec, n_ell = compute_spectrum(plane, ec_region(plane))
+    spec, n_ell = compute_spectrum(plane, *ec_region(plane))
 
     counts, roots = _curve_counts(p)
 

@@ -165,7 +165,7 @@ def local_search(plane: ProjectivePlane, iters: int = 200, seed: int = 0,
 def _sweep_cell(plane: ProjectivePlane, construction: str, seed: int) -> dict:
     q = plane.q
     try:
-        doc, _ = compute_spectrum(plane, build_construction(plane, construction, seed=seed))
+        doc, _ = compute_spectrum(plane, *build_construction(plane, construction, seed=seed))
     except ValueError as exc:           # an input error: recorded per row, sweep continues
         return dict(zip(SWEEP_COLUMNS, (q, construction, seed, 0, 0, 0, *(0.0,) * 5,
                                         *(False,) * 4, str(exc))))

@@ -22,66 +22,17 @@ from .field import _decode_digits
 from .plane import ProjectivePlane
 
 
-class PointSet:
-    """Read-only boolean membership mask over the point indices of a plane."""
-
-    __slots__ = ("plane", "mask", "size", "meta")
-
-    def __init__(self, plane: ProjectivePlane, mask, meta=None):
-        mask = np.array(mask, dtype=bool)
-        if mask.shape != (plane.N,):
-            raise ValueError(f"mask of shape {mask.shape} for N={plane.N} points")
-        mask.flags.writeable = False
-        self.plane = plane
-        self.mask = mask
-        self.size = int(np.count_nonzero(mask))
-        self.meta = dict(meta or {})
-
-    @classmethod
-    def empty(cls, plane, meta=None):
-        return cls(plane, np.zeros(plane.N, dtype=bool), meta)
-
-    @classmethod
-    def full(cls, plane, meta=None):
-        return cls(plane, np.ones(plane.N, dtype=bool), meta)
-
-    @classmethod
-    def from_indices(cls, plane, indices, meta=None):
-        idx = np.asarray(indices, dtype=np.int64)
-        bad = idx[(idx < 0) | (idx >= plane.N)]
-        if bad.size:                  # a negative index would alias from the end
-            raise ValueError(f"point index {bad[0]} out of range")
-        mask = np.zeros(plane.N, dtype=bool)
-        mask[idx] = True
-        return cls(plane, mask, meta)
-
-    def indices(self) -> np.ndarray:
-        return np.flatnonzero(self.mask)
-
-    def complement(self) -> "PointSet":
-        meta = {"construction": "complement", "of": self.meta.get("construction")}
-        return PointSet(self.plane, ~self.mask, meta)
-
-    def __eq__(self, other):
-        return (isinstance(other, PointSet) and self.plane is other.plane
-                and np.array_equal(self.mask, other.mask))
-
-    def __len__(self):
-        return self.size
-
-    def __repr__(self):
-        return f"PointSet(|S|={self.size} of N={self.plane.N})"
-
-
-def compute_spectrum(plane: ProjectivePlane, pset: PointSet):
-    """(document, n_ell): the `spectrum` document of pset, with its
-    histogram over every k in 0..q+1, the smallest k of largest count, the
-    counting checks, the bounds and the set's meta, and the int64 array of
-    the per-line counts n_ell[i] = |S ∩ line i|."""
-    if pset.plane is not plane:
-        raise ValueError("point set belongs to a different plane")
-    q, size = plane.q, pset.size
-    n_ell = _spectrum_affine(plane, pset.mask)
+def compute_spectrum(plane: ProjectivePlane, mask: np.ndarray, meta: dict):
+    """(document, n_ell): the `spectrum` document of the set with this bool
+    membership mask over the N points, with its histogram over every k in
+    0..q+1, the smallest k of largest count, the counting checks, the
+    bounds and the set's meta, and the int64 array of the per-line counts
+    n_ell[i] = |S ∩ line i|."""
+    if mask.dtype != bool or mask.shape != (plane.N,):
+        raise ValueError(f"mask of {mask.dtype} and shape {mask.shape} "
+                         f"for N={plane.N} points")
+    q, size = plane.q, int(np.count_nonzero(mask))
+    n_ell = _spectrum_affine(plane, mask)
     hist = np.bincount(n_ell, minlength=q + 2)
     mode_k = int(hist.argmax())          # argmax returns the smallest maximizer
     return {"q": q, "N": plane.N, "set_size": size,
@@ -89,7 +40,7 @@ def compute_spectrum(plane: ProjectivePlane, pset: PointSet):
             "mode_k": mode_k, "mode_count": int(hist[mode_k]),
             "checks": verify_counting_identities(q, size, n_ell),
             "bounds": bounds_report(q, size),
-            "meta": pset.meta}, n_ell
+            "meta": meta}, n_ell
 
 
 def _spectrum_affine(plane, mask: np.ndarray) -> np.ndarray:

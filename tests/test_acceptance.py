@@ -11,17 +11,16 @@ import pytest
 from secants.charwalk import (profile_range_check, projection_profile,
                               verify_projection_laws)
 from secants.cli import main as cli_main
-from secants.construct import (FamilyParams, ParabolaParams, ec_region,
-                               parabola_family, parabola_region, random_set)
+from secants.construct import ec_region, parabola_family, parabola_region, random_set
 from secants.ecurve import curve_count, ec_spectrum_scan
 from secants.field import is_prime, legendre_table
 from secants.harness import exhaustive_minmax, local_search, run_sweep
 from secants.legit import (generate_linear_hypergraph, two_phase_coloring,
                            verify_legitimate)
 from secants.plane import build_plane
-from secants.spectrum import PointSet, compute_spectrum, cor_bound_ceiling
+from secants.spectrum import compute_spectrum, cor_bound_ceiling
 
-from conftest import curve_count_bruteforce, histogram_counts, identity_residuals
+from conftest import curve_count_bruteforce, histogram_counts, identity_residuals, mask_of
 
 IDENTITY_ORDERS = (2, 3, 4, 5, 7, 8, 9, 11, 13)
 SETS_PER_ORDER = 200
@@ -49,7 +48,7 @@ def primes_in(lo, hi):
     return [p for p in range(lo, hi + 1) if is_prime(p)]
 
 
-def parabola_params(plane, triple):
+def parabola_coeffs(plane, triple):
     p = plane.field.p
     vals = []
     for v in triple:
@@ -58,13 +57,13 @@ def parabola_params(plane, triple):
             vals.append(int(num) * pow(int(den), p - 2, p) % p)
         else:
             vals.append(v % p)
-    return ParabolaParams(*vals)
+    return vals
 
 
 @pytest.fixture(scope="module")
 def identity_corpus():
     """Criterion-1 corpus: 200 seeded random sets per order, densities
-    cycling through 1/4, 1/2, 3/4; spectra computed once as (plane, set,
+    cycling through 1/4, 1/2, 3/4; spectra computed once as (plane, mask,
     document, n_ell), reused by the complement-duality and universal-bound
     criteria."""
     corpus = []
@@ -73,16 +72,16 @@ def identity_corpus():
         plane = build_plane(q)
         for seed in range(SETS_PER_ORDER):
             density = DENSITIES[seed % len(DENSITIES)]
-            pset = random_set(plane, density, seed)
-            corpus.append((plane, pset, *compute_spectrum(plane, pset)))
+            mask, meta = random_set(plane, density, seed)
+            corpus.append((plane, mask, *compute_spectrum(plane, mask, meta)))
     return corpus, time.monotonic() - start
 
 
 def test_criterion_01_exact_identities(identity_corpus):
     corpus, elapsed = identity_corpus
     bad = 0
-    for plane, pset, doc, n_ell in corpus:
-        if (identity_residuals(plane.q, pset.size, n_ell) != (0, 0, 0)
+    for plane, mask, doc, n_ell in corpus:
+        if (identity_residuals(plane.q, int(mask.sum()), n_ell) != (0, 0, 0)
                 or not all(doc["checks"].values())):
             bad += 1
     ok = bad == 0 and len(corpus) == len(IDENTITY_ORDERS) * SETS_PER_ORDER \
@@ -102,26 +101,26 @@ def test_criterion_02_universal_lower_bound(identity_corpus):
         if doc["mode_count"] < cor_bound_ceiling(q):
             violations += 1
 
-    def check_set(plane, pset):
-        check(plane.q, compute_spectrum(plane, pset)[0])
+    def check_set(plane, mask, meta=None):
+        check(plane.q, compute_spectrum(plane, mask, meta)[0])
 
     for plane, _, doc, _ in corpus:
         check(plane.q, doc)
     # deterministic constructions across a prime span
     for p in primes_in(5, 31):
         plane = build_plane(p)
-        check_set(plane, ec_region(plane))
-        check_set(plane, parabola_region(plane, ParabolaParams(1, 0, 0)))
+        check_set(plane, *ec_region(plane))
+        check_set(plane, *parabola_region(plane, 1, 0, 0))
         if p >= 7:
-            check_set(plane, parabola_family(plane, FamilyParams(Fraction(1, 2))))
+            check_set(plane, *parabola_family(plane, Fraction(1, 2)))
     # search witnesses and degenerate sets
     for q in (2, 3, 4):
         plane = build_plane(q)
         res = exhaustive_minmax(plane)
-        check_set(plane, PointSet.from_indices(plane, res["witness_points"]))
-        check_set(plane, PointSet.empty(plane))
-        check_set(plane, PointSet.full(plane))
-        check_set(plane, PointSet.from_indices(plane, [0]))
+        check_set(plane, mask_of(plane, res["witness_points"]))
+        check_set(plane, np.zeros(plane.N, dtype=bool))
+        check_set(plane, np.ones(plane.N, dtype=bool))
+        check_set(plane, mask_of(plane, [0]))
     report(2, violations == 0,
            f"mode_count >= ceil(N/sqrt(3q+13)) on {checked} sets, "
            f"{violations} violations")
@@ -176,14 +175,14 @@ def test_criterion_05_projection_laws():
     for p in primes_in(5, 199):
         plane = build_plane(p)
         for triple in LAW_TRIPLES:
-            laws = verify_projection_laws(plane, parabola_params(plane, triple))["laws"]
+            laws = verify_projection_laws(plane, *parabola_coeffs(plane, triple))["laws"]
             if not (laws["L1"] and laws["L2"] and laws["L3"] and laws["L4"]):
                 law_fail.append((p, triple))
     range_fail = []
     for p in primes_in(5, 1999):
         plane = build_plane(p)
         span, lo, hi, ok = profile_range_check(
-            projection_profile(plane, parabola_params(plane, LAW_TRIPLES[1]), 1))
+            projection_profile(plane, *parabola_coeffs(plane, LAW_TRIPLES[1]), 1))
         if not ok:
             range_fail.append((p, span, lo, hi))
     elapsed = time.monotonic() - t0
@@ -200,9 +199,8 @@ def test_criterion_06_family_counting():
         plane = build_plane(p)
         chi = legendre_table(p).astype(np.int64)
         for c in (Fraction(1, 4), Fraction(1, 2)):
-            params = FamilyParams(c)
-            a = params.height(p)
-            _, n_ell = compute_spectrum(plane, parabola_family(plane, params))
+            a = math.floor(c * p)
+            _, n_ell = compute_spectrum(plane, *parabola_family(plane, c))
             m = np.arange(p, dtype=np.int64)
             b = np.arange(p, dtype=np.int64)
             u = (m[:, None] ** 2 + 4 * b[None, :]) % p
@@ -282,8 +280,8 @@ def test_criterion_08_legitimate_coloring():
 def test_criterion_09_complement_duality(identity_corpus):
     corpus, _ = identity_corpus
     violations = 0
-    for plane, pset, doc, _ in corpus:
-        doc_c, _ = compute_spectrum(plane, pset.complement())
+    for plane, mask, doc, _ in corpus:
+        doc_c, _ = compute_spectrum(plane, ~mask, None)
         if histogram_counts(doc_c) != histogram_counts(doc)[::-1]:
             violations += 1
     report(9, violations == 0,

@@ -10,7 +10,7 @@ from secants import charwalk
 from secants.charwalk import (level_stats, profile_range_check, projection_profile,
                               psi_walk, verify_projection_laws)
 from secants.cli import CHECK_FAILED, main
-from secants.construct import ParabolaParams, parabola_region, under_parabola
+from secants.construct import parabola_region, under_parabola
 from secants.field import is_prime, legendre_table
 from secants.plane import build_plane
 from secants.spectrum import compute_spectrum
@@ -100,7 +100,7 @@ def test_level_stats_peak_memory_at_the_largest_order():
 
 def test_projection_profile_example_p5():
     pl = build_plane(5)
-    prof = projection_profile(pl, ParabolaParams(4, 1, 1), 1)   # alpha = 1/4 mod 5
+    prof = projection_profile(pl, 4, 1, 1, 1)   # alpha = 1/4 mod 5
     assert prof.tolist() == [1, 2, 2, 3, 2]
     assert prof.sum() == 10
     delta = np.roll(prof, -1) - prof
@@ -115,23 +115,22 @@ def test_projection_profile_example_p5():
 def test_projection_profile_rejects_horizontal():
     pl = build_plane(7)
     with pytest.raises(ValueError, match="horizontal"):
-        projection_profile(pl, ParabolaParams(1, 0, 0), 0)
+        projection_profile(pl, 1, 0, 0, 0)
     with pytest.raises(ValueError, match=r"^horizontal slope excluded: d=-14 is 0 mod 7$"):
-        projection_profile(pl, ParabolaParams(1, 0, 0), -14)
+        projection_profile(pl, 1, 0, 0, -14)
 
 
 @pytest.mark.parametrize("p", [5, 7, 11, 13])
 def test_profile_matches_membership_count(p):
     pl = build_plane(p)
-    params = ParabolaParams(2, 3, 1)
-    S = parabola_region(pl, params)
+    S, _ = parabola_region(pl, 2, 3, 1)
     for d in (1, 2, p - 1):
-        prof = projection_profile(pl, params, d)
+        prof = projection_profile(pl, 2, 3, 1, d)
         for b in range(p):
             direct = sum(contains(S, class_of(pl, x, (d * x + b) % p, 1))
                          for x in range(p))
             assert prof[b] == direct
-        assert int(prof.sum()) == S.size
+        assert int(prof.sum()) == S.sum()
 
 
 def matrix_profile(p, f, d):
@@ -145,11 +144,10 @@ def matrix_profile(p, f, d):
 @pytest.mark.parametrize("p", PRIMES + [61])
 def test_profile_matches_matrix_count_for_every_slope(p):
     pl = build_plane(p)
-    for params in (ParabolaParams(1, 0, 0), ParabolaParams(2, 3, 1),
-                   ParabolaParams(p - 1, 1, p - 1)):
-        params, f = under_parabola(pl, params)
+    for params in ((1, 0, 0), (2, 3, 1), (p - 1, 1, p - 1)):
+        params, f = under_parabola(pl, *params)
         for d in range(1, p):
-            prof = projection_profile(pl, params, d)
+            prof = projection_profile(pl, *params, d)
             assert prof.tolist() == matrix_profile(p, f, d).tolist(), (params, d)
 
 
@@ -160,7 +158,7 @@ def test_profile_is_counted_in_linear_memory():
     pl = build_plane(p)
     tracemalloc.start()
     try:
-        projection_profile(pl, ParabolaParams(1, 2, 3), 5)
+        projection_profile(pl, 1, 2, 3, 5)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -172,10 +170,9 @@ def test_law_profiles_are_the_spectrum_of_the_region(p):
     # the profiles the laws check are the secant sizes that the spectrum
     # path counts for the parabola region's affine lines
     pl = build_plane(p)
-    for params in (ParabolaParams(1, 0, 0), ParabolaParams(2, 3, 1),
-                   ParabolaParams(p - 1, 1, p - 1)):
-        _, f = under_parabola(pl, params)
-        _, n_ell = compute_spectrum(pl, parabola_region(pl, params))
+    for params in ((1, 0, 0), (2, 3, 1), (p - 1, 1, p - 1)):
+        _, f = under_parabola(pl, *params)
+        _, n_ell = compute_spectrum(pl, *parabola_region(pl, *params))
         assert np.array_equal(charwalk._all_profiles(f),
                               n_ell[pl.affine_lines()]), params
 
@@ -189,7 +186,7 @@ def test_laws_reject_a_profile_off_by_one(monkeypatch, tmp_path):
         return P
 
     monkeypatch.setattr(charwalk, "_all_profiles", off_by_one)
-    rep = verify_projection_laws(build_plane(13), ParabolaParams(1, 0, 0))
+    rep = verify_projection_laws(build_plane(13), 1, 0, 0)
     assert not rep["all_ok"] and rep["l1_first_fail"] is not None
     assert main(["projection", "--p", "13", "--out", str(tmp_path / "out")]) == CHECK_FAILED
 
@@ -198,7 +195,7 @@ def test_laws_report_a_range_window_miss(monkeypatch, tmp_path):
     # L5 is a range window, not an identity; a miss still clears all_ok
     monkeypatch.setattr(charwalk, "profile_range_check",
                         lambda pr: (0, 1.0, 2.0, False))
-    rep = verify_projection_laws(build_plane(13), ParabolaParams(1, 0, 0))
+    rep = verify_projection_laws(build_plane(13), 1, 0, 0)
     assert rep["laws"] == {"L1": True, "L2": True, "L3": True, "L4": True, "L5": False}
     assert not rep["all_ok"] and rep["range_bounds"] == [1.0, 2.0]
     assert main(["projection", "--p", "13", "--out", str(tmp_path / "out")]) == CHECK_FAILED
@@ -212,9 +209,8 @@ def test_law_check_runs_no_transform(monkeypatch):
         monkeypatch.setattr(np.fft, name, no_transform)
     p = 29
     pl = build_plane(p)
-    for params in (ParabolaParams(1, 0, 0), ParabolaParams(pow(4, p - 2, p), 1, 1),
-                   ParabolaParams(2, 3, 1)):
-        laws = verify_projection_laws(pl, params)["laws"]
+    for params in ((1, 0, 0), (pow(4, p - 2, p), 1, 1), (2, 3, 1)):
+        laws = verify_projection_laws(pl, *params)["laws"]
         assert laws["L1"] and laws["L2"] and laws["L3"] and laws["L4"], params
 
 
@@ -222,9 +218,8 @@ def test_law_check_runs_no_transform(monkeypatch):
 def test_projection_laws_three_triples(p):
     pl = build_plane(p)
     inv4 = pow(4, p - 2, p)
-    for params in (ParabolaParams(1, 0, 0), ParabolaParams(inv4, 1, 1),
-                   ParabolaParams(2, 3, 1)):
-        rep = verify_projection_laws(pl, params)
+    for params in ((1, 0, 0), (inv4, 1, 1), (2, 3, 1)):
+        rep = verify_projection_laws(pl, *params)
         laws = rep["laws"]
         assert laws["L1"] and laws["L2"] and laws["L3"] and laws["L4"], (p, params)
         assert rep["l1_first_fail"] is None
@@ -237,11 +232,11 @@ def test_shift_structure_for_canonical_parabola():
     for p in (5, 7, 13, 29):
         pl = build_plane(p)
         inv4 = pow(4, p - 2, p)
-        rep = verify_projection_laws(pl, ParabolaParams(inv4, 1, 1))
-        p1 = projection_profile(pl, ParabolaParams(inv4, 1, 1), 1)
+        rep = verify_projection_laws(pl, inv4, 1, 1)
+        p1 = projection_profile(pl, inv4, 1, 1, 1)
         for d in range(1, p):
             shift = rep["shifts"][d - 1]
-            prof_d = projection_profile(pl, ParabolaParams(inv4, 1, 1), d)
+            prof_d = projection_profile(pl, inv4, 1, 1, d)
             assert (prof_d == np.roll(p1, -shift)).all()
             expected = (d - 1) ** 2 % p
             assert (prof_d == np.roll(p1, -expected)).all()
@@ -250,16 +245,15 @@ def test_shift_structure_for_canonical_parabola():
 def test_l4_against_full_spectrum():
     for p in (7, 11):
         pl = build_plane(p)
-        params = ParabolaParams(pow(4, p - 2, p), 1, 1)
-        S = parabola_region(pl, params)
-        _, n_ell = compute_spectrum(pl, S)
+        params = (pow(4, p - 2, p), 1, 1)
+        _, n_ell = compute_spectrum(pl, *parabola_region(pl, *params))
         skip = {class_of(pl, 0, 0, 1)} | {class_of(pl, 1, 0, -c % p) for c in range(p)} \
             | {class_of(pl, 0, p - 1, b) for b in range(p)}
         hist = [0] * (p + 2)
         for ell in range(pl.N):
             if ell not in skip:
                 hist[n_ell[ell]] += 1
-        pr1 = projection_profile(pl, params, 1)
+        pr1 = projection_profile(pl, *params, 1)
         for k in range(p + 2):
             assert hist[k] == (p - 1) * int((pr1 == k).sum())
 
@@ -269,7 +263,7 @@ def test_walk_reconstructs_canonical_profile():
     for p in (7, 13, 31):
         pl = build_plane(p)
         inv4 = pow(4, p - 2, p)
-        pr = projection_profile(pl, ParabolaParams(inv4, 1, 1), 1)
+        pr = projection_profile(pl, inv4, 1, 1, 1)
         chi = legendre_table(p)
         psi = psi_walk(p, 0).tolist()
         rebuilt = [int(pr[0])]
@@ -282,7 +276,7 @@ def test_walk_reconstructs_canonical_profile():
 
 def test_d_free_variant_is_reported_not_asserted():
     pl = build_plane(13)
-    rep = verify_projection_laws(pl, ParabolaParams(pow(4, 11, 13), 1, 1))
+    rep = verify_projection_laws(pl, pow(4, 11, 13), 1, 1)
     assert rep["step_law"].startswith("pr_d(b+1)")
     assert rep["d_free_variant"].startswith("-chi(")
     assert 0.0 <= rep["d_free_match_fraction"] <= 1.0

@@ -220,6 +220,12 @@ SPECTRUM_GOLDENS = [
      "515fa68c9c03176fa94acf8ab8193e178c586d22e981dd6eefd15d610ea50b76"),
     (("--q", "7", "--set-file", "SET7"),
      "a81540e851bc9df5881f77289c38b7455874430763a6dcc051e1bc0d83775e70"),
+    # recorded while the parabola and family parameters were records whose
+    # reduced coefficients, c and stack height went into the set's meta
+    (("--q", "101", "--construction", "parabola:a=1/4,b=1,g=1"),
+     "0a9248af743c08990fcdb59f031c9f8bc099b8cd4b68740b4e93b27e26871ef6"),
+    (("--q", "101", "--construction", "family:c=1/3"),
+     "7dbac70eb2fcff6e0ef7829aff1ec90452416a326be6a892f059bcee6a59f273"),
 ]
 SET7 = {"q": 7, "affine": [[0, 0], [0, 3], [1, 2], [3, 4], [6, 6], [2, 5]],
         "projective": [[1, 0, 0], [1, 3, 0], [1, 6, 0], [0, 1, 0]]}
@@ -270,6 +276,10 @@ DOCUMENT_GOLDENS = [
      "135e3ec86962cdc8e9fc184522e87b7fd99c39a521e71c18dc657e167781b7d0"),
     (("exhaustive", "--q", "3"), OK,
      "2a6062714048d6565796fe75430fd6a75c8c72e361b9cd038b5affa7d7d80e28"),
+    # recorded while the parabola coefficients were a record
+    (("projection", "--p", "199", "--alpha", "1/4", "--beta", "1", "--gamma", "1",
+      "--d", "2"), OK,
+     "f759632e0dd1be9fabbb6dd211b852c8514472c7c3e93fb400633ab56c64dbf3"),
 ]
 
 
@@ -482,6 +492,27 @@ def test_prime_order_past_the_table_bound_exits_1(tmp_path, capsys, argv):
     assert peak < 2 ** 20, peak
 
 
+@pytest.mark.parametrize("argv", [
+    ["projection", "--p", "4099"],                  # the next prime past 2^12
+    ["ec", "scan", "--p", "4099"],
+])
+def test_square_table_order_past_the_bound_exits_1(tmp_path, capsys, argv):
+    # refused before any (p, p) table is built, which would take 16 MB
+    # per int64 table at this p
+    out = tmp_path / "out"
+    tracemalloc.start()
+    try:
+        code = main([*argv, "--out", str(out)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == USAGE_ERROR
+    assert cli.MAX_SQUARE_ORDER == 4096
+    assert capsys.readouterr().err == "error: --p must be at most 4096, got 4099\n"
+    assert not out.exists()
+    assert peak < 2 ** 20, peak
+
+
 def test_prime_order_bound_keeps_products_exact(tmp_path, capsys):
     # the bound is 2^22, so a product of two residues stays below 2^63; the
     # bound itself is not refused by it, and the largest prime below it runs
@@ -619,6 +650,11 @@ MALFORMED_INPUTS = {
     "hypergraph-boolean-edge": ("hypergraph", {"n": 2, "edges": [[0, 1], True]}),
     "hypergraph-unknown-key": ("hypergraph", {"n": 2, "edges": [[0, 1], [1, 2]],
                                               "num_vertice": 3}),
+    # whole command lines, recorded while the parabola coefficients and the
+    # family density were records: c is checked before the prime-plane guard
+    "family-density-before-prime-plane": ("argv", "spectrum --q 9 --construction family:c=2"),
+    "parabola-alpha-vanishes-mod-p": ("argv", "spectrum --q 11 --construction parabola:a=11"),
+    "projection-alpha-zero": ("argv", "projection --p 199 --alpha 0"),
 }
 
 # each case's one error line, recorded before the set-file, hypergraph and
@@ -671,6 +707,9 @@ MALFORMED_MESSAGES = {
     'set-unknown-key': "set file key 'afine' is not q, affine or projective",
     'set-and-construction': 'spectrum takes --set-file or --construction, not both',
     'hypergraph-unknown-key': "hypergraph file key 'num_vertice' is not n, edges or num_vertices",
+    'family-density-before-prime-plane': 'family density c must lie in (0,1)',
+    'parabola-alpha-vanishes-mod-p': 'parabola needs alpha != 0',
+    'projection-alpha-zero': 'parabola needs alpha != 0',
 }
 
 # the hypergraph that the coloring cases are checked against: 3 vertices
@@ -689,7 +728,8 @@ def test_malformed_input_exits_1_with_one_line(tmp_path, capsys, name):
             "set-and-construction": ["spectrum", "--q", "7", "--set-file", str(path),
                                      "--construction", "ecregion"],
             "hypergraph": ["legit", "color", "--in", str(path)],
-            "coloring": ["legit", "verify", "--in", str(hyper), "--coloring", str(path)]}[kind]
+            "coloring": ["legit", "verify", "--in", str(hyper), "--coloring", str(path)],
+            "argv": str(value).split()}[kind]
     assert main([*argv, "--out", str(tmp_path / "out")]) == USAGE_ERROR
     assert capsys.readouterr().err == f"error: {MALFORMED_MESSAGES[name]}\n"
 
@@ -919,8 +959,8 @@ def test_failed_projection_report_golden(tmp_path, monkeypatch):
     # the output was json.dumps(sort_keys=True, indent=2)
     laws = cli.verify_projection_laws
 
-    def failing(plane, params):
-        doc = laws(plane, params)
+    def failing(plane, *coeffs):
+        doc = laws(plane, *coeffs)
         doc["laws"]["L1"] = doc["all_ok"] = False
         doc.update(l1_first_fail=(3, 5), l2_first_fail=2, l4_first_fail=7)
         return doc

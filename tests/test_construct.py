@@ -9,16 +9,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from secants import construct
-from secants.construct import (ConstructionError, FamilyParams, ParabolaParams,
-                               build_construction, ec_region, parabola_family,
-                               parabola_region, parse_construction,
+from secants.construct import (ConstructionError, build_construction, ec_region,
+                               parabola_family, parabola_region, parse_construction,
                                pointset_from_json, pointset_to_json, random_set,
                                under_parabola)
 from secants.field import legendre_table
 from secants.plane import build_plane
-from secants.spectrum import PointSet, compute_spectrum
+from secants.spectrum import compute_spectrum
 
-from conftest import class_of, contains, normalized_triples, projective_classes
+from conftest import class_of, contains, mask_of, normalized_triples, projective_classes
 
 
 def brute_parabola_members(p, alpha, beta, gamma):
@@ -33,9 +32,9 @@ def brute_parabola_members(p, alpha, beta, gamma):
 
 def test_parabola_region_p5():
     pl = build_plane(5)
-    S = parabola_region(pl, ParabolaParams(1, 0, 0))
+    S, _ = parabola_region(pl, 1, 0, 0)
     expect = brute_parabola_members(5, 1, 0, 0)
-    assert S.size == len(expect) == 10
+    assert S.sum() == len(expect) == 10
     for x in range(5):
         for y in range(5):
             assert contains(S, class_of(pl, x, y, 1)) == ((x, y) in expect)
@@ -45,8 +44,8 @@ def test_parabola_region_p5():
 
 def test_parabola_region_p7_row_counts():
     pl = build_plane(7)
-    S = parabola_region(pl, ParabolaParams(1, 0, 0))
-    assert S.size == 28
+    S, _ = parabola_region(pl, 1, 0, 0)
+    assert S.sum() == 28
     rows = [sum(contains(S, class_of(pl, x, y, 1)) for y in range(7)) for x in range(7)]
     assert rows == [6, 5, 2, 4, 4, 2, 5]
     # included y values form the lift interval (f(x), p-1]
@@ -59,7 +58,7 @@ def test_parabola_region_p7_row_counts():
 
 def test_parabola_region_never_contains_infinite_points():
     pl = build_plane(11)
-    S = parabola_region(pl, ParabolaParams(3, 1, 4))
+    S, _ = parabola_region(pl, 3, 1, 4)
     infinite = set(pl.line_points([class_of(pl, 0, 0, 1)])[0].tolist())
     assert all(not contains(S, i) for i in infinite)
 
@@ -67,29 +66,28 @@ def test_parabola_region_never_contains_infinite_points():
 def test_parabola_param_validation():
     pl5 = build_plane(5)
     with pytest.raises(ConstructionError, match="alpha"):
-        parabola_region(pl5, ParabolaParams(0, 1, 1))
+        parabola_region(pl5, 0, 1, 1)
     with pytest.raises(ConstructionError, match="alpha"):
-        parabola_region(pl5, ParabolaParams(5, 1, 1))   # reduces to zero
+        parabola_region(pl5, 5, 1, 1)   # reduces to zero
     with pytest.raises(ConstructionError, match="prime"):
-        parabola_region(build_plane(3), ParabolaParams(1, 0, 0))
+        parabola_region(build_plane(3), 1, 0, 0)
     with pytest.raises(ConstructionError, match="prime"):
-        parabola_region(build_plane(9), ParabolaParams(1, 0, 0))
+        parabola_region(build_plane(9), 1, 0, 0)
 
 
 def test_family_examples():
     pl7 = build_plane(7)
-    params = FamilyParams(Fraction(3, 10))
-    assert params.height(7) == 2
-    S = parabola_family(pl7, params)
-    assert S.size == 14
+    S, meta = parabola_family(pl7, Fraction(3, 10))
+    assert meta == {"construction": "family", "c": "3/10", "a": 2}
+    assert S.sum() == 14
     assert contains(S, class_of(pl7, 3, 3, 1))   # (3, 3^2+1) mod 7
-    assert parabola_family(build_plane(11), FamilyParams(Fraction(1, 2))).size == 55
+    assert parabola_family(build_plane(11), Fraction(1, 2))[0].sum() == 55
 
 
 def test_family_members_are_the_shifted_parabolas():
     pl = build_plane(13)
-    a = FamilyParams(Fraction(1, 4)).height(13)
-    S = parabola_family(pl, FamilyParams(Fraction(1, 4)))
+    a = 3                                    # floor(13/4)
+    S, _ = parabola_family(pl, Fraction(1, 4))
     expect = {(x, (x * x + t) % 13) for x in range(13) for t in range(a)}
     got = {(x, y) for x in range(13) for y in range(13)
            if contains(S, class_of(pl, x, y, 1))}
@@ -98,27 +96,26 @@ def test_family_members_are_the_shifted_parabolas():
 
 def test_family_vertical_sections():
     pl = build_plane(11)
-    params = FamilyParams(Fraction(2, 5))
-    a = params.height(11)
-    _, n_ell = compute_spectrum(pl, parabola_family(pl, params))
+    a = 4                                    # floor(22/5)
+    _, n_ell = compute_spectrum(pl, *parabola_family(pl, Fraction(2, 5)))
     for c in range(11):
         assert n_ell[class_of(pl, 1, 0, pl.field.neg(c))] == a
 
 
 def test_family_param_validation():
     with pytest.raises(ConstructionError):
-        FamilyParams(Fraction(0))
+        parabola_family(build_plane(5), Fraction(0))
     with pytest.raises(ConstructionError):
-        FamilyParams(Fraction(1))
+        parabola_family(build_plane(5), Fraction(1))
     with pytest.raises(ConstructionError, match="height"):
-        parabola_family(build_plane(5), FamilyParams(Fraction(1, 11)))
+        parabola_family(build_plane(5), Fraction(1, 11))
 
 
 @pytest.mark.parametrize("p", [5, 7, 11, 13])
 def test_ec_region_row_counts(p):
     pl = build_plane(p)
-    S = ec_region(pl)
-    assert S.size == p * (p + 1) // 2
+    S, _ = ec_region(pl)
+    assert S.sum() == p * (p + 1) // 2
     chi = legendre_table(p)
     assert contains(S, class_of(pl, 0, 0, 1))
     for x in range(p):
@@ -129,12 +126,13 @@ def test_ec_region_row_counts(p):
 
 
 def test_ec_region_example_point():
-    S = ec_region(build_plane(5))
-    assert contains(S, class_of(S.plane, 1, 2, 1))   # 1 - 2 = 4 = 2²
+    pl = build_plane(5)
+    S, _ = ec_region(pl)
+    assert contains(S, class_of(pl, 1, 2, 1))   # 1 - 2 = 4 = 2²
 
 
 @pytest.mark.parametrize("build", [ec_region,
-                                   lambda pl: parabola_region(pl, ParabolaParams(1, 2, 3))])
+                                   lambda pl: parabola_region(pl, 1, 2, 3)])
 def test_region_scratch_is_one_bool_grid(build):
     # the region's bool grid goes straight into the mask through the
     # cached chart table: measured 2.07 MB at q=997 for a 1.0 MB mask and
@@ -152,14 +150,14 @@ def test_region_scratch_is_one_bool_grid(build):
 
 def test_random_set_extremes_and_determinism():
     pl = build_plane(7)
-    assert random_set(pl, 0, 3).size == 0
-    assert random_set(pl, 1, 3).size == pl.N
-    a = random_set(pl, Fraction(1, 2), 9)
-    b = random_set(pl, Fraction(1, 2), 9)
-    assert a == b
-    assert a.meta == {"construction": "random", "density": "1/2",
-                      "generator": "philox4x64", "seed": 9}
-    assert random_set(pl, Fraction(1, 2), 10) != a
+    assert random_set(pl, 0, 3)[0].sum() == 0
+    assert random_set(pl, 1, 3)[0].sum() == pl.N
+    a, meta = random_set(pl, Fraction(1, 2), 9)
+    b, _ = random_set(pl, Fraction(1, 2), 9)
+    assert np.array_equal(a, b)
+    assert meta == {"construction": "random", "density": "1/2",
+                    "generator": "philox4x64", "seed": 9}
+    assert not np.array_equal(random_set(pl, Fraction(1, 2), 10)[0], a)
     with pytest.raises(ConstructionError):
         random_set(pl, Fraction(3, 2), 0)
 
@@ -175,35 +173,35 @@ def test_random_set_drawn_in_blocks_equals_one_draw(monkeypatch, q):
             rng = np.random.Generator(np.random.Philox(key=seed))
             draws = rng.integers(0, density.denominator, size=pl.N, dtype=np.int64)
             expect = draws < density.numerator
-            assert np.array_equal(random_set(pl, density, seed).mask, expect), (seed, density)
+            assert np.array_equal(random_set(pl, density, seed)[0], expect), (seed, density)
 
 
 @pytest.mark.parametrize("q", [7, 32, 101])
 def test_random_set_extreme_densities_are_empty_and_full(q):
     pl = build_plane(q)
-    for density, whole, text in (("0", PointSet.empty, "0/1"), ("0/3", PointSet.empty, "0/1"),
-                                 ("1", PointSet.full, "1/1"), ("3/3", PointSet.full, "1/1")):
-        S = random_set(pl, Fraction(density), 5)
-        assert S == whole(pl)
-        assert S.meta == {"construction": "random", "density": text,
-                          "generator": "philox4x64", "seed": 5}
+    for density, whole, text in (("0", False, "0/1"), ("0/3", False, "0/1"),
+                                 ("1", True, "1/1"), ("3/3", True, "1/1")):
+        S, meta = random_set(pl, Fraction(density), 5)
+        assert np.array_equal(S, np.full(pl.N, whole))
+        assert meta == {"construction": "random", "density": text,
+                        "generator": "philox4x64", "seed": 5}
 
 
 def test_random_set_binomial_window_at_scale():
     # |S| ~ Bin(N, 1/2): seed 1 must land within 4 standard deviations of
     # N/2 (re-seed and record here if a future generator change drifts)
     pl = build_plane(499)
-    S = random_set(pl, Fraction(1, 2), 1)
+    S, _ = random_set(pl, Fraction(1, 2), 1)
     half = pl.N / 2
-    assert abs(S.size - half) <= 4 * math.sqrt(pl.N / 4)
+    assert abs(S.sum() - half) <= 4 * math.sqrt(pl.N / 4)
 
 
 def test_random_set_denominator_past_int64_is_named():
     # the draws are int64 integers below the denominator, so 2^63 still draws
     pl = build_plane(7)
-    S = random_set(pl, Fraction(1, 2 ** 63), 2)
+    S, _ = random_set(pl, Fraction(1, 2 ** 63), 2)
     rng = np.random.Generator(np.random.Philox(key=2))
-    assert S.mask.tolist() == (rng.integers(0, 2 ** 63, size=pl.N, dtype=np.int64) < 1).tolist()
+    assert S.tolist() == (rng.integers(0, 2 ** 63, size=pl.N, dtype=np.int64) < 1).tolist()
     with pytest.raises(ConstructionError,
                        match=r"^density 1/100000000000000000000 has a denominator past 2\^63$"):
         random_set(pl, Fraction(1, 10 ** 20), 0)
@@ -213,7 +211,7 @@ def test_under_parabola_past_the_int64_square():
     # alpha * x^2 passes 2^63 at this p; f is checked against Python ints
     p = 3000017
     alpha = pow(4, p - 2, p)
-    _, f = under_parabola(build_plane(p), ParabolaParams(alpha, 1, 1))
+    _, f = under_parabola(build_plane(p), alpha, 1, 1)
     xs = list(range(0, p, 997)) + [p - 1]
     assert f[xs].tolist() == [(alpha * x * x + x + 1) % p for x in xs]
 
@@ -221,23 +219,23 @@ def test_under_parabola_past_the_int64_square():
 def test_random_set_density_is_exactly_rational():
     # density 1/3 draws integers mod 3; all N decisions follow one stream
     pl = build_plane(11)
-    S = random_set(pl, Fraction(1, 3), 4)
+    S, _ = random_set(pl, Fraction(1, 3), 4)
     rng = np.random.Generator(np.random.Philox(key=4))
     draws = rng.integers(0, 3, size=pl.N, dtype=np.int64)
     expect = set(np.nonzero(draws < 1)[0].tolist())
-    assert set(S.indices().tolist()) == expect
+    assert set(np.flatnonzero(S).tolist()) == expect
 
 
 def test_set_file_round_trip_with_infinite_points(tmp_path):
     pl = build_plane(7)
-    S = random_set(pl, Fraction(2, 3), 5)
-    doc = pointset_to_json(S)
+    S, _ = random_set(pl, Fraction(2, 3), 5)
+    doc = pointset_to_json(pl, S)
     assert doc["q"] == 7
-    assert len(doc["affine"]) + len(doc["projective"]) == S.size
+    assert len(doc["affine"]) + len(doc["projective"]) == S.sum()
     path = tmp_path / "set.json"
     path.write_text(json.dumps(doc))
-    S2 = pointset_from_json(pl, json.loads(path.read_text()))
-    assert S2 == S
+    S2, meta = pointset_from_json(pl, json.loads(path.read_text()))
+    assert np.array_equal(S2, S) and meta == {"construction": "set-file"}
     with pytest.raises(ConstructionError, match="q=7"):
         pointset_from_json(build_plane(5), doc)
 
@@ -251,14 +249,16 @@ def test_parse_and_build_construction():
     with pytest.raises(ConstructionError):
         parse_construction("random:density")
     pl = build_plane(13)
-    P = build_construction(pl, "parabola:a=1/4,b=1,g=1")
+    _, meta = build_construction(pl, "parabola:a=1/4,b=1,g=1")
     inv4 = pow(4, 11, 13)
-    assert P.meta["alpha"] == inv4
-    assert build_construction(pl, "family:c=1/4").meta["a"] == 3
+    assert meta == {"construction": "parabola", "alpha": inv4, "beta": 1, "gamma": 1}
+    assert build_construction(pl, "family:c=1/4")[1]["a"] == 3
     # the seed comes from the caller only, by default 0
-    r1 = build_construction(pl, "random:density=1/2", seed=8)
-    assert r1 == random_set(pl, Fraction(1, 2), 8)
-    assert build_construction(pl, "random:density=1/2") == random_set(pl, Fraction(1, 2), 0)
+    r1, meta = build_construction(pl, "random:density=1/2", seed=8)
+    r2, meta2 = random_set(pl, Fraction(1, 2), 8)
+    assert np.array_equal(r1, r2) and meta == meta2
+    assert np.array_equal(build_construction(pl, "random:density=1/2")[0],
+                          random_set(pl, Fraction(1, 2), 0)[0])
 
 
 @pytest.mark.parametrize("spec, match", [
@@ -332,7 +332,7 @@ def test_set_file_reader_matches_scalar_loop(q, data):
            "projective": data.draw(st.one_of(projective, st.just({"x": 1})))}
     expect = loop_pointset_from_json(build_plane(q), doc)
     try:
-        got = pointset_from_json(build_plane(q), doc).indices().tolist()
+        got = np.flatnonzero(pointset_from_json(build_plane(q), doc)[0]).tolist()
     except ConstructionError as exc:
         got = str(exc)
     assert got == expect
@@ -361,11 +361,11 @@ def test_set_file_writer_matches_scalar_loop(q, data):
     infinite = [i for i, t in enumerate(normalized_triples(q)) if t[2] == 0]
     picked = (data.draw(st.lists(st.integers(0, pl.N - 1), max_size=40))
               + data.draw(st.lists(st.sampled_from(infinite), min_size=1, max_size=4)))
-    S = PointSet.from_indices(pl, picked)
-    doc = pointset_to_json(S)
+    S = mask_of(pl, picked)
+    doc = pointset_to_json(pl, S)
     expect = loop_pointset_to_json(pl, sorted(set(picked)))
     assert json.dumps(doc, sort_keys=True) == json.dumps(expect, sort_keys=True)
-    assert pointset_from_json(pl, doc) == S
+    assert np.array_equal(pointset_from_json(pl, doc)[0], S)
 
 
 @pytest.mark.parametrize("spec", ["random:density=1/0", "random:density=half",

@@ -99,7 +99,7 @@ def test_line_curve_check_skips_singular():
 
 def test_line_curve_check_region_reuse():
     pl = build_plane(13)
-    region = ec_region(pl)
+    region, _ = ec_region(pl)
     for m, b in [(1, 1), (4, 7), (12, 2)]:
         if (-4 * m ** 3 + 27 * b * b) % 13 == 0:
             continue
@@ -136,7 +136,7 @@ def test_scan_finds_one_secant_size_off(monkeypatch, p):
     rep, ok = ec_spectrum_scan(pl)
     assert rep["relation_violations"] == 1
     assert not ok
-    assert compute_spectrum(pl, ec_region(pl))[0]["checks"]["eq1"] is False
+    assert compute_spectrum(pl, *ec_region(pl))[0]["checks"]["eq1"] is False
     assert rep["checked_lines"] + rep["skipped_singular"] == p * p
 
 
@@ -170,7 +170,7 @@ def test_scan_exits_2_on_a_mode_count_under_the_ceiling(monkeypatch, tmp_path):
 def test_scan_relation_and_identities(p):
     pl = build_plane(p)
     rep, ok = ec_spectrum_scan(pl)
-    doc, _ = compute_spectrum(pl, ec_region(pl))
+    doc, _ = compute_spectrum(pl, *ec_region(pl))
     assert rep["set_size"] == p * (p + 1) // 2
     assert rep["relation_violations"] == 0
     assert rep["skipped_vertical"] == p
@@ -184,7 +184,7 @@ def test_scan_relation_and_identities(p):
 def test_scan_agrees_with_scalar_path():
     p = 11
     pl = build_plane(p)
-    region = ec_region(pl)
+    region, _ = ec_region(pl)
     rep, _ = ec_spectrum_scan(pl)
     checked = 0
     for m in range(p):

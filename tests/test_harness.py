@@ -8,9 +8,9 @@ from secants import harness as harness_module
 from secants.harness import (SWEEP_COLUMNS, SWEEP_SCHEMA, exhaustive_minmax,
                              local_search, run_sweep, sweep_to_csv)
 from secants.plane import build_plane
-from secants.spectrum import PointSet, compute_spectrum, cor_bound_ceiling
+from secants.spectrum import compute_spectrum, cor_bound_ceiling
 
-from conftest import naive_histogram, naive_line_points, naive_local_search
+from conftest import mask_of, naive_histogram, naive_line_points, naive_local_search
 
 
 def brute_minmax(plane):
@@ -33,10 +33,6 @@ def brute_minmax(plane):
     return best, witness
 
 
-def witness_set(plane, res):
-    return PointSet.from_indices(plane, res["witness_points"])
-
-
 # the four checks a sweep row must pass
 CHECKS = ("eq1", "eq2", "var_ok", "cor_ok")
 
@@ -48,7 +44,7 @@ def test_exhaustive_q2_matches_bruteforce(fano):
     assert res["witness_points"] == expect_witness
     assert res["method"] == "exhaustive"
     # the witness is a triangle: its spectrum attains the minimum
-    doc, _ = compute_spectrum(fano, witness_set(fano, res))
+    doc, _ = compute_spectrum(fano, mask_of(fano, res["witness_points"]), None)
     assert doc["mode_count"] == 3
     assert res["best_mode_count"] >= cor_bound_ceiling(2) == 2
 
@@ -98,7 +94,7 @@ def test_local_search_reaches_exhaustive_minimum():
         res = local_search(pl, iters=300, seed=11, restarts=10)
         assert res["best_mode_count"] == golden
         assert res["method"] == "local"
-        doc, _ = compute_spectrum(pl, witness_set(pl, res))
+        doc, _ = compute_spectrum(pl, mask_of(pl, res["witness_points"]), None)
         assert doc["mode_count"] == res["best_mode_count"]
 
 

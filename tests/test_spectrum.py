@@ -12,14 +12,14 @@ from hypothesis import strategies as st
 
 from secants import plane as plane_module
 from secants import spectrum as spectrum_module
-from secants.construct import build_construction, random_set
+from secants.construct import build_construction, pointset_from_json, random_set
 from secants.plane import build_plane
-from secants.spectrum import (PointSet, bounds_report, compute_spectrum,
-                              cor_bound_ceiling, verify_counting_identities)
+from secants.spectrum import (bounds_report, compute_spectrum, cor_bound_ceiling,
+                              verify_counting_identities)
 from secants.spectrum import _spectrum_affine
 
 from conftest import (assert_spectrum_matches_naive, class_of, contains,
-                      gather_secant_counts, histogram_counts, identity_residuals,
+                      gather_secant_counts, histogram_counts, identity_residuals, mask_of,
                       naive_histogram, naive_secant_counts)
 
 
@@ -32,8 +32,8 @@ def fano_triangle(fano):
 
 
 def test_full_line_spectrum(fano):
-    S = PointSet.from_indices(fano, fano.line_points([0])[0])
-    doc, n_ell = compute_spectrum(fano, S)
+    S = mask_of(fano, fano.line_points([0])[0])
+    doc, n_ell = compute_spectrum(fano, S, None)
     # any other line meets this one in exactly one point
     assert histogram_counts(doc) == [0, 6, 0, 1]
     assert (doc["mode_k"], doc["mode_count"]) == (1, 6)
@@ -44,18 +44,18 @@ def test_full_line_spectrum(fano):
 
 
 def test_empty_and_full_set(fano):
-    doc, _ = compute_spectrum(fano, PointSet.empty(fano))
+    doc, _ = compute_spectrum(fano, np.zeros(fano.N, dtype=bool), None)
     assert histogram_counts(doc) == [7, 0, 0, 0]
     assert (doc["mode_k"], doc["mode_count"]) == (0, 7)
     assert all(doc["checks"].values())
-    doc_full, _ = compute_spectrum(fano, PointSet.full(fano))
+    doc_full, _ = compute_spectrum(fano, np.ones(fano.N, dtype=bool), None)
     assert histogram_counts(doc_full) == [0, 0, 0, 7]
     assert all(doc_full["checks"].values())
 
 
 def test_triangle_spectrum(fano):
     tri = fano_triangle(fano)
-    doc, _ = compute_spectrum(fano, PointSet.from_indices(fano, tri))
+    doc, _ = compute_spectrum(fano, mask_of(fano, tri), None)
     assert histogram_counts(doc) == [1, 3, 3, 0]
     # ties resolve to the smallest k
     assert (doc["mode_k"], doc["mode_count"]) == (1, 3)
@@ -65,7 +65,7 @@ def test_single_point_variance_identity():
     # N*Σn² - (Σn)² = q(N-1) * ... both sides reduce to q²(q+1) at |S| = 1
     for q in (2, 3, 4, 5, 7, 9):
         pl = build_plane(q)
-        doc, n_ell = compute_spectrum(pl, PointSet.from_indices(pl, [0]))
+        doc, n_ell = compute_spectrum(pl, mask_of(pl, [0]), None)
         assert all(doc["checks"].values())
         lhs = pl.N * int((n_ell ** 2).sum()) - int(n_ell.sum()) ** 2
         assert lhs == q * q * (q + 1)
@@ -74,31 +74,31 @@ def test_single_point_variance_identity():
 def test_counting_identities_catch_a_count_off():
     q = 7
     pl = build_plane(q)
-    S = random_set(pl, Fraction(1, 2), 0)
-    _, n_ell = compute_spectrum(pl, S)
-    assert verify_counting_identities(q, S.size, n_ell) == \
+    S, meta = random_set(pl, Fraction(1, 2), 0)
+    _, n_ell = compute_spectrum(pl, S, meta)
+    size = int(S.sum())
+    assert verify_counting_identities(q, size, n_ell) == \
         {"eq1": True, "eq2": True, "var": True}
     off = n_ell.copy()
     off[0] += 1
-    assert verify_counting_identities(q, S.size, off)["eq1"] is False
+    assert verify_counting_identities(q, size, off)["eq1"] is False
     # one incidence moved from the fullest line to the emptiest keeps Σn, not Σn²
     moved = n_ell.copy()
     moved[n_ell.argmax()] -= 1
     moved[n_ell.argmin()] += 1
-    assert verify_counting_identities(q, S.size, moved) == \
+    assert verify_counting_identities(q, size, moved) == \
         {"eq1": True, "eq2": False, "var": False}
 
 
 def test_complement_involution_and_reversal(fano):
     tri = fano_triangle(fano)
-    S = PointSet.from_indices(fano, tri)
-    Sc = S.complement()
-    assert Sc.size == 4
-    assert Sc.complement() == S
-    assert (Sc.mask == ~S.mask).all()
-    assert PointSet.empty(fano).complement().size == fano.N
-    hist = histogram_counts(compute_spectrum(fano, S)[0])
-    hist_c = histogram_counts(compute_spectrum(fano, Sc)[0])
+    S = mask_of(fano, tri)
+    Sc = ~S
+    assert Sc.sum() == 4
+    assert np.array_equal(~Sc, S)
+    assert (~np.zeros(fano.N, dtype=bool)).sum() == fano.N
+    hist = histogram_counts(compute_spectrum(fano, S, None)[0])
+    hist_c = histogram_counts(compute_spectrum(fano, Sc, None)[0])
     assert hist_c == hist[::-1]
 
 
@@ -108,8 +108,8 @@ def test_spectrum_matches_naive_oracle(q):
     rng = random.Random(q)
     for _ in range(8):
         members = [i for i in range(pl.N) if rng.random() < 0.4]
-        S = PointSet.from_indices(pl, members)
-        doc, n_ell = compute_spectrum(pl, S)
+        S = mask_of(pl, members)
+        doc, n_ell = compute_spectrum(pl, S, None)
         assert_spectrum_matches_naive(pl, S, n_ell)
         assert all(doc["checks"].values())
         assert doc["mode_count"] >= cor_bound_ceiling(q)
@@ -128,9 +128,9 @@ def test_gather_and_affine_kernels_agree(p):
 def test_affine_kernel_handles_infinite_points():
     pl = build_plane(7)
     infinite = pl.line_points([class_of(pl, 0, 0, 1)])[0].tolist()
-    S = PointSet.from_indices(pl, infinite[:4] + [class_of(pl, 2, 3, 1)])
-    assert (_spectrum_affine(pl, S.mask) == gather_secant_counts(pl, S.mask)).all()
-    assert _spectrum_affine(pl, S.mask).tolist() == naive_secant_counts(pl, S.indices())
+    S = mask_of(pl, infinite[:4] + [class_of(pl, 2, 3, 1)])
+    assert (_spectrum_affine(pl, S) == gather_secant_counts(pl, S)).all()
+    assert _spectrum_affine(pl, S).tolist() == naive_secant_counts(pl, np.flatnonzero(S))
 
 
 def test_spectrum_scratch_is_bounded():
@@ -140,11 +140,11 @@ def test_spectrum_scratch_is_bounded():
     # row, 24.9 with the whole-grid rfftn)
     q = 997
     pl = build_plane(q)
-    pset = random_set(pl, Fraction(1, 2), 0)
+    mask, meta = random_set(pl, Fraction(1, 2), 0)
     pl.affine_points()
     tracemalloc.start()
     try:
-        compute_spectrum(pl, pset)
+        compute_spectrum(pl, mask, meta)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -174,8 +174,8 @@ def test_spectrum_needs_no_incidence_cache(monkeypatch, q):
 
     monkeypatch.setattr(plane_module.ProjectivePlane, "line_points", unsolvable)
     pl = build_plane(q)
-    S = random_set(pl, Fraction(1, 3), q)
-    assert_spectrum_matches_naive(pl, S, compute_spectrum(pl, S)[1])
+    S, meta = random_set(pl, Fraction(1, 3), q)
+    assert_spectrum_matches_naive(pl, S, compute_spectrum(pl, S, meta)[1])
 
 
 _PROPERTY_PLANES = {q: build_plane(q)
@@ -190,7 +190,7 @@ def test_kernels_match_naive_oracle_property(q, data):
     expect = naive_secant_counts(pl, np.flatnonzero(mask))
     assert gather_secant_counts(pl, mask).tolist() == expect
     assert _spectrum_affine(pl, mask).tolist() == expect
-    assert compute_spectrum(pl, PointSet(pl, mask))[1].tolist() == expect
+    assert compute_spectrum(pl, mask, None)[1].tolist() == expect
 
 
 @settings(max_examples=60, deadline=None)
@@ -249,7 +249,7 @@ def test_secant_counts_match_recorded_digests(q, construction, digest):
     # sha256 of n_ell as little-endian int64 at the benchmark's largest prime
     # and its extension planes: a change of any one secant count shows
     pl = build_plane(q)
-    _, n_ell = compute_spectrum(pl, build_construction(pl, construction, seed=0))
+    _, n_ell = compute_spectrum(pl, *build_construction(pl, construction, seed=0))
     assert hashlib.sha256(n_ell.astype("<i8").tobytes()).hexdigest() == digest
 
 
@@ -271,7 +271,7 @@ def test_radon_rounding_guard(monkeypatch, q, offset, raises):
                             lambda *a, member=member, **k: ifftn(*a, **k) + member)
         if raises:
             with pytest.raises(ArithmeticError, match="off an integer"):
-                compute_spectrum(pl, PointSet(pl, mask))
+                compute_spectrum(pl, mask, None)
         else:
             assert (_spectrum_affine(pl, mask) == expect).all()
 
@@ -320,18 +320,24 @@ def test_cor_bound_ceiling_matches_float_ceiling():
 
 
 def test_pointset_basics(fano):
-    S = PointSet.from_indices(fano, [0, 3, 5])
-    assert len(S) == 3 and contains(S, 3) and not contains(S, 1)
-    assert S.indices().tolist() == [0, 3, 5]
+    S = mask_of(fano, [0, 3, 5])
+    assert S.sum() == 3 and contains(S, 3) and not contains(S, 1)
+    assert np.flatnonzero(S).tolist() == [0, 3, 5]
     with pytest.raises(ValueError):
-        PointSet.from_indices(fano, [99])
+        mask_of(fano, [99])
     with pytest.raises(ValueError, match="out of range"):
-        PointSet.from_indices(fano, [-1])       # would alias to point N-1
-    with pytest.raises(ValueError):
-        S.mask[0] = False                       # masks are read-only
-    other = build_plane(3)
-    with pytest.raises(ValueError, match="different plane"):
-        compute_spectrum(other, S)
+        mask_of(fano, [-1])                     # would alias to point N-1
+    pl = build_plane(7)
+    built = [build_construction(pl, spec) for spec in ("random", "parabola", "family",
+                                                       "ecregion")]
+    for mask, _ in built + [pointset_from_json(pl, {"q": 7, "affine": [[1, 2]]})]:
+        with pytest.raises(ValueError):
+            mask[0] = False                     # masks are read-only
+    # the mask of another plane, and a mask that is not bool, are refused
+    with pytest.raises(ValueError, match=r"shape \(13,\) for N=7 points"):
+        compute_spectrum(fano, np.zeros(13, dtype=bool), None)
+    with pytest.raises(ValueError, match=r"^mask of int64 and shape \(7,\) for N=7 points$"):
+        compute_spectrum(fano, S.astype(np.int64), None)
 
 
 def test_identities_on_random_sets_random_plane_sizes():
@@ -339,7 +345,7 @@ def test_identities_on_random_sets_random_plane_sizes():
     for q in (4, 8, 9, 11):
         pl = build_plane(q)
         for _ in range(5):
-            S = random_set(pl, Fraction(rng.randrange(1, 4), 4), rng.randrange(1000))
-            doc, n_ell = compute_spectrum(pl, S)
-            assert identity_residuals(q, S.size, n_ell) == (0, 0, 0)
+            S, meta = random_set(pl, Fraction(rng.randrange(1, 4), 4), rng.randrange(1000))
+            doc, n_ell = compute_spectrum(pl, S, meta)
+            assert identity_residuals(q, int(S.sum()), n_ell) == (0, 0, 0)
             assert doc["checks"] == {"eq1": True, "eq2": True, "var": True}
