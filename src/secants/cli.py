@@ -199,7 +199,7 @@ def cmd_spectrum(args) -> int:
         with open(args.emit_set, "w") as fh:
             json.dump(pointset_to_json(plane, mask), fh, sort_keys=True)
             fh.write("\n")
-    doc, _ = compute_spectrum(plane, mask, meta)
+    doc = compute_spectrum(plane, mask, meta)
     if args.format == "csv":
         _emit(args, _csv_blocks(("k", "count"), [e["count"] for e in doc["histogram"]]))
     else:

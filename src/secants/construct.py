@@ -36,10 +36,20 @@ def require_prime_plane(plane: ProjectivePlane, min_p: int) -> int:
     return F.p
 
 
+# The regions go into the mask through the chart in blocks of about this
+# many entries: the chart rows' index scratch, about 11 bytes an entry,
+# stays a small part of the bool grid (180 kB for a 1 MB grid at q=997).
+_CHART_WRITE_ENTRIES = _SOLVE_BLOCK_ENTRIES // 4
+
+
 def _from_affine_grid(plane, grid, meta):
-    """(mask, meta) of the set of the affine points (x, y) with grid[x, y] set."""
+    """(mask, meta) of the set of the affine points (x, y) with grid[x, y] set,
+    written through the chart a block of rows at a time."""
+    q = plane.q
     mask = np.zeros(plane.N, dtype=bool)
-    mask[plane.affine_points()] = grid
+    step = max(1, _CHART_WRITE_ENTRIES // q)
+    for lo in range(0, q, step):
+        mask[plane.affine_points(range(lo, min(lo + step, q)))] = grid[lo:lo + step]
     mask.flags.writeable = False
     return mask, meta
 
@@ -75,7 +85,7 @@ def random_set(plane: ProjectivePlane, density, seed: int):
     for lo in range(0, plane.N, _SOLVE_BLOCK_ENTRIES):
         block = mask[lo:lo + _SOLVE_BLOCK_ENTRIES]
         block[:] = rng.integers(0, den, size=block.size, dtype=np.int64) < num
-    mask = mask.copy()      # frees the draw buffer: large-prime peak RSS 4.5 MB lower
+    mask = mask.copy()      # frees the draw buffer: large-prime peak RSS 1.1-1.5 MB lower
     mask.flags.writeable = False
     return mask, meta
 
@@ -197,8 +207,8 @@ def pointset_from_json(plane: ProjectivePlane, doc):
                 break
         xy = np.array([e for e in entries if len(e) == 2], dtype=np.int64).reshape(-1, 2)
         xyz = np.array(entries[len(xy):], dtype=np.int64).reshape(-1, 3)
-    indices = np.concatenate([plane.affine_points()[xy[:, 0], xy[:, 1]],
-                              plane.index_of(xyz)])
+    xy1 = np.column_stack([xy, np.ones(len(xy), dtype=np.int64)])      # (x : y : 1)
+    indices = plane.index_of(np.concatenate([xy1, xyz]))
     repeat = np.ones(indices.size, dtype=bool)         # not a point's first entry
     repeat[np.unique(indices, return_index=True)[1]] = False
     if repeat.any():

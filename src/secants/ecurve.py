@@ -25,7 +25,7 @@ import numpy as np
 from .construct import ec_region, require_prime_plane
 from .field import is_prime, legendre_table
 from .plane import ProjectivePlane
-from .spectrum import compute_spectrum, cor_bound_ceiling
+from .spectrum import _spectrum_affine, _spectrum_document, cor_bound_ceiling
 
 
 class CurveError(ValueError):
@@ -86,7 +86,9 @@ def ec_spectrum_scan(plane: ProjectivePlane):
     non-vertical nonsingular line, and whether the relation, the counting
     identities and the cor ceiling all hold."""
     p = require_prime_plane(plane, 3)
-    spec, n_ell = compute_spectrum(plane, *ec_region(plane))
+    mask, meta = ec_region(plane)
+    n_ell = _spectrum_affine(plane, mask)
+    spec = _spectrum_document(plane, mask, meta, np.bincount(n_ell, minlength=p + 2))
 
     counts, roots = _curve_counts(p)
 

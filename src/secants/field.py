@@ -240,10 +240,21 @@ def legendre_table(p: int) -> np.ndarray:
 
 @lru_cache(maxsize=128)
 def inverse_table(p: int) -> np.ndarray:
-    """int64 array: multiplicative inverses mod p (index 0 unused, set to 0)."""
-    inv = np.zeros(p, dtype=np.int64)
-    for a in range(1, p):
-        inv[a] = pow(a, p - 2, p)
+    """int64 array: multiplicative inverses mod a prime p (index 0 unused,
+    set to 0), each a^(p-2) by square-and-multiply over the whole array.
+    Every product is below p^2, exact in int64 for p < 2^31."""
+    if not 2 <= p < 2 ** 31:
+        raise FieldError(f"no exact int64 inverse table mod {p}")
+    base = np.arange(p, dtype=np.int64)
+    inv = np.ones(p, dtype=np.int64)
+    e = p - 2
+    while e:
+        if e & 1:
+            np.remainder(np.multiply(inv, base, out=inv), p, out=inv)
+        e >>= 1
+        if e:
+            np.remainder(np.multiply(base, base, out=base), p, out=base)
+    inv[0] = 0
     return inv
 
 

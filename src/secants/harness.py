@@ -165,7 +165,7 @@ def local_search(plane: ProjectivePlane, iters: int = 200, seed: int = 0,
 def _sweep_cell(plane: ProjectivePlane, construction: str, seed: int) -> dict:
     q = plane.q
     try:
-        doc, _ = compute_spectrum(plane, *build_construction(plane, construction, seed=seed))
+        doc = compute_spectrum(plane, *build_construction(plane, construction, seed=seed))
     except ValueError as exc:           # an input error: recorded per row, sweep continues
         return dict(zip(SWEEP_COLUMNS, (q, construction, seed, 0, 0, 0, *(0.0,) * 5,
                                         *(False,) * 4, str(exc))))
@@ -187,8 +187,6 @@ def run_sweep(primes, construction: str, seeds, threads: int = 1):
         seeds = range(seeds)
     seeds = list(seeds)
     planes = {q: build_plane(q) for q in primes}
-    for plane in planes.values():       # build shared tables before dispatch
-        plane.affine_points()
     cells = [(q, s) for q in primes for s in seeds]
     return _ordered_map(lambda c: _sweep_cell(planes[c[0]], construction, c[1]),
                         cells, threads)

@@ -14,11 +14,12 @@ solver's rows also list the lines through each point.
 The affine chart identifies F_q^2 with the points off the line z = 0:
 (x, y) corresponds to (x : y : 1), the line y = dx + b to [d : -1 : b],
 and the vertical x = c to [1 : 0 : -c].  The first two have closed-form
-tables (`affine_points`, `affine_lines`); every other chart object is
-encoded with `index_of`.  The spectrum reads the chart through
-`affine_points` alone, since its classes come in line-index order;
-`affine_lines` serves the curve relations, which read secant sizes by
-slope and intercept.
+tables, solved for any batch of rows on request (`affine_points`,
+`affine_lines`); every other chart object is encoded with `index_of`.
+The plane caches no table.  The spectrum reads the chart through
+`affine_points` alone, a block of rows at a time, since its classes come
+in line-index order; `affine_lines` serves the curve relations, which
+read secant sizes by slope and intercept.
 """
 
 from __future__ import annotations
@@ -27,9 +28,8 @@ import numpy as np
 
 from .field import Field, make_field
 
-# Lines are solved, the affine point table is built and random sets are
-# drawn in blocks of about this many entries, which bounds their int64
-# temporaries.
+# Lines and chart rows are solved, and random sets are drawn, in blocks of
+# about this many entries, which bounds their int64 temporaries.
 _SOLVE_BLOCK_ENTRIES = 1 << 16
 
 
@@ -44,7 +44,6 @@ class ProjectivePlane:
         self.field = field
         self.q = field.q
         self.N = self.q * self.q + self.q + 1
-        self._affine_points = None   # numpy (q, q) int32, built on first use
 
     def __repr__(self):
         return f"PG(2,{self.q})"
@@ -115,22 +114,26 @@ class ProjectivePlane:
 
     # -- the affine chart -------------------------------------------------------
 
-    def affine_points(self) -> np.ndarray:
-        """(q, q) int32 table, cached: [x, y] is the index of (x : y : 1).
-        The rows x != 0 are filled in blocks of about _SOLVE_BLOCK_ENTRIES
-        entries, so no int64 temporary is as large as the table."""
-        if self._affine_points is None:
-            F, q = self.field, self.q
-            y = np.arange(q, dtype=np.int64)
-            tbl = np.empty((q, q), dtype=np.int32)
-            tbl[0, 0] = 0
-            tbl[0, 1:] = 1 + F.inv(y[1:])                 # (0 : 1 : 1/y)
-            step = max(1, _SOLVE_BLOCK_ENTRIES // q)
-            for lo in range(1, q, step):
-                inv = F.inv(y[lo:lo + step])[:, None]
-                tbl[lo:lo + step] = F.mul(y, inv) * q + (q + 1 + inv)  # (1 : y/x : 1/x)
-            self._affine_points = tbl
-        return self._affine_points
+    def affine_points(self, xs=None) -> np.ndarray:
+        """(len(xs), q) int32 table: [i, y] is the index of (x : y : 1) for
+        x = xs[i]; all q rows by default.  Nothing is cached; the rows are
+        solved in blocks of about _SOLVE_BLOCK_ENTRIES entries from int32
+        operands, exact since a product y * (1/x) of a prime field is below
+        q^2 < N and every index of an int32 table is below 2^31."""
+        F, q = self.field, self.q
+        xs = np.arange(q) if xs is None else np.asarray(xs)
+        y = np.arange(q, dtype=np.int32)
+        out = np.empty((xs.size, q), dtype=np.int32)
+        step = max(1, _SOLVE_BLOCK_ENTRIES // q)
+        for lo in range(0, xs.size, step):
+            x, block = xs[lo:lo + step, None], out[lo:lo + step]
+            inv = F.inv(np.where(x == 0, 1, x)).astype(np.int32)
+            block[:] = F.mul(y, inv) * q + (q + 1 + inv)           # (1 : y/x : 1/x)
+            axis = x[:, 0] == 0
+            if axis.any():
+                block[axis, 0] = 0
+                block[axis, 1:] = 1 + F.inv(y[1:])                 # (0 : 1 : 1/y)
+        return out
 
     def affine_lines(self, slopes=None) -> np.ndarray:
         """(len(slopes), q) int64 table: [i, b] is the index of the line

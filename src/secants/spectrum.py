@@ -7,10 +7,11 @@ Radon transform: the counts along a parallel class are the inverse DFT
 of one slice of the DFT of the q x q membership grid (the Fourier slice
 theorem over GF(q), whose additive characters are the characters of its
 base-p digit vectors), so all classes cost O(q^2 log q) and no incidence
-is stored.  The classes come in the order of the line indices, so each
-fills one contiguous slab of the counts, and the real transforms run two
-to one complex FFT.  The transform is rounded to integers under an
-explicit tolerance guard."""
+is stored.  The classes come in the order of the line indices, so the
+counts stream out block by block (`secant_count_blocks`), straight into
+the histogram of a spectrum or into the per-line array of the readers
+that need one; the real transforms run two to one complex FFT.  The
+transform is rounded to integers under an explicit tolerance guard."""
 
 from __future__ import annotations
 
@@ -19,45 +20,73 @@ import math
 import numpy as np
 
 from .field import _decode_digits
-from .plane import ProjectivePlane
+from .plane import _SOLVE_BLOCK_ENTRIES, ProjectivePlane
 
 
-def compute_spectrum(plane: ProjectivePlane, mask: np.ndarray, meta: dict):
-    """(document, n_ell): the `spectrum` document of the set with this bool
-    membership mask over the N points, with its histogram over every k in
-    0..q+1, the smallest k of largest count, the counting checks, the
-    bounds and the set's meta, and the int64 array of the per-line counts
-    n_ell[i] = |S ∩ line i|."""
+def compute_spectrum(plane: ProjectivePlane, mask: np.ndarray, meta: dict) -> dict:
+    """The `spectrum` document of the set with this bool membership mask
+    over the N points: its histogram over every k in 0..q+1, the smallest k
+    of largest count, the counting checks, the bounds and the set's meta.
+    The per-line counts stream block by block into the histogram, so no
+    array of all N counts is built."""
     if mask.dtype != bool or mask.shape != (plane.N,):
         raise ValueError(f"mask of {mask.dtype} and shape {mask.shape} "
                          f"for N={plane.N} points")
+    hist = np.zeros(plane.q + 2, dtype=np.int64)
+    for counts in secant_count_blocks(plane, mask):
+        hist += np.bincount(counts, minlength=hist.size)
+    return _spectrum_document(plane, mask, meta, hist)
+
+
+def _spectrum_document(plane, mask: np.ndarray, meta: dict, hist: np.ndarray) -> dict:
     q, size = plane.q, int(np.count_nonzero(mask))
-    n_ell = _spectrum_affine(plane, mask)
-    hist = np.bincount(n_ell, minlength=q + 2)
     mode_k = int(hist.argmax())          # argmax returns the smallest maximizer
     return {"q": q, "N": plane.N, "set_size": size,
             "histogram": [{"k": k, "count": c} for k, c in enumerate(hist.tolist())],
             "mode_k": mode_k, "mode_count": int(hist[mode_k]),
-            "checks": verify_counting_identities(q, size, n_ell),
+            "checks": verify_counting_identities(q, size, hist),
             "bounds": bounds_report(q, size),
-            "meta": meta}, n_ell
+            "meta": meta}
 
 
 def _spectrum_affine(plane, mask: np.ndarray) -> np.ndarray:
+    """The int64 array of the per-line counts n_ell[i] = |S ∩ line i|, for
+    the readers that need every line: the search and the curve scan."""
+    n_ell = np.empty(plane.N, dtype=np.int64)
+    lo = 0
+    for counts in secant_count_blocks(plane, mask):
+        n_ell[lo:lo + counts.size] = counts
+        lo += counts.size
+    return n_ell
+
+
+def secant_count_blocks(plane: ProjectivePlane, mask: np.ndarray):
+    """The per-line counts |S ∩ line| of the set with this mask, yielded as
+    int64 blocks in line-index order: line 0 (z = 0), the lines 1..q
+    ([0 : 1 : c]), then each block of parallel classes from
+    affine_class_blocks with its point at infinity added.  The affine grid
+    is gathered through the chart a block of rows at a time.
+    Raises ArithmeticError unless the blocks count every line once."""
     F, q, N = plane.field, plane.q, plane.N
-    grid = mask.take(plane.affine_points().T)           # grid[y, x]: (x : y : 1)
+    grid = np.empty((q, q), dtype=bool)                 # grid[y, x]: (x : y : 1)
+    step = max(1, _SOLVE_BLOCK_ENTRIES // q)
+    for lo in range(0, q, step):
+        grid[:, lo:lo + step] = mask.take(plane.affine_points(range(lo, min(lo + step, q)))).T
     at_inf = mask[q + 1::q]                             # (1 : y : 0) by y
-    n_ell = np.empty(N, dtype=np.int64)
-    n_ell[0] = mask[1] + at_inf.sum()                   # z = 0
+    yield np.array([mask[1] + at_inf.sum()], dtype=np.int64)          # z = 0
     c = np.arange(q, dtype=np.int64)
-    n_ell[1:q + 1] = grid.sum(1)[F.neg(c)] + at_inf[0]  # [0 : 1 : c]: y = -c
+    yield grid.sum(1, dtype=np.int64)[F.neg(c)] + at_inf[0]  # [0 : 1 : c]: y = -c
     # class t meets z = 0 at (-t : 1 : 0): (0 : 1 : 0), then (1 : -1/t : 0)
     ends = np.concatenate([mask[1:2], at_inf[F.neg(F.inv(c[1:]))]])
-    slabs = n_ell[q + 1:].reshape(q, q)                 # [1 : t : c] at row t
-    for lo, counts in affine_class_blocks(grid, F):
-        hi = lo + len(counts)
-        np.add(counts, ends[lo:hi, None], out=slabs[lo:hi])
-    return n_ell
+    lines = q + 1
+    for lo, counts in affine_class_blocks(grid, F):     # [1 : t : c] at row t
+        lines += counts.size
+        if lines > N:
+            break
+        counts += ends[lo:lo + len(counts), None]
+        yield counts.reshape(-1)
+    if lines != N:
+        raise ArithmeticError(f"the spectrum of PG(2,{q}) counted {lines} of its {N} lines")
 
 
 # The finite Radon transform transforms this many grid entries (rows times
@@ -170,14 +199,17 @@ def affine_class_blocks(grid: np.ndarray, field):
         yield lo, counts.reshape(2 * n, q)[:t.size]
 
 
-def verify_counting_identities(q: int, s: int, n_ell: np.ndarray) -> dict:
-    """The `checks` object of the spectrum document: whether the per-line
-    counts of a set of size s satisfy, in exact integer arithmetic, the
-    standard equations (eq1, eq2) and the cleared-denominator variance
-    identity N*Σn² - (Σn)² = q*s*(N - s) (var)."""
+def verify_counting_identities(q: int, s: int, hist) -> dict:
+    """The `checks` object of the spectrum document: whether the secant-size
+    histogram h of a set of size s (h[k] lines meet it in k points)
+    satisfies, in exact integer arithmetic, the standard equations
+    Σk·h_k = s(q+1) (eq1) and Σk(k-1)·h_k = s(s-1) (eq2), and the
+    cleared-denominator variance identity N·Σk²h_k - (Σk·h_k)² = q*s*(N - s)
+    (var).  O(q), with no N-sized temporary."""
     N = q * q + q + 1
-    sum_n = int(n_ell.sum())
-    sum_n2 = int((n_ell * n_ell).sum())
+    h = [int(c) for c in hist]
+    sum_n = sum(k * c for k, c in enumerate(h))
+    sum_n2 = sum(k * k * c for k, c in enumerate(h))
     return {"eq1": sum_n == s * (q + 1),
             "eq2": sum_n2 - sum_n == s * (s - 1),
             "var": N * sum_n2 - sum_n * sum_n == q * s * (N - s)}

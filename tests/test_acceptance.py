@@ -18,7 +18,7 @@ from secants.harness import exhaustive_minmax, local_search, run_sweep
 from secants.legit import (generate_linear_hypergraph, two_phase_coloring,
                            verify_legitimate)
 from secants.plane import build_plane
-from secants.spectrum import compute_spectrum, cor_bound_ceiling
+from secants.spectrum import _spectrum_affine, compute_spectrum, cor_bound_ceiling
 
 from conftest import curve_count_bruteforce, histogram_counts, identity_residuals, mask_of
 
@@ -73,7 +73,8 @@ def identity_corpus():
         for seed in range(SETS_PER_ORDER):
             density = DENSITIES[seed % len(DENSITIES)]
             mask, meta = random_set(plane, density, seed)
-            corpus.append((plane, mask, *compute_spectrum(plane, mask, meta)))
+            corpus.append((plane, mask, compute_spectrum(plane, mask, meta),
+                           _spectrum_affine(plane, mask)))
     return corpus, time.monotonic() - start
 
 
@@ -102,7 +103,7 @@ def test_criterion_02_universal_lower_bound(identity_corpus):
             violations += 1
 
     def check_set(plane, mask, meta=None):
-        check(plane.q, compute_spectrum(plane, mask, meta)[0])
+        check(plane.q, compute_spectrum(plane, mask, meta))
 
     for plane, _, doc, _ in corpus:
         check(plane.q, doc)
@@ -200,7 +201,7 @@ def test_criterion_06_family_counting():
         chi = legendre_table(p).astype(np.int64)
         for c in (Fraction(1, 4), Fraction(1, 2)):
             a = math.floor(c * p)
-            _, n_ell = compute_spectrum(plane, *parabola_family(plane, c))
+            n_ell = _spectrum_affine(plane, parabola_family(plane, c)[0])
             m = np.arange(p, dtype=np.int64)
             b = np.arange(p, dtype=np.int64)
             u = (m[:, None] ** 2 + 4 * b[None, :]) % p
@@ -281,7 +282,7 @@ def test_criterion_09_complement_duality(identity_corpus):
     corpus, _ = identity_corpus
     violations = 0
     for plane, mask, doc, _ in corpus:
-        doc_c, _ = compute_spectrum(plane, ~mask, None)
+        doc_c = compute_spectrum(plane, ~mask, None)
         if histogram_counts(doc_c) != histogram_counts(doc)[::-1]:
             violations += 1
     report(9, violations == 0,

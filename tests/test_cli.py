@@ -96,7 +96,7 @@ def test_sweep_exits_2_when_a_row_fails_one_check(tmp_path, monkeypatch, check):
     else:
         real = spectrum.verify_counting_identities
         monkeypatch.setattr(spectrum, "verify_counting_identities",
-                            lambda q, s, n_ell: {**real(q, s, n_ell), "var": False})
+                            lambda q, s, hist: {**real(q, s, hist), "var": False})
     code, data = run_cli(tmp_path, "sweep", "--primes", "7", "--construction",
                          "random:density=1/2", "--seeds", "1")
     assert code == CHECK_FAILED
@@ -113,7 +113,7 @@ def test_spectrum_sweep_and_ec_scan_exit_2_on_one_failed_identity(tmp_path, monk
     assert [run_cli(tmp_path, *argv)[0] for argv in commands] == [OK] * 3
     real = spectrum.verify_counting_identities
     monkeypatch.setattr(spectrum, "verify_counting_identities",
-                        lambda q, s, n_ell: {**real(q, s, n_ell), "var": False})
+                        lambda q, s, hist: {**real(q, s, hist), "var": False})
     assert [run_cli(tmp_path, *argv)[0] for argv in commands] == [CHECK_FAILED] * 3
     doc = json.loads(run_cli(tmp_path, *commands[0])[1])
     assert doc["checks"] == {"eq1": True, "eq2": True, "var": False}
@@ -329,6 +329,23 @@ def test_csv_is_written_block_by_block(tmp_path, monkeypatch):
     assert lines[0] == "t,psi" and len(lines) == 1 + walk.size
     assert lines[1:4] == ["0,-500", "1,-499", "2,-498"] and lines[-1] == "1048575,75"
     assert peak < 6 * 2 ** 20, peak
+
+
+def test_spectrum_at_q2003_is_held_in_the_memory_of_its_transform(tmp_path):
+    # the transform F (2003 x 1002 complex, 30.6 MiB) is the one array of
+    # its size: the whole command measured 41.1 MiB, where holding the N
+    # per-line counts and the chart table beside it took 87.0 MiB
+    out = tmp_path / "out"
+    tracemalloc.start()
+    try:
+        code = main(["spectrum", "--q", "2003", "--construction", "random:density=1/2",
+                     "--out", str(out)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == OK
+    assert sum(e["count"] for e in json.loads(out.read_text())["histogram"]) == 2003 ** 2 + 2004
+    assert peak <= 56 * 2 ** 20, peak
 
 
 def test_projection_profile_and_laws(tmp_path):

@@ -15,7 +15,7 @@ from secants.construct import (ConstructionError, build_construction, ec_region,
                                under_parabola)
 from secants.field import legendre_table
 from secants.plane import build_plane
-from secants.spectrum import compute_spectrum
+from secants.spectrum import _spectrum_affine
 
 from conftest import class_of, contains, mask_of, normalized_triples, projective_classes
 
@@ -97,7 +97,7 @@ def test_family_members_are_the_shifted_parabolas():
 def test_family_vertical_sections():
     pl = build_plane(11)
     a = 4                                    # floor(22/5)
-    _, n_ell = compute_spectrum(pl, *parabola_family(pl, Fraction(2, 5)))
+    n_ell = _spectrum_affine(pl, parabola_family(pl, Fraction(2, 5))[0])
     for c in range(11):
         assert n_ell[class_of(pl, 1, 0, pl.field.neg(c))] == a
 
@@ -135,10 +135,10 @@ def test_ec_region_example_point():
                                    lambda pl: parabola_region(pl, 1, 2, 3)])
 def test_region_scratch_is_one_bool_grid(build):
     # the region's bool grid goes straight into the mask through the
-    # cached chart table: measured 2.07 MB at q=997 for a 1.0 MB mask and
-    # a 1.0 MB grid, where the coordinate lists took 20 MB
+    # chart, solved a few rows at a time on a fresh plane: measured 2.24 MB
+    # at q=997 for a 1.0 MB mask and a 1.0 MB grid, where the coordinate
+    # lists took 20 MB
     pl = build_plane(997)
-    pl.affine_points()
     tracemalloc.start()
     try:
         build(pl)

@@ -120,23 +120,29 @@ def test_scan_counts_every_curve_directly(p):
                               for m in range(p)]
 
 
+def off_by_one(line, blocks=spectrum.secant_count_blocks):
+    """The block generator with +1 on the secant size of one line."""
+    def faulty(plane, mask):
+        lo = 0
+        for counts in blocks(plane, mask):
+            if lo <= line < lo + counts.size:
+                counts[line - lo] += 1
+            lo += counts.size
+            yield counts
+    return faulty
+
+
 @pytest.mark.parametrize("p", [13, 29])
 def test_scan_finds_one_secant_size_off(monkeypatch, p):
     # +1 on the secant size of the nonsingular line v = x + 1 breaks the
     # relation on that line alone, and the counting identities
     pl = build_plane(p)
-    line = class_of(pl, 1, p - 1, 1)                 # [1 : -1 : 1]
-
-    def off_by_one(plane, mask, kernel=spectrum._spectrum_affine):
-        n_ell = kernel(plane, mask)
-        n_ell[line] += 1
-        return n_ell
-
-    monkeypatch.setattr(spectrum, "_spectrum_affine", off_by_one)
+    monkeypatch.setattr(spectrum, "secant_count_blocks",
+                        off_by_one(class_of(pl, 1, p - 1, 1)))        # [1 : -1 : 1]
     rep, ok = ec_spectrum_scan(pl)
     assert rep["relation_violations"] == 1
     assert not ok
-    assert compute_spectrum(pl, *ec_region(pl))[0]["checks"]["eq1"] is False
+    assert compute_spectrum(pl, *ec_region(pl))["checks"]["eq1"] is False
     assert rep["checked_lines"] + rep["skipped_singular"] == p * p
 
 
@@ -144,14 +150,8 @@ def test_scan_exits_2_on_a_vertical_secant_size_off(monkeypatch, tmp_path):
     # the relation covers non-vertical lines only; +1 on the vertical x = 0
     # leaves it clean and is caught by the counting identities
     p = 13
-    line = class_of(build_plane(p), 1, 0, 0)          # [1 : 0 : 0]
-
-    def off_by_one(plane, mask, kernel=spectrum._spectrum_affine):
-        n_ell = kernel(plane, mask)
-        n_ell[line] += 1
-        return n_ell
-
-    monkeypatch.setattr(spectrum, "_spectrum_affine", off_by_one)
+    monkeypatch.setattr(spectrum, "secant_count_blocks",
+                        off_by_one(class_of(build_plane(p), 1, 0, 0)))   # [1 : 0 : 0]
     rep, ok = ec_spectrum_scan(build_plane(p))
     assert rep["relation_violations"] == 0
     assert not ok                                    # the identities catch it
@@ -170,7 +170,7 @@ def test_scan_exits_2_on_a_mode_count_under_the_ceiling(monkeypatch, tmp_path):
 def test_scan_relation_and_identities(p):
     pl = build_plane(p)
     rep, ok = ec_spectrum_scan(pl)
-    doc, _ = compute_spectrum(pl, *ec_region(pl))
+    doc = compute_spectrum(pl, *ec_region(pl))
     assert rep["set_size"] == p * (p + 1) // 2
     assert rep["relation_violations"] == 0
     assert rep["skipped_vertical"] == p

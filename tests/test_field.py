@@ -3,7 +3,7 @@ import random
 import numpy as np
 import pytest
 
-from secants.field import (Field, FieldError, factor_prime_power, is_prime,
+from secants.field import (Field, FieldError, factor_prime_power, inverse_table, is_prime,
                            legendre_table, make_field)
 from secants.field import _decode_digits, _encode_digits, _poly_mod, _poly_mul
 
@@ -206,3 +206,22 @@ def test_tables_match_polynomial_arithmetic(q):
     assert isinstance(f.mul(2, 3), int) and isinstance(f.inv(2), int)
     with pytest.raises(FieldError):
         f.inv(nz - 1)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 13, 997, 65537, 4194301])
+def test_inverse_table_matches_pow(p):
+    # square-and-multiply over the whole array, against Python's modular
+    # inverse on every residue (on 2000 seeded ones at p = 4194301), and
+    # a * inv[a] = 1 on every residue; built uncached, so the large table
+    # is not kept
+    inv = inverse_table.__wrapped__(p)
+    assert inv.dtype == np.int64 and inv.shape == (p,) and inv[0] == 0
+    a = np.arange(1, p) if p < 70000 else np.random.default_rng(p).integers(1, p, 2000)
+    assert inv[a].tolist() == [pow(int(x), -1, p) for x in a]
+    assert (np.arange(1, p) * inv[1:] % p == 1).all()
+
+
+@pytest.mark.parametrize("p", [0, 1, 2 ** 31 + 11])
+def test_inverse_table_refuses_orders_past_exact_int64(p):
+    with pytest.raises(FieldError, match="no exact int64 inverse table"):
+        inverse_table.__wrapped__(p)

@@ -44,7 +44,7 @@ def test_exhaustive_q2_matches_bruteforce(fano):
     assert res["witness_points"] == expect_witness
     assert res["method"] == "exhaustive"
     # the witness is a triangle: its spectrum attains the minimum
-    doc, _ = compute_spectrum(fano, mask_of(fano, res["witness_points"]), None)
+    doc = compute_spectrum(fano, mask_of(fano, res["witness_points"]), None)
     assert doc["mode_count"] == 3
     assert res["best_mode_count"] >= cor_bound_ceiling(2) == 2
 
@@ -94,7 +94,7 @@ def test_local_search_reaches_exhaustive_minimum():
         res = local_search(pl, iters=300, seed=11, restarts=10)
         assert res["best_mode_count"] == golden
         assert res["method"] == "local"
-        doc, _ = compute_spectrum(pl, mask_of(pl, res["witness_points"]), None)
+        doc = compute_spectrum(pl, mask_of(pl, res["witness_points"]), None)
         assert doc["mode_count"] == res["best_mode_count"]
 
 

@@ -7,6 +7,7 @@ import pytest
 
 from secants import plane as plane_module
 from secants.plane import PlaneError, build_plane
+from secants.spectrum import compute_spectrum
 
 from conftest import class_of, incident, line_through, naive_line_points, normalized_triples
 
@@ -180,8 +181,13 @@ def test_chart_tables_match_index_of(q):
     x, y = np.meshgrid(np.arange(q), np.arange(q), indexing="ij")
     one = np.ones_like(x)
     tbl = pl.affine_points()
-    assert tbl.dtype == np.int32 and tbl is pl.affine_points()
+    assert tbl.dtype == np.int32
     assert (tbl == pl.index_of(np.stack([x, y, one], -1))).all()
+    assert (pl.affine_points([q - 1, 0, 1]) == tbl[[q - 1, 0, 1]]).all()
+    # the rows are solved on request: a plane holds no table, even after
+    # a spectrum has read its whole chart
+    compute_spectrum(pl, np.ones(pl.N, dtype=bool), None)
+    assert not any(isinstance(v, np.ndarray) for v in vars(pl).values())
     ltbl = pl.affine_lines()
     assert ltbl.dtype == np.int64
     assert (ltbl == pl.index_of(np.stack([x, pl.field.neg(one), y], -1))).all()

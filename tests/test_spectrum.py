@@ -15,7 +15,7 @@ from secants import spectrum as spectrum_module
 from secants.construct import build_construction, pointset_from_json, random_set
 from secants.plane import build_plane
 from secants.spectrum import (bounds_report, compute_spectrum, cor_bound_ceiling,
-                              verify_counting_identities)
+                              secant_count_blocks, verify_counting_identities)
 from secants.spectrum import _spectrum_affine
 
 from conftest import (assert_spectrum_matches_naive, class_of, contains,
@@ -33,7 +33,7 @@ def fano_triangle(fano):
 
 def test_full_line_spectrum(fano):
     S = mask_of(fano, fano.line_points([0])[0])
-    doc, n_ell = compute_spectrum(fano, S, None)
+    doc, n_ell = compute_spectrum(fano, S, None), _spectrum_affine(fano, S)
     # any other line meets this one in exactly one point
     assert histogram_counts(doc) == [0, 6, 0, 1]
     assert (doc["mode_k"], doc["mode_count"]) == (1, 6)
@@ -44,18 +44,18 @@ def test_full_line_spectrum(fano):
 
 
 def test_empty_and_full_set(fano):
-    doc, _ = compute_spectrum(fano, np.zeros(fano.N, dtype=bool), None)
+    doc = compute_spectrum(fano, np.zeros(fano.N, dtype=bool), None)
     assert histogram_counts(doc) == [7, 0, 0, 0]
     assert (doc["mode_k"], doc["mode_count"]) == (0, 7)
     assert all(doc["checks"].values())
-    doc_full, _ = compute_spectrum(fano, np.ones(fano.N, dtype=bool), None)
+    doc_full = compute_spectrum(fano, np.ones(fano.N, dtype=bool), None)
     assert histogram_counts(doc_full) == [0, 0, 0, 7]
     assert all(doc_full["checks"].values())
 
 
 def test_triangle_spectrum(fano):
     tri = fano_triangle(fano)
-    doc, _ = compute_spectrum(fano, mask_of(fano, tri), None)
+    doc = compute_spectrum(fano, mask_of(fano, tri), None)
     assert histogram_counts(doc) == [1, 3, 3, 0]
     # ties resolve to the smallest k
     assert (doc["mode_k"], doc["mode_count"]) == (1, 3)
@@ -65,7 +65,8 @@ def test_single_point_variance_identity():
     # N*Σn² - (Σn)² = q(N-1) * ... both sides reduce to q²(q+1) at |S| = 1
     for q in (2, 3, 4, 5, 7, 9):
         pl = build_plane(q)
-        doc, n_ell = compute_spectrum(pl, mask_of(pl, [0]), None)
+        S = mask_of(pl, [0])
+        doc, n_ell = compute_spectrum(pl, S, None), _spectrum_affine(pl, S)
         assert all(doc["checks"].values())
         lhs = pl.N * int((n_ell ** 2).sum()) - int(n_ell.sum()) ** 2
         assert lhs == q * q * (q + 1)
@@ -75,18 +76,18 @@ def test_counting_identities_catch_a_count_off():
     q = 7
     pl = build_plane(q)
     S, meta = random_set(pl, Fraction(1, 2), 0)
-    _, n_ell = compute_spectrum(pl, S, meta)
+    n_ell = _spectrum_affine(pl, S)
     size = int(S.sum())
-    assert verify_counting_identities(q, size, n_ell) == \
+    assert verify_counting_identities(q, size, np.bincount(n_ell)) == \
         {"eq1": True, "eq2": True, "var": True}
     off = n_ell.copy()
     off[0] += 1
-    assert verify_counting_identities(q, size, off)["eq1"] is False
+    assert verify_counting_identities(q, size, np.bincount(off))["eq1"] is False
     # one incidence moved from the fullest line to the emptiest keeps Σn, not Σn²
     moved = n_ell.copy()
     moved[n_ell.argmax()] -= 1
     moved[n_ell.argmin()] += 1
-    assert verify_counting_identities(q, size, moved) == \
+    assert verify_counting_identities(q, size, np.bincount(moved)) == \
         {"eq1": True, "eq2": False, "var": False}
 
 
@@ -97,8 +98,8 @@ def test_complement_involution_and_reversal(fano):
     assert Sc.sum() == 4
     assert np.array_equal(~Sc, S)
     assert (~np.zeros(fano.N, dtype=bool)).sum() == fano.N
-    hist = histogram_counts(compute_spectrum(fano, S, None)[0])
-    hist_c = histogram_counts(compute_spectrum(fano, Sc, None)[0])
+    hist = histogram_counts(compute_spectrum(fano, S, None))
+    hist_c = histogram_counts(compute_spectrum(fano, Sc, None))
     assert hist_c == hist[::-1]
 
 
@@ -109,8 +110,8 @@ def test_spectrum_matches_naive_oracle(q):
     for _ in range(8):
         members = [i for i in range(pl.N) if rng.random() < 0.4]
         S = mask_of(pl, members)
-        doc, n_ell = compute_spectrum(pl, S, None)
-        assert_spectrum_matches_naive(pl, S, n_ell)
+        doc = compute_spectrum(pl, S, None)
+        assert_spectrum_matches_naive(pl, S, _spectrum_affine(pl, S))
         assert all(doc["checks"].values())
         assert doc["mode_count"] >= cor_bound_ceiling(q)
         assert histogram_counts(doc) == naive_histogram(pl, members)
@@ -134,21 +135,68 @@ def test_affine_kernel_handles_infinite_points():
 
 
 def test_spectrum_scratch_is_bounded():
-    # n_ell (N int64) and the transform F (q x (q//2 + 1) complex) are
-    # kept; the grid is q*q bools and every other temporary comes in
-    # blocks of pairs.  Measured 19.8 MB at q=997 (20.9 with one real FFT per
-    # row, 24.9 with the whole-grid rfftn)
+    # only the transform F (q x (q//2 + 1) complex, 7.6 MiB) is kept whole:
+    # the grid is q*q bools, the chart rows and every other temporary come
+    # in blocks, and the counts stream into the histogram, so no array of
+    # all N counts exists.  Measured 11.4 MiB at q=997, from a fresh plane;
+    # 22.8 MiB when the N per-line counts and the chart table were held
     q = 997
     pl = build_plane(q)
     mask, meta = random_set(pl, Fraction(1, 2), 0)
-    pl.affine_points()
     tracemalloc.start()
     try:
         compute_spectrum(pl, mask, meta)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 8 * pl.N + 16 * q * (q // 2 + 1) + 7 * 2 ** 20, peak
+    assert peak <= 16 * 2 ** 20, peak
+    assert not any(isinstance(v, np.ndarray) for v in vars(pl).values())
+
+
+STREAM_ORDERS = [2, 3, 4, 8, 9, 16, 25, 27, 31]
+
+
+@pytest.mark.parametrize("q", STREAM_ORDERS)
+def test_streamed_histogram_matches_per_line_counts_and_naive(q):
+    # the histogram bincounted block by block is the bincount of the
+    # per-line array and the set oracle's histogram, and the blocks,
+    # joined, are the per-line counts in line-index order
+    pl = build_plane(q)
+    rng = np.random.default_rng(q)
+    for density in (0.1, 0.5, 0.9):
+        mask = rng.random(pl.N) < density
+        n_ell = _spectrum_affine(pl, mask)
+        hist = histogram_counts(compute_spectrum(pl, mask, None))
+        assert hist == np.bincount(n_ell, minlength=q + 2).tolist()
+        assert hist == naive_histogram(pl, np.flatnonzero(mask))
+        blocks = list(secant_count_blocks(pl, mask))
+        assert [b.dtype for b in blocks] == [np.int64] * len(blocks)
+        assert np.concatenate(blocks).tolist() == n_ell.tolist()
+
+
+@pytest.mark.parametrize("q", [7, 9, 16])
+@pytest.mark.parametrize("fault", ["drop", "repeat"])
+def test_a_lost_or_repeated_block_trips_the_line_count_guard(monkeypatch, q, fault):
+    # dropping or repeating one block of two classes leaves the histogram
+    # summing to N - 2q or past N, never to N
+    pl = build_plane(q)
+    mask = np.random.default_rng(q).random(pl.N) < 0.5
+    kernel = spectrum_module.affine_class_blocks
+
+    def faulty(grid, field):
+        for i, (lo, counts) in enumerate(kernel(grid, field)):
+            for _ in range({"drop": 0, "repeat": 2}[fault] if i == 1 else 1):
+                yield lo, counts.copy()
+
+    monkeypatch.setattr(spectrum_module, "_RADON_BLOCK_ENTRIES", 2 * q)
+    assert sum(histogram_counts(compute_spectrum(pl, mask, None))) == pl.N
+    monkeypatch.setattr(spectrum_module, "affine_class_blocks", faulty)
+    counted = str(pl.N - 2 * q) if fault == "drop" else r"\d+"
+    guard = rf"^the spectrum of PG\(2,{q}\) counted {counted} of its {pl.N} lines$"
+    with pytest.raises(ArithmeticError, match=guard):
+        compute_spectrum(pl, mask, None)
+    with pytest.raises(ArithmeticError, match=guard):
+        _spectrum_affine(pl, mask)
 
 
 @pytest.mark.parametrize("q", [8, 9])
@@ -175,7 +223,9 @@ def test_spectrum_needs_no_incidence_cache(monkeypatch, q):
     monkeypatch.setattr(plane_module.ProjectivePlane, "line_points", unsolvable)
     pl = build_plane(q)
     S, meta = random_set(pl, Fraction(1, 3), q)
-    assert_spectrum_matches_naive(pl, S, compute_spectrum(pl, S, meta)[1])
+    assert_spectrum_matches_naive(pl, S, _spectrum_affine(pl, S))
+    assert histogram_counts(compute_spectrum(pl, S, meta)) == \
+        naive_histogram(pl, np.flatnonzero(S))
 
 
 _PROPERTY_PLANES = {q: build_plane(q)
@@ -190,7 +240,8 @@ def test_kernels_match_naive_oracle_property(q, data):
     expect = naive_secant_counts(pl, np.flatnonzero(mask))
     assert gather_secant_counts(pl, mask).tolist() == expect
     assert _spectrum_affine(pl, mask).tolist() == expect
-    assert compute_spectrum(pl, mask, None)[1].tolist() == expect
+    assert histogram_counts(compute_spectrum(pl, mask, None)) == \
+        np.bincount(expect, minlength=q + 2).tolist()
 
 
 @settings(max_examples=60, deadline=None)
@@ -249,7 +300,7 @@ def test_secant_counts_match_recorded_digests(q, construction, digest):
     # sha256 of n_ell as little-endian int64 at the benchmark's largest prime
     # and its extension planes: a change of any one secant count shows
     pl = build_plane(q)
-    _, n_ell = compute_spectrum(pl, *build_construction(pl, construction, seed=0))
+    n_ell = _spectrum_affine(pl, build_construction(pl, construction, seed=0)[0])
     assert hashlib.sha256(n_ell.astype("<i8").tobytes()).hexdigest() == digest
 
 
@@ -346,6 +397,6 @@ def test_identities_on_random_sets_random_plane_sizes():
         pl = build_plane(q)
         for _ in range(5):
             S, meta = random_set(pl, Fraction(rng.randrange(1, 4), 4), rng.randrange(1000))
-            doc, n_ell = compute_spectrum(pl, S, meta)
+            doc, n_ell = compute_spectrum(pl, S, meta), _spectrum_affine(pl, S)
             assert identity_residuals(q, int(S.sum()), n_ell) == (0, 0, 0)
             assert doc["checks"] == {"eq1": True, "eq2": True, "var": True}
