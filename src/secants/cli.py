@@ -39,6 +39,10 @@ MAX_PRIME_ORDER = 1 << 22
 # (p, p) int64 tables: about 60 p^2 bytes in all, 1 GiB at p^2 = 2^24.
 MAX_SQUARE_ORDER = 1 << 12
 
+# The largest --n of legit gen, which builds (n, n) tables: about 60 n^2
+# bytes in all, 1 GiB at n^2 = 2^24.
+MAX_LEGIT_N = 1 << 12
+
 
 class _Parser(argparse.ArgumentParser):
     """No abbreviated flags: `sweep --seed 5` must not run as `--seeds 5`."""
@@ -87,12 +91,16 @@ def _emit_json(args, obj) -> None:
 def _json_text(obj, pad: str = "\n") -> str:
     """The text of json.dumps(obj, sort_keys=True, indent=2), without the
     pure-Python encoder that json runs whenever indent is set: a list of
-    ints or of strs is one join, and only dicts and other lists recurse.
-    pad is the line break and indentation that obj's own line starts with."""
+    ints or of strs is one join, an integer array is %-formatted a block of
+    rows at a time (json.dumps of its tolist()), and only dicts and other
+    lists recurse.  pad is the line break and indentation that obj's own
+    line starts with."""
     if type(obj) is int:
         return int.__repr__(obj)
     if isinstance(obj, str):
         return encode_basestring_ascii(obj)
+    if obj is True or obj is False:
+        return "true" if obj else "false"
     inner = pad + "  "
     if isinstance(obj, dict):
         if not obj:
@@ -103,11 +111,35 @@ def _json_text(obj, pad: str = "\n") -> str:
         if not obj:
             return "[]"
         kinds = set(map(type, obj))
-        items = (map(int.__repr__, obj) if kinds == {int} else
-                 map(encode_basestring_ascii, obj) if kinds == {str} else
-                 (_json_text(v, inner) for v in obj))
+        if kinds == {int}:
+            items = map(int.__repr__, obj)
+        elif kinds == {str}:        # each distinct str encoded once
+            items = map({s: encode_basestring_ascii(s) for s in set(obj)}.__getitem__, obj)
+        else:
+            items = (_json_text(v, inner) for v in obj)
         return "[" + inner + ("," + inner).join(items) + pad + "]"
-    return json.dumps(obj)     # floats, bools, None; raises on what json rejects
+    if isinstance(obj, np.ndarray) and obj.ndim and obj.dtype.kind in "iu":
+        if not len(obj):
+            return "[]"
+        # blocks of about 1 << 12 entries: only one block's ints are alive
+        row = _array_template(obj.shape[1:], inner)
+        step = max(1, (1 << 12) // max(1, obj[0].size))
+        blocks = ((("," + inner).join([row] * len(block))) % tuple(block.ravel().tolist())
+                  for block in (obj[lo:lo + step] for lo in range(0, len(obj), step)))
+        return "[" + inner + ("," + inner).join(blocks) + pad + "]"
+    return json.dumps(obj)     # floats, None; raises on what json rejects
+
+
+def _array_template(shape, pad: str) -> str:
+    """The %d template of an integer array of this shape, as _json_text
+    writes it on a line that starts with pad."""
+    if not shape:
+        return "%d"
+    if not shape[0]:
+        return "[]"
+    inner = pad + "  "
+    items = [_array_template(shape[1:], inner)] * shape[0]
+    return "[" + inner + ("," + inner).join(items) + pad + "]"
 
 
 def _json_key(key) -> str:
@@ -273,13 +305,13 @@ def _read_coloring(path, num_vertices: int) -> np.ndarray:
     names = doc.get("colors") if isinstance(doc, dict) else doc
     if not isinstance(names, list) or len(names) != num_vertices:
         raise LegitError(f"coloring file must list exactly {num_vertices} colors")
-    if set(map(type, names)) == {str}:      # names only, typed in one pass in C
-        colors = np.array(names)
-        blue = colors == "blue"
-        if (blue | (colors == "red")).all():
-            return np.where(blue, BLUE, RED)
-    # codes, or a bad entry to name (a JSON true is not the code 1)
     codes = {"red": RED, "blue": BLUE}
+    if set(map(type, names)) == {str}:      # names only (so hashable), typed in C
+        try:
+            return np.fromiter(map(codes.__getitem__, names), np.int64, len(names))
+        except KeyError:
+            pass
+    # codes, or a bad entry to name (a JSON true is not the code 1)
     for v, c in enumerate(names):
         if c not in ("red", "blue") and not (type(c) is int and c in (RED, BLUE)):
             raise LegitError(f"vertex {v} has color {c!r}; expected red, blue, 0 or 1")
@@ -288,6 +320,8 @@ def _read_coloring(path, num_vertices: int) -> np.ndarray:
 
 def cmd_legit(args) -> int:
     if args.legit_cmd == "gen":
+        if args.n > MAX_LEGIT_N:
+            raise ValueError(f"--n must be at most {MAX_LEGIT_N}, got {args.n}")
         hg = generate_linear_hypergraph(args.n, args.seed, args.mode)
         _emit_json(args, hg.to_json())
         return OK
@@ -422,24 +456,25 @@ _COMMANDS = {
 
 
 def _add_commands(parser, dest: str, commands: dict, argv) -> None:
-    """Every command's name and help go on parser, so its help and its
-    invalid-choice error list them all; only the command that argv[0] names
-    gets its arguments, and all of them do when argv names none."""
+    """Only the command that argv[0] names gets a parser, with its
+    arguments; when argv names none, every command does, so that help and
+    the invalid-choice error list them all."""
     sub = parser.add_subparsers(dest=dest, required=True, parser_class=_Command)
-    chosen = argv[0] if argv and argv[0] in commands else None
+    if argv and argv[0] in commands:
+        commands, argv = {argv[0]: commands[argv[0]]}, argv[1:]
+    else:
+        argv = ()
     for name, (help_text, arguments) in commands.items():
         p = sub.add_parser(name, **({} if help_text is None else {"help": help_text}))
-        if chosen not in (None, name):
-            continue
         if isinstance(arguments, dict):
-            _add_commands(p, f"{name}_cmd", arguments, argv[1:] if chosen else ())
+            _add_commands(p, f"{name}_cmd", arguments, argv)
         else:
             arguments(p)
 
 
 def build_parser(argv=()) -> _Parser:
-    """The parser for argv: the full tree of subcommands by name, with the
-    arguments of the one that argv chooses (of all when it chooses none)."""
+    """The parser for argv: the subcommand that argv chooses, at each
+    level, or the whole tree where it chooses none."""
     parser = _Parser(prog="secants", description=__doc__)
     parser.add_argument("--version", action="version", version=__version__)
     _add_commands(parser, "command", _COMMANDS, argv)

@@ -62,21 +62,27 @@ class LinearHypergraph:
             raise LegitError(f"{self.num_vertices} vertices exceed n^2 = {n * n}, "
                              "the most that n edges of size n can cover")
         self.edges.flags.writeable = False
-        flat = self.edges.ravel()
-        order = np.argsort(flat, kind="stable")
+        # slot positions, edge numbers and ranks fit int32 while n^2 < 2^31;
+        # each temporary is freed once read, to keep the peak low
+        slot_type = np.int32 if n * n < 2 ** 31 else np.int64
+        flat = self.edges.reshape(-1)
+        order = np.argsort(flat, kind="stable").astype(slot_type)
         vertex, edge = flat[order], order // n   # slots grouped by vertex
         head = np.r_[True, vertex[1:] != vertex[:-1]]
         # a group lists its edges in order, so a repeat is two adjacent slots
         repeats = edge[1:][~head[1:] & (edge[1:] == edge[:-1])]
         if repeats.size:
             raise LegitError(f"edge {repeats.min() + 1} repeats a vertex")
-        slot = np.arange(n * n)
-        rank = slot - np.maximum.accumulate(np.where(head, slot, 0))
         self.degree = np.bincount(flat, minlength=self.num_vertices)
         self.first_edge = np.zeros(self.num_vertices, dtype=np.int64)
         self.first_edge[vertex[head]] = edge[head] + 1
+        del vertex
+        slot = np.arange(n * n, dtype=slot_type)
+        rank = slot - np.maximum.accumulate(np.where(head, slot, 0))
+        del slot, head
         self.rank = np.empty((n, n), dtype=np.int64)
-        self.rank.flat[order] = rank
+        self.rank.reshape(-1)[order] = rank
+        del order
 
         # linearity: no edge pair may meet in two vertex groups.  Each slot
         # meets the rank-many slots before it in its group, and a linear
@@ -94,8 +100,8 @@ class LinearHypergraph:
             raise LegitError(f"edges {a + 1} and {b + 1} share more than one vertex")
 
     def to_json(self) -> dict:
-        return {"n": self.n, "num_vertices": self.num_vertices,
-                "edges": self.edges.tolist()}
+        """The hypergraph file's document; its edges are the int64 array."""
+        return {"n": self.n, "num_vertices": self.num_vertices, "edges": self.edges}
 
     @classmethod
     def from_json(cls, doc) -> "LinearHypergraph":
@@ -114,6 +120,13 @@ class LinearHypergraph:
             raise LegitError("edges must be a list of lists of integer vertices")
         if num_vertices is not None and type(num_vertices) is not int:
             raise LegitError(f"num_vertices must be an integer, got {num_vertices!r}")
+        # the lists are dropped before the index is built; ragged lists or a
+        # vertex past int64 stay lists, for the constructor to name the fault
+        try:
+            edges = np.array(edges, dtype=np.int64)
+        except (ValueError, OverflowError):
+            pass
+        del doc
         return cls(n, edges, num_vertices)
 
     def permuted(self, seed: int) -> "LinearHypergraph":

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from secants import cli, harness, spectrum
 from secants.cli import CHECK_FAILED, INTERNAL_ERROR, OK, USAGE_ERROR, main
@@ -464,6 +465,25 @@ def test_unknown_flag_gets_the_usage_of_its_command(capsys, argv, usage, extra):
     assert err.splitlines()[-1] == f"error: unrecognized arguments: {extra}"
 
 
+@pytest.mark.parametrize("argv, most", [
+    (["plane", "--q", "2"], 1),
+    (["legit", "gen", "--n", "4"], 2),
+])
+def test_only_the_named_command_gets_a_parser(tmp_path, monkeypatch, argv, most):
+    # each subcommand parser pays for its own set-up: a run builds the
+    # parsers of the command it names, not one per command name
+    built = []
+    init = cli._Command.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(cli._Command, "__init__", counting)
+    assert main([*argv, "--out", str(tmp_path / "out")]) == OK
+    assert 1 <= len(built) <= most, built
+
+
 @pytest.mark.parametrize("argv, message", [
     (["sweep", "--primes", "7,x", "--construction", "ecregion"],
      "--primes must list integers, got 'x'"),
@@ -528,6 +548,40 @@ def test_square_table_order_past_the_bound_exits_1(tmp_path, capsys, argv):
     assert capsys.readouterr().err == "error: --p must be at most 4096, got 4099\n"
     assert not out.exists()
     assert peak < 2 ** 20, peak
+
+
+def test_legit_order_past_the_bound_exits_1(tmp_path, capsys):
+    # refused before the generator's (n, n) tables, 134 MB per int64
+    # table at this n, are built
+    out = tmp_path / "out"
+    tracemalloc.start()
+    try:
+        code = main(["legit", "gen", "--n", "4097", "--out", str(out)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == USAGE_ERROR
+    assert cli.MAX_LEGIT_N == 4096
+    assert capsys.readouterr().err == "error: --n must be at most 4096, got 4097\n"
+    assert not out.exists()
+    assert peak < 2 ** 20, peak
+
+
+@pytest.mark.parametrize("mode", ["pairwise", "sunflower", "mixed"])
+def test_legit_color_is_held_in_the_memory_of_its_index(tmp_path, mode):
+    # the parsed edge lists are dropped before the index is built, and the
+    # index scratch is int32: 3.9 MiB at n=240, where the lists held beside
+    # an int64 index peaked at 6.6 MiB
+    hyper = tmp_path / "h.json"
+    assert main(["legit", "gen", "--n", "240", "--mode", mode, "--out", str(hyper)]) == OK
+    tracemalloc.start()
+    try:
+        code = main(["legit", "color", "--in", str(hyper), "--out", str(tmp_path / "c.json")])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == OK
+    assert peak < 5 * 2 ** 20, peak
 
 
 def test_prime_order_bound_keeps_products_exact(tmp_path, capsys):
@@ -663,6 +717,7 @@ MALFORMED_INPUTS = {
     "coloring-code-out-of-range": ("coloring", [0, 1, 2]),
     "coloring-code-past-int64": ("coloring", [0, 1, 2 ** 64]),
     "coloring-name-among-codes": ("coloring", [0, "1", 1]),
+    "coloring-list-entry": ("coloring", ["red", [1], "blue"]),
     "hypergraph-float-vertex": ("hypergraph", {"n": 2, "edges": [[0, 1.0], [1, 2]]}),
     "hypergraph-boolean-edge": ("hypergraph", {"n": 2, "edges": [[0, 1], True]}),
     "hypergraph-unknown-key": ("hypergraph", {"n": 2, "edges": [[0, 1], [1, 2]],
@@ -719,6 +774,7 @@ MALFORMED_MESSAGES = {
     'coloring-code-out-of-range': 'vertex 2 has color 2; expected red, blue, 0 or 1',
     'coloring-code-past-int64': 'vertex 2 has color 18446744073709551616; expected red, blue, 0 or 1',
     'coloring-name-among-codes': "vertex 1 has color '1'; expected red, blue, 0 or 1",
+    'coloring-list-entry': 'vertex 1 has color [1]; expected red, blue, 0 or 1',
     'hypergraph-float-vertex': 'edges must be a list of lists of integer vertices',
     'hypergraph-boolean-edge': 'edges must be a list of lists of integer vertices',
     'set-unknown-key': "set file key 'afine' is not q, affine or projective",
@@ -950,8 +1006,35 @@ def test_json_writer_matches_json_dumps(doc):
     assert cli._json_text(doc) == json.dumps(doc, sort_keys=True, indent=2)
 
 
+INT_ARRAYS = hnp.arrays(
+    st.sampled_from([np.int64, np.uint64, np.int32, np.uint8, np.int8]),
+    hnp.array_shapes(min_dims=1, max_dims=2, min_side=0, max_side=8))
+
+
+@settings(max_examples=200, deadline=None)
+@given(arr=INT_ARRAYS)
+def test_json_writer_writes_an_int_array_as_its_lists(arr):
+    assert cli._json_text(arr) == json.dumps(arr.tolist(), sort_keys=True, indent=2)
+    doc = {"a": [arr, 1], "b": arr}         # indented inside a document
+    listed = {"a": [arr.tolist(), 1], "b": arr.tolist()}
+    assert cli._json_text(doc) == json.dumps(listed, sort_keys=True, indent=2)
+
+
+@pytest.mark.parametrize("arr", [
+    np.array([np.iinfo(np.int64).min, np.iinfo(np.int64).max, -1, 0]),
+    np.array([[np.iinfo(np.uint64).max], [0]], dtype=np.uint64),
+    np.arange(-5000, 5000).reshape(-1, 2),            # several blocks of rows
+    np.arange(10000),
+    np.zeros((3, 0), dtype=np.int64), np.zeros((0, 3), dtype=np.int64),
+])
+def test_json_writer_int_array_edges(arr):
+    assert cli._json_text(arr) == json.dumps(arr.tolist(), sort_keys=True, indent=2)
+
+
 @pytest.mark.parametrize("doc", [np.int64(3), [1, np.int64(3)], {"a": [np.int64(1)]},
-                                 {np.int64(1): 2}, {(1,): 2}, {1: 2, "a": 3}])
+                                 {np.int64(1): 2}, {(1,): 2}, {1: 2, "a": 3},
+                                 np.array([1.5]), np.zeros((2, 2)),
+                                 np.array([True]), np.array(3)])
 def test_json_writer_rejects_what_json_rejects(doc):
     with pytest.raises(TypeError) as expect:
         json.dumps(doc, sort_keys=True, indent=2)
