@@ -184,7 +184,7 @@ def pointset_from_json(plane: ProjectivePlane, doc):
     if extra is not None:
         raise ConstructionError(f"set file key {extra!r} is not q, affine or projective")
     q = plane.q
-    if doc.get("q") != q:
+    if type(doc.get("q")) is not int or doc["q"] != q:     # 7.0 and True are not orders
         raise ConstructionError(f"set file is for q={doc.get('q')}, plane has q={q}")
     xy, xyz = (_point_block(doc.get(key, []), length, q)
                for key, length in (("affine", 2), ("projective", 3)))

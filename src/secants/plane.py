@@ -149,7 +149,7 @@ class ProjectivePlane:
         return tbl
 
 
-def build_plane(field_or_q) -> ProjectivePlane:
-    """Canonical PG(2,q) from a Field or a prime-power order."""
-    field = field_or_q if isinstance(field_or_q, Field) else make_field(field_or_q)
-    return ProjectivePlane(field)
+def build_plane(q: int) -> ProjectivePlane:
+    """Canonical PG(2,q) from a prime-power order; to build on a Field at
+    hand, call ProjectivePlane(field)."""
+    return ProjectivePlane(make_field(q))

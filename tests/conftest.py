@@ -5,7 +5,8 @@ arithmetic on decoded triples), Euler's criterion and an itertools
 enumeration of the normalized triples only.  The gather check and the
 local-search loop are the exceptions: they read the plane's line solver,
 which test_plane checks against `incident`, and never the Radon
-transform."""
+transform.  The modulus and exp/log tables of GF(p^k) are checked against
+trial division and one-product-at-a-time powering on Python lists."""
 
 import itertools
 import sys
@@ -219,6 +220,90 @@ def trial_division_prime_power(q):
             return (p, k) if m == 1 else None
         p += 1
     return q, 1
+
+
+# -- polynomial arithmetic over GF(p) on Python lists, coefficients low
+# degree first: the oracle of GF(p^k)'s modulus and exp/log tables ---------
+
+def decode_digits(e, p, k):
+    """The k base-p digits of the integer e, lowest first."""
+    return [e // p ** i % p for i in range(k)]
+
+
+def encode_digits(digits, p):
+    e = 0
+    for d in reversed(digits):
+        e = e * p + d
+    return e
+
+
+def poly_mod(a, m, p):
+    """Remainder of a modulo the monic polynomial m, over GF(p)."""
+    a = list(a)
+    dm = len(m) - 1
+    for i in range(len(a) - 1, dm - 1, -1):
+        c = a[i] % p
+        if c:
+            for j in range(dm + 1):
+                a[i - dm + j] = (a[i - dm + j] - c * m[j]) % p
+    return [x % p for x in a[:dm]] + [0] * max(0, dm - len(a))
+
+
+def poly_mul(a, b, p):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        if ai:
+            for j, bj in enumerate(b):
+                out[i + j] = (out[i + j] + ai * bj) % p
+    return out
+
+
+def is_irreducible(poly, p):
+    """Trial division of a monic polynomial by every monic divisor of
+    degree at most deg/2 (degree-1 trials subsume the root check)."""
+    k = len(poly) - 1
+    for d in range(1, k // 2 + 1):
+        for enc in range(p ** d):
+            div = decode_digits(enc, p, d) + [1]
+            if all(c == 0 for c in poly_mod(poly, div, p)):
+                return False
+    return True
+
+
+def smallest_irreducible(p, k):
+    """Lexicographically smallest monic irreducible of degree k over GF(p),
+    low-degree coefficients compared first."""
+    for low in itertools.product(range(p), repeat=k):
+        poly = list(low) + [1]
+        if is_irreducible(poly, p):
+            return tuple(poly)
+    raise AssertionError(f"no irreducible polynomial of degree {k} over GF({p})")
+
+
+def exp_log_tables(p, k, modulus):
+    """Exp/log tables of GF(p^k) for the first primitive element in
+    encoding order, found and powered one product at a time, laid out
+    as the library's: exp holds the q-1 powers twice and then zeros up to
+    index 4(q-1), and log[0] is the sentinel 2(q-1)."""
+    q = p ** k
+    mod = list(modulus)
+    for g in range(2, q):
+        gd = decode_digits(g, p, k)
+        powers, x = [1], [1]
+        while len(powers) < q - 1:
+            x = poly_mod(poly_mul(x, gd, p), mod, p)
+            e = encode_digits(x, p)
+            if e == 1:
+                break
+            powers.append(e)
+        if len(powers) == q - 1:
+            break
+    exp = np.zeros(4 * (q - 1) + 1, dtype=np.int64)
+    exp[: 2 * (q - 1)] = powers * 2
+    log = np.empty(q, dtype=np.int64)
+    log[powers] = np.arange(q - 1)
+    log[0] = 2 * (q - 1)
+    return exp, log
 
 
 def chi(p, v):

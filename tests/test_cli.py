@@ -679,6 +679,7 @@ MALFORMED_INPUTS = {
     "set-boolean-triple": ("set-file", {"q": 7, "projective": [[1, 2, 1], [False, 0, 1]]}),
     "set-coordinate-past-int64": ("set-file", {"q": 7, "affine": [[2 ** 64, 1]]}),
     "set-unknown-key": ("set-file", {"q": 7, "afine": [[1, 2]]}),
+    "set-float-order": ("set-file", {"q": 7.0, "affine": [[1, 2]]}),
     "set-and-construction": ("set-and-construction", {"q": 7, "affine": [[1, 2]]}),
     "density-1/0": ("construction", "random:density=1/0"),
     "density-past-int64": ("construction", "random:density=1/100000000000000000000"),
@@ -778,6 +779,7 @@ MALFORMED_MESSAGES = {
     'hypergraph-float-vertex': 'edges must be a list of lists of integer vertices',
     'hypergraph-boolean-edge': 'edges must be a list of lists of integer vertices',
     'set-unknown-key': "set file key 'afine' is not q, affine or projective",
+    'set-float-order': 'set file is for q=7.0, plane has q=7',
     'set-and-construction': 'spectrum takes --set-file or --construction, not both',
     'hypergraph-unknown-key': "hypergraph file key 'num_vertice' is not n, edges or num_vertices",
     'family-density-before-prime-plane': 'family density c must lie in (0,1)',

@@ -291,6 +291,8 @@ def test_parse_construction_rejects_other_arguments(spec, match):
     ({"q": 7, "affine": [[1, 2], [1, 2]]}, "repeats"),
     ({"q": 7, "affine": [[1, 2]], "projective": [[1, 2, 1]]}, "repeats"),
     ({"q": 7, "projective": [[1, 2, 0], [2, 4, 0]]}, "repeats"),
+    ({"q": 7.0, "affine": [[1, 2]]}, r"^set file is for q=7\.0, plane has q=7$"),
+    ({"affine": [[1, 2]]}, r"^set file is for q=None, plane has q=7$"),
 ])
 def test_set_file_rejects_malformed_points(doc, match):
     with pytest.raises(ConstructionError, match=match):

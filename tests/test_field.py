@@ -1,13 +1,15 @@
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from secants.field import (Field, FieldError, factor_prime_power, inverse_table, is_prime,
                            legendre_table, make_field)
-from secants.field import _decode_digits, _encode_digits, _poly_mod, _poly_mul
 
-from conftest import trial_division_is_prime, trial_division_prime_power
+from conftest import (decode_digits, encode_digits, exp_log_tables, poly_mod, poly_mul,
+                      smallest_irreducible, trial_division_is_prime,
+                      trial_division_prime_power)
 
 
 def test_prime_power_factoring():
@@ -72,6 +74,48 @@ def test_moduli_are_irreducible_by_root_scan():
             for c in reversed(mod):
                 acc = (acc * x + c) % f.p
             assert acc != 0, (q, mod, x)
+
+
+# make_field(q).modulus for every extension order q <= 4096, as the
+# trial-division build gave it before the sieve replaced it
+EXTENSION_MODULI = {
+    4: (1, 1, 1), 8: (1, 0, 1, 1), 9: (1, 0, 1), 16: (1, 0, 0, 1, 1), 25: (1, 1, 1),
+    27: (1, 0, 2, 1), 32: (1, 0, 0, 1, 0, 1), 49: (1, 0, 1), 64: (1, 0, 0, 0, 0, 1, 1),
+    81: (1, 0, 1, 1, 1), 121: (1, 0, 1), 125: (1, 0, 1, 1),
+    128: (1, 0, 0, 0, 0, 0, 1, 1), 169: (1, 3, 1), 243: (1, 0, 0, 0, 2, 1),
+    256: (1, 0, 0, 0, 1, 1, 0, 1, 1), 289: (1, 1, 1), 343: (1, 0, 1, 1), 361: (1, 0, 1),
+    512: (1, 0, 0, 0, 0, 0, 0, 0, 1, 1), 529: (1, 0, 1), 625: (1, 0, 1, 1, 1),
+    729: (1, 0, 0, 0, 1, 1, 1), 841: (1, 1, 1), 961: (1, 0, 1),
+    1024: (1, 0, 0, 0, 0, 0, 0, 1, 0, 0, 1), 1331: (1, 0, 4, 1), 1369: (1, 3, 1),
+    1681: (1, 1, 1), 1849: (1, 0, 1), 2048: (1, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 1),
+    2187: (1, 0, 0, 0, 0, 1, 2, 1), 2197: (1, 0, 4, 1), 2209: (1, 0, 1),
+    2401: (1, 0, 0, 1, 1), 2809: (1, 1, 1), 3125: (1, 0, 0, 0, 4, 1), 3481: (1, 0, 1),
+    3721: (1, 5, 1), 4096: (1, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 1),
+}
+
+
+def test_extension_fields_match_the_list_oracle():
+    orders = [q for q in range(4097) if (trial_division_prime_power(q) or (0, 1))[1] >= 2]
+    assert orders == list(EXTENSION_MODULI)
+    for q in orders:
+        f = make_field(q)
+        assert f.modulus == EXTENSION_MODULI[q] == smallest_irreducible(f.p, f.k), q
+        exp, log = exp_log_tables(f.p, f.k, f.modulus)
+        assert f._exp.dtype == f._log.dtype == np.int64, q
+        assert np.array_equal(f._exp, exp) and np.array_equal(f._log, log), q
+
+
+def test_extension_field_build_is_held_in_small_memory():
+    # the sieve and the doubling hold O(qk) digits at a time; a build that
+    # kept k copies of the (q, k) digit array would break this bound
+    make_field(4096)
+    tracemalloc.start()
+    try:
+        make_field(4096)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * 2 ** 20, peak
 
 
 def test_legendre_examples():
@@ -178,20 +222,20 @@ def test_tables_match_polynomial_arithmetic(q):
     f = make_field(q)
     p, mod = f.p, list(f.modulus)
     k = f.k
-    digits = _decode_digits(np.arange(q), p, k).tolist()
-    assert [_encode_digits(da, p) for da in digits] == list(range(q))
+    digits = [decode_digits(a, p, k) for a in range(q)]
+    assert [encode_digits(da, p) for da in digits] == list(range(q))
 
     def encode(ds):
-        return _encode_digits([x % p for x in ds], p)
+        return encode_digits([x % p for x in ds], p)
 
     for a in range(q):
         da = digits[a]
         assert f.neg(a) == encode([-x for x in da])
         if a:
-            assert encode(_poly_mod(_poly_mul(da, digits[f.inv(a)], p), mod, p)) == 1
+            assert encode(poly_mod(poly_mul(da, digits[f.inv(a)], p), mod, p)) == 1
         for b in range(q):
             db = digits[b]
-            assert f.mul(a, b) == encode(_poly_mod(_poly_mul(da, db, p), mod, p))
+            assert f.mul(a, b) == encode(poly_mod(poly_mul(da, db, p), mod, p))
             assert f.add(a, b) == encode([x + y for x, y in zip(da, db)])
     # array forms equal the scalar forms, element by element
     A, B = np.arange(q)[:, None], np.arange(q)[None, :]
