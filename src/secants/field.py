@@ -11,11 +11,12 @@ the lexicographically smallest monic irreducible of degree k, found by
 sieving the products of monic factors of degrees d and k-d for each
 d <= k/2; the exp/log tables are the powers of the first primitive
 element, built by doubling with k x k multiplication matrices over GF(p).
-Building GF(32), GF(49) and GF(4096) takes 0.14, 0.18 and 7.7 ms against
-0.35, 0.40 and 77 ms with the earlier trial division and polynomial
-powering on Python lists (minimum of 20 runs each, 2-core Xeon, Python
-3.11, numpy 2.4).  Those list helpers live on in tests/conftest.py as
-the independent oracle of the modulus and the tables.
+Building GF(32), GF(49) and GF(4096) takes 0.13, 0.16 and 7.4 ms against
+0.34, 0.38 and 69 ms with the earlier trial division and polynomial
+powering on Python lists (median over 10 processes of the fastest of 20
+builds, 2-core Xeon, Python 3.11, numpy 2.4).  Those list helpers live
+on in tests/conftest.py as the independent oracle of the modulus and the
+tables.
 """
 
 from __future__ import annotations
