@@ -17,7 +17,9 @@ the verified laws below are genuine checks, not restatements:
       comparison and reported, never asserted);
   L2  steps have absolute value <= 1 and the attained values form an
       integer interval;
-  L3  every slope's profile is a cyclic shift of the slope-1 profile;
+  L3  every slope's profile is the slope-1 profile cyclically shifted by
+      the predicted s_d = ((beta-d)^2 - (beta-1)^2) / (4*alpha):
+      pr_d(b) = pr_1(b + s_d);
   L4  the number of non-vertical non-horizontal affine k-secants equals
       (p-1) * #{b : pr_1(b) = k};
   L5  the attained interval has length between sqrt(p)/(2*pi) and
@@ -99,58 +101,51 @@ def profile_range_check(pr: np.ndarray):
     return span, lo, hi, lo <= span <= hi
 
 
-def _all_profiles(f: np.ndarray) -> np.ndarray:
-    """(p, p) matrix P with P[d, b] = secant count of y = dx + b."""
-    return np.array([_direct_profile(f, d) for d in range(f.size)])
-
-
 def verify_projection_laws(plane: ProjectivePlane, alpha: int, beta: int,
                            gamma: int) -> dict:
     """Check laws L1-L4 exactly for every slope d != 0 and intercept, plus
-    the L5 range window, and return the `projection` document.  The slope-1
-    profile is the reference for L3-L5."""
+    the L5 range window, and return the `projection` document.  One pass
+    over the slopes holds one profile at a time: O(p^2) work in O(p)
+    memory.  The slope-1 profile is the reference for L3-L5.
+
+    L3 compares each profile with the reference shifted by the predicted
+    s_d and records s_d on a match, None otherwise.  On profiles that obey
+    L1 no other shift matches, since a non-constant profile of prime
+    length has no nontrivial period.  On a faulty profile this is stricter
+    than asking for some shift, and it costs O(p) per slope, not a search
+    over all p shifts."""
     (alpha, beta, gamma), f = under_parabola(plane, alpha, beta, gamma)
     p = f.size
     chi = legendre_table(p)
-    P = _all_profiles(f)
-    ref = P[1]
-
-    d_arr = b_arr = np.arange(p, dtype=np.int64)
-
-    # L1: wrap-around first differences against the character of the
-    # discriminant of f(x) = dx + b.
-    delta = np.roll(P, -1, axis=1) - P
-    disc = ((beta - d_arr[:, None]) ** 2 + 4 * alpha * (b_arr[None, :] - gamma)) % p
-    expect = chi[disc].astype(np.int64)
-    mism = delta[1:] != expect[1:]
-    l1_first_fail = None                   # (d, b)
-    if mism.any():
-        d0, b0 = np.argwhere(mism)[0]
-        l1_first_fail = (int(d0) + 1, int(b0))
-
+    b = np.arange(p, dtype=np.int64)
+    quad = 4 * alpha * (b - gamma)
     # d-free variant, evaluated for comparison only
-    alt = -chi[((beta - 1) ** 2 + 4 * alpha * (b_arr + 1 - gamma)) % p].astype(np.int64)
-
-    # L2: unit steps and interval image
-    l2_first_fail = None                   # d
+    alt = -chi[((beta - 1) ** 2 + 4 * alpha * (b + 1 - gamma)) % p]
+    ref = _direct_profile(f, 1)
+    ref2 = np.concatenate([ref, ref])
+    inv_4alpha = pow(4 * alpha, -1, p)
+    l1_first_fail = l2_first_fail = None   # (d, b) and d
+    shifts, alt_matches = [], 0
+    hist_all = np.zeros(p + 2, dtype=np.int64)
     for d in range(1, p):
-        row = P[d]
-        span = int(row.max() - row.min())
-        if np.abs(delta[d]).max() > 1 or len(np.unique(row)) != span + 1:
+        pr = _direct_profile(f, d)
+        step = np.diff(pr, append=pr[:1])              # wraps at b = p-1
+        # L1: steps against the character of the discriminant of f(x) = dx + b
+        mism = np.flatnonzero(step != chi[((beta - d) ** 2 + quad) % p])
+        if l1_first_fail is None and mism.size:
+            l1_first_fail = (d, int(mism[0]))
+        # L2: unit steps and interval image
+        if l2_first_fail is None and (np.abs(step).max() > 1
+                                      or not np.bincount(pr - pr.min()).all()):
             l2_first_fail = d
-            break
-
-    # L3: every class is a cyclic shift of the slope-1 class
-    # (the smallest s with P[d] = roll(ref, -s), or None)
-    first_shift = {}
-    for s, row in enumerate(ref[(b_arr[:, None] + b_arr[None, :]) % p]):
-        first_shift.setdefault(row.tobytes(), s)
-    shifts = [first_shift.get(P[d].tobytes()) for d in range(1, p)]
+        # L3: pr_d(b) = pr_1(b + s_d), 4*alpha*s_d = (beta-d)^2 - (beta-1)^2
+        s = ((beta - d) ** 2 - (beta - 1) ** 2) * inv_4alpha % p
+        shifts.append(s if np.array_equal(pr, ref2[s:s + p]) else None)
+        hist_all += np.bincount(pr, minlength=p + 2)
+        alt_matches += int(np.count_nonzero(step == alt))
 
     # L4: class-wise frequencies aggregate to (p-1) * histogram of pr_1
-    hist_all = np.bincount(P[1:].ravel(), minlength=p + 2)
-    hist_one = np.bincount(ref, minlength=p + 2)
-    l4 = hist_all == (p - 1) * hist_one
+    l4 = hist_all == (p - 1) * np.bincount(ref, minlength=p + 2)
     l4_first_fail = None if l4.all() else int(np.nonzero(~l4)[0][0])   # k
 
     # L5: range window on the slope-1 profile
@@ -167,7 +162,7 @@ def verify_projection_laws(plane: ProjectivePlane, alpha: int, beta: int,
         "shifts": shifts,
         "step_law": "pr_d(b+1) - pr_d(b) = chi((beta-d)^2 + 4*alpha*(b-gamma))",
         "d_free_variant": "-chi((beta-1)^2 + 4*alpha*(b+1-gamma))",
-        "d_free_match_fraction": float((delta[1:] == alt[None, :]).mean()),
+        "d_free_match_fraction": alt_matches / ((p - 1) * p),
         "range_d1": range_d1,
         "range_bounds": [range_lo, range_hi],
         "all_ok": all(laws.values()),

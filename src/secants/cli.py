@@ -35,8 +35,10 @@ MAX_THREADS = 64
 # p^2 < 2^44, so every product that is reduced mod p fits an int64 exactly.
 MAX_PRIME_ORDER = 1 << 22
 
-# The largest --p of projection without --d and of ec scan, which build
-# (p, p) int64 tables: about 60 p^2 bytes in all, 1 GiB at p^2 = 2^24.
+# The largest --p of projection without --d, a time bound: it does O(p^2)
+# work in O(p) memory, 0.8 s at p = 4093 on a 2-core Xeon.  For ec scan,
+# which builds (p, p) int64 tables, a memory bound: about 60 p^2 bytes in
+# all, 1 GiB at p^2 = 2^24.
 MAX_SQUARE_ORDER = 1 << 12
 
 # The largest --n of legit gen, which builds (n, n) tables: about 60 n^2

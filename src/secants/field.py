@@ -154,7 +154,7 @@ class Field:
     out its own modulus, the smallest irreducible (see the module note),
     and builds the tables from it once.  It rejects a p that is not
     prime, so the characteristic of every field, and of every plane built
-    on one, is prime.
+    on one, is prime; it rejects a degree k that is not an int >= 1 too.
 
     Immutable after construction; every operation is pure, so instances
     can be shared freely across workers.
@@ -163,6 +163,8 @@ class Field:
     def __init__(self, p: int, k: int):
         if not is_prime(p):
             raise FieldError(f"characteristic {p} is not a prime")
+        if type(k) is not int or k < 1:
+            raise FieldError(f"degree must be an integer >= 1, got {k!r}")
         self.p = p
         self.k = k
         self.q = p ** k

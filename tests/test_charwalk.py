@@ -173,22 +173,51 @@ def test_law_profiles_are_the_spectrum_of_the_region(p):
     for params in ((1, 0, 0), (2, 3, 1), (p - 1, 1, p - 1)):
         _, f = under_parabola(pl, *params)
         n_ell = _spectrum_affine(pl, parabola_region(pl, *params)[0])
-        assert np.array_equal(charwalk._all_profiles(f),
-                              n_ell[pl.affine_lines()]), params
+        profiles = np.array([charwalk._direct_profile(f, d) for d in range(p)])
+        assert np.array_equal(profiles, n_ell[pl.affine_lines()]), params
 
 
 def test_laws_reject_a_profile_off_by_one(monkeypatch, tmp_path):
-    all_profiles = charwalk._all_profiles
+    direct = charwalk._direct_profile
 
-    def off_by_one(f):
-        P = all_profiles(f)
-        P[1, 0] += 1
-        return P
+    def off_by_one(f, d):
+        pr = direct(f, d)
+        if d == 1:
+            pr[0] += 1
+        return pr
 
-    monkeypatch.setattr(charwalk, "_all_profiles", off_by_one)
+    monkeypatch.setattr(charwalk, "_direct_profile", off_by_one)
     rep = verify_projection_laws(build_plane(13), 1, 0, 0)
     assert not rep["all_ok"] and rep["l1_first_fail"] is not None
     assert main(["projection", "--p", "13", "--out", str(tmp_path / "out")]) == CHECK_FAILED
+
+
+def test_l3_demands_the_predicted_shift(monkeypatch):
+    # at p = 23 the reversed slope-2 profile is a cyclic shift of the
+    # slope-1 profile, but not by s_2, so L3 fails on it
+    p, params = 23, (2, 3, 1)
+    pl = build_plane(p)
+    ref = projection_profile(pl, *params, 1)
+    rev = projection_profile(pl, *params, 2)[::-1].copy()
+    assert any(np.array_equal(rev, np.roll(ref, -s)) for s in range(p))
+    direct = charwalk._direct_profile
+    monkeypatch.setattr(charwalk, "_direct_profile",
+                        lambda f, d: rev.copy() if d == 2 else direct(f, d))
+    rep = verify_projection_laws(pl, *params)
+    assert rep["shifts"][1] is None and not rep["laws"]["L3"]
+
+
+def test_laws_are_checked_in_linear_memory():
+    # one profile at a time: no (p, p) table of profiles, steps or shifts,
+    # each of which alone is 7.6 MiB at p = 997
+    pl = build_plane(997)
+    tracemalloc.start()
+    try:
+        verify_projection_laws(pl, 1, 0, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20, peak
 
 
 def test_laws_report_a_range_window_miss(monkeypatch, tmp_path):

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from secants import cli, harness, spectrum
+from secants import charwalk, cli, harness, spectrum
 from secants.cli import CHECK_FAILED, INTERNAL_ERROR, OK, USAGE_ERROR, main
 
 
@@ -281,6 +281,8 @@ DOCUMENT_GOLDENS = [
     (("projection", "--p", "199", "--alpha", "1/4", "--beta", "1", "--gamma", "1",
       "--d", "2"), OK,
      "f759632e0dd1be9fabbb6dd211b852c8514472c7c3e93fb400633ab56c64dbf3"),
+    (("projection", "--p", "997"), OK,
+     "c2e59f277330a20587250469c5a4ad0128a3320f68fd55ab8fcf7f8cfa8c53fc"),
 ]
 
 
@@ -1073,6 +1075,27 @@ def test_failed_projection_report_golden(tmp_path, monkeypatch):
     assert code == CHECK_FAILED and json.loads(data)["l1_first_fail"] == [3, 5]
     assert hashlib.sha256(data).hexdigest() == \
         "159455f5de5771398bf52749c8a2cce4093f20bb5fcd9e6c2e7c9931bc4c5b96"
+
+
+def test_off_by_one_profile_report_golden(tmp_path, monkeypatch):
+    # slope 5's profile with pr(3) raised by 1 breaks the steps into and
+    # out of b = 3, the interval image, the shift and the histogram
+    direct = charwalk._direct_profile
+
+    def off_by_one(f, d):
+        pr = direct(f, d)
+        if d == 5:
+            pr[3] += 1
+        return pr
+
+    monkeypatch.setattr(charwalk, "_direct_profile", off_by_one)
+    code, data = run_cli(tmp_path, "projection", "--p", "13")
+    doc = json.loads(data)
+    assert code == CHECK_FAILED
+    assert (doc["l1_first_fail"], doc["l2_first_fail"], doc["l4_first_fail"]) == ([5, 2], 5, 7)
+    assert doc["shifts"][4] is None
+    assert hashlib.sha256(data).hexdigest() == \
+        "3e24ce30356b350ee8e8d75008934caef8cc2eb3a153b5cd25c8683bb2a42460"
 
 
 def test_repeat_invocations_byte_identical(tmp_path):

@@ -140,6 +140,12 @@ def test_field_characteristic_must_be_prime(p):
         Field(p, 1)
 
 
+@pytest.mark.parametrize("p, k", [(3, -1), (2, 0), (5, 1.0), (7, True)])
+def test_field_degree_must_be_a_positive_int(p, k):
+    with pytest.raises(FieldError, match=rf"^degree must be an integer >= 1, got {k!r}$"):
+        Field(p, k)
+
+
 def test_legendre_multiplicative_and_zero_sum():
     for p in range(3, 102):
         if not is_prime(p):
