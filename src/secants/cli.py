@@ -69,11 +69,10 @@ class _Command(_Parser):
         return namespace, extras
 
 
-def _common_flags(parser, seed: bool = False):
-    """--threads and --out on every subcommand; --seed where it is read."""
-    if seed:
-        parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--threads", type=int, default=1)
+def _common_flags(parser, *flags):
+    """--out on every subcommand; --seed and --threads where they are read."""
+    for flag in flags:
+        parser.add_argument(f"--{flag}", type=int, default=0 if flag == "seed" else 1)
     parser.add_argument("--out", metavar="PATH", default=None)
 
 
@@ -356,7 +355,7 @@ def _spectrum_args(p):
     p.add_argument("--emit-set", dest="emit_set", metavar="PATH",
                    help="also write the constructed set as a set-file")
     p.add_argument("--format", choices=("csv", "json"), default="json")
-    _common_flags(p, seed=True)
+    _common_flags(p, "seed")
     p.set_defaults(func=cmd_spectrum)
 
 
@@ -364,13 +363,13 @@ def _sweep_args(p):
     p.add_argument("--primes", required=True, help="comma-separated primes")
     p.add_argument("--construction", required=True)
     p.add_argument("--seeds", type=int, default=10, help="seeds 0..N-1 per prime")
-    _common_flags(p)
+    _common_flags(p, "threads")
     p.set_defaults(func=cmd_sweep)
 
 
 def _exhaustive_args(p):
     p.add_argument("--q", type=int, required=True)
-    _common_flags(p)
+    _common_flags(p, "threads")
     p.set_defaults(func=cmd_exhaustive)
 
 
@@ -378,7 +377,7 @@ def _search_args(p):
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--iters", type=int, default=200)
     p.add_argument("--restarts", type=int, default=5)
-    _common_flags(p, seed=True)
+    _common_flags(p, "seed")
     p.set_defaults(func=cmd_search)
 
 
@@ -420,7 +419,7 @@ def _ec_scan_args(p):
 def _legit_gen_args(p):
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--mode", choices=GENERATOR_MODES, default="pairwise")
-    _common_flags(p, seed=True)
+    _common_flags(p, "seed")
     p.set_defaults(func=cmd_legit)
 
 
@@ -495,7 +494,7 @@ def main(argv=None) -> int:
             value = getattr(args, flag, least)
             if value < least:
                 raise ValueError(f"--{flag} must be at least {least}, got {value}")
-        if args.threads > MAX_THREADS:
+        if getattr(args, "threads", 1) > MAX_THREADS:
             raise ValueError(f"--threads must be at most {MAX_THREADS}, got {args.threads}")
         for flag in ("seed", "permute-seed"):
             seed = getattr(args, flag.replace("-", "_"), None)

@@ -20,7 +20,7 @@ import numpy as np
 
 from .construct import build_construction
 from .plane import ProjectivePlane, build_plane
-from .spectrum import _spectrum_affine, compute_spectrum, cor_bound_ceiling
+from .spectrum import compute_spectrum, cor_bound_ceiling
 
 EXHAUSTIVE_MAX_Q = 4
 # The local search holds the plane's (N, q+1) int32 incidence; 251 is the
@@ -95,63 +95,71 @@ def exhaustive_minmax(plane: ProjectivePlane, threads: int = 1) -> dict:
             "cor_ceiling": cor_bound_ceiling(q)}
 
 
+def _flip_scores(C, hist, members):
+    """Each flip's exact (mode, variance W·Σh² - (Σh)², histogram h), with
+    C[i, k + 1] the lines through point i of a block that meet the set in k
+    points (columns 0 and W + 1 empty): members' lines go to k - 1, others' to k + 1."""
+    W, lines = hist.size, int(hist.sum())
+    trial = hist - C[:, 1:-1]
+    trial += np.where(members[:, None], C[:, 2:], C[:, :-2])
+    return trial.max(axis=1), W * np.einsum("ij,ij->i", trial, trial) - lines * lines, trial
+
+
+def _flip_descent(line_points, lines_through, mask, iters: int):
+    """Best-improvement descent on single-point flips of the bool mask, in
+    place, reading the plane only as the points on each line and the lines
+    through each point; scored in blocks of about _FLIP_BLOCK_ENTRIES
+    entries, a tie goes to the lowest point.  The score and the flips scored."""
+    N, W = len(lines_through), line_points.shape[1] + 1
+    rows = max(1, _FLIP_BLOCK_ENTRIES // W)
+    n_ell = np.concatenate([mask[line_points[lo:lo + rows]].sum(1)
+                            for lo in range(0, len(line_points), rows)])
+    hist = np.bincount(n_ell, minlength=W)
+    cur = (int(hist.max()), W * int(hist @ hist) - len(n_ell) ** 2)
+    examined = 0
+    for _ in range(iters):
+        examined += N
+        move = ((N + 1, 0),)                # worse than any score
+        for lo in range(0, N, rows):
+            lines = lines_through[lo:lo + rows]
+            B = len(lines)
+            keys = np.arange(B)[:, None] * (W + 2) + 1 + n_ell[lines]
+            C = np.bincount(keys.ravel(), minlength=B * (W + 2)).reshape(B, W + 2)
+            mode, var, trial = _flip_scores(C, hist, mask[lo:lo + B])
+            low = np.flatnonzero(mode == mode.min())
+            i = low[var[low].argmin()]
+            if (mode[i], var[i]) < move[0]:
+                move = ((int(mode[i]), int(var[i])), lo + int(i), trial[i])
+        if not move[0] < cur:
+            break
+        cur, pt, hist = move
+        n_ell[lines_through[pt]] += -1 if mask[pt] else 1
+        mask[pt] = not mask[pt]
+    return cur, examined
+
+
 def local_search(plane: ProjectivePlane, iters: int = 200, seed: int = 0,
                  restarts: int = 5) -> dict:
     """The `search` document of a seeded hill descent on single-point flips
     minimizing the mode count, ties broken by histogram variance; best over
-    restarts.
-
-    A step scores all N flips at once.  With C[pt, k] the number of lines
-    through pt that meet the set in k points, flipping pt gives the
-    histogram hist - C[pt] + C[pt] shifted by the flip's sign.  C is built
-    in blocks of points of about _FLIP_BLOCK_ENTRIES entries.  Each restart
-    takes its starting secant sizes from the spectrum kernel; the flips
-    read the plane's incidence, solved once, so the search runs up to
-    LOCAL_SEARCH_MAX_Q."""
-    q, N, W = plane.q, plane.N, plane.q + 2
+    restarts.  The descent reads only the plane's incidence, solved once,
+    so the search runs up to LOCAL_SEARCH_MAX_Q."""
+    q, N = plane.q, plane.N
     if q > LOCAL_SEARCH_MAX_Q:
         raise ValueError(f"search limit: q={q} is above the largest locally "
                          f"searched order {LOCAL_SEARCH_MAX_Q}")
-    # row i lists the points of line i and, since point i and line i are
-    # the same triple and incidence is symmetric, the lines through point i
+    # PG(2,q) is self-dual: point i and line i are the same triple and
+    # incidence is symmetric, so the rows list the lines through point i too
     incidence = plane.line_points()
-    rows = max(1, _FLIP_BLOCK_ENTRIES // W)
     rng = Random(seed)
     best = None
     examined = 0
-
     for _ in range(max(1, restarts)):
         # the seed's random bitmap, bit i = point i
         raw = np.frombuffer(rng.getrandbits(N).to_bytes((N + 7) // 8, "little"), np.uint8)
         mask = np.unpackbits(raw, count=N, bitorder="little").astype(bool)
-        n_ell = _spectrum_affine(plane, mask)
-        hist = np.bincount(n_ell, minlength=W)
-        # exact integer score: mode, then cleared-denominator variance
-        cur = (int(hist.max()), W * int(hist @ hist) - N * N)
-
-        for _ in range(iters):
-            examined += N
-            move = ((N + 1, 0),)                # worse than any score
-            for lo in range(0, N, rows):
-                lines = incidence[lo:lo + rows]
-                B = len(lines)
-                # C[:, k + 1]: the empty columns 0 and W + 1 absorb the shift
-                keys = np.arange(B)[:, None] * (W + 2) + 1 + n_ell[lines]
-                C = np.bincount(keys.ravel(), minlength=B * (W + 2)).reshape(B, W + 2)
-                trial = hist - C[:, 1:-1]
-                trial += np.where(mask[lo:lo + B, None], C[:, 2:], C[:, :-2])
-                mode = trial.max(axis=1)
-                low = np.flatnonzero(mode == mode.min())
-                ties = W * (trial[low] ** 2).sum(axis=1) - N * N
-                i = low[ties.argmin()]
-                if (mode[i], ties.min()) < move[0]:    # first point of a tie wins
-                    move = ((int(mode[i]), int(ties.min())), lo + int(i), trial[i])
-            if not move[0] < cur:
-                break
-            cur, pt, hist = move
-            n_ell[incidence[pt]] += -1 if mask[pt] else 1
-            mask[pt] = not mask[pt]
-
+        cur, flips = _flip_descent(incidence, incidence, mask, iters)
+        examined += flips
         # reversed mask bytes order sets as their bitmaps do numerically
         cand = (cur[0], cur[1], mask[::-1].tobytes())
         if best is None or cand < best:

@@ -8,8 +8,7 @@ array decode (`triples`) and one array encode (`index_of`) map between
 indices and triples.  The points of any batch of lines come from one
 vectorized closed-form solver (`line_points`), which caches nothing: the
 two searches each solve all N lines once, and spectra are counted without
-any incidence.  Points and lines share one indexing and x.a = a.x, so the
-solver's rows also list the lines through each point.
+any incidence.
 
 The affine chart identifies F_q^2 with the points off the line z = 0:
 (x, y) corresponds to (x : y : 1), the line y = dx + b to [d : -1 : b],
@@ -85,11 +84,9 @@ class ProjectivePlane:
 
     def line_points(self, lines=None) -> np.ndarray:
         """(len(lines), q+1) int32 array: row i holds the sorted indices of
-        the points on line lines[i], all N lines by default.  Points and
-        lines share one indexing and x.a = a.x, so row i also lists the
-        lines through point i.  Nothing is cached; the rows are solved in
-        blocks of about _SOLVE_BLOCK_ENTRIES entries from the closed form
-        for [a : b : c]."""
+        the points on line lines[i], all N lines by default.  Nothing is
+        cached; the rows are solved in blocks of about _SOLVE_BLOCK_ENTRIES
+        entries from the closed form for [a : b : c]."""
         F, q = self.field, self.q
         lines = np.arange(self.N) if lines is None else np.asarray(lines, dtype=np.int64)
         out = np.empty((lines.size, q + 1), dtype=np.int32)

@@ -51,7 +51,7 @@ def _spectrum_document(plane, mask: np.ndarray, meta: dict, hist: np.ndarray) ->
 
 def _spectrum_affine(plane, mask: np.ndarray) -> np.ndarray:
     """The int64 array of the per-line counts n_ell[i] = |S ∩ line i|, for
-    the readers that need every line: the search and the curve scan."""
+    the reader that needs every line, the curve scan."""
     n_ell = np.empty(plane.N, dtype=np.int64)
     lo = 0
     for counts in secant_count_blocks(plane, mask):

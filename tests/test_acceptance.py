@@ -308,10 +308,13 @@ def test_criterion_10_cli_determinism(tmp_path):
         outputs = []
         for j, threads in enumerate(("1", "1", "4")):
             path = tmp_path / f"case{i}_{j}.out"
-            code = cli_main([*args, "--threads", threads, "--out", str(path)])
+            # --threads goes only to the commands that read it; the others
+            # run three times as they are
+            flags = ["--threads", threads] if args[0] in ("sweep", "exhaustive") else []
+            code = cli_main([*args, *flags, "--out", str(path)])
             assert code == 0, (args, code)
             outputs.append(path.read_bytes())
         if not (outputs[0] == outputs[1] == outputs[2]):
             stable = False
     report(10, stable, f"{len(cases)} CLI invocations byte-identical across "
-                       f"repeats and --threads 1/4")
+                       f"repeats, and sweep and exhaustive across --threads 1/4")

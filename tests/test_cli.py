@@ -865,7 +865,6 @@ def test_threads_below_one_exits_1_with_one_line(tmp_path, capsys, argv, threads
 @pytest.mark.parametrize("argv", [
     ["sweep", "--primes", "7", "--construction", "random:density=1/2", "--seeds", "2"],
     ["exhaustive", "--q", "2"],
-    ["plane", "--q", "2"],
 ])
 def test_threads_past_the_bound_exit_1_before_any_thread(tmp_path, capsys, monkeypatch,
                                                          argv):
@@ -878,6 +877,28 @@ def test_threads_past_the_bound_exit_1_before_any_thread(tmp_path, capsys, monke
     assert main([*argv, "--threads", threads, "--out", str(out)]) == USAGE_ERROR
     err = capsys.readouterr().err
     assert err == f"error: --threads must be at most {cli.MAX_THREADS}, got {threads}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["plane", "--q", "2"],
+    ["spectrum", "--q", "7", "--construction", "random:density=1/2"],
+    ["search", "--q", "3"],
+    ["charwalk", "--p", "7"],
+    ["projection", "--p", "7"],
+    ["ec", "count", "--p", "7", "--a", "1", "--b", "1"],
+    ["ec", "scan", "--p", "7"],
+    ["legit", "gen", "--n", "4"],
+    ["legit", "color", "--in", "h.json"],
+    ["legit", "verify", "--in", "h.json", "--coloring", "c.json"],
+])
+def test_threads_is_refused_where_it_is_not_read(tmp_path, capsys, argv):
+    # only sweep and exhaustive run on worker threads
+    out = tmp_path / "out"
+    assert main([*argv, "--threads", "2", "--out", str(out)]) == USAGE_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage: secants {argv[0]} ")
+    assert err.splitlines()[-1] == "error: unrecognized arguments: --threads 2"
     assert not out.exists()
 
 

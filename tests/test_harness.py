@@ -1,10 +1,13 @@
+import tracemalloc
 from functools import lru_cache
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from secants import harness as harness_module
+from secants import spectrum as spectrum_module
 from secants.harness import (SWEEP_COLUMNS, SWEEP_SCHEMA, exhaustive_minmax,
                              local_search, run_sweep, sweep_to_csv)
 from secants.plane import build_plane
@@ -152,6 +155,98 @@ def test_local_search_point_blocks_do_not_change_results(monkeypatch, q, seed):
         monkeypatch.setattr(harness_module, "_FLIP_BLOCK_ENTRIES", entries)
         res = local_search(pl, iters=6, seed=seed, restarts=2)
         assert _result_triple(res) == expect, entries
+
+
+@pytest.mark.parametrize("q, seed, iters, restarts", _ORACLE_CASES[::9])
+def test_local_search_reads_no_spectrum_kernel(monkeypatch, q, seed, iters, restarts):
+    def no_kernel(*args, **kwargs):
+        raise AssertionError("the search called the spectrum kernel")
+
+    monkeypatch.setattr(spectrum_module, "secant_count_blocks", no_kernel)
+    pl = _search_plane(q)
+    res = local_search(pl, iters=iters, seed=seed, restarts=restarts)
+    assert _result_triple(res) == naive_local_search(pl, iters, seed, restarts)
+
+
+def test_local_search_at_q251_holds_one_incidence():
+    # the (N, q+1) int32 incidence takes 60.8 MiB and the search peaked at
+    # 64.5 MiB; gathering the start counts as one mask[incidence] would add
+    # an (N, q+1) bool array, 15.2 MiB
+    pl = build_plane(251)
+    tracemalloc.start()
+    try:
+        local_search(pl, iters=1, restarts=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 65 * 2 ** 20, peak
+
+
+def _relabelled_incidence(plane, seed):
+    """The plane's lines as point lists and its points as line lists, after
+    relabelling the points and the lines by two independent seeded
+    permutations, so point i and line i are no longer the same triple.  The
+    lines come from the naive incidence test, and the lines through each
+    point are collected from them by hand."""
+    rng = np.random.default_rng(seed)
+    point, line = rng.permutation(plane.N), rng.permutation(plane.N)
+    on_line = [None] * plane.N
+    for j, members in enumerate(naive_line_points(plane)):
+        on_line[line[j]] = sorted(int(point[i]) for i in members)
+    through = [[] for _ in range(plane.N)]
+    for j, members in enumerate(on_line):
+        for i in members:
+            through[i].append(j)
+    return np.array(on_line), np.array(through)
+
+
+@pytest.mark.parametrize("q", (2, 3, 4, 5, 7, 8, 9))
+def test_flip_scores_on_a_relabelled_plane_match_a_naive_recount(monkeypatch, q):
+    pl = _search_plane(q)
+    line_points, lines_through = _relabelled_incidence(pl, seed=q)
+    N, W = pl.N, q + 2
+    assert lines_through.shape == (N, q + 1)
+    assert not np.array_equal(line_points, lines_through)     # not self-dual
+    lines = [frozenset(row) for row in line_points.tolist()]
+
+    def recount(members):
+        """(mode, cleared-denominator variance, histogram) of a point set."""
+        hist = [0] * W
+        for row in lines:
+            hist[len(row & members)] += 1
+        return max(hist), W * sum(h * h for h in hist) - N * N, hist
+
+    calls = []
+    scores = harness_module._flip_scores
+
+    def recording(C, hist, members):
+        mode, var, trial = scores(C, hist, members)
+        calls.append((hist.tolist(), members.copy(), mode, var, trial.copy()))
+        return mode, var, trial
+
+    monkeypatch.setattr(harness_module, "_flip_scores", recording)
+    rng = np.random.default_rng(q)
+    steps = 0
+    # one block of points, then blocks of two points and a ragged last one
+    for entries in (harness_module._FLIP_BLOCK_ENTRIES, 2 * W + 1):
+        monkeypatch.setattr(harness_module, "_FLIP_BLOCK_ENTRIES", entries)
+        for _ in range(2):
+            mask = rng.random(N) < rng.uniform(0.2, 0.8)
+            start = set(np.flatnonzero(mask).tolist())
+            calls.clear()
+            score, examined = harness_module._flip_descent(line_points, lines_through,
+                                                           mask, iters=5)
+            assert score == recount(set(np.flatnonzero(mask).tolist()))[:2]
+            assert sum(len(c[1]) for c in calls) == examined
+            assert calls[0][0] == recount(start)[2]     # the start counts
+            members, mode, var, trial = (np.concatenate([c[k] for c in calls])
+                                         for k in (1, 2, 3, 4))
+            members = members.reshape(-1, N)
+            for pt in range(examined):
+                flipped = set(np.flatnonzero(members[pt // N]).tolist()) ^ {pt % N}
+                assert (mode[pt], var[pt], trial[pt].tolist()) == recount(flipped), pt
+            steps += examined // N
+    assert steps >= 4
 
 
 def test_sweep_rows_and_determinism():
