@@ -15,10 +15,11 @@ The affine chart identifies F_q^2 with the points off the line z = 0:
 and the vertical x = c to [1 : 0 : -c].  The first two have closed-form
 tables, solved for any batch of rows on request (`affine_points`,
 `affine_lines`); every other chart object is encoded with `index_of`.
-The plane caches no table.  The spectrum reads the chart through
-`affine_points` alone, a block of rows at a time, since its classes come
-in line-index order; `affine_lines` serves the curve relations, which
-read secant sizes by slope and intercept.
+The plane caches no table.  The constructions write their regions
+through `affine_points`, and `affine_lines` serves the curve relations,
+which read secant sizes by slope and intercept.  The spectrum solves no
+table: it counts on the other chart, of the points (1 : a : b), which sit
+at the indices q+1 + a*q + b, so their grid is a view of the mask.
 """
 
 from __future__ import annotations

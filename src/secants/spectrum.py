@@ -2,16 +2,16 @@
 their histogram, and the exact double-counting identities they satisfy.
 
 A point set is a read-only boolean mask over the point indices.  Every
-plane is counted the same way, through the affine chart with the finite
-Radon transform: the counts along a parallel class are the inverse DFT
-of one slice of the DFT of the q x q membership grid (the Fourier slice
-theorem over GF(q), whose additive characters are the characters of its
-base-p digit vectors), so all classes cost O(q^2 log q) and no incidence
-is stored.  The classes come in the order of the line indices, so the
-counts stream out block by block (`secant_count_blocks`), straight into
-the histogram of a spectrum or into the per-line array of the readers
-that need one; the real transforms run two to one complex FFT.  The
-transform is rounded to integers under an explicit tolerance guard."""
+plane is counted with the finite Radon transform on the chart of the
+points (1 : a : b), whose q x q grid is a view of the mask: the counts
+along a parallel class are the inverse DFT of one slice of the DFT of the
+grid (the Fourier slice theorem over GF(q), whose additive characters are
+the characters of its base-p digit vectors), so all classes cost
+O(q^2 log q) and no incidence is stored.  The counts stream out block by
+block in chart order (`secant_count_blocks`), straight into the histogram
+of a spectrum or, placed by line index, into the curve scan's per-line
+array.  The transform is rounded to integers under an explicit tolerance
+guard."""
 
 from __future__ import annotations
 
@@ -20,7 +20,7 @@ import math
 import numpy as np
 
 from .field import _decode_digits
-from .plane import _SOLVE_BLOCK_ENTRIES, ProjectivePlane
+from .plane import ProjectivePlane
 
 
 def compute_spectrum(plane: ProjectivePlane, mask: np.ndarray, meta: dict) -> dict:
@@ -50,36 +50,40 @@ def _spectrum_document(plane, mask: np.ndarray, meta: dict, hist: np.ndarray) ->
 
 
 def _spectrum_affine(plane, mask: np.ndarray) -> np.ndarray:
-    """The int64 array of the per-line counts n_ell[i] = |S ∩ line i|, for
-    the reader that needs every line, the curve scan."""
+    """The int64 array of the per-line counts n_ell[i] = |S ∩ line i| in
+    line-index order, for the curve scan: by self-duality the line
+    [c : t : 1] has the index of the point (c : t : 1), [c, t] of
+    affine_points."""
+    F, q = plane.field, plane.q
     n_ell = np.empty(plane.N, dtype=np.int64)
-    lo = 0
-    for counts in secant_count_blocks(plane, mask):
-        n_ell[lo:lo + counts.size] = counts
-        lo += counts.size
+    blocks = secant_count_blocks(plane, mask)
+    # the lines through (0 : 0 : 1): [0 : 1 : 0], [1 : -1/a : 0] by a, x = 0
+    slopes = F.neg(F.inv(np.arange(1, q, dtype=np.int64)))
+    n_ell[np.concatenate([[1], q + 1 + slopes * q, [q + 1]])] = next(blocks)
+    lines = plane.affine_points().T                     # [t, c]: [c : t : 1]
+    t = 0
+    for counts in blocks:
+        counts = counts.reshape(-1, q)
+        n_ell[lines[t:t + len(counts)]] = counts
+        t += len(counts)
     return n_ell
 
 
 def secant_count_blocks(plane: ProjectivePlane, mask: np.ndarray):
     """The per-line counts |S ∩ line| of the set with this mask, yielded as
-    int64 blocks in line-index order: line 0 (z = 0), the lines 1..q
-    ([0 : 1 : c]), then each block of parallel classes from
-    affine_class_blocks with its point at infinity added.  The affine grid
-    is gathered through the chart a block of rows at a time.
+    int64 blocks in chart order: the q+1 lines through (0 : 0 : 1), first
+    row a of the chart mask[q+1:].reshape(q, q) of the points (1 : a : b)
+    with (0 : 0 : 1) for each a ([0 : 1 : 0], then [1 : -1/a : 0]), then
+    x = 0; then each block of classes of affine_class_blocks, the count on
+    [c : t : 1] at (t - lo)*q + c with its point (0 : 1 : -t) off the chart.
     Raises ArithmeticError unless the blocks count every line once."""
     F, q, N = plane.field, plane.q, plane.N
-    grid = np.empty((q, q), dtype=bool)                 # grid[y, x]: (x : y : 1)
-    step = max(1, _SOLVE_BLOCK_ENTRIES // q)
-    for lo in range(0, q, step):
-        grid[:, lo:lo + step] = mask.take(plane.affine_points(range(lo, min(lo + step, q)))).T
-    at_inf = mask[q + 1::q]                             # (1 : y : 0) by y
-    yield np.array([mask[1] + at_inf.sum()], dtype=np.int64)          # z = 0
-    c = np.arange(q, dtype=np.int64)
-    yield grid.sum(1, dtype=np.int64)[F.neg(c)] + at_inf[0]  # [0 : 1 : c]: y = -c
-    # class t meets z = 0 at (-t : 1 : 0): (0 : 1 : 0), then (1 : -1/t : 0)
-    ends = np.concatenate([mask[1:2], at_inf[F.neg(F.inv(c[1:]))]])
+    grid = mask[q + 1:].reshape(q, q)                   # grid[a, b]: (1 : a : b)
+    pencil = grid.sum(1, dtype=np.int64) + mask[0]
+    yield np.append(pencil, mask[0] + np.count_nonzero(mask[1:q + 1]))
+    ends = mask[1 + F.neg(np.arange(q, dtype=np.int64))]   # (0 : 1 : -t) by t
     lines = q + 1
-    for lo, counts in affine_class_blocks(grid, F):     # [1 : t : c] at row t
+    for lo, counts in affine_class_blocks(grid, F):     # [c : t : 1] at row t
         lines += counts.size
         if lines > N:
             break
@@ -94,8 +98,8 @@ def secant_count_blocks(plane: ProjectivePlane, mask: np.ndarray):
 # time, in pairs of rows or classes, which bounds its temporaries at large q.
 _RADON_BLOCK_ENTRIES = 1 << 16
 
-# Largest distance from an integer that a transformed count may have.
-# Measured rounding errors stay below 3e-12 up to p = 1999, so a value
+# Largest distance from an integer that a packed transformed value may
+# have.  Measured errors stay below 1e-8 up to p = 1999, so a value
 # anywhere near this bound is a numerical fault, never a rounding choice.
 _RADON_TOLERANCE = 1e-3
 
@@ -107,41 +111,44 @@ def affine_class_blocks(grid: np.ndarray, field):
 
     Yields (lo, C) for consecutive blocks of classes, where C[i, c] counts
     the (r, s) with grid[r, s] set and s + t*r + c = 0 (field arithmetic),
-    for t = lo + i.  Given grid[y, x], the transposed affine chart, C[i, c]
-    is the count on the line [1 : t : c] of PG(2,q), so the rows of C come
-    in the order of the line indices.  Reshaped to (p,)*k, each index has
-    its base-p digits as axes, highest first.  With F the DFT of the grid
-    over those 2k axes, the DFT of the class-t counts at the dual digit
-    vector v is conj F[M_t^T v, v], where M_t is multiplication by t on
-    digit vectors (column j holds the digits of t*p^j), so each class is
-    one inverse FFT of a slice over the k intercept axes.  F is kept as
-    the half-spectrum of the real rows: the lowest digit of v runs to
-    p // 2 only, and the slice reads that axis directly.
+    for t = lo + i.  Given grid[a, b], the chart of the points (1 : a : b),
+    C[i, c] is the count on the chart of the line [c : t : 1] of PG(2,q).
+    Reshaped to (p,)*k, each index has its base-p digits as axes, highest
+    first.  With F the DFT of the grid over those 2k axes, the DFT of the
+    class-t counts at the dual digit vector v is conj F[M_t^T v, v], where
+    M_t is multiplication by t on digit vectors (column j holds the digits
+    of t*p^j), so each class is one inverse FFT of a slice over the k
+    intercept axes.  F is kept as the half-spectrum of the real rows: the
+    lowest digit of v runs to p // 2 only, and the slice reads that axis
+    directly.
 
-    Real data goes through the transforms two at a time.  The forward pass
-    packs the rows r and r+1 as z = grid[r] + i*grid[r+1]; with Z the FFT
-    of z, their spectra are (Z(v) + conj Z(-v))/2 and (Z(v) - conj Z(-v))/2i,
-    where -v is the digit-wise negation.  F is filled in place one block of
-    rows at a time, then one FFT over the r axes writes back into F, so no
-    temporary is as large as F.  The inverse pass packs the classes t and
-    t+1 as the real and the imaginary part of one spectrum: on the half it
-    takes the conjugated slices, and on the mirrored half, at -v, the
-    slices themselves, read reversed (a reversed view at k = 1).  Both
-    passes work in blocks of about _RADON_BLOCK_ENTRIES entries, in pairs;
-    the last row or class of an odd block is packed with zeros.
-    Raises ArithmeticError when a transformed count is more than
+    Real data is packed.  The forward pass runs the rows r and r+1 as
+    z = grid[r] + i*grid[r+1]; with Z the FFT of z, their spectra are
+    (Z(v) + conj Z(-v))/2 and (Z(v) - conj Z(-v))/2i, where -v is the
+    digit-wise negation.  F is filled in place one block of rows at a
+    time, then one FFT over the r axes writes back into F, so no temporary
+    is as large as F.  The inverse pass runs four classes per FFT: a count
+    is at most q < B = 2^bitlen(q), so two classes are packed as
+    count + B*count', and two such pairs as the real and the imaginary
+    part of one spectrum, the conjugated slices on the half and the slices
+    read at -v on the mirrored half (a reversed view at k = 1).  The
+    rounded values are split with & (B-1) and >> bitlen(q).  Both passes
+    work in blocks of about _RADON_BLOCK_ENTRIES entries, in pairs; a
+    short group of four is padded with zero slices.
+    Raises ArithmeticError when a packed value is more than
     _RADON_TOLERANCE from an integer."""
     p, k, q = field.p, field.k, field.q
     half = p // 2 + 1
     cols = q // p * half
     digits = (p,) * k
+    shift = q.bit_length()
     neg = -np.arange(p) % p
     # the flat index of -v for each column v of the half-spectrum
     negcol = np.ravel_multi_index(np.ix_(*(neg,) * (k - 1), neg[:half]), digits).ravel()
     # rows or classes per block, in pairs, and never more than q needs
     step = min(2 * max(1, _RADON_BLOCK_ENTRIES // (2 * q)), q + q % 2)
-    packed = np.empty((step // 2, q), dtype=complex)   # z, then the class pair spectra
-    halves = np.empty((step, cols), dtype=complex)     # Z(-v), then the class slices
+    packed = np.empty((step // 2, q), dtype=complex)   # z, then the packed spectra
+    halves = np.empty((step + step % 4, cols), dtype=complex)  # Z(-v), then slices
     F = np.empty((q, cols), dtype=complex)             # rows: encoded u; columns: v
     Fv = F.reshape(q, -1, half)
     for lo in range(0, q, step):
@@ -171,13 +178,25 @@ def affine_class_blocks(grid: np.ndarray, field):
     for lo in range(0, q, step):
         t = np.arange(lo, min(lo + step, q), dtype=np.int64)
         MT = _decode_digits(field.mul(t[:, None], powers), p, k)    # MT[i] = M_t^T
-        u = ((MT @ v.T % p) * powers[:, None]).sum(axis=1)
-        n = -(-t.size // 2)
-        S = halves[:2 * n]
-        np.take(flat, u * cols + col, out=S[:t.size])
+        # the flat index u*cols + col of F[M_t^T v, v], digit by digit of u
+        idx = col
+        for j in range(k):
+            u = MT[:, j, 0, None] * v[:, 0]
+            for r in range(1, k):
+                u += MT[:, j, r, None] * v[:, r]
+            u %= p
+            u *= powers[j] * cols
+            u += idx
+            idx = u
+        n = -(-t.size // 4)
+        S = halves[:4 * n]
+        np.take(flat, idx, out=S[:t.size])
         S[t.size:] = 0
-        S = S.reshape(n, 2, *digits[:-1], half)
-        a, b = S[:, 0], S[:, 1]               # the slices of t and t+1, on the half
+        # S[j, g] is the slice of the class lo + j*n + g; pack j = 0, 2 and 1, 3
+        S = S.reshape(4, n, *digits[:-1], half)
+        np.multiply(S[2:], 1 << shift, out=S[2:])
+        np.add(S[:2], S[2:], out=S[:2])
+        a, b = S[0], S[1]
         W = packed[:n].reshape(n, *digits)
         # conj a + i conj b on the half ...
         np.add(a.real, b.imag, out=W.real[..., :half])
@@ -189,14 +208,17 @@ def affine_class_blocks(grid: np.ndarray, field):
         np.subtract(a.real, b.imag, out=W.real[..., half:])
         np.add(a.imag, b.real, out=W.imag[..., half:])
         x = np.fft.ifftn(W, axes=range(1, k + 1), out=W).reshape(n, q)
-        x = x.view(float).reshape(n, q, 2)    # [..., 0]: class t, [..., 1]: t+1
-        counts = np.rint(x)
-        err = float(np.abs(np.subtract(x, counts, out=x), out=x).max())
+        x = x.view(float).reshape(n, q, 2)    # [..., 0]: packed j = 0, 2; [..., 1]: 1, 3
+        rounded = np.rint(x)
+        err = float(np.abs(np.subtract(x, rounded, out=x), out=x).max())
         if err > _RADON_TOLERANCE:
             raise ArithmeticError(
                 f"finite Radon transform at q={q} is {err:.3g} off an integer count")
-        counts = counts.transpose(0, 2, 1).astype(np.int64, order="C")
-        yield lo, counts.reshape(2 * n, q)[:t.size]
+        rounded = rounded.astype(np.int64).transpose(2, 0, 1)
+        counts = np.empty((4, n, q), dtype=np.int64)
+        np.bitwise_and(rounded, (1 << shift) - 1, out=counts[:2])
+        np.right_shift(rounded, shift, out=counts[2:])
+        yield lo, counts.reshape(4 * n, q)[:t.size]
 
 
 def verify_counting_identities(q: int, s: int, hist) -> dict:

@@ -66,6 +66,18 @@ def line_through(plane, p_idx, q_idx):
                              for i, j in ((1, 2), (2, 0), (0, 1))))
 
 
+def chart_stream_lines(plane):
+    """The line index at each position of the stream of
+    `secant_count_blocks`, in its documented chart order, looked up with
+    `class_of`: the line [-a : 1 : 0] through (0 : 0 : 1) and the row
+    (1 : a : *) for a = 0..q-1, then x = 0, [1 : 0 : 0], then [c : t : 1]
+    for t = 0..q-1 and, within t, c = 0..q-1."""
+    F, q = plane.field, plane.q
+    return np.array([class_of(plane, F.neg(a), 1, 0) for a in range(q)]
+                    + [class_of(plane, 1, 0, 0)]
+                    + [class_of(plane, c, t, 1) for t in range(q) for c in range(q)])
+
+
 def mask_of(plane, indices):
     """The read-only membership mask of the points with these indices;
     a negative index is refused, since it would alias from the end."""

@@ -12,8 +12,8 @@ from secants.field import legendre_table
 from secants.plane import build_plane
 from secants.spectrum import compute_spectrum
 
-from conftest import (class_of, cubic_root_count, curve_count_bruteforce,
-                      curve_counts_by_line, line_curve_check)
+from conftest import (chart_stream_lines, class_of, cubic_root_count,
+                      curve_count_bruteforce, curve_counts_by_line, line_curve_check)
 
 
 def test_curve_count_examples():
@@ -121,12 +121,14 @@ def test_scan_counts_every_curve_directly(p):
 
 
 def off_by_one(line, blocks=spectrum.secant_count_blocks):
-    """The block generator with +1 on the secant size of one line."""
+    """The block generator with +1 on the secant size of one line, found in
+    the stream by its documented chart order."""
     def faulty(plane, mask):
+        at = int(np.flatnonzero(chart_stream_lines(plane) == line)[0])
         lo = 0
         for counts in blocks(plane, mask):
-            if lo <= line < lo + counts.size:
-                counts[line - lo] += 1
+            if lo <= at < lo + counts.size:
+                counts[at - lo] += 1
             lo += counts.size
             yield counts
     return faulty

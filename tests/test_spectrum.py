@@ -18,9 +18,9 @@ from secants.spectrum import (bounds_report, compute_spectrum, cor_bound_ceiling
                               secant_count_blocks, verify_counting_identities)
 from secants.spectrum import _spectrum_affine
 
-from conftest import (assert_spectrum_matches_naive, class_of, contains,
-                      gather_secant_counts, histogram_counts, identity_residuals, mask_of,
-                      naive_histogram, naive_secant_counts)
+from conftest import (assert_spectrum_matches_naive, chart_stream_lines, class_of,
+                      contains, gather_secant_counts, histogram_counts, identity_residuals,
+                      mask_of, naive_histogram, naive_secant_counts)
 
 
 def fano_triangle(fano):
@@ -136,10 +136,11 @@ def test_affine_kernel_handles_infinite_points():
 
 def test_spectrum_scratch_is_bounded():
     # only the transform F (q x (q//2 + 1) complex, 7.6 MiB) is kept whole:
-    # the grid is q*q bools, the chart rows and every other temporary come
-    # in blocks, and the counts stream into the histogram, so no array of
-    # all N counts exists.  Measured 11.4 MiB at q=997, from a fresh plane;
-    # 22.8 MiB when the N per-line counts and the chart table were held
+    # the grid is a view of the mask, every other temporary comes in
+    # blocks, and the counts stream into the histogram, so no array of all
+    # N counts exists.  Measured 10.3 MiB at q=997, from a fresh plane;
+    # 11.4 MiB when the grid was gathered through the chart, and 22.8 MiB
+    # when the N per-line counts and the chart table were held
     q = 997
     pl = build_plane(q)
     mask, meta = random_set(pl, Fraction(1, 2), 0)
@@ -160,8 +161,10 @@ STREAM_ORDERS = [2, 3, 4, 8, 9, 16, 25, 27, 31]
 def test_streamed_histogram_matches_per_line_counts_and_naive(q):
     # the histogram bincounted block by block is the bincount of the
     # per-line array and the set oracle's histogram, and the blocks,
-    # joined, are the per-line counts in line-index order
+    # joined, are the per-line counts in the documented chart order
     pl = build_plane(q)
+    order = chart_stream_lines(pl)
+    assert sorted(order.tolist()) == list(range(pl.N))
     rng = np.random.default_rng(q)
     for density in (0.1, 0.5, 0.9):
         mask = rng.random(pl.N) < density
@@ -171,7 +174,7 @@ def test_streamed_histogram_matches_per_line_counts_and_naive(q):
         assert hist == naive_histogram(pl, np.flatnonzero(mask))
         blocks = list(secant_count_blocks(pl, mask))
         assert [b.dtype for b in blocks] == [np.int64] * len(blocks)
-        assert np.concatenate(blocks).tolist() == n_ell.tolist()
+        assert np.concatenate(blocks).tolist() == n_ell[order].tolist()
 
 
 @pytest.mark.parametrize("q", [7, 9, 16])
@@ -270,21 +273,61 @@ def test_radon_kernel_matches_gather_on_extension_planes(q):
         assert (_spectrum_affine(pl, mask) == gather_secant_counts(pl, mask)).all()
 
 
-@pytest.mark.parametrize("q", [2, 4, 8, 16, 5, 7, 9, 25])
+@pytest.mark.parametrize("q", [2, 4, 8, 16, 5, 7, 9, 25, 27])
 def test_radon_kernel_block_shapes(monkeypatch, q):
-    # Rows and classes go through the transforms in pairs.  One pair per
-    # block leaves an odd q's last row and last class unpaired, and 6q+1
-    # entries give odd blocks of a pair and a lone member at q = 7 and 9.
-    # At p = 2 the half-spectrum is the whole spectrum: nothing is mirrored.
+    # Rows go through the forward FFT in pairs, and classes through the
+    # inverse FFT in groups of four, over blocks of an even number of
+    # classes.  Up to 3q+1 entries give blocks of one pair, a short group
+    # of two classes, and leave an odd q's last row unpaired; 5q+1 gives
+    # blocks of four, 6q+1 blocks of six, a full group and a short one.  An
+    # odd q's last block holds q % 4 classes at 5q+1: one at q = 5, 9 and
+    # 25, three at q = 7 and 27.  At p = 2 the half-spectrum is the whole
+    # spectrum: nothing is mirrored.
     pl = build_plane(q)
     rng = np.random.default_rng(q)
     masks = [rng.random(pl.N) < density for density in (0.2, 0.5, 0.9)]
     expects = [naive_secant_counts(pl, np.flatnonzero(mask)) for mask in masks]
-    for block in (1, q, q + 1, 6 * q + 1, spectrum_module._RADON_BLOCK_ENTRIES):
+    for block in (1, q, q + 1, 3 * q + 1, 5 * q + 1, 6 * q + 1,
+                  spectrum_module._RADON_BLOCK_ENTRIES):
         monkeypatch.setattr(spectrum_module, "_RADON_BLOCK_ENTRIES", block)
         for mask, expect in zip(masks, expects):
             assert _spectrum_affine(pl, mask).tolist() == expect, block
             assert gather_secant_counts(pl, mask).tolist() == expect
+
+
+@pytest.mark.parametrize("q", [7, 9, 997])
+def test_spectrum_reads_the_chart_without_a_gather(monkeypatch, q):
+    # the chart of the points (1 : a : b) is a view of the mask, so the
+    # spectrum runs with the chart table unsolvable, while the curve scan's
+    # per-line reader places its lines through that table
+    pl = build_plane(q)
+    mask, meta = random_set(pl, Fraction(1, 2), q)
+    expect = np.bincount(_spectrum_affine(pl, mask), minlength=q + 2).tolist()
+    if q < 10:
+        assert expect == naive_histogram(pl, np.flatnonzero(mask))
+
+    def unsolvable(self, xs=None):
+        raise AssertionError("the spectrum gathered the chart")
+
+    monkeypatch.setattr(plane_module.ProjectivePlane, "affine_points", unsolvable)
+    doc = compute_spectrum(pl, mask, meta)
+    assert histogram_counts(doc) == expect
+    assert all(doc["checks"].values())
+
+
+@pytest.mark.parametrize("q", [997, 1999])
+@pytest.mark.parametrize("construction", ["random:density=1/2", "ecregion"])
+def test_packed_rounding_error_has_margin(monkeypatch, q, construction):
+    # four classes share one inverse FFT as count + B*count' with B > q, so
+    # the packed values reach about q*B; their rounding error stays under
+    # 1e-6 at the largest primes run, a thousandth of the 1e-3 guard
+    assert spectrum_module._RADON_TOLERANCE == 1e-3
+    pl = build_plane(q)
+    mask, meta = build_construction(pl, construction, seed=0)
+    monkeypatch.setattr(spectrum_module, "_RADON_TOLERANCE", 1e-6)
+    doc = compute_spectrum(pl, mask, meta)
+    assert sum(histogram_counts(doc)) == pl.N
+    assert all(doc["checks"].values())
 
 
 @pytest.mark.parametrize("q, construction, digest", [
@@ -295,12 +338,26 @@ def test_radon_kernel_block_shapes(monkeypatch, q):
      "4a0f846dcd62ea3474e60dceea93d0221061dd64f55f98b195d8009318a6146d"),
     (49, "random:density=1/2",
      "3140dd94a68dfce6eb9445b202ffcbe64cfd87053c2cfe1efd942da1602ab502"),
+    (25, "random:density=1/2",
+     "98f77115368bae0d1e77382e5b6ef2bf3c69831da1fbf9374b443b95f987b8a4"),
+    (27, "random:density=1/2",
+     "a5368bd556d60b578d328a1c4a50d5b84bccb888b56772854a4dc6d750b5a212"),
+    ((499, 0), "random:density=1/2",
+     "10c304dabf98220b488dab54beaa0735f8d75c13991ed09b6ec28a25a79c250f"),
+    ((499, 1), "random:density=1/2",
+     "8b18aed3d465df97b432a183671ece5e5ce43fb29242d8458c92f71e746f0bcf"),
+    ((499, 2), "random:density=1/2",
+     "2d17d1c25938ec5d0500384c40ce09d0374b51ca1cf418822884ab192f94568d"),
+    ((499, 3), "random:density=1/2",
+     "2db4520637b3675fcd82713331e82e7c07d60170025ce98c4d77fe87966ce674"),
 ])
 def test_secant_counts_match_recorded_digests(q, construction, digest):
-    # sha256 of n_ell as little-endian int64 at the benchmark's largest prime
-    # and its extension planes: a change of any one secant count shows
+    # sha256 of n_ell, in line-index order, as little-endian int64 at the
+    # benchmark's largest prime, its q=499 sweep cells (seeds 0-3) and small
+    # and larger extension planes: a change of any one secant count shows
+    q, seed = q if isinstance(q, tuple) else (q, 0)
     pl = build_plane(q)
-    n_ell = _spectrum_affine(pl, build_construction(pl, construction, seed=0)[0])
+    n_ell = _spectrum_affine(pl, build_construction(pl, construction, seed=seed)[0])
     assert hashlib.sha256(n_ell.astype("<i8").tobytes()).hexdigest() == digest
 
 
@@ -311,8 +368,8 @@ def test_secant_counts_match_recorded_digests(q, construction, digest):
     pytest.param(9, 1e-4, False, id="q9-0.0001-False"),
 ])
 def test_radon_rounding_guard(monkeypatch, q, offset, raises):
-    # the inverse pass packs two classes into the real and the imaginary
-    # part of one inverse FFT, so the guard must watch both
+    # the inverse pass packs four classes into the real and the imaginary
+    # part of one inverse FFT, two to a part, so the guard must watch both
     pl = build_plane(q)
     mask = np.random.default_rng(q).random(pl.N) < 0.5
     expect = gather_secant_counts(pl, mask)
