@@ -127,16 +127,21 @@ def parabola_family(plane: ProjectivePlane, c):
     return _from_affine_grid(plane, _shifted_rows(x < a, x * x % p), meta)
 
 
-def ec_region(plane: ProjectivePlane):
-    """(mask, meta) of the affine points (x, v) for which x^3 - v is a
-    square (zero included); each row x contributes exactly (p+1)/2 points.
+def ec_grid(plane: ProjectivePlane) -> np.ndarray:
+    """(p, p) bool grid of the cubic-square region: grid[x, v] says whether
+    x^3 - v is a square (zero included); each row x holds exactly (p+1)/2.
     Row x is the pattern t -> [-t is a square] shifted by x^3, built in
     O(p^2) bool work."""
     p = require_prime_plane(plane, 3)
     x = np.arange(p, dtype=np.int64)
     square = legendre_table(p)[-x % p] >= 0
-    return _from_affine_grid(plane, _shifted_rows(square, x * x % p * x % p),
-                             {"construction": "ecregion"})
+    return _shifted_rows(square, x * x % p * x % p)
+
+
+def ec_region(plane: ProjectivePlane):
+    """(mask, meta) of the affine points (x, v) of the cubic-square region,
+    those set in ec_grid(plane)."""
+    return _from_affine_grid(plane, ec_grid(plane), {"construction": "ecregion"})
 
 
 # -- set-file round trip -------------------------------------------------------

@@ -11,10 +11,15 @@ x^3 - m0*x per slope times the circulant table of chi(v - b).  Every other
 slope is m = m0*lam^2, and the change of variables x = lam*y gives
 S(m, lam^3*b) = chi(lam) * S(m0, b), so its row is a scatter of one of the
 three.  The curve counts never pass through a transform, so they stay
-independent of the region's secant sizes they are checked against.  For a
-non-vertical line v = m*x + b that avoids the singular locus, the region's
-secant size n and the root count Z of X^3 - m*X - b tie the curve
-Y^2 = X^3 - m*X - b to the line via  |E| = 2n + 1 - Z."""
+independent of the region's secant sizes they are checked against.  Those
+are read from the spectrum's block stream, with the region written on the
+spectrum's chart: (x, v) at the point (1 : x : v).  That is the affine
+region moved by the collineation (X : Y : Z) -> (Z : X : Y), which keeps
+every secant size, and it makes each parallel class of the stream the
+lines v = m*x + b of one slope m.  For a non-vertical line v = m*x + b
+that avoids the singular locus, the region's secant size n and the root
+count Z of X^3 - m*X - b tie the curve Y^2 = X^3 - m*X - b to the line
+via  |E| = 2n + 1 - Z."""
 
 from __future__ import annotations
 
@@ -22,10 +27,10 @@ import math
 
 import numpy as np
 
-from .construct import ec_region, require_prime_plane
+from .construct import ec_grid, require_prime_plane
 from .field import is_prime, legendre_table
 from .plane import ProjectivePlane
-from .spectrum import _spectrum_affine, _spectrum_document, cor_bound_ceiling
+from .spectrum import _spectrum_document, cor_bound_ceiling, secant_count_blocks
 
 
 class CurveError(ValueError):
@@ -86,14 +91,26 @@ def ec_spectrum_scan(plane: ProjectivePlane):
     non-vertical nonsingular line, and whether the relation, the counting
     identities and the cor ceiling all hold."""
     p = require_prime_plane(plane, 3)
-    mask, meta = ec_region(plane)
-    n_ell = _spectrum_affine(plane, mask)
-    spec = _spectrum_document(plane, mask, meta, np.bincount(n_ell, minlength=p + 2))
+    # the region on the spectrum's chart: (x, v) at the point (1 : x : v)
+    mask = np.zeros(plane.N, dtype=bool)
+    mask[p + 1:] = ec_grid(plane).ravel()
+    blocks = secant_count_blocks(plane, mask)
+    # the verticals x = a and the image of z = 0
+    hist = np.bincount(next(blocks), minlength=p + 2)
+    # n_mat[m, b]: the secant size of the line v = m*x + b; row t, column c
+    # of a class block is [c : t : 1], the line v = -t*x - c
+    n_mat = np.empty((p, p), dtype=np.int64)
+    neg = -np.arange(p) % p
+    t = 0
+    for block in blocks:
+        hist += np.bincount(block, minlength=p + 2)
+        block = block.reshape(-1, p)
+        n_mat[neg[t:t + len(block)]] = block[:, neg]
+        t += len(block)
+    spec = _spectrum_document(plane, mask, None, hist)
+    del block, neg, hist     # only n_mat is kept through the curve counts
 
     counts, roots = _curve_counts(p)
-
-    # secant sizes of the lines v = m*x + b, read off the spectrum
-    n_mat = n_ell[plane.affine_lines()]
 
     m = b = np.arange(p, dtype=np.int64)
     singular = (27 * b[None, :] ** 2 - 4 * m[:, None] ** 3) % p == 0

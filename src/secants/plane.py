@@ -12,14 +12,13 @@ any incidence.
 
 The affine chart identifies F_q^2 with the points off the line z = 0:
 (x, y) corresponds to (x : y : 1), the line y = dx + b to [d : -1 : b],
-and the vertical x = c to [1 : 0 : -c].  The first two have closed-form
-tables, solved for any batch of rows on request (`affine_points`,
-`affine_lines`); every other chart object is encoded with `index_of`.
-The plane caches no table.  The constructions write their regions
-through `affine_points`, and `affine_lines` serves the curve relations,
-which read secant sizes by slope and intercept.  The spectrum solves no
-table: it counts on the other chart, of the points (1 : a : b), which sit
-at the indices q+1 + a*q + b, so their grid is a view of the mask.
+and the vertical x = c to [1 : 0 : -c].  Its points have a closed-form
+table, solved for any batch of rows on request (`affine_points`); every
+other chart object is encoded with `index_of`.  The plane caches no
+table.  The constructions write their regions through `affine_points`.
+The spectrum and the curve scan solve no table: they count on the other
+chart, of the points (1 : a : b), which sit at the indices
+q+1 + a*q + b, so their grid is a view of the mask.
 """
 
 from __future__ import annotations
@@ -28,8 +27,8 @@ import numpy as np
 
 from .field import Field, make_field
 
-# Lines and chart rows are solved, and random sets are drawn, in blocks of
-# about this many entries, which bounds their int64 temporaries.
+# Lines are solved, and random sets are drawn, in blocks of about this
+# many entries, which bounds their int64 temporaries.
 _SOLVE_BLOCK_ENTRIES = 1 << 16
 
 
@@ -112,39 +111,23 @@ class ProjectivePlane:
 
     # -- the affine chart -------------------------------------------------------
 
-    def affine_points(self, xs=None) -> np.ndarray:
+    def affine_points(self, xs) -> np.ndarray:
         """(len(xs), q) int32 table: [i, y] is the index of (x : y : 1) for
-        x = xs[i]; all q rows by default.  Nothing is cached; the rows are
-        solved in blocks of about _SOLVE_BLOCK_ENTRIES entries from int32
-        operands, exact since a product y * (1/x) of a prime field is below
-        q^2 < N and every index of an int32 table is below 2^31."""
+        x = xs[i].  Nothing is cached, and the callers ask for a few rows
+        at a time; the rows are solved from int32 operands, exact since a
+        product y * (1/x) of a prime field is below q^2 < N and every
+        index of an int32 table is below 2^31."""
         F, q = self.field, self.q
-        xs = np.arange(q) if xs is None else np.asarray(xs)
+        x = np.asarray(xs)[:, None]
         y = np.arange(q, dtype=np.int32)
-        out = np.empty((xs.size, q), dtype=np.int32)
-        step = max(1, _SOLVE_BLOCK_ENTRIES // q)
-        for lo in range(0, xs.size, step):
-            x, block = xs[lo:lo + step, None], out[lo:lo + step]
-            inv = F.inv(np.where(x == 0, 1, x)).astype(np.int32)
-            block[:] = F.mul(y, inv) * q + (q + 1 + inv)           # (1 : y/x : 1/x)
-            axis = x[:, 0] == 0
-            if axis.any():
-                block[axis, 0] = 0
-                block[axis, 1:] = 1 + F.inv(y[1:])                 # (0 : 1 : 1/y)
+        out = np.empty((x.size, q), dtype=np.int32)
+        inv = F.inv(np.where(x == 0, 1, x)).astype(np.int32)
+        out[:] = F.mul(y, inv) * q + (q + 1 + inv)                 # (1 : y/x : 1/x)
+        axis = x[:, 0] == 0
+        if axis.any():
+            out[axis, 0] = 0
+            out[axis, 1:] = 1 + F.inv(y[1:])                       # (0 : 1 : 1/y)
         return out
-
-    def affine_lines(self, slopes=None) -> np.ndarray:
-        """(len(slopes), q) int64 table: [i, b] is the index of the line
-        y = d*x + b, [d : -1 : b], for d = slopes[i]; all q slopes by default."""
-        F, q = self.field, self.q
-        d = np.arange(q, dtype=np.int64) if slopes is None else np.asarray(slopes)
-        b = np.arange(q, dtype=np.int64)
-        flat = d == 0
-        dinv = F.inv(d[~flat])[:, None]
-        tbl = np.empty((d.size, q), dtype=np.int64)
-        tbl[flat] = 1 + F.neg(b)                                  # [0 : 1 : -b]
-        tbl[~flat] = q + 1 + F.neg(dinv) * q + F.mul(b, dinv)     # [1 : -1/d : b/d]
-        return tbl
 
 
 def build_plane(q: int) -> ProjectivePlane:

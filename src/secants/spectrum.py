@@ -9,9 +9,9 @@ grid (the Fourier slice theorem over GF(q), whose additive characters are
 the characters of its base-p digit vectors), so all classes cost
 O(q^2 log q) and no incidence is stored.  The counts stream out block by
 block in chart order (`secant_count_blocks`), straight into the histogram
-of a spectrum or, placed by line index, into the curve scan's per-line
-array.  The transform is rounded to integers under an explicit tolerance
-guard."""
+of a spectrum or of the curve scan, which also keeps each class's counts
+by slope and intercept.  The transform is rounded to integers under an
+explicit tolerance guard."""
 
 from __future__ import annotations
 
@@ -47,26 +47,6 @@ def _spectrum_document(plane, mask: np.ndarray, meta: dict, hist: np.ndarray) ->
             "checks": verify_counting_identities(q, size, hist),
             "bounds": bounds_report(q, size),
             "meta": meta}
-
-
-def _spectrum_affine(plane, mask: np.ndarray) -> np.ndarray:
-    """The int64 array of the per-line counts n_ell[i] = |S ∩ line i| in
-    line-index order, for the curve scan: by self-duality the line
-    [c : t : 1] has the index of the point (c : t : 1), [c, t] of
-    affine_points."""
-    F, q = plane.field, plane.q
-    n_ell = np.empty(plane.N, dtype=np.int64)
-    blocks = secant_count_blocks(plane, mask)
-    # the lines through (0 : 0 : 1): [0 : 1 : 0], [1 : -1/a : 0] by a, x = 0
-    slopes = F.neg(F.inv(np.arange(1, q, dtype=np.int64)))
-    n_ell[np.concatenate([[1], q + 1 + slopes * q, [q + 1]])] = next(blocks)
-    lines = plane.affine_points().T                     # [t, c]: [c : t : 1]
-    t = 0
-    for counts in blocks:
-        counts = counts.reshape(-1, q)
-        n_ell[lines[t:t + len(counts)]] = counts
-        t += len(counts)
-    return n_ell
 
 
 def secant_count_blocks(plane: ProjectivePlane, mask: np.ndarray):

@@ -3,10 +3,14 @@ independent of the library's counting kernel and line solver: everything
 here goes through python sets, the incidence test `incident` (the field's
 arithmetic on decoded triples), Euler's criterion and an itertools
 enumeration of the normalized triples only.  The gather check and the
-local-search loop are the exceptions: they read the plane's line solver,
+local-search loop are exceptions: they read the plane's line solver,
 which test_plane checks against `incident`, and never the Radon
-transform.  The modulus and exp/log tables of GF(p^k) are checked against
-trial division and one-product-at-a-time powering on Python lists."""
+transform.  So is the per-line reader of the kernel's stream, which
+places `secant_count_blocks` by line index with the plane's `index_of`;
+test_spectrum checks that placement against `chart_stream_lines` and
+the set oracle.  The modulus and exp/log tables of GF(p^k) are checked
+against trial division and one-product-at-a-time powering on Python
+lists."""
 
 import itertools
 import sys
@@ -20,6 +24,7 @@ import pytest
 from secants.construct import ec_region
 from secants.ecurve import CurveError, curve_count
 from secants.plane import PlaneError
+from secants.spectrum import secant_count_blocks
 
 
 @lru_cache(maxsize=None)
@@ -76,6 +81,36 @@ def chart_stream_lines(plane):
     return np.array([class_of(plane, F.neg(a), 1, 0) for a in range(q)]
                     + [class_of(plane, 1, 0, 0)]
                     + [class_of(plane, c, t, 1) for t in range(q) for c in range(q)])
+
+
+def stream_lines(plane):
+    """The line index at each position of the stream of
+    `secant_count_blocks`, encoded with the plane's `index_of` from the
+    documented triples: [-a : 1 : 0] for a = 0..q-1, [1 : 0 : 0], then
+    [c : t : 1] for t = 0..q-1 and, within t, c = 0..q-1.
+    `chart_stream_lines` builds the same map through `class_of`, which is
+    too slow at q = 997."""
+    F, q = plane.field, plane.q
+    a = np.arange(q)
+    t, c = np.divmod(np.arange(q * q), q)
+    return plane.index_of(np.concatenate([
+        np.column_stack([F.neg(a), np.ones_like(a), np.zeros_like(a)]), [[1, 0, 0]],
+        np.column_stack([c, t, np.ones_like(t)])]))
+
+
+def stream_secant_counts(plane, mask):
+    """The int64 per-line counts |S ∩ line| in line-index order: the
+    blocks of `secant_count_blocks`, joined and placed by `stream_lines`."""
+    n_ell = np.empty(plane.N, dtype=np.int64)
+    n_ell[stream_lines(plane)] = np.concatenate(list(secant_count_blocks(plane, mask)))
+    return n_ell
+
+
+def slope_lines(plane):
+    """(q, q) table: [d, b] is the index of the line y = d*x + b,
+    [d : -1 : b], encoded with the plane's `index_of`."""
+    d, b = np.meshgrid(np.arange(plane.q), np.arange(plane.q), indexing="ij")
+    return plane.index_of(np.stack([d, np.full_like(d, plane.field.neg(1)), b], -1))
 
 
 def mask_of(plane, indices):

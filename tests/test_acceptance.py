@@ -18,9 +18,10 @@ from secants.harness import exhaustive_minmax, local_search, run_sweep
 from secants.legit import (generate_linear_hypergraph, two_phase_coloring,
                            verify_legitimate)
 from secants.plane import build_plane
-from secants.spectrum import _spectrum_affine, compute_spectrum, cor_bound_ceiling
+from secants.spectrum import compute_spectrum, cor_bound_ceiling
 
-from conftest import curve_count_bruteforce, histogram_counts, identity_residuals, mask_of
+from conftest import (curve_count_bruteforce, histogram_counts, identity_residuals, mask_of,
+                      slope_lines, stream_secant_counts)
 
 IDENTITY_ORDERS = (2, 3, 4, 5, 7, 8, 9, 11, 13)
 SETS_PER_ORDER = 200
@@ -74,7 +75,7 @@ def identity_corpus():
             density = DENSITIES[seed % len(DENSITIES)]
             mask, meta = random_set(plane, density, seed)
             corpus.append((plane, mask, compute_spectrum(plane, mask, meta),
-                           _spectrum_affine(plane, mask)))
+                           stream_secant_counts(plane, mask)))
     return corpus, time.monotonic() - start
 
 
@@ -201,14 +202,14 @@ def test_criterion_06_family_counting():
         chi = legendre_table(p).astype(np.int64)
         for c in (Fraction(1, 4), Fraction(1, 2)):
             a = math.floor(c * p)
-            n_ell = _spectrum_affine(plane, parabola_family(plane, c)[0])
+            n_ell = stream_secant_counts(plane, parabola_family(plane, c)[0])
             m = np.arange(p, dtype=np.int64)
             b = np.arange(p, dtype=np.int64)
             u = (m[:, None] ** 2 + 4 * b[None, :]) % p
             expect = np.full((p, p), a, dtype=np.int64)
             for t in range(a):
                 expect += chi[(u - 4 * t) % p]
-            got = n_ell[plane.affine_lines()]
+            got = n_ell[slope_lines(plane)]
             failures += int((got != expect).sum())
             checked_lines += p * p
             for cc in range(p):

@@ -13,9 +13,8 @@ from secants.cli import CHECK_FAILED, main
 from secants.construct import parabola_region, under_parabola
 from secants.field import is_prime, legendre_table
 from secants.plane import build_plane
-from secants.spectrum import _spectrum_affine
 
-from conftest import class_of, contains, phi_sum
+from conftest import class_of, contains, phi_sum, slope_lines, stream_secant_counts
 
 PRIMES = [p for p in range(5, 60) if is_prime(p)]
 
@@ -172,9 +171,9 @@ def test_law_profiles_are_the_spectrum_of_the_region(p):
     pl = build_plane(p)
     for params in ((1, 0, 0), (2, 3, 1), (p - 1, 1, p - 1)):
         _, f = under_parabola(pl, *params)
-        n_ell = _spectrum_affine(pl, parabola_region(pl, *params)[0])
+        n_ell = stream_secant_counts(pl, parabola_region(pl, *params)[0])
         profiles = np.array([charwalk._direct_profile(f, d) for d in range(p)])
-        assert np.array_equal(profiles, n_ell[pl.affine_lines()]), params
+        assert np.array_equal(profiles, n_ell[slope_lines(pl)]), params
 
 
 def test_laws_reject_a_profile_off_by_one(monkeypatch, tmp_path):
@@ -275,7 +274,7 @@ def test_l4_against_full_spectrum():
     for p in (7, 11):
         pl = build_plane(p)
         params = (pow(4, p - 2, p), 1, 1)
-        n_ell = _spectrum_affine(pl, parabola_region(pl, *params)[0])
+        n_ell = stream_secant_counts(pl, parabola_region(pl, *params)[0])
         skip = {class_of(pl, 0, 0, 1)} | {class_of(pl, 1, 0, -c % p) for c in range(p)} \
             | {class_of(pl, 0, p - 1, b) for b in range(p)}
         hist = [0] * (p + 2)

@@ -334,6 +334,24 @@ def test_csv_is_written_block_by_block(tmp_path, monkeypatch):
     assert peak < 6 * 2 ** 20, peak
 
 
+def test_ec_scan_at_p997_peaks_under_its_memory_model(tmp_path):
+    # MAX_SQUARE_ORDER bounds ec scan by the memory of its (p, p) int64
+    # tables, about 60*p^2 bytes (56.9 MiB here): the curve and root counts,
+    # the secant sizes by slope and intercept and the character sums'
+    # temporaries.  The whole command measured 54.3 MiB
+    p = 997
+    out = tmp_path / "out"
+    tracemalloc.start()
+    try:
+        code = main(["ec", "scan", "--p", str(p), "--out", str(out)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == OK
+    assert json.loads(out.read_text())["relation_violations"] == 0
+    assert peak < 60 * p * p, peak
+
+
 def test_spectrum_at_q2003_is_held_in_the_memory_of_its_transform(tmp_path):
     # the transform F (2003 x 1002 complex, 30.6 MiB) is the one array of
     # its size: the whole command measured 41.1 MiB, where holding the N

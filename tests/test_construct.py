@@ -15,9 +15,9 @@ from secants.construct import (ConstructionError, build_construction, ec_region,
                                under_parabola)
 from secants.field import legendre_table
 from secants.plane import build_plane
-from secants.spectrum import _spectrum_affine
 
-from conftest import class_of, contains, mask_of, normalized_triples, projective_classes
+from conftest import (class_of, contains, mask_of, normalized_triples, projective_classes,
+                      stream_secant_counts)
 
 
 def brute_parabola_members(p, alpha, beta, gamma):
@@ -97,7 +97,7 @@ def test_family_members_are_the_shifted_parabolas():
 def test_family_vertical_sections():
     pl = build_plane(11)
     a = 4                                    # floor(22/5)
-    n_ell = _spectrum_affine(pl, parabola_family(pl, Fraction(2, 5))[0])
+    n_ell = stream_secant_counts(pl, parabola_family(pl, Fraction(2, 5))[0])
     for c in range(11):
         assert n_ell[class_of(pl, 1, 0, pl.field.neg(c))] == a
 

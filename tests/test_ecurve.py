@@ -9,7 +9,7 @@ from secants.cli import CHECK_FAILED, main
 from secants.construct import ec_region
 from secants.ecurve import CurveError, _curve_counts, curve_count, ec_spectrum_scan
 from secants.field import legendre_table
-from secants.plane import build_plane
+from secants.plane import ProjectivePlane, build_plane
 from secants.spectrum import compute_spectrum
 
 from conftest import (chart_stream_lines, class_of, cubic_root_count,
@@ -137,10 +137,13 @@ def off_by_one(line, blocks=spectrum.secant_count_blocks):
 @pytest.mark.parametrize("p", [13, 29])
 def test_scan_finds_one_secant_size_off(monkeypatch, p):
     # +1 on the secant size of the nonsingular line v = x + 1 breaks the
-    # relation on that line alone, and the counting identities
+    # relation on that line alone, and the counting identities; the scan
+    # holds the region as (x, v) at (1 : x : v), where that line is
+    # [-1 : -1 : 1]
     pl = build_plane(p)
-    monkeypatch.setattr(spectrum, "secant_count_blocks",
-                        off_by_one(class_of(pl, 1, p - 1, 1)))        # [1 : -1 : 1]
+    faulty = off_by_one(class_of(pl, p - 1, p - 1, 1))
+    monkeypatch.setattr(ecurve, "secant_count_blocks", faulty)
+    monkeypatch.setattr(spectrum, "secant_count_blocks", faulty)
     rep, ok = ec_spectrum_scan(pl)
     assert rep["relation_violations"] == 1
     assert not ok
@@ -149,11 +152,12 @@ def test_scan_finds_one_secant_size_off(monkeypatch, p):
 
 
 def test_scan_exits_2_on_a_vertical_secant_size_off(monkeypatch, tmp_path):
-    # the relation covers non-vertical lines only; +1 on the vertical x = 0
-    # leaves it clean and is caught by the counting identities
+    # the relation covers non-vertical lines only; +1 on the vertical x = 0,
+    # [0 : 1 : 0] on the scan's chart, leaves it clean and is caught by the
+    # counting identities
     p = 13
-    monkeypatch.setattr(spectrum, "secant_count_blocks",
-                        off_by_one(class_of(build_plane(p), 1, 0, 0)))   # [1 : 0 : 0]
+    monkeypatch.setattr(ecurve, "secant_count_blocks",
+                        off_by_one(class_of(build_plane(p), 0, 1, 0)))
     rep, ok = ec_spectrum_scan(build_plane(p))
     assert rep["relation_violations"] == 0
     assert not ok                                    # the identities catch it
@@ -166,6 +170,19 @@ def test_scan_exits_2_on_a_mode_count_under_the_ceiling(monkeypatch, tmp_path):
     out = tmp_path / "out"
     assert main(["ec", "scan", "--p", "13", "--out", str(out)]) == CHECK_FAILED
     assert json.loads(out.read_text())["cor_ceiling"] == 10 ** 9
+
+
+@pytest.mark.parametrize("p", [5, 13, 401])
+def test_scan_reads_no_chart_table(monkeypatch, p):
+    # the scan counts its region on the spectrum's chart, a view of the
+    # mask, so it runs with the chart table unsolvable
+    expect = ec_spectrum_scan(build_plane(p))
+
+    def unsolvable(self, xs):
+        raise AssertionError("the scan solved the chart")
+
+    monkeypatch.setattr(ProjectivePlane, "affine_points", unsolvable)
+    assert ec_spectrum_scan(build_plane(p)) == expect
 
 
 @pytest.mark.parametrize("p", [5, 7, 11, 13, 19, 29, 401, 997])

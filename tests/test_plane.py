@@ -1,15 +1,14 @@
 import hashlib
 import itertools
-import tracemalloc
 
 import numpy as np
 import pytest
 
-from secants import plane as plane_module
 from secants.plane import PlaneError, build_plane
 from secants.spectrum import compute_spectrum
 
-from conftest import class_of, incident, line_through, naive_line_points, normalized_triples
+from conftest import (class_of, incident, line_through, naive_line_points, normalized_triples,
+                      slope_lines)
 
 
 @pytest.mark.parametrize("q,n_points,per_line", [(2, 7, 3), (3, 13, 4), (4, 21, 5)])
@@ -176,55 +175,25 @@ CHART_ORDERS = [2, 3, 4, 5, 7, 8, 9, 11, 16, 25, 27]
 
 @pytest.mark.parametrize("q", CHART_ORDERS)
 def test_chart_tables_match_index_of(q):
-    # [x, y] is (x : y : 1) and [d, b] is [d : -1 : b], encoded by index_of
+    # [x, y] is (x : y : 1), encoded by index_of
     pl = build_plane(q)
     x, y = np.meshgrid(np.arange(q), np.arange(q), indexing="ij")
-    one = np.ones_like(x)
-    tbl = pl.affine_points()
+    tbl = pl.affine_points(range(q))
     assert tbl.dtype == np.int32
-    assert (tbl == pl.index_of(np.stack([x, y, one], -1))).all()
+    assert (tbl == pl.index_of(np.stack([x, y, np.ones_like(x)], -1))).all()
     assert (pl.affine_points([q - 1, 0, 1]) == tbl[[q - 1, 0, 1]]).all()
     # the rows are solved on request: a plane holds no table, even after
     # a spectrum has read its whole chart
     compute_spectrum(pl, np.ones(pl.N, dtype=bool), None)
     assert not any(isinstance(v, np.ndarray) for v in vars(pl).values())
-    ltbl = pl.affine_lines()
-    assert ltbl.dtype == np.int64
-    assert (ltbl == pl.index_of(np.stack([x, pl.field.neg(one), y], -1))).all()
-    assert (pl.affine_lines([q - 1, 0, 1]) == ltbl[[q - 1, 0, 1]]).all()
-
-
-@pytest.mark.parametrize("q", [7, 9, 16])
-@pytest.mark.parametrize("entries", [1, 20])
-def test_affine_points_built_in_small_blocks(monkeypatch, q, entries):
-    # one row, or two or three rows, per block give the same table
-    whole = build_plane(q).affine_points()
-    monkeypatch.setattr(plane_module, "_SOLVE_BLOCK_ENTRIES", entries)
-    x, y = np.meshgrid(np.arange(q), np.arange(q), indexing="ij")
-    tbl = build_plane(q).affine_points()
-    assert (tbl == whole).all()
-    assert (tbl == build_plane(q).index_of(np.stack([x, y, np.ones_like(x)], -1))).all()
-
-
-def test_affine_points_scratch_is_bounded():
-    # the int64 temporaries come in blocks of rows: measured 5.1 MB at
-    # q=997 for a 4.0 MB table, where one whole-table pass took 20 MB
-    pl = build_plane(997)
-    tracemalloc.start()
-    try:
-        tbl = pl.affine_points()
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < tbl.nbytes + 2 * 2 ** 20, peak
 
 
 @pytest.mark.parametrize("q", CHART_ORDERS)
 def test_chart_tables_are_incident(q):
     # for every slope d and intercept b, the q points (x, d*x + b) of the
-    # point table lie on the line table's entry [d, b]
+    # point table lie on the line [d : -1 : b]
     pl = build_plane(q)
-    F, tbl, ltbl = pl.field, pl.affine_points(), pl.affine_lines()
+    F, tbl, ltbl = pl.field, pl.affine_points(range(q)), slope_lines(pl)
     x = np.arange(q)
     d, b = np.arange(q)[:, None, None], np.arange(q)[None, :, None]
     points = tbl[x, F.add(F.mul(d, x), b)]                   # [d, b, x]

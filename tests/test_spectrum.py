@@ -13,14 +13,15 @@ from hypothesis import strategies as st
 from secants import plane as plane_module
 from secants import spectrum as spectrum_module
 from secants.construct import build_construction, pointset_from_json, random_set
+from secants.ecurve import ec_spectrum_scan
 from secants.plane import build_plane
 from secants.spectrum import (bounds_report, compute_spectrum, cor_bound_ceiling,
                               secant_count_blocks, verify_counting_identities)
-from secants.spectrum import _spectrum_affine
 
 from conftest import (assert_spectrum_matches_naive, chart_stream_lines, class_of,
                       contains, gather_secant_counts, histogram_counts, identity_residuals,
-                      mask_of, naive_histogram, naive_secant_counts)
+                      mask_of, naive_histogram, naive_secant_counts, slope_lines,
+                      stream_lines, stream_secant_counts)
 
 
 def fano_triangle(fano):
@@ -33,7 +34,7 @@ def fano_triangle(fano):
 
 def test_full_line_spectrum(fano):
     S = mask_of(fano, fano.line_points([0])[0])
-    doc, n_ell = compute_spectrum(fano, S, None), _spectrum_affine(fano, S)
+    doc, n_ell = compute_spectrum(fano, S, None), stream_secant_counts(fano, S)
     # any other line meets this one in exactly one point
     assert histogram_counts(doc) == [0, 6, 0, 1]
     assert (doc["mode_k"], doc["mode_count"]) == (1, 6)
@@ -66,7 +67,7 @@ def test_single_point_variance_identity():
     for q in (2, 3, 4, 5, 7, 9):
         pl = build_plane(q)
         S = mask_of(pl, [0])
-        doc, n_ell = compute_spectrum(pl, S, None), _spectrum_affine(pl, S)
+        doc, n_ell = compute_spectrum(pl, S, None), stream_secant_counts(pl, S)
         assert all(doc["checks"].values())
         lhs = pl.N * int((n_ell ** 2).sum()) - int(n_ell.sum()) ** 2
         assert lhs == q * q * (q + 1)
@@ -76,7 +77,7 @@ def test_counting_identities_catch_a_count_off():
     q = 7
     pl = build_plane(q)
     S, meta = random_set(pl, Fraction(1, 2), 0)
-    n_ell = _spectrum_affine(pl, S)
+    n_ell = stream_secant_counts(pl, S)
     size = int(S.sum())
     assert verify_counting_identities(q, size, np.bincount(n_ell)) == \
         {"eq1": True, "eq2": True, "var": True}
@@ -111,7 +112,7 @@ def test_spectrum_matches_naive_oracle(q):
         members = [i for i in range(pl.N) if rng.random() < 0.4]
         S = mask_of(pl, members)
         doc = compute_spectrum(pl, S, None)
-        assert_spectrum_matches_naive(pl, S, _spectrum_affine(pl, S))
+        assert_spectrum_matches_naive(pl, S, stream_secant_counts(pl, S))
         assert all(doc["checks"].values())
         assert doc["mode_count"] >= cor_bound_ceiling(q)
         assert histogram_counts(doc) == naive_histogram(pl, members)
@@ -123,15 +124,15 @@ def test_gather_and_affine_kernels_agree(p):
     rng = np.random.default_rng(p)
     for density in (0.2, 0.5, 0.9):
         mask = rng.random(pl.N) < density
-        assert (gather_secant_counts(pl, mask) == _spectrum_affine(pl, mask)).all()
+        assert (gather_secant_counts(pl, mask) == stream_secant_counts(pl, mask)).all()
 
 
 def test_affine_kernel_handles_infinite_points():
     pl = build_plane(7)
     infinite = pl.line_points([class_of(pl, 0, 0, 1)])[0].tolist()
     S = mask_of(pl, infinite[:4] + [class_of(pl, 2, 3, 1)])
-    assert (_spectrum_affine(pl, S) == gather_secant_counts(pl, S)).all()
-    assert _spectrum_affine(pl, S).tolist() == naive_secant_counts(pl, np.flatnonzero(S))
+    assert (stream_secant_counts(pl, S) == gather_secant_counts(pl, S)).all()
+    assert stream_secant_counts(pl, S).tolist() == naive_secant_counts(pl, np.flatnonzero(S))
 
 
 def test_spectrum_scratch_is_bounded():
@@ -159,29 +160,32 @@ STREAM_ORDERS = [2, 3, 4, 8, 9, 16, 25, 27, 31]
 
 @pytest.mark.parametrize("q", STREAM_ORDERS)
 def test_streamed_histogram_matches_per_line_counts_and_naive(q):
-    # the histogram bincounted block by block is the bincount of the
-    # per-line array and the set oracle's histogram, and the blocks,
-    # joined, are the per-line counts in the documented chart order
+    # the histogram bincounted block by block is the set oracle's
+    # histogram, and the blocks, joined, are the oracle's per-line counts
+    # in the documented chart order, which the per-line reader's map
+    # encodes
     pl = build_plane(q)
     order = chart_stream_lines(pl)
     assert sorted(order.tolist()) == list(range(pl.N))
+    assert (stream_lines(pl) == order).all()
     rng = np.random.default_rng(q)
     for density in (0.1, 0.5, 0.9):
         mask = rng.random(pl.N) < density
-        n_ell = _spectrum_affine(pl, mask)
+        n_ell = np.array(naive_secant_counts(pl, np.flatnonzero(mask)))
         hist = histogram_counts(compute_spectrum(pl, mask, None))
         assert hist == np.bincount(n_ell, minlength=q + 2).tolist()
-        assert hist == naive_histogram(pl, np.flatnonzero(mask))
         blocks = list(secant_count_blocks(pl, mask))
         assert [b.dtype for b in blocks] == [np.int64] * len(blocks)
         assert np.concatenate(blocks).tolist() == n_ell[order].tolist()
+        assert stream_secant_counts(pl, mask).tolist() == n_ell.tolist()
 
 
 @pytest.mark.parametrize("q", [7, 9, 16])
 @pytest.mark.parametrize("fault", ["drop", "repeat"])
 def test_a_lost_or_repeated_block_trips_the_line_count_guard(monkeypatch, q, fault):
     # dropping or repeating one block of two classes leaves the histogram
-    # summing to N - 2q or past N, never to N
+    # summing to N - 2q or past N, never to N; the curve scan reads the
+    # same guarded stream
     pl = build_plane(q)
     mask = np.random.default_rng(q).random(pl.N) < 0.5
     kernel = spectrum_module.affine_class_blocks
@@ -198,8 +202,9 @@ def test_a_lost_or_repeated_block_trips_the_line_count_guard(monkeypatch, q, fau
     guard = rf"^the spectrum of PG\(2,{q}\) counted {counted} of its {pl.N} lines$"
     with pytest.raises(ArithmeticError, match=guard):
         compute_spectrum(pl, mask, None)
-    with pytest.raises(ArithmeticError, match=guard):
-        _spectrum_affine(pl, mask)
+    if q == 7:
+        with pytest.raises(ArithmeticError, match=guard):
+            ec_spectrum_scan(pl)
 
 
 @pytest.mark.parametrize("q", [8, 9])
@@ -226,7 +231,7 @@ def test_spectrum_needs_no_incidence_cache(monkeypatch, q):
     monkeypatch.setattr(plane_module.ProjectivePlane, "line_points", unsolvable)
     pl = build_plane(q)
     S, meta = random_set(pl, Fraction(1, 3), q)
-    assert_spectrum_matches_naive(pl, S, _spectrum_affine(pl, S))
+    assert_spectrum_matches_naive(pl, S, stream_secant_counts(pl, S))
     assert histogram_counts(compute_spectrum(pl, S, meta)) == \
         naive_histogram(pl, np.flatnonzero(S))
 
@@ -242,7 +247,7 @@ def test_kernels_match_naive_oracle_property(q, data):
     mask = np.array(data.draw(st.lists(st.booleans(), min_size=pl.N, max_size=pl.N)))
     expect = naive_secant_counts(pl, np.flatnonzero(mask))
     assert gather_secant_counts(pl, mask).tolist() == expect
-    assert _spectrum_affine(pl, mask).tolist() == expect
+    assert stream_secant_counts(pl, mask).tolist() == expect
     assert histogram_counts(compute_spectrum(pl, mask, None)) == \
         np.bincount(expect, minlength=q + 2).tolist()
 
@@ -258,7 +263,7 @@ def test_radon_kernel_matches_gather_and_naive_property(q, block, data):
     saved = spectrum_module._RADON_BLOCK_ENTRIES
     spectrum_module._RADON_BLOCK_ENTRIES = block
     try:
-        radon = _spectrum_affine(pl, mask)
+        radon = stream_secant_counts(pl, mask)
     finally:
         spectrum_module._RADON_BLOCK_ENTRIES = saved
     assert radon.tolist() == gather_secant_counts(pl, mask).tolist() == expect
@@ -270,7 +275,7 @@ def test_radon_kernel_matches_gather_on_extension_planes(q):
     rng = np.random.default_rng(q)
     for density in (0.1, 0.5, 0.9):
         mask = rng.random(pl.N) < density
-        assert (_spectrum_affine(pl, mask) == gather_secant_counts(pl, mask)).all()
+        assert (stream_secant_counts(pl, mask) == gather_secant_counts(pl, mask)).all()
 
 
 @pytest.mark.parametrize("q", [2, 4, 8, 16, 5, 7, 9, 25, 27])
@@ -291,22 +296,21 @@ def test_radon_kernel_block_shapes(monkeypatch, q):
                   spectrum_module._RADON_BLOCK_ENTRIES):
         monkeypatch.setattr(spectrum_module, "_RADON_BLOCK_ENTRIES", block)
         for mask, expect in zip(masks, expects):
-            assert _spectrum_affine(pl, mask).tolist() == expect, block
+            assert stream_secant_counts(pl, mask).tolist() == expect, block
             assert gather_secant_counts(pl, mask).tolist() == expect
 
 
 @pytest.mark.parametrize("q", [7, 9, 997])
 def test_spectrum_reads_the_chart_without_a_gather(monkeypatch, q):
     # the chart of the points (1 : a : b) is a view of the mask, so the
-    # spectrum runs with the chart table unsolvable, while the curve scan's
-    # per-line reader places its lines through that table
+    # spectrum runs with the chart table unsolvable
     pl = build_plane(q)
     mask, meta = random_set(pl, Fraction(1, 2), q)
-    expect = np.bincount(_spectrum_affine(pl, mask), minlength=q + 2).tolist()
+    expect = np.bincount(stream_secant_counts(pl, mask), minlength=q + 2).tolist()
     if q < 10:
         assert expect == naive_histogram(pl, np.flatnonzero(mask))
 
-    def unsolvable(self, xs=None):
+    def unsolvable(self, xs):
         raise AssertionError("the spectrum gathered the chart")
 
     monkeypatch.setattr(plane_module.ProjectivePlane, "affine_points", unsolvable)
@@ -357,7 +361,7 @@ def test_secant_counts_match_recorded_digests(q, construction, digest):
     # and larger extension planes: a change of any one secant count shows
     q, seed = q if isinstance(q, tuple) else (q, 0)
     pl = build_plane(q)
-    n_ell = _spectrum_affine(pl, build_construction(pl, construction, seed=seed)[0])
+    n_ell = stream_secant_counts(pl, build_construction(pl, construction, seed=seed)[0])
     assert hashlib.sha256(n_ell.astype("<i8").tobytes()).hexdigest() == digest
 
 
@@ -381,7 +385,7 @@ def test_radon_rounding_guard(monkeypatch, q, offset, raises):
             with pytest.raises(ArithmeticError, match="off an integer"):
                 compute_spectrum(pl, mask, None)
         else:
-            assert (_spectrum_affine(pl, mask) == expect).all()
+            assert (stream_secant_counts(pl, mask) == expect).all()
 
 
 def test_radon_kernel_at_p997_against_direct_bincounts():
@@ -392,11 +396,12 @@ def test_radon_kernel_at_p997_against_direct_bincounts():
     grid = np.random.default_rng(997).random((p, p)) < 0.5
     xs, ys = np.nonzero(grid)
     mask = np.zeros(pl.N, dtype=bool)
-    mask[pl.affine_points()[xs, ys]] = True
-    n_ell = _spectrum_affine(pl, mask)
+    mask[pl.affine_points(range(p))[xs, ys]] = True
+    n_ell = stream_secant_counts(pl, mask)
+    lines = slope_lines(pl)
     for d in (0, 1, 2, 498, 996):
         expect = np.bincount((ys - d * xs) % p, minlength=p)
-        assert (n_ell[pl.affine_lines([d])[0]] == expect).all(), d
+        assert (n_ell[lines[d]] == expect).all(), d
 
 
 def test_bounds_report_examples():
@@ -454,6 +459,6 @@ def test_identities_on_random_sets_random_plane_sizes():
         pl = build_plane(q)
         for _ in range(5):
             S, meta = random_set(pl, Fraction(rng.randrange(1, 4), 4), rng.randrange(1000))
-            doc, n_ell = compute_spectrum(pl, S, meta), _spectrum_affine(pl, S)
+            doc, n_ell = compute_spectrum(pl, S, meta), stream_secant_counts(pl, S)
             assert identity_residuals(q, int(S.sum()), n_ell) == (0, 0, 0)
             assert doc["checks"] == {"eq1": True, "eq2": True, "var": True}
