@@ -35,10 +35,10 @@ MAX_THREADS = 64
 # p^2 < 2^44, so every product that is reduced mod p fits an int64 exactly.
 MAX_PRIME_ORDER = 1 << 22
 
-# The largest --p of projection without --d, a time bound: it does O(p^2)
-# work in O(p) memory, 0.8 s at p = 4093 on a 2-core Xeon.  For ec scan,
-# which builds (p, p) int64 tables, a memory bound: about 60 p^2 bytes in
-# all, 1 GiB at p^2 = 2^24.
+# The largest --p of projection without --d and ec scan.  Projection does
+# O(p^2) work in O(p) memory, 0.8 s at p = 4093 on a 2-core Xeon; ec scan
+# holds the spectrum's transform and blocks, 9.3 p^2 bytes (149 MiB) and
+# 2 s at p = 4093.
 MAX_SQUARE_ORDER = 1 << 12
 
 # The largest --n of legit gen, which builds (n, n) tables: about 60 n^2
@@ -188,7 +188,7 @@ def _plane(args, flag: str = "q"):
 
 def _bounded_p(args, bound: int = MAX_PRIME_ORDER) -> int:
     """--p of a command that builds tables of length p, at most
-    MAX_PRIME_ORDER, or of (p, p) tables, at most MAX_SQUARE_ORDER."""
+    MAX_PRIME_ORDER, or does O(p^2) work, at most MAX_SQUARE_ORDER."""
     if args.p > bound:
         raise ValueError(f"--p must be at most {bound}, got {args.p}")
     return args.p

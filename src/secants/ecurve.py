@@ -4,22 +4,22 @@ point counts.
 
 A single curve is counted by the O(p) sum 1 + sum_x (1 + chi(x^3 + a*x + b)),
 trivially auditable against direct (x, y) enumeration.  The region scan
-counts all p^2 curves Y^2 = X^3 - m*X - b in O(p^2).  The character sums
-S(m, b) = sum_x chi(x^3 - m*x - b) are taken directly for three slopes,
-m0 = 0, 1 and the least non-square g, grouped by value: one histogram of
-x^3 - m0*x per slope times the circulant table of chi(v - b).  Every other
-slope is m = m0*lam^2, and the change of variables x = lam*y gives
-S(m, lam^3*b) = chi(lam) * S(m0, b), so its row is a scatter of one of the
-three.  The curve counts never pass through a transform, so they stay
+counts all p^2 curves Y^2 = X^3 + t*X + c in O(p^2), one block of classes t
+at a time.  The character sums S(t, c) = sum_x chi(x^3 + t*x + c) are
+taken directly for three classes, t0 = 0, 1 and the least non-square g,
+grouped by value: one histogram of x^3 + t0*x per class times the circulant
+of chi(v + c), a block of intercepts at a time.  Every other class is
+t = t0*lam^2, and the change of variables x = lam*y gives
+S(t, c) = chi(lam) * S(t0, lam^-3 * c), so its row is a gather from one of
+the three.  The curve counts never pass through a transform, so they stay
 independent of the region's secant sizes they are checked against.  Those
 are read from the spectrum's block stream, with the region written on the
 spectrum's chart: (x, v) at the point (1 : x : v).  That is the affine
 region moved by the collineation (X : Y : Z) -> (Z : X : Y), which keeps
-every secant size, and it makes each parallel class of the stream the
-lines v = m*x + b of one slope m.  For a non-vertical line v = m*x + b
-that avoids the singular locus, the region's secant size n and the root
-count Z of X^3 - m*X - b tie the curve Y^2 = X^3 - m*X - b to the line
-via  |E| = 2n + 1 - Z."""
+every secant size.  Row t, column c of a class block of the stream is the
+line [c : t : 1], that is v = -t*x - c.  Off the singular locus
+4t^3 + 27c^2 = 0, its secant size n and the root count Z of X^3 + t*X + c
+tie the curve Y^2 = X^3 + t*X + c to the line via  |E| = 2n + 1 - Z."""
 
 from __future__ import annotations
 
@@ -28,8 +28,8 @@ import math
 import numpy as np
 
 from .construct import ec_grid, require_prime_plane
-from .field import is_prime, legendre_table
-from .plane import ProjectivePlane
+from .field import inverse_table, is_prime, legendre_table
+from .plane import _SOLVE_BLOCK_ENTRIES, ProjectivePlane
 from .spectrum import _spectrum_document, cor_bound_ceiling, secant_count_blocks
 
 
@@ -55,34 +55,36 @@ def curve_count(p: int, a: int, b: int) -> dict:
 
 
 def _curve_counts(p: int):
-    """(counts, roots), two (p, p) int64 tables over the slopes m and the
-    intercepts b: counts[m, b] = |E| of Y^2 = X^3 - m*X - b, singular
-    curves included, and roots[m, b] the number of roots of X^3 - m*X - b.
-    Every count is a direct character sum, never a transform."""
+    """rows(t): for an array t of classes, (counts, roots), two (len(t), p)
+    int64 arrays over t and the intercepts c: counts[i, c] = |E| of
+    Y^2 = X^3 + t[i]*X + c, singular curves included, and roots[i, c] the
+    number of roots of X^3 + t[i]*X + c.  Every count is a direct
+    character sum, never a transform."""
     chi = legendre_table(p).astype(np.int64)
-    x = m = b = np.arange(p, dtype=np.int64)
+    x = c = np.arange(p, dtype=np.int64)
+    cube = x * x % p * x % p
 
-    # roots[m, v] = #{x : x^3 - m*x = v}, so roots[m, b] is the root count Z
-    # of x^3 - m*x - b
-    vals = (x * x % p * x - m[:, None] * x) % p                  # [m, x]
-    roots = np.bincount((m[:, None] * p + vals).ravel(),
-                        minlength=p * p).reshape(p, p)
-
-    # sums[i, b] = S(m0, b) for m0 = 0, 1, g, grouped by value: the values
-    # v run over the rows of the circulant of chi(v - b).  Each m is
-    # m0*lam^2, and counts[m, lam^3*b] = p + 1 + chi(lam) * S(m0, b)
+    # sums[i, c] = S(t0, c) for t0 = 0, 1, g, grouped by value: the values
+    # v = x^3 + t0*x run over the rows of the circulant of chi(v + c), a
+    # block of intercepts at a time.  Each t is t0*lam^2, and
+    # counts[t, c] = p + 1 + chi(lam) * S(t0, lam^-3 * c), a gather
     g = int(np.argmax(chi == -1))
-    sums = roots[[0, 1, g]] @ chi[(x[:, None] - b) % p]          # [m0, b]
-    row = np.where(chi == 1, 1, 2)                # the row of m0 for each m
-    row[0] = 0
-    sqrt = np.zeros(p, dtype=np.int64)
-    sqrt[x * x % p] = x                           # a square root of each square
-    lam = sqrt[m * np.array([1, 1, pow(g, -1, p)])[row] % p]
-    lam[0] = 1
-    lam3 = lam * lam % p * lam % p
-    counts = np.empty((p, p), dtype=np.int64)
-    counts[m[:, None], lam3[:, None] * b % p] = p + 1 + chi[lam][:, None] * sums[row]
-    return counts, roots
+    hist = np.stack([np.bincount((cube + t0 * x) % p, minlength=p) for t0 in (0, 1, g)])
+    intercepts = np.array_split(c, p * p // _SOLVE_BLOCK_ENTRIES + 1)
+    sums = np.concatenate([hist @ chi[(x[:, None] + cs) % p] for cs in intercepts], 1)
+    row = chi % 3                       # the row of t0: chi(t) = 0, 1, -1 to 0, 1, 2
+    mu = np.ones(p, dtype=np.int64)               # 1 / lam for each t = t0*lam^2
+    mu[x[1:] ** 2 % p] = mu[g * (x[1:] ** 2 % p) % p] = inverse_table(p)[1:]
+    mu3 = mu * mu % p * mu % p
+
+    def rows(t):
+        t = t[:, None]
+        counts = p + 1 + chi[mu[t]] * sums[row[t], mu3[t] * c % p]
+        # roots[i, c] = #{x : -x^3 - t[i]*x = c}, one bincount for the block
+        vals = (-cube - t * x % p) % p + p * np.arange(len(t))[:, None]
+        roots = np.bincount(vals.ravel(), minlength=vals.size).reshape(-1, p)
+        return counts, roots
+    return rows
 
 
 def ec_spectrum_scan(plane: ProjectivePlane):
@@ -97,26 +99,22 @@ def ec_spectrum_scan(plane: ProjectivePlane):
     blocks = secant_count_blocks(plane, mask)
     # the verticals x = a and the image of z = 0
     hist = np.bincount(next(blocks), minlength=p + 2)
-    # n_mat[m, b]: the secant size of the line v = m*x + b; row t, column c
-    # of a class block is [c : t : 1], the line v = -t*x - c
-    n_mat = np.empty((p, p), dtype=np.int64)
-    neg = -np.arange(p) % p
-    t = 0
+    rows = _curve_counts(p)
+    x = np.arange(p, dtype=np.int64)
+    violations = skipped_singular = lo = 0
+    # row t, column c of a class block is [c : t : 1], the line v = -t*x - c,
+    # and its secant size n, curve count and root count sit at [t, c]
     for block in blocks:
         hist += np.bincount(block, minlength=p + 2)
-        block = block.reshape(-1, p)
-        n_mat[neg[t:t + len(block)]] = block[:, neg]
-        t += len(block)
+        n = block.reshape(-1, p)
+        t = x[lo:lo + len(n)]
+        lo += len(n)
+        counts, roots = rows(t)
+        # the curve is singular where 4t^3 + 27c^2 = 0
+        singular = (4 * (t * t % p * t % p)[:, None] + 27 * (x * x % p)) % p == 0
+        skipped_singular += int(np.count_nonzero(singular))
+        violations += int(np.count_nonzero((counts != 2 * n + 1 - roots) & ~singular))
     spec = _spectrum_document(plane, mask, None, hist)
-    del block, neg, hist     # only n_mat is kept through the curve counts
-
-    counts, roots = _curve_counts(p)
-
-    m = b = np.arange(p, dtype=np.int64)
-    singular = (27 * b[None, :] ** 2 - 4 * m[:, None] ** 3) % p == 0
-    holds = counts == 2 * n_mat + 1 - roots
-    skipped_singular = int(singular.sum())
-    violations = int((~holds & ~singular).sum())
     mode_count, ceiling = spec["mode_count"], cor_bound_ceiling(p)
 
     ratio_scale = p ** 1.5 * math.log(p) * math.log(math.log(p)) ** 2
@@ -127,7 +125,7 @@ def ec_spectrum_scan(plane: ProjectivePlane):
         "mode_k": spec["mode_k"],
         "mode_count": mode_count,
         "relation_violations": violations,
-        "checked_lines": int((~singular).sum()),
+        "checked_lines": p * p - skipped_singular,
         "skipped_lines": p + skipped_singular,
         "skipped_vertical": p,
         "skipped_singular": skipped_singular,

@@ -27,8 +27,8 @@ import numpy as np
 
 from .field import Field, make_field
 
-# Lines are solved, and random sets are drawn, in blocks of about this
-# many entries, which bounds their int64 temporaries.
+# Lines are solved, random sets drawn and the curve scan's base sums taken
+# in blocks of about this many entries, which bounds their int64 temporaries.
 _SOLVE_BLOCK_ENTRIES = 1 << 16
 
 

@@ -283,6 +283,13 @@ DOCUMENT_GOLDENS = [
      "f759632e0dd1be9fabbb6dd211b852c8514472c7c3e93fb400633ab56c64dbf3"),
     (("projection", "--p", "997"), OK,
      "c2e59f277330a20587250469c5a4ad0128a3320f68fd55ab8fcf7f8cfa8c53fc"),
+    # recorded while ec scan still built (p, p) tables
+    (("ec", "scan", "--p", "13"), OK,
+     "057b9fd838564d50e13fdc6f78cbaed537d6f775196cef11463017e8c6b5434e"),
+    (("ec", "scan", "--p", "401"), OK,
+     "892affaae6987a30997734f08e1bba1bd62d01baa7a9347dc555f67f6a198c56"),
+    (("ec", "scan", "--p", "997"), OK,
+     "2d3279fd447089c5cbc0ac6823506245be60180871869e0aafbd3d45f1be9375"),
 ]
 
 
@@ -334,12 +341,8 @@ def test_csv_is_written_block_by_block(tmp_path, monkeypatch):
     assert peak < 6 * 2 ** 20, peak
 
 
-def test_ec_scan_at_p997_peaks_under_its_memory_model(tmp_path):
-    # MAX_SQUARE_ORDER bounds ec scan by the memory of its (p, p) int64
-    # tables, about 60*p^2 bytes (56.9 MiB here): the curve and root counts,
-    # the secant sizes by slope and intercept and the character sums'
-    # temporaries.  The whole command measured 54.3 MiB
-    p = 997
+def traced_ec_scan(tmp_path, p):
+    """The exit code, document and tracemalloc peak of one ec scan run."""
     out = tmp_path / "out"
     tracemalloc.start()
     try:
@@ -347,9 +350,29 @@ def test_ec_scan_at_p997_peaks_under_its_memory_model(tmp_path):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert code == OK
-    assert json.loads(out.read_text())["relation_violations"] == 0
-    assert peak < 60 * p * p, peak
+    return code, json.loads(out.read_text()), peak
+
+
+def test_ec_scan_at_p997_peaks_under_its_memory_model(tmp_path):
+    # ec scan holds what the spectrum holds, the transform (8*p^2 bytes)
+    # and its blocks, and checks each class block as it arrives: the whole
+    # command measured 13.5 MiB (14.2*p^2), where keeping the secant sizes
+    # and the curve counts as (p, p) tables took 54.3 MiB
+    p = 997
+    code, doc, peak = traced_ec_scan(tmp_path, p)
+    assert code == OK and doc["relation_violations"] == 0
+    assert peak < 16 * p * p, peak
+
+
+@pytest.mark.parametrize("p, bound", [
+    (401, 9.1 * 2 ** 20),        # the (p, p) tables took 9.1 MiB; measured 6.3
+    (4093, 11 * 4093 ** 2),      # the largest prime accepted; measured 9.3*p^2
+])
+def test_ec_scan_is_held_in_the_memory_of_the_spectrum(tmp_path, p, bound):
+    code, doc, peak = traced_ec_scan(tmp_path, p)
+    assert code == OK and doc["relation_violations"] == 0
+    assert doc["checked_lines"] + doc["skipped_singular"] == p * p
+    assert peak < bound, peak
 
 
 def test_spectrum_at_q2003_is_held_in_the_memory_of_its_transform(tmp_path):
@@ -554,8 +577,8 @@ def test_prime_order_past_the_table_bound_exits_1(tmp_path, capsys, argv):
     ["ec", "scan", "--p", "4099"],
 ])
 def test_square_table_order_past_the_bound_exits_1(tmp_path, capsys, argv):
-    # refused before any (p, p) table is built, which would take 16 MB
-    # per int64 table at this p
+    # refused before any table is built: O(p^2) work for projection, and
+    # the spectrum's transform, 8*p^2 bytes (128 MiB here), for ec scan
     out = tmp_path / "out"
     tracemalloc.start()
     try:

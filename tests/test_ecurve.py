@@ -111,13 +111,15 @@ def test_line_curve_check_region_reuse():
 @pytest.mark.parametrize("p", [5, 7, 11, 13, 17, 19, 23, 29])
 def test_scan_counts_every_curve_directly(p):
     # both classes of p mod 4 and the least non-square g = 2, 3 and 5, so the
-    # rows read off the slopes 1 and g by x = lam*y are checked with lam of
-    # both characters; every root count against a scan of x
-    counts, roots = _curve_counts(p)
+    # rows read off the classes 1 and g by x = lam*y are checked with lam of
+    # both characters; every root count against a scan of x.  The rows are
+    # by class t and intercept c: the line v = m*x + b has the curve
+    # Y^2 = X^3 + t*X + c with (t, c) = (-m, -b)
+    counts, roots = _curve_counts(p)(np.arange(p))
     expect = curve_counts_by_line(p)
-    assert {line: int(counts[line]) for line in expect} == expect
-    assert roots.tolist() == [[cubic_root_count(p, m, b) for b in range(p)]
-                              for m in range(p)]
+    assert {(m, b): int(counts[-m % p, -b % p]) for m, b in expect} == expect
+    assert roots.tolist() == [[cubic_root_count(p, -t % p, -c % p) for c in range(p)]
+                              for t in range(p)]
 
 
 def off_by_one(line, blocks=spectrum.secant_count_blocks):
@@ -193,6 +195,9 @@ def test_scan_relation_and_identities(p):
     assert rep["set_size"] == p * (p + 1) // 2
     assert rep["relation_violations"] == 0
     assert rep["skipped_vertical"] == p
+    # 4t^3 + 27c^2 = 0 has c = 0 at t = 0, and two roots c at each t != 0
+    # with -3t a square: p in all
+    assert rep["skipped_singular"] == p
     assert rep["checked_lines"] + rep["skipped_singular"] == p * p
     assert ok and all(doc["checks"].values())
     assert rep["mode_count"] == doc["mode_count"] >= rep["cor_ceiling"]
