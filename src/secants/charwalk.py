@@ -6,9 +6,11 @@ integers.
 For the region under y = alpha*x^2 + beta*x + gamma, the profile of a
 parallel class maps each intercept b to the secant size of y = dx + b.
 Every class is counted exactly by one O(p) difference array over the
-points of its lines, and the slope-1 profile is the reference that L3-L5
-compare against.  Each law is checked against the character formula, so
-the verified laws below are genuine checks, not restatements:
+points of its lines, and the law check counts and checks a block of
+slopes at a time, in O(block) memory.  The slope-1 profile is the
+reference that L3-L5 compare against.  Each law is checked against the
+character formula, so the verified laws below are genuine checks, not
+restatements:
 
   L1  step law: pr_d(b+1) - pr_d(b) = chi((beta-d)^2 + 4*alpha*(b-gamma)),
       including the wrap at b = p-1 (this is the form that holds exactly
@@ -31,10 +33,11 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .construct import under_parabola
 from .field import legendre_table
-from .plane import ProjectivePlane
+from .plane import _SOLVE_BLOCK_ENTRIES, ProjectivePlane
 
 
 def psi_walk(p: int, a: int) -> np.ndarray:
@@ -81,14 +84,32 @@ def projection_profile(plane: ProjectivePlane, alpha: int, beta: int, gamma: int
 
 
 def _direct_profile(f: np.ndarray, d: int) -> np.ndarray:
-    """pr[b] for the slope d: the b with (d*x + b) mod p > f(x) are
-    p-1-f(x) cyclic steps from (f(x)+1-d*x) mod p, summed by one difference
-    array over two turns of the circle."""
-    p = f.size
-    start = (f + 1 - d * np.arange(p, dtype=np.int64)) % p
-    turns = np.cumsum(np.bincount(start, minlength=2 * p)
-                      - np.bincount(start + p - 1 - f, minlength=2 * p))
-    return turns.reshape(2, p).sum(axis=0)
+    """pr[b] for the slope d, the one-row case of _direct_profiles."""
+    return _direct_profiles(f, np.array([d], dtype=np.int64))[0]
+
+
+def _direct_profiles(f: np.ndarray, ds: np.ndarray) -> np.ndarray:
+    """(len(ds), p) int64 profiles, row i that of the slope ds[i]: the b
+    with (d*x + b) mod p > f(x) are the p-1-f(x) cyclic steps from
+    (f(x)+1-d*x) mod p.  One difference array over all rows, each offset
+    by p, marks where the steps start and where they end mod p; its cumsum
+    is the profile but for the steps that wrap past b = p-1, which cover
+    every b once more than the marks count."""
+    p, n = f.size, len(ds)
+    start = np.multiply.outer(ds, np.arange(p, dtype=np.int64))
+    np.subtract(f + 1, start, out=start)
+    start -= start // p * p           # mod p: floor division by an int is the fast one
+    end = start + (p - 1 - f)
+    wrap = end // p                   # 1 where the steps wrap past p-1, else 0
+    end -= wrap * p
+    offset = p * np.arange(n)[:, None]
+    start += offset
+    end += offset
+    steps = np.bincount(start.ravel(), minlength=n * p)
+    steps -= np.bincount(end.ravel(), minlength=n * p)
+    pr = np.cumsum(steps).reshape(n, p)          # each row's marks sum to 0
+    pr += wrap.sum(axis=1)[:, None]
+    return pr
 
 
 def profile_range_check(pr: np.ndarray):
@@ -105,8 +126,11 @@ def verify_projection_laws(plane: ProjectivePlane, alpha: int, beta: int,
                            gamma: int) -> dict:
     """Check laws L1-L4 exactly for every slope d != 0 and intercept, plus
     the L5 range window, and return the `projection` document.  One pass
-    over the slopes holds one profile at a time: O(p^2) work in O(p)
-    memory.  The slope-1 profile is the reference for L3-L5.
+    over the slopes takes them a block of _SOLVE_BLOCK_ENTRIES // 8
+    profile entries at a time, and checks L1-L4 on the whole block with
+    no loop over its slopes: O(p^2) work in O(p + block) memory.  The
+    first L1 and L2 failures are the first in slope order.  The slope-1
+    profile is the reference for L3-L5.
 
     L3 compares each profile with the reference shifted by the predicted
     s_d and records s_d on a match, None otherwise.  On profiles that obey
@@ -118,30 +142,41 @@ def verify_projection_laws(plane: ProjectivePlane, alpha: int, beta: int,
     p = f.size
     chi = legendre_table(p)
     b = np.arange(p, dtype=np.int64)
-    quad = 4 * alpha * (b - gamma)
+    quad = 4 * alpha * (b - gamma) % p
+    chi2 = np.tile(chi.astype(np.int64), 2)       # chi2[v] = chi(v mod p), v < 2p
     # d-free variant, evaluated for comparison only
     alt = -chi[((beta - 1) ** 2 + 4 * alpha * (b + 1 - gamma)) % p]
     ref = _direct_profile(f, 1)
-    ref2 = np.concatenate([ref, ref])
+    shifted = sliding_window_view(np.concatenate([ref, ref[:-1]]), p)  # [s, b] = pr_1(b + s)
     inv_4alpha = pow(4 * alpha, -1, p)
     l1_first_fail = l2_first_fail = None   # (d, b) and d
     shifts, alt_matches = [], 0
     hist_all = np.zeros(p + 2, dtype=np.int64)
-    for d in range(1, p):
-        pr = _direct_profile(f, d)
-        step = np.diff(pr, append=pr[:1])              # wraps at b = p-1
+    rows = max(1, _SOLVE_BLOCK_ENTRIES // 8 // p)
+    for lo in range(1, p, rows):
+        d = np.arange(lo, min(lo + rows, p), dtype=np.int64)
+        pr = _direct_profiles(f, d)
+        step = np.diff(pr, axis=1, append=pr[:, :1])   # wraps at b = p-1
         # L1: steps against the character of the discriminant of f(x) = dx + b
-        mism = np.flatnonzero(step != chi[((beta - d) ** 2 + quad) % p])
-        if l1_first_fail is None and mism.size:
-            l1_first_fail = (d, int(mism[0]))
-        # L2: unit steps and interval image
-        if l2_first_fail is None and (np.abs(step).max() > 1
-                                      or not np.bincount(pr - pr.min()).all()):
-            l2_first_fail = d
+        if l1_first_fail is None:
+            mism = step != chi2[((beta - d) ** 2 % p)[:, None] + quad]
+            if mism.any():
+                i, j = divmod(int(mism.argmax()), p)    # the first in slope order
+                l1_first_fail = (int(d[i]), j)
+        # the histogram of each profile, rows offset by p + 2
+        hist = np.bincount((pr + (p + 2) * np.arange(len(d))[:, None]).ravel(),
+                           minlength=(p + 2) * len(d)).reshape(len(d), p + 2)
+        # L2: unit steps and interval image (every value from min to max)
+        if l2_first_fail is None:
+            bad = ((np.abs(step).max(axis=1) > 1)
+                   | (np.count_nonzero(hist, axis=1) <= pr.max(axis=1) - pr.min(axis=1)))
+            if bad.any():
+                l2_first_fail = int(d[bad.argmax()])
         # L3: pr_d(b) = pr_1(b + s_d), 4*alpha*s_d = (beta-d)^2 - (beta-1)^2
-        s = ((beta - d) ** 2 - (beta - 1) ** 2) * inv_4alpha % p
-        shifts.append(s if np.array_equal(pr, ref2[s:s + p]) else None)
-        hist_all += np.bincount(pr, minlength=p + 2)
+        s = ((beta - d) ** 2 - (beta - 1) ** 2) % p * inv_4alpha % p
+        match = (pr == shifted[s]).all(axis=1)
+        shifts += [int(v) if m else None for v, m in zip(s, match)]
+        hist_all += hist.sum(axis=0)
         alt_matches += int(np.count_nonzero(step == alt))
 
     # L4: class-wise frequencies aggregate to (p-1) * histogram of pr_1

@@ -92,10 +92,11 @@ def _emit_json(args, obj) -> None:
 def _json_text(obj, pad: str = "\n") -> str:
     """The text of json.dumps(obj, sort_keys=True, indent=2), without the
     pure-Python encoder that json runs whenever indent is set: a list of
-    ints or of strs is one join, an integer array is %-formatted a block of
-    rows at a time (json.dumps of its tolist()), and only dicts and other
-    lists recurse.  pad is the line break and indentation that obj's own
-    line starts with."""
+    ints or of strs is one join, a list of dicts with one set of str keys
+    and only int values (a histogram) is one %-template, an integer array
+    is %-formatted a block of rows at a time (json.dumps of its tolist()),
+    and only dicts and other lists recurse.  pad is the line break and
+    indentation that obj's own line starts with."""
     if type(obj) is int:
         return int.__repr__(obj)
     if isinstance(obj, str):
@@ -116,6 +117,9 @@ def _json_text(obj, pad: str = "\n") -> str:
             items = map(int.__repr__, obj)
         elif kinds == {str}:        # each distinct str encoded once
             items = map({s: encode_basestring_ascii(s) for s in set(obj)}.__getitem__, obj)
+        elif kinds == {dict} and (records := _int_records(obj, inner)):
+            row, values = records
+            items = [("," + inner).join([row] * len(obj)) % values]
         else:
             items = (_json_text(v, inner) for v in obj)
         return "[" + inner + ("," + inner).join(items) + pad + "]"
@@ -129,6 +133,25 @@ def _json_text(obj, pad: str = "\n") -> str:
                   for block in (obj[lo:lo + step] for lo in range(0, len(obj), step)))
         return "[" + inner + ("," + inner).join(blocks) + pad + "]"
     return json.dumps(obj)     # floats, None; raises on what json rejects
+
+
+def _int_records(records, pad: str):
+    """(template, values) of a list of dicts that each have the str keys of
+    the first and only values of type int (not bool), such as a histogram:
+    the %d template of one dict as _json_text writes it on a line that
+    starts with pad, and the tuple of all values in that order.  None for
+    any other list of dicts."""
+    if not all(type(k) is str for k in records[0]):
+        return None
+    keys = sorted(records[0])
+    # a missing key reads None; with equal sizes, no key is missing or extra
+    values = tuple([record.get(k) for record in records for k in keys])
+    if set(map(len, records)) != {len(keys)} or not set(map(type, values)) <= {int}:
+        return None
+    inner = pad + "  "
+    fields = ("," + inner).join([encode_basestring_ascii(k).replace("%", "%%") + ": %d"
+                                 for k in keys])
+    return ("{" + inner + fields + pad + "}" if keys else "{}"), values
 
 
 def _array_template(shape, pad: str) -> str:

@@ -19,7 +19,6 @@ import math
 
 import numpy as np
 
-from .field import _decode_digits
 from .plane import ProjectivePlane
 
 
@@ -98,9 +97,10 @@ def affine_class_blocks(grid: np.ndarray, field):
     class-t counts at the dual digit vector v is conj F[M_t^T v, v], where
     M_t is multiplication by t on digit vectors (column j holds the digits
     of t*p^j), so each class is one inverse FFT of a slice over the k
-    intercept axes.  F is kept as the half-spectrum of the real rows: the
-    lowest digit of v runs to p // 2 only, and the slice reads that axis
-    directly.
+    intercept axes.  The rows M_t^T v come from one O(q) orbit table
+    (_slice_index), with no digit products and no mod.  F is kept as the
+    half-spectrum of the real rows: the lowest digit of v runs to p // 2
+    only, and the slice reads that axis directly.
 
     Real data is packed.  The forward pass runs the rows r and r+1 as
     z = grid[r] + i*grid[r+1]; with Z the FFT of z, their spectra are
@@ -150,24 +150,11 @@ def affine_class_blocks(grid: np.ndarray, field):
         np.subtract(M.real[:n], P.real[:n], out=Fo.imag)
     Fx = F.reshape(*digits, -1)
     np.fft.fftn(Fx, axes=range(k), out=Fx)
-    col = np.arange(cols)
-    # digits of each column's v, lowest (the halved axis) first
-    v = np.column_stack([col % half, _decode_digits(col // half, p, k - 1)])
-    powers = p ** np.arange(k)
+    slice_index = _slice_index(field, cols)
     flat = F.reshape(-1)
     for lo in range(0, q, step):
         t = np.arange(lo, min(lo + step, q), dtype=np.int64)
-        MT = _decode_digits(field.mul(t[:, None], powers), p, k)    # MT[i] = M_t^T
-        # the flat index u*cols + col of F[M_t^T v, v], digit by digit of u
-        idx = col
-        for j in range(k):
-            u = MT[:, j, 0, None] * v[:, 0]
-            for r in range(1, k):
-                u += MT[:, j, r, None] * v[:, r]
-            u %= p
-            u *= powers[j] * cols
-            u += idx
-            idx = u
+        idx = slice_index(t)
         n = -(-t.size // 4)
         S = halves[:4 * n]
         np.take(flat, idx, out=S[:t.size])
@@ -199,6 +186,59 @@ def affine_class_blocks(grid: np.ndarray, field):
         np.bitwise_and(rounded, (1 << shift) - 1, out=counts[:2])
         np.right_shift(rounded, shift, out=counts[2:])
         yield lo, counts.reshape(4 * n, q)[:t.size]
+
+
+def _slice_index(field, cols: int):
+    """index(t): for an array t of classes, the (len(t), cols) flat index
+    u*cols + col of F[M_t^T v, v] in the (q, cols) half-spectrum F of
+    affine_class_blocks, v the dual digit vector of column col.
+
+    With g the generator of GF(q)^* that exp/log use, M_{g^c} is M_g to
+    the c, so M_{g^c}^T = A^c for A = M_g^T, and A, conjugate to M_g, is
+    transitive on the nonzero digit vectors.  So M_t^T v = orbit[log t +
+    pos v], where orbit[c] = A^c e_0 (digit j of it is digit 0 of
+    g^c * p^j), stored as its row offset u*cols, and pos is its inverse.
+    Both carry the zero sentinel of the field's tables: log 0 = pos 0 =
+    2(q-1), and orbit is zero from that index on.  The tables take O(q);
+    each block of classes is one add, one gather and one more add."""
+    p, k, q = field.p, field.k, field.q
+    if k > 1:
+        exp, log = field._exp, field._log
+    else:
+        # the smallest primitive root g: g^((p-1)/r) != 1 for each prime r
+        # dividing p-1 (g = 1 at p = 2), and its powers by doubling
+        rest, primes = p - 1, []
+        for r in range(2, math.isqrt(p) + 1):
+            if rest % r == 0:
+                primes.append(r)
+                while rest % r == 0:
+                    rest //= r
+        if rest > 1:
+            primes.append(rest)
+        g = next(g for g in range(1, p) if all(pow(g, (p - 1) // r, p) != 1 for r in primes))
+        exp = np.ones(1, dtype=np.int64)
+        while len(exp) < p - 1:
+            exp = np.concatenate([exp, exp[:p - 1 - len(exp)] * pow(g, len(exp), p) % p])
+        log = np.empty(p, dtype=np.int64)
+        log[exp] = np.arange(p - 1)
+        log[0] = 2 * (p - 1)
+    c = np.arange(q - 1)
+    codes = sum(exp[(c + log[p ** j]) % (q - 1)] % p * p ** j for j in range(k))
+    orbit = np.zeros(4 * (q - 1) + 1, dtype=np.int64)
+    orbit[:2 * (q - 1)] = np.tile(codes * cols, 2)
+    pos = np.empty(q, dtype=np.int64)
+    pos[codes] = c
+    pos[0] = 2 * (q - 1)
+    half = p // 2 + 1
+    col = np.arange(cols)
+    # the encoding of each column's v: its lowest digit is the halved axis
+    pos_v = pos[col % half + p * (col // half)]
+
+    def index(t):
+        idx = orbit[log[t][:, None] + pos_v]
+        idx += col
+        return idx
+    return index
 
 
 def verify_counting_identities(q: int, s: int, hist) -> dict:

@@ -353,6 +353,20 @@ def exp_log_tables(p, k, modulus):
     return exp, log
 
 
+def slice_rows(field, t, cols):
+    """The encodings of M_t^T v for the dual digit vector v of each of the
+    cols columns of the Radon kernel's half-spectrum, whose lowest digit
+    is col % (p//2 + 1) and whose other digits are those of
+    col // (p//2 + 1): digit j of M_t^T v is sum_r digit_r(t * p^j) * v_r
+    mod p, the field's product t * p^j being column j of M_t.  The digit
+    formula, with no orbit table."""
+    p, k = field.p, field.k
+    half = p // 2 + 1
+    mt = np.array([decode_digits(field.mul(t, p ** j), p, k) for j in range(k)])
+    v = np.array([[col % half] + decode_digits(col // half, p, k - 1) for col in range(cols)])
+    return (v @ mt.T % p) @ (p ** np.arange(k))
+
+
 def chi(p, v):
     """The quadratic character of v mod an odd prime p, by Euler's criterion."""
     v %= p

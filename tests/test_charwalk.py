@@ -172,20 +172,19 @@ def test_law_profiles_are_the_spectrum_of_the_region(p):
     for params in ((1, 0, 0), (2, 3, 1), (p - 1, 1, p - 1)):
         _, f = under_parabola(pl, *params)
         n_ell = stream_secant_counts(pl, parabola_region(pl, *params)[0])
-        profiles = np.array([charwalk._direct_profile(f, d) for d in range(p)])
+        profiles = charwalk._direct_profiles(f, np.arange(p))
         assert np.array_equal(profiles, n_ell[slope_lines(pl)]), params
 
 
 def test_laws_reject_a_profile_off_by_one(monkeypatch, tmp_path):
-    direct = charwalk._direct_profile
+    direct = charwalk._direct_profiles
 
-    def off_by_one(f, d):
-        pr = direct(f, d)
-        if d == 1:
-            pr[0] += 1
+    def off_by_one(f, ds):
+        pr = direct(f, ds)
+        pr[ds == 1, 0] += 1
         return pr
 
-    monkeypatch.setattr(charwalk, "_direct_profile", off_by_one)
+    monkeypatch.setattr(charwalk, "_direct_profiles", off_by_one)
     rep = verify_projection_laws(build_plane(13), 1, 0, 0)
     assert not rep["all_ok"] and rep["l1_first_fail"] is not None
     assert main(["projection", "--p", "13", "--out", str(tmp_path / "out")]) == CHECK_FAILED
@@ -199,16 +198,21 @@ def test_l3_demands_the_predicted_shift(monkeypatch):
     ref = projection_profile(pl, *params, 1)
     rev = projection_profile(pl, *params, 2)[::-1].copy()
     assert any(np.array_equal(rev, np.roll(ref, -s)) for s in range(p))
-    direct = charwalk._direct_profile
-    monkeypatch.setattr(charwalk, "_direct_profile",
-                        lambda f, d: rev.copy() if d == 2 else direct(f, d))
+    direct = charwalk._direct_profiles
+
+    def reversed_slope_2(f, ds):
+        pr = direct(f, ds)
+        pr[ds == 2] = rev
+        return pr
+
+    monkeypatch.setattr(charwalk, "_direct_profiles", reversed_slope_2)
     rep = verify_projection_laws(pl, *params)
     assert rep["shifts"][1] is None and not rep["laws"]["L3"]
 
 
 def test_laws_are_checked_in_linear_memory():
-    # one profile at a time: no (p, p) table of profiles, steps or shifts,
-    # each of which alone is 7.6 MiB at p = 997
+    # one block of profiles at a time: no (p, p) table of profiles, steps
+    # or shifts, each of which alone is 7.6 MiB at p = 997
     pl = build_plane(997)
     tracemalloc.start()
     try:
@@ -217,6 +221,65 @@ def test_laws_are_checked_in_linear_memory():
     finally:
         tracemalloc.stop()
     assert peak < 2 ** 20, peak
+
+
+def per_slope_laws(p, profile, alpha, beta, gamma):
+    """(l1_first_fail, l2_first_fail, shifts, l4_first_fail) of the laws
+    checked one slope at a time on the rows profile(d), with Python ints
+    and sets: the first (d, b) whose step is not chi((beta-d)^2 +
+    4*alpha*(b-gamma)), the first d with a step past 1 or a gap in its
+    values, the predicted shift of each slope or None, and the first k
+    whose count over all slopes is not p-1 times that of slope 1."""
+    chi = legendre_table(p).tolist()
+    ref = profile(1)
+    l1 = l2 = None
+    shifts, hist = [], Counter()
+    for d in range(1, p):
+        pr = profile(d)
+        step = [pr[(b + 1) % p] - pr[b] for b in range(p)]
+        if l1 is None:
+            l1 = next(((d, b) for b in range(p)
+                       if step[b] != chi[((beta - d) ** 2 + 4 * alpha * (b - gamma)) % p]),
+                      None)
+        if l2 is None and (max(map(abs, step)) > 1
+                           or set(range(min(pr), max(pr) + 1)) - set(pr)):
+            l2 = d
+        s = ((beta - d) ** 2 - (beta - 1) ** 2) * pow(4 * alpha, -1, p) % p
+        shifts.append(s if all(pr[b] == ref[(b + s) % p] for b in range(p)) else None)
+        hist.update(pr)
+    ref_hist = Counter(ref)
+    l4 = next((k for k in range(p + 2) if hist[k] != (p - 1) * ref_hist[k]), None)
+    return l1, l2, shifts, l4
+
+
+@pytest.mark.parametrize("faults", [
+    [(80, 150, 1)],                 # inside the middle block of slopes 77..114
+    [(95, 200, 1), (97, 3, 1)],     # the first in slope order, not in intercept order
+    [(90, 10, 3), (100, 20, 3)],    # two steps past 1 in one block: L2 at the first
+    [(210, 0, 1)],                  # the last slope, in the short last block; wraps
+    [(210, 7, 1), (1, 5, 1)],       # the reference row too
+])
+def test_laws_report_faults_where_a_per_slope_check_does(monkeypatch, faults):
+    # at p = 211 the slopes run in blocks of 38: 1..38, ..., 191..210;
+    # each fault (d, b, e) adds e to the profile of slope d at b
+    p, params = 211, (2, 3, 1)
+    pl = build_plane(p)
+    direct = charwalk._direct_profiles
+
+    def faulty(f, ds):
+        pr = direct(f, ds)
+        for d, b, e in faults:
+            pr[ds == d, b] += e
+        return pr
+
+    monkeypatch.setattr(charwalk, "_direct_profiles", faulty)
+    (alpha, beta, gamma), f = under_parabola(pl, *params)
+    expect = per_slope_laws(p, lambda d: faulty(f, np.array([d]))[0].tolist(),
+                            alpha, beta, gamma)
+    rep = verify_projection_laws(pl, *params)
+    assert (rep["l1_first_fail"], rep["l2_first_fail"], rep["shifts"],
+            rep["l4_first_fail"]) == expect
+    assert expect[0][0] == min(d for d, _, _ in faults) and not rep["all_ok"]
 
 
 def test_laws_report_a_range_window_miss(monkeypatch, tmp_path):

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -1072,6 +1072,35 @@ def test_json_writer_matches_json_dumps(doc):
     assert cli._json_text(doc) == json.dumps(doc, sort_keys=True, indent=2)
 
 
+RECORD_KEYS = st.lists(st.text(max_size=3), max_size=3, unique=True)
+RECORD_VALUES = st.one_of(st.integers(), st.booleans(), st.text(max_size=3),
+                          st.lists(st.integers(), max_size=2),
+                          st.dictionaries(st.text(max_size=2), st.integers(), max_size=2))
+
+
+@st.composite
+def record_lists(draw):
+    """Lists of dicts that mostly share one key set, with int values only
+    (a histogram) or with bools, strs and nested values among them, and
+    now and then another key set or an empty dict."""
+    keys = draw(RECORD_KEYS)
+    values = st.integers() if draw(st.booleans()) else RECORD_VALUES
+    mixed = draw(st.booleans())
+    return [{k: draw(values) for k in (draw(RECORD_KEYS) if mixed and draw(st.booleans())
+                                      else keys)}
+            for _ in range(draw(st.integers(0, 6)))]
+
+
+@settings(max_examples=300, deadline=None)
+@given(records=record_lists())
+@example(records=[{"%d": 1, "a%": 2}, {"a%": 3, "%d": -4}])
+@example(records=[{"k": 1, "count": True}, {"k": 2, "count": 0}])
+@example(records=[{}, {}])
+def test_json_writer_writes_records_as_json_does(records):
+    for doc in (records, {"histogram": records, "nested": [records, tuple(records)]}):
+        assert cli._json_text(doc) == json.dumps(doc, sort_keys=True, indent=2)
+
+
 INT_ARRAYS = hnp.arrays(
     st.sampled_from([np.int64, np.uint64, np.int32, np.uint8, np.int8]),
     hnp.array_shapes(min_dims=1, max_dims=2, min_side=0, max_side=8))
@@ -1100,7 +1129,13 @@ def test_json_writer_int_array_edges(arr):
 @pytest.mark.parametrize("doc", [np.int64(3), [1, np.int64(3)], {"a": [np.int64(1)]},
                                  {np.int64(1): 2}, {(1,): 2}, {1: 2, "a": 3},
                                  np.array([1.5]), np.zeros((2, 2)),
-                                 np.array([True]), np.array(3)])
+                                 np.array([True]), np.array(3),
+                                 # lists of dicts that the histogram template declines
+                                 [{"k": 0, "count": np.int64(3)}],
+                                 [{"count": 1}, {"count": np.int64(2)}],
+                                 ({"a": np.uint8(1)}, {"a": 2}),
+                                 [{np.int64(1): 2}, {np.int64(1): 3}],
+                                 [{"a": 1, "b": 2}, {"a": 1, (1,): 2}]])
 def test_json_writer_rejects_what_json_rejects(doc):
     with pytest.raises(TypeError) as expect:
         json.dumps(doc, sort_keys=True, indent=2)
@@ -1142,15 +1177,14 @@ def test_failed_projection_report_golden(tmp_path, monkeypatch):
 def test_off_by_one_profile_report_golden(tmp_path, monkeypatch):
     # slope 5's profile with pr(3) raised by 1 breaks the steps into and
     # out of b = 3, the interval image, the shift and the histogram
-    direct = charwalk._direct_profile
+    direct = charwalk._direct_profiles
 
-    def off_by_one(f, d):
-        pr = direct(f, d)
-        if d == 5:
-            pr[3] += 1
+    def off_by_one(f, ds):
+        pr = direct(f, ds)
+        pr[ds == 5, 3] += 1
         return pr
 
-    monkeypatch.setattr(charwalk, "_direct_profile", off_by_one)
+    monkeypatch.setattr(charwalk, "_direct_profiles", off_by_one)
     code, data = run_cli(tmp_path, "projection", "--p", "13")
     doc = json.loads(data)
     assert code == CHECK_FAILED

@@ -153,6 +153,28 @@ def test_scan_finds_one_secant_size_off(monkeypatch, p):
     assert rep["checked_lines"] + rep["skipped_singular"] == p * p
 
 
+@pytest.mark.parametrize("p", [5, 7, 11, 13, 101, 401])
+def test_singular_lines_are_the_roots_of_the_discriminant(p):
+    # the parametrization (t, c) = (-3r^2, 2r^3) against 4t^3 + 27c^2
+    # evaluated on every (t, c), each root once
+    t, c = ecurve._singular_lines(p)
+    roots = [(a, b) for a in range(p) for b in range(p) if (4 * a ** 3 + 27 * b * b) % p == 0]
+    assert sorted(zip(t.tolist(), c.tolist())) == roots
+
+
+@pytest.mark.parametrize("p", [13, 29])
+def test_scan_skips_a_fault_on_a_singular_line(monkeypatch, p):
+    # +1 on the secant size of the singular line at r = 2, (t, c) =
+    # (-12, 16), the line [c : t : 1], is not a relation violation, since
+    # the relation is not checked there; the counting identities catch it
+    pl = build_plane(p)
+    monkeypatch.setattr(ecurve, "secant_count_blocks",
+                        off_by_one(class_of(pl, 16 % p, -12 % p, 1)))
+    rep, ok = ec_spectrum_scan(pl)
+    assert rep["relation_violations"] == 0 and rep["skipped_singular"] == p
+    assert not ok
+
+
 def test_scan_exits_2_on_a_vertical_secant_size_off(monkeypatch, tmp_path):
     # the relation covers non-vertical lines only; +1 on the vertical x = 0,
     # [0 : 1 : 0] on the scan's chart, leaves it clean and is caught by the

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from secants import plane as plane_module
 from secants import spectrum as spectrum_module
 from secants.construct import build_construction, pointset_from_json, random_set
+from secants.field import is_prime, make_field
 from secants.ecurve import ec_spectrum_scan
 from secants.plane import build_plane
 from secants.spectrum import (bounds_report, compute_spectrum, cor_bound_ceiling,
@@ -20,8 +21,8 @@ from secants.spectrum import (bounds_report, compute_spectrum, cor_bound_ceiling
 
 from conftest import (assert_spectrum_matches_naive, chart_stream_lines, class_of,
                       contains, gather_secant_counts, histogram_counts, identity_residuals,
-                      mask_of, naive_histogram, naive_secant_counts, slope_lines,
-                      stream_lines, stream_secant_counts)
+                      mask_of, naive_histogram, naive_secant_counts, slice_rows,
+                      slope_lines, stream_lines, stream_secant_counts)
 
 
 def fano_triangle(fano):
@@ -363,6 +364,18 @@ def test_secant_counts_match_recorded_digests(q, construction, digest):
     pl = build_plane(q)
     n_ell = stream_secant_counts(pl, build_construction(pl, construction, seed=seed)[0])
     assert hashlib.sha256(n_ell.astype("<i8").tobytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("q", sorted({2, 3, 4, 8, 9, 16, 25, 27, 32, 49, 64, 81, 125, 128}
+                                      | {p for p in range(2, 102) if is_prime(p)}))
+def test_slice_index_is_the_digit_formula(q):
+    # the row M_t^T v of every class's slice, read from the orbit table,
+    # against the digit products; at q = 2 the orbit is GF(2)^* = {1}
+    F = make_field(q)
+    cols = q // F.p * (F.p // 2 + 1)
+    index = spectrum_module._slice_index(F, cols)(np.arange(q))
+    expect = [slice_rows(F, t, cols) * cols + np.arange(cols) for t in range(q)]
+    assert np.array_equal(index, expect)
 
 
 @pytest.mark.parametrize("q, offset, raises", [
