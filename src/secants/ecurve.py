@@ -6,18 +6,19 @@ A single curve is counted by the O(p) sum 1 + sum_x (1 + chi(x^3 + a*x + b)),
 trivially auditable against direct (x, y) enumeration.  The region scan
 counts all p^2 curves Y^2 = X^3 + t*X + c in O(p^2), one block of classes t
 at a time.  The character sums S(t, c) = sum_x chi(x^3 + t*x + c) are
-taken directly for three classes, t0 = 0, 1 and the least non-square g,
-grouped by value: one histogram of x^3 + t0*x per class times the circulant
-of chi(v + c), a block of intercepts at a time.  Every other class is
-t = t0*lam^2, and the change of variables x = lam*y gives
-S(t, c) = chi(lam) * S(t0, lam^-3 * c), so its row is a gather from one of
-the three.  The curve counts never pass through a transform, so they stay
-independent of the region's secant sizes they are checked against.  Those
-are read from the spectrum's block stream, with the region written on the
-spectrum's chart: (x, v) at the point (1 : x : v).  That is the affine
-region moved by the collineation (X : Y : Z) -> (Z : X : Y), which keeps
-every secant size.  Row t, column c of a class block of the stream is the
-line [c : t : 1], that is v = -t*x - c.  Off the singular locus
+taken directly for three classes, t0 = 0, 1 and the generator g of the
+field's exp/log tables, a non-square, grouped by value: one histogram of
+x^3 + t0*x per class times the circulant of chi(v + c), a block of
+intercepts at a time.  Every other class is t = t0*lam^2, and the change
+of variables x = lam*y gives S(t, c) = chi(lam) * S(t0, lam^-3 * c), so
+its row is a gather from one of the three.  The curve counts never pass
+through a transform, so they stay independent of the region's secant
+sizes they are checked against.  Those are read from the spectrum's
+block stream, with the region written on the spectrum's chart: (x, v) at
+the point (1 : x : v).  That is the affine region moved by the
+collineation (X : Y : Z) -> (Z : X : Y), which keeps every secant size.
+Row t, column c of a class block of the stream is the line [c : t : 1],
+that is v = -t*x - c.  Off the singular locus
 4t^3 + 27c^2 = 0, its secant size n and the root count Z of X^3 + t*X + c
 tie the curve Y^2 = X^3 + t*X + c to the line via  |E| = 2n + 1 - Z.
 The p singular curves are (t, c) = (-3r^2, 2r^3) for r in F_p, so the
@@ -31,7 +32,7 @@ import math
 import numpy as np
 
 from .construct import ec_grid, require_prime_plane
-from .field import inverse_table, is_prime, legendre_table
+from .field import Field, is_prime, legendre_table
 from .plane import _SOLVE_BLOCK_ENTRIES, ProjectivePlane
 from .spectrum import _spectrum_document, cor_bound_ceiling, secant_count_blocks
 
@@ -57,27 +58,29 @@ def curve_count(p: int, a: int, b: int) -> dict:
             "hasse_ok": trace * trace <= 4 * p}
 
 
-def _curve_counts(p: int):
+def _curve_counts(field: Field):
     """rows(t): for an array t of classes, (counts, roots), two (len(t), p)
     int64 arrays over t and the intercepts c: counts[i, c] = |E| of
-    Y^2 = X^3 + t[i]*X + c, singular curves included, and roots[i, c] the
-    number of roots of X^3 + t[i]*X + c.  Every count is a direct
-    character sum, never a transform."""
+    Y^2 = X^3 + t[i]*X + c over the prime field GF(p), singular curves
+    included, and roots[i, c] the number of roots of X^3 + t[i]*X + c.
+    Every count is a direct character sum, never a transform."""
+    p = field.p
+    exp, log = field._tables
     chi = legendre_table(p).astype(np.int64)
     x = c = np.arange(p, dtype=np.int64)
     cube = x * x % p * x % p
 
     # sums[i, c] = S(t0, c) for t0 = 0, 1, g, grouped by value: the values
     # v = x^3 + t0*x run over the rows of the circulant of chi(v + c), a
-    # block of intercepts at a time.  Each t is t0*lam^2, and
+    # block of intercepts at a time.  With g = exp[1] the field's
+    # generator, t = g^e is t0*lam^2 for lam = g^(e // 2), and
     # counts[t, c] = p + 1 + chi(lam) * S(t0, lam^-3 * c), a gather
-    g = int(np.argmax(chi == -1))
+    g = int(exp[1])
     hist = np.stack([np.bincount((cube + t0 * x) % p, minlength=p) for t0 in (0, 1, g)])
     intercepts = np.array_split(c, p * p // _SOLVE_BLOCK_ENTRIES + 1)
     sums = np.concatenate([hist @ chi[(x[:, None] + cs) % p] for cs in intercepts], 1)
     row = chi % 3                       # the row of t0: chi(t) = 0, 1, -1 to 0, 1, 2
-    mu = np.ones(p, dtype=np.int64)               # 1 / lam for each t = t0*lam^2
-    mu[x[1:] ** 2 % p] = mu[g * (x[1:] ** 2 % p) % p] = inverse_table(p)[1:]
+    mu = exp[(p - 1) - log // 2]        # 1 / lam for each t, and mu[0] = exp[0] = 1
     mu3 = mu * mu % p * mu % p
 
     def rows(t):
@@ -112,7 +115,7 @@ def ec_spectrum_scan(plane: ProjectivePlane):
     blocks = secant_count_blocks(plane, mask)
     # the verticals x = a and the image of z = 0
     hist = np.bincount(next(blocks), minlength=p + 2)
-    rows = _curve_counts(p)
+    rows = _curve_counts(plane.field)
     singular_t, singular_c = _singular_lines(p)
     violations = skipped_singular = lo = 0
     # row t, column c of a class block is [c : t : 1], the line v = -t*x - c,

@@ -9,8 +9,10 @@ constructions.
 GF(p^k) is built from digit arrays with numpy alone.  The modulus is
 the lexicographically smallest monic irreducible of degree k, found by
 sieving the products of monic factors of degrees d and k-d for each
-d <= k/2; the exp/log tables are the powers of the first primitive
-element, built by doubling with k x k multiplication matrices over GF(p).
+d <= k/2.  Every field, GF(p) as the case k = 1, has exp/log tables: the
+powers of the first primitive element, built by doubling with k x k
+multiplication matrices over GF(p).  A field builds them the first time
+an operation reads them, so a field that never inverts holds none.
 Building GF(32), GF(49) and GF(4096) takes 0.13, 0.16 and 7.4 ms against
 0.34, 0.38 and 69 ms with the earlier trial division and polynomial
 powering on Python lists (median over 10 processes of the fastest of 20
@@ -21,7 +23,7 @@ tables.
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -105,21 +107,28 @@ def _exp_log_tables(p: int, k: int, modulus):
     """Exp/log tables of GF(p^k) for the first primitive element g in
     encoding order.  Multiplication by g is the k x k matrix over GF(p)
     that maps the digit row of a to that of g*a, a sum of powers of the
-    companion matrix of multiplication by x; the powers of g are built by
-    doubling, the block g^m..g^(2m-1) as g^0..g^(m-1) times the matrix of
-    g^m, and a candidate is dropped once a block holds 1 before g^(q-1).
+    companion matrix of multiplication by x (at k = 1 the 1 x 1 matrix
+    [g], with no modulus read); the powers of g are built by doubling, the
+    block g^m..g^(2m-1) as g^0..g^(m-1) times the matrix of g^m, and a
+    candidate is dropped once a block holds 1 before g^(q-1).
 
     log[0] is the sentinel 2(q-1) and exp is zero from index 2(q-1) on, so
-    exp[log[a] + log[b]] is the product even when a or b is zero."""
+    exp[log[a] + log[b]] is the product even when a or b is zero.  Each
+    int64 entry of a product of digit matrices is below q^2, so exact for
+    q < 2^31; other orders raise FieldError."""
     q = p ** k
-    x_times = np.eye(k, k, 1, dtype=np.int64)        # row i: digits of x * x^i
-    x_times[-1] = -np.asarray(modulus[:k]) % p
+    if not 2 <= q < 2 ** 31:
+        raise FieldError(f"no exact int64 exp/log tables of order {q}")
     x_powers = np.empty((k, k, k), dtype=np.int64)   # multiplication by x^i
     x_powers[0] = np.eye(k)
-    for i in range(1, k):
-        x_powers[i] = x_powers[i - 1] @ x_times % p
+    if k > 1:
+        x_times = np.eye(k, k, 1, dtype=np.int64)    # row i: digits of x * x^i
+        x_times[-1] = -np.asarray(modulus[:k]) % p
+        for i in range(1, k):
+            x_powers[i] = x_powers[i - 1] @ x_times % p
     weight = p ** np.arange(k)
-    for g in range(p, q):                             # GF(p)* has order p-1 < q-1
+    # GF(p)* has order p-1 < q-1 for k > 1; GF(2)* is {1}
+    for g in range(p if k > 1 else 1, q):
         times = np.einsum("i,ijk->jk", _decode_digits(g, p, k), x_powers) % p
         powers = np.eye(1, k, dtype=np.int64)         # digit rows of g^0 .. g^(m-1)
         while len(powers) < q - 1:
@@ -149,15 +158,18 @@ class Field:
 
     Every arithmetic operation accepts Python ints or integer numpy arrays
     (broadcast against each other) and returns the same kind.  Addition is
-    digit-wise mod p; for k > 1, multiplication and inversion are lookups
-    in exp/log tables of length O(q).  For k > 1 the constructor works
-    out its own modulus, the smallest irreducible (see the module note),
-    and builds the tables from it once.  It rejects a p that is not
-    prime, so the characteristic of every field, and of every plane built
-    on one, is prime; it rejects a degree k that is not an int >= 1 too.
+    digit-wise mod p; inversion, and multiplication for k > 1, are lookups
+    in the exp/log tables (_tables), which every field has and builds the
+    first time they are read.  For k > 1 the constructor works out its own
+    modulus, the smallest irreducible (see the module note), which the
+    tables are built from.  It rejects a p that is not prime, so the
+    characteristic of every field, and of every plane built on one, is
+    prime; it rejects a degree k that is not an int >= 1 too.
 
-    Immutable after construction; every operation is pure, so instances
-    can be shared freely across workers.
+    Its value never changes after construction, and every operation is
+    pure, so instances can be shared freely across workers.  A first read
+    of the tables racing across threads may build them twice, never
+    differently.
     """
 
     def __init__(self, p: int, k: int):
@@ -171,7 +183,11 @@ class Field:
         self.modulus = None
         if k > 1:
             self.modulus = _smallest_irreducible(p, k)
-            self._exp, self._log = _exp_log_tables(p, k, self.modulus)
+
+    @cached_property
+    def _tables(self):
+        """(exp, log) of _exp_log_tables, built on first read."""
+        return _exp_log_tables(self.p, self.k, self.modulus)
 
     def __repr__(self):
         if self.k == 1:
@@ -200,16 +216,14 @@ class Field:
     def mul(self, a, b):
         if self.k == 1:
             return (a * b) % self.p
-        return _lookup(self._exp, self._log[a] + self._log[b])
+        exp, log = self._tables
+        return _lookup(exp, log[a] + log[b])
 
     def inv(self, a):
         if np.any(np.equal(a, 0)):
             raise FieldError("zero has no multiplicative inverse")
-        if self.k > 1:
-            return _lookup(self._exp, (self.q - 1) - self._log[a])
-        if isinstance(a, np.ndarray):
-            return inverse_table(self.p)[a]
-        return pow(a, self.p - 2, self.p)
+        exp, log = self._tables
+        return _lookup(exp, (self.q - 1) - log[a])
 
 
 @lru_cache(maxsize=128)
@@ -222,26 +236,6 @@ def legendre_table(p: int) -> np.ndarray:
     sq = (np.arange(1, p, dtype=np.int64) ** 2) % p
     chi[sq] = 1
     return chi
-
-
-@lru_cache(maxsize=128)
-def inverse_table(p: int) -> np.ndarray:
-    """int64 array: multiplicative inverses mod a prime p (index 0 unused,
-    set to 0), each a^(p-2) by square-and-multiply over the whole array.
-    Every product is below p^2, exact in int64 for p < 2^31."""
-    if not 2 <= p < 2 ** 31:
-        raise FieldError(f"no exact int64 inverse table mod {p}")
-    base = np.arange(p, dtype=np.int64)
-    inv = np.ones(p, dtype=np.int64)
-    e = p - 2
-    while e:
-        if e & 1:
-            np.remainder(np.multiply(inv, base, out=inv), p, out=inv)
-        e >>= 1
-        if e:
-            np.remainder(np.multiply(base, base, out=base), p, out=base)
-    inv[0] = 0
-    return inv
 
 
 def make_field(q: int) -> Field:

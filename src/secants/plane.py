@@ -28,7 +28,8 @@ import numpy as np
 from .field import Field, make_field
 
 # Lines are solved, random sets drawn and the curve scan's base sums taken
-# in blocks of about this many entries, which bounds their int64 temporaries.
+# in blocks of about this many entries, and the projection laws checked in
+# blocks of an eighth of it, which bounds their int64 temporaries.
 _SOLVE_BLOCK_ENTRIES = 1 << 16
 
 

@@ -193,35 +193,17 @@ def _slice_index(field, cols: int):
     u*cols + col of F[M_t^T v, v] in the (q, cols) half-spectrum F of
     affine_class_blocks, v the dual digit vector of column col.
 
-    With g the generator of GF(q)^* that exp/log use, M_{g^c} is M_g to
-    the c, so M_{g^c}^T = A^c for A = M_g^T, and A, conjugate to M_g, is
-    transitive on the nonzero digit vectors.  So M_t^T v = orbit[log t +
-    pos v], where orbit[c] = A^c e_0 (digit j of it is digit 0 of
-    g^c * p^j), stored as its row offset u*cols, and pos is its inverse.
+    With g the generator of GF(q)^* of the field's exp/log tables, for
+    every q, M_{g^c} is M_g to the c, so M_{g^c}^T = A^c for A = M_g^T,
+    and A, conjugate to M_g, is transitive on the nonzero digit vectors.
+    So M_t^T v = orbit[log t + pos v], where orbit[c] = A^c e_0 (digit j
+    of it is digit 0 of g^c * p^j), stored as its row offset u*cols, and
+    pos is its inverse.
     Both carry the zero sentinel of the field's tables: log 0 = pos 0 =
     2(q-1), and orbit is zero from that index on.  The tables take O(q);
     each block of classes is one add, one gather and one more add."""
     p, k, q = field.p, field.k, field.q
-    if k > 1:
-        exp, log = field._exp, field._log
-    else:
-        # the smallest primitive root g: g^((p-1)/r) != 1 for each prime r
-        # dividing p-1 (g = 1 at p = 2), and its powers by doubling
-        rest, primes = p - 1, []
-        for r in range(2, math.isqrt(p) + 1):
-            if rest % r == 0:
-                primes.append(r)
-                while rest % r == 0:
-                    rest //= r
-        if rest > 1:
-            primes.append(rest)
-        g = next(g for g in range(1, p) if all(pow(g, (p - 1) // r, p) != 1 for r in primes))
-        exp = np.ones(1, dtype=np.int64)
-        while len(exp) < p - 1:
-            exp = np.concatenate([exp, exp[:p - 1 - len(exp)] * pow(g, len(exp), p) % p])
-        log = np.empty(p, dtype=np.int64)
-        log[exp] = np.arange(p - 1)
-        log[0] = 2 * (p - 1)
+    exp, log = field._tables
     c = np.arange(q - 1)
     codes = sum(exp[(c + log[p ** j]) % (q - 1)] % p * p ** j for j in range(k))
     orbit = np.zeros(4 * (q - 1) + 1, dtype=np.int64)

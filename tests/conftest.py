@@ -329,16 +329,16 @@ def smallest_irreducible(p, k):
 
 def exp_log_tables(p, k, modulus):
     """Exp/log tables of GF(p^k) for the first primitive element in
-    encoding order, found and powered one product at a time, laid out
-    as the library's: exp holds the q-1 powers twice and then zeros up to
-    index 4(q-1), and log[0] is the sentinel 2(q-1)."""
+    encoding order (for k = 1, with no modulus, the first primitive root
+    mod p), found and powered one product at a time, laid out as the
+    library's: exp holds the q-1 powers twice and then zeros up to index
+    4(q-1), and log[0] is the sentinel 2(q-1)."""
     q = p ** k
-    mod = list(modulus)
-    for g in range(2, q):
+    for g in range(1, q):
         gd = decode_digits(g, p, k)
         powers, x = [1], [1]
         while len(powers) < q - 1:
-            x = poly_mod(poly_mul(x, gd, p), mod, p)
+            x = [x[0] * g % p] if k == 1 else poly_mod(poly_mul(x, gd, p), modulus, p)
             e = encode_digits(x, p)
             if e == 1:
                 break

@@ -638,6 +638,20 @@ def test_prime_order_bound_keeps_products_exact(tmp_path, capsys):
     assert json.loads(data)["p"] == 4194301
 
 
+def test_projection_profile_at_the_largest_order_builds_no_field_table(tmp_path,
+                                                                       monkeypatch):
+    # a field builds its exp/log tables on first read, and one profile
+    # never inverts, so the field of --p 4194301 is left without tables
+    planes, plane_of = [], cli._plane
+    monkeypatch.setattr(cli, "_plane",
+                        lambda args, flag: planes.append(plane_of(args, flag)) or planes[-1])
+    code, data = run_cli(tmp_path, "projection", "--p", "4194301", "--alpha", "1/4",
+                         "--beta", "1", "--gamma", "1", "--d", "1")
+    assert code == OK and data.count(b"\n") == 4194301 + 1
+    assert [pl.q for pl in planes] == [4194301]
+    assert "_tables" not in vars(planes[0].field)
+
+
 @pytest.mark.parametrize("a", [-10 ** 23, 2 ** 63 - 1, 10 ** 30 + 5])
 def test_charwalk_start_is_any_integer(tmp_path, a):
     # --a is a residue mod p: past int64 it is reduced, not refused, and

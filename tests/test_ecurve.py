@@ -8,7 +8,7 @@ from secants import ecurve, spectrum
 from secants.cli import CHECK_FAILED, main
 from secants.construct import ec_region
 from secants.ecurve import CurveError, _curve_counts, curve_count, ec_spectrum_scan
-from secants.field import legendre_table
+from secants.field import Field, legendre_table
 from secants.plane import ProjectivePlane, build_plane
 from secants.spectrum import compute_spectrum
 
@@ -110,12 +110,12 @@ def test_line_curve_check_region_reuse():
 
 @pytest.mark.parametrize("p", [5, 7, 11, 13, 17, 19, 23, 29])
 def test_scan_counts_every_curve_directly(p):
-    # both classes of p mod 4 and the least non-square g = 2, 3 and 5, so the
-    # rows read off the classes 1 and g by x = lam*y are checked with lam of
-    # both characters; every root count against a scan of x.  The rows are
-    # by class t and intercept c: the line v = m*x + b has the curve
-    # Y^2 = X^3 + t*X + c with (t, c) = (-m, -b)
-    counts, roots = _curve_counts(p)(np.arange(p))
+    # both classes of p mod 4 and the field's generator g = 2, 3 and 5, so
+    # the rows read off the classes 1 and g by x = lam*y are checked with
+    # lam of both characters; every root count against a scan of x.  The
+    # rows are by class t and intercept c: the line v = m*x + b has the
+    # curve Y^2 = X^3 + t*X + c with (t, c) = (-m, -b)
+    counts, roots = _curve_counts(Field(p, 1))(np.arange(p))
     expect = curve_counts_by_line(p)
     assert {(m, b): int(counts[-m % p, -b % p]) for m, b in expect} == expect
     assert roots.tolist() == [[cubic_root_count(p, -t % p, -c % p) for c in range(p)]

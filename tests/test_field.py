@@ -1,10 +1,11 @@
 import random
+import threading
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from secants.field import (Field, FieldError, factor_prime_power, inverse_table, is_prime,
+from secants.field import (Field, FieldError, _exp_log_tables, factor_prime_power, is_prime,
                            legendre_table, make_field)
 
 from conftest import (decode_digits, encode_digits, exp_log_tables, poly_mod, poly_mul,
@@ -100,22 +101,68 @@ def test_extension_fields_match_the_list_oracle():
     for q in orders:
         f = make_field(q)
         assert f.modulus == EXTENSION_MODULI[q] == smallest_irreducible(f.p, f.k), q
-        exp, log = exp_log_tables(f.p, f.k, f.modulus)
-        assert f._exp.dtype == f._log.dtype == np.int64, q
-        assert np.array_equal(f._exp, exp) and np.array_equal(f._log, log), q
+        assert_tables_match_oracle(f)
+
+
+def assert_tables_match_oracle(f):
+    exp, log = exp_log_tables(f.p, f.k, f.modulus)
+    fexp, flog = f._tables
+    assert fexp.dtype == flog.dtype == np.int64, f.q
+    assert np.array_equal(fexp, exp) and np.array_equal(flog, log), f.q
+
+
+PRIMES_BELOW_1000 = [p for p in range(1000) if is_prime(p)]
+
+
+@pytest.mark.parametrize("p", PRIMES_BELOW_1000 + [4093, 65537])
+def test_prime_field_tables_match_the_oracle(p):
+    # the first primitive root in encoding order (1 at p = 2), powered one
+    # product at a time, in the layout of the extension tables
+    assert_tables_match_oracle(Field(p, 1))
 
 
 def test_extension_field_build_is_held_in_small_memory():
     # the sieve and the doubling hold O(qk) digits at a time; a build that
-    # kept k copies of the (q, k) digit array would break this bound
-    make_field(4096)
+    # kept k copies of the (q, k) digit array would break this bound.  The
+    # tables are read inside the window, since a field builds them on
+    # first read
+    make_field(4096)._tables
     tracemalloc.start()
     try:
-        make_field(4096)
+        make_field(4096)._tables
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak <= 2 * 2 ** 20, peak
+
+
+@pytest.mark.parametrize("q", [2, 997, 4096])
+def test_tables_are_built_on_first_read(q):
+    f = make_field(q)
+    assert "_tables" not in vars(f)
+    f.add(1, 1), f.sub(0, 1), f.neg(1)
+    assert "_tables" not in vars(f)
+    assert f.inv(1) == 1
+    assert f._tables is vars(f)["_tables"]
+
+
+def test_threads_reading_fresh_tables_get_equal_arrays():
+    # four threads race on the first read of each fresh field's tables; a
+    # race may build them more than once, but never differently
+    for q in (997, 1024, 4093):
+        f, start, got = make_field(q), threading.Barrier(4), []
+
+        def read():
+            start.wait()
+            got.append(f._tables)
+        threads = [threading.Thread(target=read) for _ in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+        assert len(got) == 4
+        for exp, log in got:
+            assert np.array_equal(exp, got[0][0]) and np.array_equal(log, got[0][1]), q
 
 
 def test_legendre_examples():
@@ -260,18 +307,21 @@ def test_tables_match_polynomial_arithmetic(q):
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7, 13, 997, 65537, 4194301])
 def test_inverse_table_matches_pow(p):
-    # square-and-multiply over the whole array, against Python's modular
-    # inverse on every residue (on 2000 seeded ones at p = 4194301), and
-    # a * inv[a] = 1 on every residue; built uncached, so the large table
-    # is not kept
-    inv = inverse_table.__wrapped__(p)
-    assert inv.dtype == np.int64 and inv.shape == (p,) and inv[0] == 0
+    # the prime field's inverses, read from its exp/log tables, against
+    # Python's modular inverse on every residue (on 2000 seeded ones at
+    # p = 4194301) and a * inv(a) = 1 on every residue; each field is
+    # fresh, so the large tables are not kept
+    f = Field(p, 1)
+    inv = f.inv(np.arange(1, p))
+    assert inv.dtype == np.int64 and inv.shape == (p - 1,)
     a = np.arange(1, p) if p < 70000 else np.random.default_rng(p).integers(1, p, 2000)
-    assert inv[a].tolist() == [pow(int(x), -1, p) for x in a]
-    assert (np.arange(1, p) * inv[1:] % p == 1).all()
+    assert inv[a - 1].tolist() == [pow(int(x), -1, p) for x in a]
+    assert (np.arange(1, p) * inv % p == 1).all()
 
 
 @pytest.mark.parametrize("p", [0, 1, 2 ** 31 + 11])
 def test_inverse_table_refuses_orders_past_exact_int64(p):
-    with pytest.raises(FieldError, match="no exact int64 inverse table"):
-        inverse_table.__wrapped__(p)
+    # the table builder refuses an order whose int64 products could
+    # overflow, before any table is allocated
+    with pytest.raises(FieldError, match=f"^no exact int64 exp/log tables of order {p}$"):
+        _exp_log_tables(p, 1, None)
