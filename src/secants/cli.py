@@ -35,11 +35,12 @@ MAX_THREADS = 64
 # p^2 < 2^44, so every product that is reduced mod p fits an int64 exactly.
 MAX_PRIME_ORDER = 1 << 22
 
-# The largest --p of projection without --d and ec scan.  Projection does
-# O(p^2) work in O(p) memory, a block of slopes at a time: at p = 4093 the
-# whole command takes 0.8-1.1 s and 31.5 MB RSS on a 2-core Xeon; ec scan
-# holds the spectrum's transform and blocks, 9.3 p^2 bytes (149 MiB) and
-# 2 s at p = 4093.
+# The largest plane order: --q, each of sweep's --primes, and --p of
+# projection without --d and ec scan.  The spectrum and ec scan hold the
+# transform and its blocks, 9.3 q^2 bytes (149 MiB) and 2 s at q = 4093;
+# projection does O(p^2) work in O(p) memory, a block of slopes at a time:
+# at p = 4093 the whole command takes 0.8-1.1 s and 31.5 MB RSS on a
+# 2-core Xeon.
 MAX_SQUARE_ORDER = 1 << 12
 
 # The largest --n of legit gen, which builds (n, n) tables: about 60 n^2
@@ -70,24 +71,21 @@ class _Command(_Parser):
         return namespace, extras
 
 
-def _common_flags(parser, *flags):
-    """--out on every subcommand; --seed and --threads where they are read."""
-    for flag in flags:
-        parser.add_argument(f"--{flag}", type=int, default=0 if flag == "seed" else 1)
-    parser.add_argument("--out", metavar="PATH", default=None)
-
-
-def _emit(args, chunks) -> None:
-    """Write the text chunks, one after another, to --out or to stdout."""
-    if args.out:
-        with open(args.out, "w") as fh:
+def _write(path, chunks) -> None:
+    """Write the text chunks, one after another, to the file at path, or
+    to stdout when path is None or empty."""
+    if path:
+        with open(path, "w") as fh:
             fh.writelines(chunks)
     else:
         sys.stdout.writelines(chunks)
 
 
-def _emit_json(args, obj) -> None:
-    _emit(args, (_json_text(obj), "\n"))
+def _emit_json(args, obj, ok: bool = True) -> int:
+    """Write obj as JSON to --out or stdout; the exit code of a run whose
+    checks came out ok."""
+    _write(args.out, (_json_text(obj), "\n"))
+    return OK if ok else CHECK_FAILED
 
 
 def _json_text(obj, pad: str = "\n") -> str:
@@ -202,11 +200,14 @@ def _load_json(path, flag: str):
             raise ValueError(f"--{flag} {path} is not JSON: {exc}") from None
 
 
-def _plane(args, flag: str = "q"):
-    """The plane whose order the flag gives, which must be a prime power."""
+def _plane(args, flag: str = "q", bound: int = MAX_SQUARE_ORDER):
+    """The plane whose order the flag gives, which must be a prime power
+    of at most bound; checked before any field or plane is built."""
     q = getattr(args, flag)
     if factor_prime_power(q) is None:
         raise ValueError(f"--{flag} must be a prime power, got {q}")
+    if q > bound:
+        raise ValueError(f"--{flag} must be at most {bound}, got {q}")
     return build_plane(q)
 
 
@@ -219,7 +220,8 @@ def _bounded_p(args, bound: int = MAX_PRIME_ORDER) -> int:
 
 
 def _orders(text: str) -> list:
-    """The comma-separated prime powers of sweep's --primes."""
+    """The comma-separated prime powers of sweep's --primes, each at most
+    MAX_SQUARE_ORDER."""
     orders = []
     for tok in filter(None, text.split(",")):
         try:
@@ -228,6 +230,8 @@ def _orders(text: str) -> list:
             raise ValueError(f"--primes must list integers, got {tok!r}") from None
         if factor_prime_power(q) is None:
             raise ValueError(f"--primes must list prime powers, got {q}")
+        if q > MAX_SQUARE_ORDER:
+            raise ValueError(f"--primes must list orders of at most {MAX_SQUARE_ORDER}, got {q}")
         orders.append(q)
     if not orders:
         raise ValueError("--primes lists no prime")
@@ -238,7 +242,7 @@ def _orders(text: str) -> list:
 
 def cmd_plane(args) -> int:
     plane = _plane(args)     # points and lines share one indexing
-    _emit(args, _csv_blocks(("idx", "x", "y", "z"), plane.triples()))
+    _write(args.out, _csv_blocks(("idx", "x", "y", "z"), plane.triples()))
     return OK
 
 
@@ -253,23 +257,20 @@ def cmd_spectrum(args) -> int:
     else:
         raise ValueError("spectrum needs --set-file or --construction")
     if args.emit_set:
-        with open(args.emit_set, "w") as fh:
-            json.dump(pointset_to_json(plane, mask), fh, sort_keys=True)
-            fh.write("\n")
+        _write(args.emit_set, (json.dumps(pointset_to_json(plane, mask), sort_keys=True), "\n"))
     doc = compute_spectrum(plane, mask, meta)
-    if args.format == "csv":
-        _emit(args, _csv_blocks(("k", "count"), [e["count"] for e in doc["histogram"]]))
-    else:
-        _emit_json(args, doc)
     ok = all(doc["checks"].values()) and doc["mode_count"] >= cor_bound_ceiling(plane.q)
+    if args.format == "json":
+        return _emit_json(args, doc, ok)
+    _write(args.out, _csv_blocks(("k", "count"), [e["count"] for e in doc["histogram"]]))
     return OK if ok else CHECK_FAILED
 
 
 def cmd_sweep(args) -> int:
     primes = _orders(args.primes)
-    parse_construction(args.construction)
+    parse_construction(args.construction, seed_flag="--seeds")
     rows = run_sweep(primes, args.construction, args.seeds, threads=args.threads)
-    _emit(args, (sweep_to_csv(rows),))
+    _write(args.out, (sweep_to_csv(rows),))
     ok = all(row["eq1"] and row["eq2"] and row["var_ok"] and row["cor_ok"] for row in rows)
     return OK if ok else CHECK_FAILED
 
@@ -284,43 +285,39 @@ def cmd_search(args) -> int:
 
 
 def _emit_search(args, doc) -> int:
-    _emit_json(args, doc)
-    return OK if doc["best_mode_count"] >= doc["cor_ceiling"] else CHECK_FAILED
+    return _emit_json(args, doc, doc["best_mode_count"] >= doc["cor_ceiling"])
 
 
 def cmd_charwalk(args) -> int:
     walk = psi_walk(_bounded_p(args), args.a)
     if args.levels:
-        _emit_json(args, level_stats(walk, args.a))
-    else:
-        _emit(args, _csv_blocks(("t", "psi"), walk))
+        return _emit_json(args, level_stats(walk, args.a))
+    _write(args.out, _csv_blocks(("t", "psi"), walk))
     return OK
 
 
 def cmd_projection(args) -> int:
+    bound = MAX_PRIME_ORDER if args.d is not None else MAX_SQUARE_ORDER
     _bounded_p(args)
-    if args.d is None:
-        _bounded_p(args, MAX_SQUARE_ORDER)
-    plane = _plane(args, "p")
+    _bounded_p(args, bound)
+    plane = _plane(args, "p", bound)
     coeffs = [rational_to_element(args.p, c) for c in (args.alpha, args.beta, args.gamma)]
-    if args.d is not None:
-        pr = projection_profile(plane, *coeffs, args.d)
-        _emit(args, _csv_blocks(("b", "pr"), pr))
-        return OK
-    doc = verify_projection_laws(plane, *coeffs)
-    _emit_json(args, doc)
-    return OK if doc["all_ok"] else CHECK_FAILED
+    if args.d is None:
+        doc = verify_projection_laws(plane, *coeffs)
+        return _emit_json(args, doc, doc["all_ok"])
+    _write(args.out, _csv_blocks(("b", "pr"), projection_profile(plane, *coeffs, args.d)))
+    return OK
 
 
-def cmd_ec(args) -> int:
-    if args.ec_cmd == "count":
-        doc = curve_count(_bounded_p(args), args.a, args.b)
-        _emit_json(args, doc)
-        return OK if doc["hasse_ok"] else CHECK_FAILED
+def cmd_ec_count(args) -> int:
+    doc = curve_count(_bounded_p(args), args.a, args.b)
+    return _emit_json(args, doc, doc["hasse_ok"])
+
+
+def cmd_ec_scan(args) -> int:
     _bounded_p(args, MAX_SQUARE_ORDER)
     doc, ok = ec_spectrum_scan(_plane(args, "p"))
-    _emit_json(args, doc)
-    return OK if ok else CHECK_FAILED
+    return _emit_json(args, doc, ok)
 
 
 def _read_coloring(path, num_vertices: int) -> np.ndarray:
@@ -343,140 +340,123 @@ def _read_coloring(path, num_vertices: int) -> np.ndarray:
     return np.array([codes.get(c, c) for c in names], dtype=np.int64)
 
 
-def cmd_legit(args) -> int:
-    if args.legit_cmd == "gen":
-        if args.n > MAX_LEGIT_N:
-            raise ValueError(f"--n must be at most {MAX_LEGIT_N}, got {args.n}")
-        hg = generate_linear_hypergraph(args.n, args.seed, args.mode)
-        _emit_json(args, hg.to_json())
-        return OK
+def cmd_legit_gen(args) -> int:
+    if args.n > MAX_LEGIT_N:
+        raise ValueError(f"--n must be at most {MAX_LEGIT_N}, got {args.n}")
+    return _emit_json(args, generate_linear_hypergraph(args.n, args.seed, args.mode).to_json())
+
+
+def cmd_legit_color(args) -> int:
     hg = LinearHypergraph.from_json(_load_json(args.infile, "in"))
-    if args.legit_cmd == "color":
-        if args.permute_seed is not None:
-            hg = hg.permuted(args.permute_seed)
-        doc, color = two_phase_coloring(hg)
-        doc["legitimate"], _ = verify_legitimate(hg, color)
-        _emit_json(args, doc)
-        return OK if doc["legitimate"] else CHECK_FAILED
+    if args.permute_seed is not None:
+        hg = hg.permuted(args.permute_seed)
+    doc, color = two_phase_coloring(hg)
+    doc["legitimate"], _ = verify_legitimate(hg, color)
+    return _emit_json(args, doc, doc["legitimate"])
+
+
+def cmd_legit_verify(args) -> int:
+    hg = LinearHypergraph.from_json(_load_json(args.infile, "in"))
     legitimate, pair = verify_legitimate(hg, _read_coloring(args.coloring, hg.num_vertices))
-    _emit_json(args, {"legitimate": legitimate, "violating_pair": pair})
-    return OK if legitimate else CHECK_FAILED
+    return _emit_json(args, {"legitimate": legitimate, "violating_pair": pair}, legitimate)
 
 
 # -- parser --------------------------------------------------------------------
+# Each function adds only its command's own arguments; _add_commands adds
+# the shared flags and --out after them.
+
+def _q_arg(p):
+    p.add_argument("--q", type=int, required=True)
+
+
+def _p_arg(p):
+    p.add_argument("--p", type=int, required=True)
+
 
 def _plane_args(p):
-    p.add_argument("--q", type=int, required=True)
+    _q_arg(p)
     p.add_argument("--dump", choices=("points", "lines"), default="points")
-    _common_flags(p)
-    p.set_defaults(func=cmd_plane)
 
 
 def _spectrum_args(p):
-    p.add_argument("--q", type=int, required=True)
+    _q_arg(p)
     p.add_argument("--set-file", dest="set_file")
     p.add_argument("--construction")
     p.add_argument("--emit-set", dest="emit_set", metavar="PATH",
                    help="also write the constructed set as a set-file")
     p.add_argument("--format", choices=("csv", "json"), default="json")
-    _common_flags(p, "seed")
-    p.set_defaults(func=cmd_spectrum)
 
 
 def _sweep_args(p):
     p.add_argument("--primes", required=True, help="comma-separated primes")
     p.add_argument("--construction", required=True)
     p.add_argument("--seeds", type=int, default=10, help="seeds 0..N-1 per prime")
-    _common_flags(p, "threads")
-    p.set_defaults(func=cmd_sweep)
-
-
-def _exhaustive_args(p):
-    p.add_argument("--q", type=int, required=True)
-    _common_flags(p, "threads")
-    p.set_defaults(func=cmd_exhaustive)
 
 
 def _search_args(p):
-    p.add_argument("--q", type=int, required=True)
+    _q_arg(p)
     p.add_argument("--iters", type=int, default=200)
     p.add_argument("--restarts", type=int, default=5)
-    _common_flags(p, "seed")
-    p.set_defaults(func=cmd_search)
 
 
 def _charwalk_args(p):
-    p.add_argument("--p", type=int, required=True)
+    _p_arg(p)
     p.add_argument("--a", type=int, default=0)
     p.add_argument("--levels", action="store_true",
                    help="emit level-occupancy statistics instead of the walk")
-    _common_flags(p)
-    p.set_defaults(func=cmd_charwalk)
 
 
 def _projection_args(p):
-    p.add_argument("--p", type=int, required=True)
+    _p_arg(p)
     p.add_argument("--alpha", default="1")
     p.add_argument("--beta", default="0")
     p.add_argument("--gamma", default="0")
     p.add_argument("--d", type=int, default=None,
                    help="single slope: emit its profile as CSV; omit to "
                         "verify the projection laws across all slopes")
-    _common_flags(p)
-    p.set_defaults(func=cmd_projection)
 
 
 def _ec_count_args(p):
-    p.add_argument("--p", type=int, required=True)
+    _p_arg(p)
     p.add_argument("--a", type=int, required=True)
     p.add_argument("--b", type=int, required=True)
-    _common_flags(p)
-    p.set_defaults(func=cmd_ec)
-
-
-def _ec_scan_args(p):
-    p.add_argument("--p", type=int, required=True)
-    _common_flags(p)
-    p.set_defaults(func=cmd_ec)
 
 
 def _legit_gen_args(p):
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--mode", choices=GENERATOR_MODES, default="pairwise")
-    _common_flags(p, "seed")
-    p.set_defaults(func=cmd_legit)
 
 
 def _legit_color_args(p):
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--permute-seed", dest="permute_seed", type=int, default=None)
-    _common_flags(p)
-    p.set_defaults(func=cmd_legit)
 
 
 def _legit_verify_args(p):
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--coloring", required=True)
-    _common_flags(p)
-    p.set_defaults(func=cmd_legit)
 
 
-# name -> (help, the function that adds its arguments, or the table of its
-# own subcommands); `secants --help` lists them in this order
+# A leaf command is (help, the function that adds its own arguments, the
+# shared flags it reads, its handler); a group is (help, the table of its
+# subcommands).  `secants --help` lists them in this order.
 _COMMANDS = {
-    "plane": ("dump the normalized point or line triples", _plane_args),
-    "spectrum": ("secant spectrum of a set", _spectrum_args),
-    "sweep": ("construction sweep over a prime list", _sweep_args),
-    "exhaustive": ("exact min-max search (q <= 4)", _exhaustive_args),
-    "search": ("hill-descent probe of the min-max value", _search_args),
-    "charwalk": ("character prefix-sum walk", _charwalk_args),
+    "plane": ("dump the normalized point or line triples", _plane_args, (), cmd_plane),
+    "spectrum": ("secant spectrum of a set", _spectrum_args, ("seed",), cmd_spectrum),
+    "sweep": ("construction sweep over a prime list", _sweep_args, ("threads",), cmd_sweep),
+    "exhaustive": ("exact min-max search (q <= 4)", _q_arg, ("threads",), cmd_exhaustive),
+    "search": ("hill-descent probe of the min-max value", _search_args, ("seed",),
+               cmd_search),
+    "charwalk": ("character prefix-sum walk", _charwalk_args, (), cmd_charwalk),
     "projection": ("parallel-class profiles of the under-parabola region",
-                   _projection_args),
-    "ec": ("elliptic curve point counts and region scan",
-           {"count": (None, _ec_count_args), "scan": (None, _ec_scan_args)}),
-    "legit": ("linear hypergraphs and two-phase coloring",
-              {"gen": (None, _legit_gen_args), "color": (None, _legit_color_args),
-               "verify": (None, _legit_verify_args)}),
+                   _projection_args, (), cmd_projection),
+    "ec": ("elliptic curve point counts and region scan", {
+        "count": (None, _ec_count_args, (), cmd_ec_count),
+        "scan": (None, _p_arg, (), cmd_ec_scan)}),
+    "legit": ("linear hypergraphs and two-phase coloring", {
+        "gen": (None, _legit_gen_args, ("seed",), cmd_legit_gen),
+        "color": (None, _legit_color_args, (), cmd_legit_color),
+        "verify": (None, _legit_verify_args, (), cmd_legit_verify)}),
 }
 
 
@@ -489,12 +469,17 @@ def _add_commands(parser, dest: str, commands: dict, argv) -> None:
         commands, argv = {argv[0]: commands[argv[0]]}, argv[1:]
     else:
         argv = ()
-    for name, (help_text, arguments) in commands.items():
+    for name, (help_text, *row) in commands.items():
         p = sub.add_parser(name, **({} if help_text is None else {"help": help_text}))
-        if isinstance(arguments, dict):
-            _add_commands(p, f"{name}_cmd", arguments, argv)
-        else:
-            arguments(p)
+        if isinstance(row[0], dict):
+            _add_commands(p, f"{name}_cmd", row[0], argv)
+            continue
+        arguments, flags, handler = row
+        arguments(p)
+        for flag in flags:      # --seed and --threads where they are read
+            p.add_argument(f"--{flag}", type=int, default=0 if flag == "seed" else 1)
+        p.add_argument("--out", metavar="PATH", default=None)
+        p.set_defaults(func=handler)
 
 
 def build_parser(argv=()) -> _Parser:

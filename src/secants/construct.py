@@ -251,9 +251,10 @@ CONSTRUCTION_ARGS = {"random": ("density",), "parabola": ("a", "b", "g"),
                      "family": ("c",), "ecregion": ()}
 
 
-def parse_construction(text: str):
+def parse_construction(text: str, seed_flag: str = "--seed"):
     """Parse 'parabola:a=1/4,b=1,g=1' style construction specifiers: each
-    argument the construction takes at most once, and nothing else."""
+    argument the construction takes at most once, and nothing else.  A
+    seed argument is refused with a pointer to seed_flag."""
     name, _, arg_str = text.partition(":")
     name = name.strip()
     if name not in CONSTRUCTION_ARGS:
@@ -265,7 +266,7 @@ def parse_construction(text: str):
         if not val:
             raise ConstructionError(f"malformed construction argument {part!r}")
         if key not in CONSTRUCTION_ARGS[name]:
-            hint = "; the seed comes from --seed" if key == "seed" else ""
+            hint = f"; the seed comes from {seed_flag}" if key == "seed" else ""
             raise ConstructionError(
                 f"construction {name!r} takes no argument {key!r}{hint}")
         if key in args:

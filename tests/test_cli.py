@@ -2,6 +2,7 @@ import csv
 import hashlib
 import json
 import os
+import shlex
 import subprocess
 import sys
 import tracemalloc
@@ -572,13 +573,39 @@ def test_prime_order_past_the_table_bound_exits_1(tmp_path, capsys, argv):
     assert peak < 2 ** 20, peak
 
 
+def readme_cli_lines() -> list:
+    """The argv of each command line in the README's sh block under ## CLI,
+    in order: continuation lines joined, comments dropped."""
+    text = (Path(__file__).parent.parent / "README.md").read_text()
+    block = text.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("\n```", 1)[0]
+    lines = block.replace("\\\n", " ").splitlines()
+    return [argv for argv in (shlex.split(line, comments=True) for line in lines) if argv]
+
+
+def test_readme_cli_examples_run(tmp_path, monkeypatch, capsys):
+    # each example runs as written, in order: a later line may read a file
+    # that an earlier one writes
+    monkeypatch.chdir(tmp_path)
+    lines = readme_cli_lines()
+    assert lines
+    for argv in lines:
+        assert argv[0] == "secants"
+        assert main(argv[1:]) == OK, (argv, capsys.readouterr().err)
+
+
 @pytest.mark.parametrize("argv", [
     ["projection", "--p", "4099"],                  # the next prime past 2^12
     ["ec", "scan", "--p", "4099"],
+    ["spectrum", "--q", "4099", "--construction", "random:density=1/2"],
+    # a power of 2 past the bound: refused before its extension field is built
+    ["spectrum", "--q", "1048576", "--construction", "random:density=1/2"],
+    ["plane", "--q", "4099"],
+    ["sweep", "--primes", "101,4099", "--construction", "random:density=1/2"],
 ])
 def test_square_table_order_past_the_bound_exits_1(tmp_path, capsys, argv):
-    # refused before any table is built: O(p^2) work for projection, and
-    # the spectrum's transform, 8*p^2 bytes (128 MiB here), for ec scan
+    # refused before any field or table is built: O(p^2) work for
+    # projection, the spectrum's transform, 8*q^2 bytes (128 MiB at 4099),
+    # for ec scan, spectrum and sweep, and N decoded triples for plane
     out = tmp_path / "out"
     tracemalloc.start()
     try:
@@ -588,7 +615,10 @@ def test_square_table_order_past_the_bound_exits_1(tmp_path, capsys, argv):
         tracemalloc.stop()
     assert code == USAGE_ERROR
     assert cli.MAX_SQUARE_ORDER == 4096
-    assert capsys.readouterr().err == "error: --p must be at most 4096, got 4099\n"
+    flag = next(a for a in argv if a in ("--p", "--q", "--primes"))
+    order = argv[argv.index(flag) + 1].split(",")[-1]
+    rule = "must list orders of at most" if flag == "--primes" else "must be at most"
+    assert capsys.readouterr().err == f"error: {flag} {rule} 4096, got {order}\n"
     assert not out.exists()
     assert peak < 2 ** 20, peak
 
@@ -644,7 +674,7 @@ def test_projection_profile_at_the_largest_order_builds_no_field_table(tmp_path,
     # never inverts, so the field of --p 4194301 is left without tables
     planes, plane_of = [], cli._plane
     monkeypatch.setattr(cli, "_plane",
-                        lambda args, flag: planes.append(plane_of(args, flag)) or planes[-1])
+                        lambda *a: planes.append(plane_of(*a)) or planes[-1])
     code, data = run_cli(tmp_path, "projection", "--p", "4194301", "--alpha", "1/4",
                          "--beta", "1", "--gamma", "1", "--d", "1")
     assert code == OK and data.count(b"\n") == 4194301 + 1
@@ -785,6 +815,9 @@ MALFORMED_INPUTS = {
     "family-density-before-prime-plane": ("argv", "spectrum --q 9 --construction family:c=2"),
     "parabola-alpha-vanishes-mod-p": ("argv", "spectrum --q 11 --construction parabola:a=11"),
     "projection-alpha-zero": ("argv", "projection --p 199 --alpha 0"),
+    # sweep takes --seeds, not --seed, so its hint names that flag
+    "sweep-construction-seed-argument": ("argv",
+                                         "sweep --primes 7 --construction random:seed=1"),
 }
 
 # each case's one error line, recorded before the set-file, hypergraph and
@@ -842,6 +875,8 @@ MALFORMED_MESSAGES = {
     'family-density-before-prime-plane': 'family density c must lie in (0,1)',
     'parabola-alpha-vanishes-mod-p': 'parabola needs alpha != 0',
     'projection-alpha-zero': 'parabola needs alpha != 0',
+    'sweep-construction-seed-argument':
+        "construction 'random' takes no argument 'seed'; the seed comes from --seeds",
 }
 
 # the hypergraph that the coloring cases are checked against: 3 vertices
@@ -1010,10 +1045,10 @@ def test_search_above_limit_exits_1_with_one_line(tmp_path, capsys):
 
 
 def test_internal_error_exits_3_with_one_line(tmp_path, capsys, monkeypatch):
-    def broken(args):
+    def broken(*args):
         raise RuntimeError("kernel fault\non two lines")
 
-    monkeypatch.setattr(cli, "cmd_spectrum", broken)
+    monkeypatch.setattr(cli, "compute_spectrum", broken)
     argv = ["spectrum", "--q", "7", "--construction", "ecregion"]
     assert main([*argv, "--out", str(tmp_path / "out")]) == INTERNAL_ERROR
     err = capsys.readouterr().err
